@@ -89,7 +89,7 @@ func runHTTPBench(o httpOpts) error {
 		httpaff.EventsHandler(srv)(ctx)
 	})
 	r.Handle("/debug/flows", func(ctx *httpaff.RequestCtx) {
-		httpaff.FlowsHandler(srv, httpaff.FlowsConfig{})(ctx)
+		httpaff.FlowsHandler(srv)(ctx)
 	})
 	r.Handle("/debug/trace", func(ctx *httpaff.RequestCtx) {
 		httpaff.TraceHandler(srv)(ctx)

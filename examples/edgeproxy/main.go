@@ -113,7 +113,7 @@ func main() {
 	router.Handle("/debug/events", httpaff.EventsHandler(edge))
 	// Flow journeys and the Chrome trace export: affinity-top polls
 	// /debug/flows; /debug/trace loads in chrome://tracing / Perfetto.
-	router.Handle("/debug/flows", httpaff.FlowsHandler(edge, httpaff.FlowsConfig{}))
+	router.Handle("/debug/flows", httpaff.FlowsHandler(edge))
 	router.Handle("/debug/trace", httpaff.TraceHandler(edge))
 	pprofAddr := startPprof()
 	edge.Start()

@@ -64,7 +64,7 @@ func main() {
 	// affinity-top, or curl "/debug/flows?group=N&since=SEQ") and the
 	// Chrome trace export for chrome://tracing / Perfetto.
 	router.Handle("/debug/flows", func(ctx *httpaff.RequestCtx) {
-		httpaff.FlowsHandler(srv, httpaff.FlowsConfig{})(ctx)
+		httpaff.FlowsHandler(srv)(ctx)
 	})
 	router.Handle("/debug/trace", func(ctx *httpaff.RequestCtx) {
 		httpaff.TraceHandler(srv)(ctx)

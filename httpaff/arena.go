@@ -27,6 +27,12 @@ type arena struct {
 // steady-state size instead of pinning the memory forever.
 const retainCap = 64 << 10
 
+// maxPooled caps each worker arena's free list; contexts released
+// beyond it are dropped to the GC. One warm context per worker already
+// reaches 100.0% reuse on pipelined keep-alive (docs/TUNING.md); the
+// headroom is for handlers holding contexts across concurrent hijacks.
+const maxPooled = 32
+
 // acquire pops a warm context or allocates a cold one.
 func (a *arena) acquire() *RequestCtx {
 	if n := len(a.free); n > 0 {
@@ -47,7 +53,7 @@ func (a *arena) acquire() *RequestCtx {
 // release returns a finished context to the free list, shedding
 // oversized buffers, or drops it when the list is full.
 func (a *arena) release(ctx *RequestCtx) {
-	if len(a.free) >= a.s.cfg.MaxPooledPerWorker {
+	if len(a.free) >= maxPooled {
 		a.counters.Drop()
 		return
 	}

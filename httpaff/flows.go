@@ -8,30 +8,18 @@ import (
 	"affinityaccept/internal/obs"
 )
 
-// FlowsConfig bounds the /debug/flows endpoint's response. The journey
+// maxJourneys and maxHops bound the /debug/flows response. The journey
 // layer can hold thousands of groups with hundreds of hops each; an
 // unbounded dump would make the diagnostic endpoint a DoS lever on the
 // server it is diagnosing, so the handler ranks journeys by activity
-// and truncates — and says so in the response.
-type FlowsConfig struct {
-	// MaxJourneys caps how many journeys one response carries. When more
-	// groups are active the hottest ones (most hops in the window) win
-	// and the response's "truncated" field is set. 0 = 64.
-	MaxJourneys int
-	// MaxHops is the journey depth: each journey's hop list is cut to
-	// its newest MaxHops entries (the journey tail; summary counters
-	// still cover the whole window). 0 = 64.
-	MaxHops int
-}
-
-func (c *FlowsConfig) fill() {
-	if c.MaxJourneys <= 0 {
-		c.MaxJourneys = 64
-	}
-	if c.MaxHops <= 0 {
-		c.MaxHops = 64
-	}
-}
+// and truncates — and says so in the response. When more than
+// maxJourneys groups are active the hottest ones (most hops in the
+// window) win; each journey's hop list is cut to its newest maxHops
+// entries (summary counters still cover the whole window).
+const (
+	maxJourneys = 64
+	maxHops     = 64
+)
 
 // flowsBody is the JSON shape FlowsHandler serves.
 type flowsBody struct {
@@ -49,11 +37,10 @@ type flowsBody struct {
 // journeys as JSON. Query parameters: group=N restricts to one flow
 // group; since=SEQ stitches only events newer than that sequence
 // number (the same cursor /debug/events uses). Journeys are ranked by
-// hop count — the hottest groups first — and bounded by cfg. Mount it
-// on a Router path (conventionally "/debug/flows"). Diagnostic, not
-// hot-path: it allocates.
-func FlowsHandler(srv *Server, cfg FlowsConfig) HandlerFunc {
-	cfg.fill()
+// hop count — the hottest groups first — and bounded by maxJourneys
+// and maxHops. Mount it on a Router path (conventionally
+// "/debug/flows"). Diagnostic, not hot-path: it allocates.
+func FlowsHandler(srv *Server) HandlerFunc {
 	return func(ctx *RequestCtx) {
 		q := ctx.Query()
 		since := uint64(queryInt(q, "since", 0))
@@ -83,17 +70,17 @@ func FlowsHandler(srv *Server, cfg FlowsConfig) HandlerFunc {
 			NextSince: next,
 			Journeys:  journeys,
 		}
-		if len(journeys) > cfg.MaxJourneys {
+		if len(journeys) > maxJourneys {
 			// Hottest groups win: most hops in the window. Stable on the
 			// group-ID order Stitch returns, so equal-activity groups
 			// don't flap between polls.
 			sortJourneysByHops(journeys)
-			body.Journeys = journeys[:cfg.MaxJourneys]
+			body.Journeys = journeys[:maxJourneys]
 			body.Truncated = true
 		}
 		for i := range body.Journeys {
-			if len(body.Journeys[i].Hops) > cfg.MaxHops {
-				body.Journeys[i].Hops = body.Journeys[i].Tail(cfg.MaxHops)
+			if len(body.Journeys[i].Hops) > maxHops {
+				body.Journeys[i].Hops = body.Journeys[i].Tail(maxHops)
 				body.Truncated = true
 			}
 		}

@@ -123,27 +123,12 @@ type Config struct {
 	// responses, rounded up to whole seconds (default 1s).
 	RetryAfter time.Duration
 
-	// MaxPooledPerWorker caps each worker arena's free list (default
-	// 32); contexts released beyond the cap are dropped to the GC.
-	MaxPooledPerWorker int
-
 	// WorkerUpstream, if set, reports each worker's upstream
 	// connection-pool counters and is passed through to
 	// serve.Config.WorkerUpstream, so Stats carries them. The proxyaff
 	// layer wires its per-worker backend pools here.
 	WorkerUpstream func(worker int) serve.PoolStats
 
-	// ObsSampleShift subsamples the request-path histograms: 1 in
-	// 2^ObsSampleShift handler passes is timed and sized (0 = every
-	// pass). The per-pass cost of a sampled pass is two clock reads and
-	// six atomic adds — cheap enough to keep at 0 in most deployments;
-	// the knob exists for request rates where even that shows.
-	ObsSampleShift uint
-	// EventRingSize and HistSubBits pass through to the transport's
-	// observability plane (serve.Config); HistSubBits also sets the
-	// resolution of the HTTP layer's latency/size histograms.
-	EventRingSize int
-	HistSubBits   int
 	// DisableObs turns off event tracing and histograms in both this
 	// layer and the transport.
 	DisableObs bool
@@ -190,15 +175,9 @@ func (c *Config) fill() error {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
 	}
-	if c.MaxPooledPerWorker <= 0 {
-		c.MaxPooledPerWorker = 32
-	}
 	if c.MaxRequestsPerConn < 0 || c.IdleTimeout < 0 || c.ReadTimeout < 0 ||
 		c.HeaderTimeout < 0 || c.MaxInflightHeaders < 0 || c.RetryAfter < 0 {
 		return errors.New("httpaff: limits must be non-negative")
-	}
-	if c.EventRingSize < 0 || c.HistSubBits < 0 || c.ObsSampleShift > 62 {
-		return errors.New("httpaff: EventRingSize and HistSubBits must be non-negative, ObsSampleShift at most 62")
 	}
 	if c.RetryAfter == 0 {
 		c.RetryAfter = time.Second
@@ -244,12 +223,10 @@ type Server struct {
 	admitw          []admitCounters
 
 	// obsw holds each worker's request-path histograms (service
-	// latency, request/response sizes); obsMask is the sampling mask
-	// derived from ObsSampleShift (0 = record every pass). obsOn gates
-	// the whole plane so DisableObs removes even the clock reads.
-	obsw    []workerObs
-	obsMask uint64
-	obsOn   bool
+	// latency, request/response sizes). obsOn gates the whole plane so
+	// DisableObs removes even the clock reads.
+	obsw  []workerObs
+	obsOn bool
 }
 
 // admitCounters is one worker's admission-policy counters, updated only
@@ -284,12 +261,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	if !cfg.DisableObs {
 		s.obsOn = true
-		s.obsMask = uint64(1)<<cfg.ObsSampleShift - 1
 		s.obsw = make([]workerObs, cfg.Workers)
 		for i := range s.obsw {
-			s.obsw[i].svc = obs.NewHist(cfg.HistSubBits)
-			s.obsw[i].reqBytes = obs.NewHist(cfg.HistSubBits)
-			s.obsw[i].respBytes = obs.NewHist(cfg.HistSubBits)
+			s.obsw[i].svc = obs.NewHist(obs.DefaultSubBits)
+			s.obsw[i].reqBytes = obs.NewHist(obs.DefaultSubBits)
+			s.obsw[i].respBytes = obs.NewHist(obs.DefaultSubBits)
 		}
 	}
 	s.refreshDate()
@@ -313,8 +289,6 @@ func New(cfg Config) (*Server, error) {
 		DisableDistanceAware: cfg.DisableDistanceAware,
 		AdaptiveMigration:    cfg.AdaptiveMigration,
 		PinWorkers:           cfg.PinWorkers,
-		EventRingSize:        cfg.EventRingSize,
-		HistSubBits:          cfg.HistSubBits,
 		DisableObs:           cfg.DisableObs,
 		WorkerPool: func(worker int) serve.PoolStats {
 			return s.arenas[worker].counters.Snapshot()
@@ -671,19 +645,14 @@ func (s *Server) servePass(ctx *RequestCtx) (park bool) {
 		ow = &s.obsw[ctx.worker]
 	}
 	for {
-		// Sampled passes time head-read start -> response flush (or, for
-		// a mid-pipeline request, response serialization) and size the
-		// request/response; the cost is two clock reads and six atomic
-		// adds, all worker-local.
+		// With the plane on, every request is timed head-read start ->
+		// response flush (or, for a mid-pipeline request, response
+		// serialization) and sized; the cost is two clock reads and six
+		// atomic adds, all worker-local.
 		var t0, outBefore int64
-		sampled := false
 		if ow != nil {
-			ow.n++
-			if ow.n&s.obsMask == 0 {
-				sampled = true
-				t0 = obs.Nanos()
-				outBefore = int64(ctx.written())
-			}
+			t0 = obs.Nanos()
+			outBefore = int64(ctx.written())
 		}
 		err := ctx.readRequest()
 		if ctx.headerSlot {
@@ -726,7 +695,7 @@ func (s *Server) servePass(ctx *RequestCtx) (park bool) {
 		ctx.appendResponse(closing)
 		if closing {
 			ctx.flush()
-			if sampled {
+			if ow != nil {
 				ow.record(obs.Nanos()-t0, int64(ctx.rpos), int64(ctx.written())-outBefore)
 			}
 			ctx.conn.Close()
@@ -737,12 +706,12 @@ func (s *Server) servePass(ctx *RequestCtx) (park bool) {
 				ctx.conn.Close()
 				return false
 			}
-			if sampled {
+			if ow != nil {
 				ow.record(obs.Nanos()-t0, int64(ctx.rpos), int64(ctx.written())-outBefore)
 			}
 			return true
 		}
-		if sampled {
+		if ow != nil {
 			// Mid-pipeline: the response is serialized but rides a later
 			// flush; bill through serialization rather than hold the
 			// sample hostage to unrelated pipelined requests.

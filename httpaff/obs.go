@@ -12,14 +12,11 @@ import (
 // workerObs is one worker's request-path histograms. Each worker
 // records only into its own entry — from its own goroutine, with two
 // atomic adds per histogram sample — and the merge across workers
-// happens at scrape time, never on the hot path. The pad keeps the
-// per-worker pass counter off its neighbors' cache lines.
+// happens at scrape time, never on the hot path.
 type workerObs struct {
 	svc       *obs.Hist // head-read -> flush service latency, ns
 	reqBytes  *obs.Hist // bytes consumed per request (head + body)
 	respBytes *obs.Hist // bytes serialized per response
-	n         uint64    // pass counter driving the sampling mask
-	_         [32]byte
 }
 
 // record samples one completed request into the worker's histograms.

@@ -59,20 +59,6 @@ func TestServiceLatencyHistogram(t *testing.T) {
 	}
 }
 
-// TestObsSampling pins the ObsSampleShift contract: with shift n only
-// one pass in 2^n lands in the histograms.
-func TestObsSampling(t *testing.T) {
-	s := start(t, Config{Workers: 1, ObsSampleShift: 2})
-	conn, br := dial(t, s)
-	for i := 0; i < 8; i++ {
-		fmt.Fprintf(conn, "GET / HTTP/1.1\r\nHost: x\r\n\r\n")
-		readResponse(t, br)
-	}
-	if got := s.mergedSvc().Count; got != 2 {
-		t.Fatalf("shift 2 recorded %d of 8 passes, want 2", got)
-	}
-}
-
 // TestObsDisabledHTTP: DisableObs zeroes the whole plane end to end —
 // no histograms, no quantiles, no metrics series, no events.
 func TestObsDisabledHTTP(t *testing.T) {
@@ -255,7 +241,7 @@ func TestFlowsHandlerJSON(t *testing.T) {
 	var s *Server
 	r := NewRouter()
 	r.Handle("/", echoPath)
-	r.Handle("/debug/flows", func(ctx *RequestCtx) { FlowsHandler(s, FlowsConfig{})(ctx) })
+	r.Handle("/debug/flows", func(ctx *RequestCtx) { FlowsHandler(s)(ctx) })
 	s = start(t, Config{Workers: 1, Handler: r.Serve})
 	conn, br := dial(t, s)
 	fmt.Fprintf(conn, "GET / HTTP/1.1\r\nHost: x\r\n\r\n")

@@ -1,10 +1,8 @@
-package sched
+package core
 
 import (
 	"sort"
 	"time"
-
-	"affinityaccept/internal/core"
 )
 
 // This file holds the adaptive migration controller: §3.3.2 fixes the
@@ -22,34 +20,38 @@ import (
 // The controller is pure and deterministic: it advances only when
 // Advance is called (one call per migration tick), takes all inputs as
 // arguments, and never reads the clock. That is what lets the
-// simulation harness replay it tick-for-tick on virtual time and the
-// serve package drive it from its migration goroutine unchanged.
+// simulation harness (internal/sched) replay it tick-for-tick on
+// virtual time and the serve package drive it from its migration
+// goroutine unchanged.
+
+// The controller's fixed policy.
+const (
+	// maxBackoff caps the backed-off interval at this multiple of
+	// BaseInterval.
+	maxBackoff = 8
+	// aggressiveLocality: EWMA locality below this snaps the interval
+	// back to BaseInterval. convergedLocality: at or above this a tick
+	// counts toward backing off. Ticks landing between the two hold the
+	// current interval (hysteresis).
+	aggressiveLocality = 0.90
+	convergedLocality  = 0.95
+	// convergedTicks consecutive good ticks double the interval.
+	convergedTicks = 3
+	// localityAlpha is the locality EWMA weight for the newest tick.
+	localityAlpha = 0.4
+	// ownerRing is the per-group recent-owner ring capacity;
+	// pingPongWindow the tick span within which an owner pattern
+	// [X, Y, X] counts as ping-ponging.
+	ownerRing      = 4
+	pingPongWindow = 6
+)
 
 // ControllerConfig tunes the adaptive migration controller. Zero values
 // select the defaults listed on each field.
 type ControllerConfig struct {
 	// BaseInterval is the aggressive balancing interval used while the
-	// workload is still converging (default core.DefaultMigrateInterval).
+	// workload is still converging (default DefaultMigrateInterval).
 	BaseInterval time.Duration
-	// MaxInterval caps the backed-off interval (default 8×BaseInterval).
-	MaxInterval time.Duration
-	// AggressiveLocality: EWMA locality below this snaps the interval
-	// back to BaseInterval (default 0.90).
-	AggressiveLocality float64
-	// ConvergedLocality: EWMA locality at or above this counts the tick
-	// toward backing off (default 0.95). Ticks landing between the two
-	// thresholds hold the current interval (hysteresis).
-	ConvergedLocality float64
-	// ConvergedTicks is how many consecutive good ticks double the
-	// interval (default 3).
-	ConvergedTicks int
-	// Alpha is the locality EWMA weight for the newest tick (default 0.4).
-	Alpha float64
-	// RingSize is the per-group recent-owner ring capacity (default 4).
-	RingSize int
-	// PingPongWindow is the tick span within which an owner pattern
-	// [X, Y, X] counts as ping-ponging (default 6).
-	PingPongWindow int
 	// FreezeTicks is how many ticks a ping-ponging group sits out
 	// (default 8).
 	FreezeTicks int
@@ -57,28 +59,7 @@ type ControllerConfig struct {
 
 func (c *ControllerConfig) fill() {
 	if c.BaseInterval <= 0 {
-		c.BaseInterval = core.DefaultMigrateInterval
-	}
-	if c.MaxInterval <= 0 {
-		c.MaxInterval = 8 * c.BaseInterval
-	}
-	if c.AggressiveLocality == 0 {
-		c.AggressiveLocality = 0.90
-	}
-	if c.ConvergedLocality == 0 {
-		c.ConvergedLocality = 0.95
-	}
-	if c.ConvergedTicks <= 0 {
-		c.ConvergedTicks = 3
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.4
-	}
-	if c.RingSize <= 0 {
-		c.RingSize = 4
-	}
-	if c.PingPongWindow <= 0 {
-		c.PingPongWindow = 6
+		c.BaseInterval = DefaultMigrateInterval
 	}
 	if c.FreezeTicks <= 0 {
 		c.FreezeTicks = 8
@@ -95,8 +76,6 @@ type ownerAt struct {
 type Report struct {
 	// Interval is the balancing interval to use until the next tick.
 	Interval time.Duration
-	// Locality is the smoothed locality ratio after this tick.
-	Locality float64
 	// NewlyFrozen lists groups frozen this tick (ascending).
 	NewlyFrozen []int
 	// Unfrozen lists groups whose cooldown expired this tick (ascending).
@@ -131,22 +110,11 @@ func NewController(cfg ControllerConfig) *Controller {
 	}
 }
 
-// Interval reports the current balancing interval.
-func (c *Controller) Interval() time.Duration { return c.interval }
-
-// Locality reports the smoothed locality ratio (1.0 before any sample).
-func (c *Controller) Locality() float64 {
-	if !c.seen {
-		return 1.0
-	}
-	return c.locality
-}
-
 // FrozenCount reports how many groups are currently frozen.
 func (c *Controller) FrozenCount() int { return len(c.frozen) }
 
 // GroupOK is the veto the balancer consults: false while the group is
-// frozen. Pass it as groupOK to core.BalanceRecordFiltered.
+// frozen. Pass it as groupOK to BalanceRecordFiltered.
 func (c *Controller) GroupOK(group int) bool {
 	_, frozen := c.frozen[group]
 	return !frozen
@@ -157,7 +125,7 @@ func (c *Controller) GroupOK(group int) bool {
 // since the previous tick, and moves are the migrations the balancer
 // just applied (with GroupOK as its veto). It returns the decisions for
 // the next interval.
-func (c *Controller) Advance(localDelta, stolenDelta uint64, moves []core.Migration) Report {
+func (c *Controller) Advance(localDelta, stolenDelta uint64, moves []Migration) Report {
 	c.tick++
 	rep := Report{}
 
@@ -177,13 +145,13 @@ func (c *Controller) Advance(localDelta, stolenDelta uint64, moves []core.Migrat
 	// two cores that each look like the better home from where they sit.
 	for _, m := range moves {
 		ring := append(c.rings[m.Group], ownerAt{Core: m.To, Tick: c.tick})
-		if len(ring) > c.cfg.RingSize {
-			ring = ring[len(ring)-c.cfg.RingSize:]
+		if len(ring) > ownerRing {
+			ring = ring[len(ring)-ownerRing:]
 		}
 		c.rings[m.Group] = ring
 		if n := len(ring); n >= 3 {
 			a, b, x := ring[n-3], ring[n-2], ring[n-1]
-			if a.Core == x.Core && a.Core != b.Core && x.Tick-a.Tick <= c.cfg.PingPongWindow {
+			if a.Core == x.Core && a.Core != b.Core && x.Tick-a.Tick <= pingPongWindow {
 				if _, already := c.frozen[m.Group]; !already {
 					c.frozen[m.Group] = c.tick + c.cfg.FreezeTicks
 					rep.NewlyFrozen = append(rep.NewlyFrozen, m.Group)
@@ -202,7 +170,7 @@ func (c *Controller) Advance(localDelta, stolenDelta uint64, moves []core.Migrat
 		if !c.seen {
 			c.locality, c.seen = sample, true
 		} else {
-			c.locality += c.cfg.Alpha * (sample - c.locality)
+			c.locality += localityAlpha * (sample - c.locality)
 		}
 	}
 
@@ -210,22 +178,18 @@ func (c *Controller) Advance(localDelta, stolenDelta uint64, moves []core.Migrat
 	// workload is shifting — snap back to aggressive. Sustained high
 	// locality with a quiet balancer earns a doubling, up to the cap.
 	switch {
-	case len(moves) > 0 || (c.seen && c.locality < c.cfg.AggressiveLocality):
+	case len(moves) > 0 || (c.seen && c.locality < aggressiveLocality):
 		c.interval = c.cfg.BaseInterval
 		c.goodTicks = 0
-	case total == 0 || c.locality >= c.cfg.ConvergedLocality:
+	case total == 0 || c.locality >= convergedLocality:
 		c.goodTicks++
-		if c.goodTicks >= c.cfg.ConvergedTicks && c.interval < c.cfg.MaxInterval {
+		if c.goodTicks >= convergedTicks && c.interval < maxBackoff*c.cfg.BaseInterval {
 			c.interval *= 2
-			if c.interval > c.cfg.MaxInterval {
-				c.interval = c.cfg.MaxInterval
-			}
 			c.goodTicks = 0
 		}
 	}
 
 	rep.Interval = c.interval
-	rep.Locality = c.Locality()
 	rep.Converged = c.interval > c.cfg.BaseInterval
 	return rep
 }

@@ -3,10 +3,12 @@ package core
 import "sync"
 
 // Guarded wraps Queues with a single mutex for use from real concurrent
-// code (the examples/reuseport demo). The paper's kernel implementation
-// uses one lock per queue; a single mutex is enough for a user-space
-// demonstration where the queues are not the bottleneck, and it keeps
-// the policy code identical to the simulator's.
+// code: it is the production balancer behind serve.Server, on every
+// accept, wake and pop. The paper's kernel implementation uses one lock
+// per queue (§3.2); the single mutex keeps the policy code identical to
+// the simulator's but is a measured bottleneck — the benchmark reads
+// 11.8 µs of mutex wait per churn connection at two workers (ROADMAP
+// item 2 replaces it).
 type Guarded[T any] struct {
 	mu sync.Mutex
 	q  *Queues[T]

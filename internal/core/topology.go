@@ -9,6 +9,47 @@ import "sort"
 // by chip distance closes that gap without touching the 5:1
 // proportional-share policy itself.
 
+// Table 1's AMD row, the machine whose remote-vs-local gap motivates
+// §3.3's policies: cycles to pull one cache line from another core's
+// cache on the same chip, and from the chip farthest away. The serve
+// layer prices steals and migrations at these; internal/mem's AMD48
+// machine reads them, so the numbers have one home.
+const (
+	L3Cycles       = 28
+	RemoteL3Cycles = 460
+)
+
+// Topology is an explicit core→chip assignment. Unlike the regular
+// cores-per-chip layout of the paper's testbeds (Table 1), a Topology
+// may be arbitrarily uneven — the shape a pinned deployment gets when
+// its cgroup mask hands it a ragged subset of a machine.
+type Topology struct {
+	Chips int
+	// Chip maps each core (by index) to its chip number.
+	Chip []int
+}
+
+// Cores reports the number of cores in the topology.
+func (t Topology) Cores() int { return len(t.Chip) }
+
+// ChipOf returns the core→chip function the distance-aware steal path
+// consumes (Config.ChipOf).
+func (t Topology) ChipOf(core int) int { return t.Chip[core] }
+
+// Regular builds the even layout of the paper's machines: cores filled
+// chip by chip, ceil(cores/chips) on each.
+func Regular(cores, chips int) Topology {
+	if chips <= 0 {
+		chips = 1
+	}
+	perChip := (cores + chips - 1) / chips
+	t := Topology{Chips: chips, Chip: make([]int, cores)}
+	for i := range t.Chip {
+		t.Chip[i] = i / perChip
+	}
+	return t
+}
+
 // ChipDistance is the steal-ordering distance between two chips: the
 // absolute difference of their chip numbers, modeling chips laid out
 // along the interconnect (Table 1's "remote" latencies are measured
@@ -74,15 +115,6 @@ func (q *Queues[T]) VictimTiers(core int) []int {
 		out[i] = int(v)
 	}
 	return out
-}
-
-// ChipOf reports the chip a core maps to under the configured topology
-// (0 on a flat machine).
-func (q *Queues[T]) ChipOf(core int) int {
-	if q.cfg.ChipOf == nil {
-		return 0
-	}
-	return q.cfg.ChipOf(core)
 }
 
 // Distance reports the steal-ordering chip distance between two cores

@@ -18,21 +18,34 @@ import (
 // unarmed (being-served) handle is simply dropped. The classic ET
 // lost-wakeup hazard — input arriving while unarmed fires an edge into
 // a dropped event, and no new edge comes until new bytes do — is
-// closed by the MSG_PEEK probes: ReadyNow at Requeue and the post-arm
-// probe in Arm observe the buffered input directly.
+// closed by Arm: a re-armed registration is probed with one MSG_PEEK,
+// and a fresh EPOLL_CTL_ADD gets the kernel's initial event.
+//
+// The loop goroutine does not block in epoll_wait. It waits on netf, a
+// dup of the epoll descriptor registered with the Go runtime's
+// netpoller (an epoll instance is itself pollable: it reads as readable
+// while events are pending). The loop goroutine then parks like any
+// other netpoller waiter, so an idle scheduler thread discovers the
+// readable epfd inline in findrunnable and runs the delivery on the
+// spot — no OS thread sits blocked in epoll_wait needing a kernel wake
+// and an M/P handoff per batch (on GOMAXPROCS=1 that handoff halved
+// throughput, CHANGES.md PR 7).
 type poller struct {
 	epfd  int
 	wakeR int
 	wakeW int
 
+	netf *os.File        // netpolled dup of epfd; closing it closes the dup
+	netc syscall.RawConn // netf's wait handle
+
 	// evbuf is Poll's reusable event buffer. Poll has a single caller
-	// by contract (the loop's worker), so no lock guards it; the loop
-	// goroutine's run() keeps its own buffer.
+	// by contract, so no lock guards it; run() keeps its own buffer.
 	evbuf []syscall.EpollEvent
 }
 
-// newPoller returns nil when epoll is unavailable (restricted sandbox);
-// the loop then runs portably.
+// newPoller returns nil when epoll is unavailable (restricted sandbox)
+// or the runtime cannot netpoll an epoll descriptor; the loop then runs
+// portably — the one fallback there is.
 func newPoller() *poller {
 	epfd, err := syscall.EpollCreate1(syscall.EPOLL_CLOEXEC)
 	if err != nil {
@@ -50,7 +63,33 @@ func newPoller() *poller {
 		p.close()
 		return nil
 	}
+	if !p.netpoll() {
+		p.close()
+		return nil
+	}
 	return p
+}
+
+// netpoll registers a dup of the epoll descriptor with the runtime
+// netpoller, reporting whether the runtime took it. A nonblocking
+// descriptor tells os.NewFile to try the poller rather than treating
+// the file as blocking; SetReadDeadline succeeds only on a file the
+// poller accepted.
+func (p *poller) netpoll() bool {
+	dupfd, err := syscall.Dup(p.epfd)
+	if err != nil {
+		return false
+	}
+	if err := syscall.SetNonblock(dupfd, true); err != nil {
+		syscall.Close(dupfd)
+		return false
+	}
+	p.netf = os.NewFile(uintptr(dupfd), "evloop-epfd")
+	if p.netf.SetReadDeadline(time.Now().Add(pollInterval)) != nil {
+		return false
+	}
+	p.netc, err = p.netf.SyscallConn()
+	return err == nil
 }
 
 // epollET is EPOLLET as the positive uint32 bit; the syscall package
@@ -86,25 +125,26 @@ func (p *poller) wakeup() {
 }
 
 func (p *poller) close() {
+	if p.netf != nil {
+		p.netf.Close()
+	}
 	syscall.Close(p.epfd)
 	syscall.Close(p.wakeR)
 	syscall.Close(p.wakeW)
 }
 
 // Poll drains readiness events that are already pending, without
-// blocking: an epoll_wait with a zero timeout returns immediately, so
-// the calling goroutine never surrenders its P the way the loop
-// goroutine's blocking wait does. The serve layer calls it from a
-// worker's idle loop — on a loaded machine (think GOMAXPROCS=1) parked
-// wakes are then delivered inline by the worker itself, with no
-// M-handoff out of a blocked epoll_wait, while the loop goroutine
-// remains the delivery path when every worker is asleep. Poll reports
-// how many events it delivered.
+// blocking (an epoll_wait with a zero timeout), and reports how many it
+// delivered. Nothing in the server calls it: the benchmark measured the
+// worker-inline poll it was written for at 1.2–2.7 % of wakes, empty on
+// ≥97 % of calls (CHANGES.md, PR 16), and serve dropped the call. It
+// stays exported and tested only because bench/stages.go times it
+// (evloop.poll_empty_ns) and bench/ was frozen for that PR; the next
+// benchmark PR removes the stage and this function together.
 //
-// Contract: one caller at a time (the loop's owning worker). Racing the
-// loop goroutine is safe — delivery is idempotent per park, the
-// armed/tag check in deliver drops an event the other path handled —
-// but the event buffer is deliberately unsynchronized.
+// Contract: one caller at a time. Racing the loop goroutine is safe —
+// the armed/tag check in deliver drops an event the other side handled
+// — but the event buffer is deliberately unsynchronized.
 func (l *Loop) Poll() int {
 	p := l.p
 	if p == nil || l.closedFlag.Load() {
@@ -144,54 +184,10 @@ func (h *Handle) probeReadable() bool {
 // run is the epoll loop goroutine. EPOLLERR/EPOLLHUP/EPOLLRDHUP are
 // delivered as readability like EPOLLIN — the woken handler's next read
 // observes the EOF or error and closes the connection on its normal
-// path. It prefers the netpolled wait (see runNetpolled); if the
-// runtime cannot poll an epoll descriptor it degrades to a goroutine
-// blocked in raw epoll_wait, which is correct but pays an OS thread
-// wake per delivery batch.
+// path. The wait deadline doubles as the coarse-clock tick.
 func (l *Loop) run() {
 	defer close(l.done)
-	if l.runNetpolled() {
-		return
-	}
-	l.runBlocking()
-}
-
-// runNetpolled waits for events by registering the epoll descriptor
-// itself with the Go runtime's netpoller (an epoll instance is a
-// pollable descriptor: it reads as readable while events are pending).
-// That one level of indirection matters enormously under CPU
-// contention: the loop goroutine parks like any other netpoller waiter,
-// so an idle scheduler thread discovers the readable epfd inline in
-// findrunnable and runs the delivery on the spot — no OS thread sits
-// blocked in epoll_wait needing a kernel wake and an M/P handoff per
-// batch (on GOMAXPROCS=1 that handoff throttled the whole server).
-// The wait deadline doubles as the coarse-clock tick. Reports false,
-// having delivered nothing, if the runtime refuses the registration —
-// the caller then falls back to runBlocking.
-func (l *Loop) runNetpolled() bool {
-	dupfd, err := syscall.Dup(l.p.epfd)
-	if err != nil {
-		return false
-	}
-	// A nonblocking descriptor tells os.NewFile to try the runtime
-	// poller rather than treating the file as blocking.
-	if err := syscall.SetNonblock(dupfd, true); err != nil {
-		syscall.Close(dupfd)
-		return false
-	}
-	f := os.NewFile(uintptr(dupfd), "evloop-epfd")
-	if f == nil {
-		syscall.Close(dupfd)
-		return false
-	}
-	defer f.Close()
-	if f.SetReadDeadline(time.Now().Add(pollInterval)) != nil {
-		return false // not pollable on this runtime/kernel
-	}
-	rc, err := f.SyscallConn()
-	if err != nil {
-		return false
-	}
+	p := l.p
 	events := make([]syscall.EpollEvent, 128)
 	// One closure for the life of the loop — allocating it (and the
 	// harvest count it captures) per iteration would cost two heap
@@ -199,69 +195,36 @@ func (l *Loop) runNetpolled() bool {
 	var n int
 	harvest := func(uintptr) bool {
 		// Harvest without blocking; an empty harvest parks in the
-		// netpoller until the epfd reports readable again. Events the
-		// workers' inline Poll already drained land here as an empty
-		// harvest, not a stale delivery.
-		n, _ = syscall.EpollWait(l.p.epfd, events, 0)
+		// netpoller until the epfd reports readable again.
+		n, _ = syscall.EpollWait(p.epfd, events, 0)
 		return n > 0 || l.closedFlag.Load()
 	}
 	lastSweep := time.Now().UnixNano()
 	for {
 		n = 0
-		f.SetReadDeadline(time.Now().Add(pollInterval))
-		rerr := rc.Read(harvest)
+		p.netf.SetReadDeadline(time.Now().Add(pollInterval))
+		rerr := p.netc.Read(harvest)
 		now := time.Now().UnixNano()
 		l.clock.Store(now)
 		for i := 0; i < n; i++ {
 			ev := &events[i]
-			if int(ev.Fd) == l.p.wakeR {
+			if int(ev.Fd) == p.wakeR {
 				var buf [16]byte
-				syscall.Read(l.p.wakeR, buf[:])
+				syscall.Read(p.wakeR, buf[:])
 				continue
 			}
 			l.deliver(ev.Fd, ev.Pad)
 		}
 		if l.closedFlag.Load() {
-			return true
-		}
-		if rerr != nil && !errors.Is(rerr, os.ErrDeadlineExceeded) {
-			// The netpoller wait itself failed; the raw loop still
-			// works, so degrade rather than stop delivering.
-			return false
-		}
-		if now-lastSweep >= int64(sweepInterval) {
-			lastSweep = now
-			l.sweep(now)
-		}
-	}
-}
-
-// runBlocking waits in raw epoll_wait (bounded by pollInterval so the
-// coarse clock stays fresh), stamps the clock, delivers the batch, and
-// sweeps deadlines.
-func (l *Loop) runBlocking() {
-	events := make([]syscall.EpollEvent, 128)
-	lastSweep := time.Now().UnixNano()
-	for {
-		n, err := syscall.EpollWait(l.p.epfd, events, int(pollInterval/time.Millisecond))
-		now := time.Now().UnixNano()
-		l.clock.Store(now)
-		if err != nil {
-			if err == syscall.EINTR {
-				continue
-			}
 			return
 		}
-		for i := 0; i < n; i++ {
-			ev := &events[i]
-			if int(ev.Fd) == l.p.wakeR {
-				var buf [16]byte
-				syscall.Read(l.p.wakeR, buf[:])
-				continue
-			}
-			l.deliver(ev.Fd, ev.Pad)
-		}
-		if l.closedFlag.Load() {
+		if rerr != nil && !errors.Is(rerr, os.ErrDeadlineExceeded) {
+			// The netpoller wait failed on a descriptor it accepted at
+			// construction. No cause is known, so fail closed rather
+			// than hang every parked connection: Close refuses further
+			// parks and hands the parked ones back Dead. It waits for
+			// this goroutine to return, hence its own.
+			go l.Close()
 			return
 		}
 		if now-lastSweep >= int64(sweepInterval) {

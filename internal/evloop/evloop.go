@@ -8,10 +8,11 @@
 //
 // A Loop owns three things:
 //
-//   - a platform poller (epoll on Linux) plus one goroutine blocked in
-//     epoll_wait, which wakes batches of parked conns and hands each to
-//     the Ready callback (serve routes it through the flow table, so
-//     migration/steal semantics are untouched);
+//   - a platform poller (epoll on Linux) plus one goroutine waiting on
+//     it — the single production delivery path: it wakes batches of
+//     parked conns and hands each to the Ready callback (serve routes
+//     it through the flow table, so migration/steal semantics are
+//     untouched);
 //   - an intrusive doubly-linked park-order list (newest at the head)
 //     giving O(1) arm/disarm, O(1) LIFO shedding under fd or budget
 //     pressure, and a cheap idle sweep for park deadlines;
@@ -20,11 +21,13 @@
 //     request (à la fasthttp's coarseTime).
 //
 // Handles that cannot use the poller — connections without a file
-// descriptor (net.Pipe in tests), non-Linux platforms, or an epoll_ctl
-// failure such as EMFILE — degrade to a portable fallback: a persistent
-// per-handle parker goroutine blocked in a one-byte read, exactly the
-// pre-evloop design. The fallback is sticky per handle once a poller
-// registration fails, so a connection never flip-flops between paths.
+// descriptor (net.Pipe in tests), platforms without one (non-Linux, or
+// a runtime that cannot netpoll an epoll descriptor), or an epoll_ctl
+// failure such as EMFILE — degrade to the one portable fallback: a
+// persistent per-handle parker goroutine blocked in a one-byte read,
+// exactly the pre-evloop design. The fallback is sticky per handle once
+// a poller registration fails, so a connection never flip-flops between
+// paths.
 package evloop
 
 import (
@@ -112,9 +115,10 @@ type Loop struct {
 	dead    atomic.Uint64
 	expired atomic.Uint64
 
-	p    *poller       // nil: portable mode
-	done chan struct{} // closed when the loop goroutine exits
-	stop chan struct{} // signals the portable loop goroutine to exit
+	p         *poller       // nil: portable mode
+	done      chan struct{} // closed when the loop goroutine exits
+	stop      chan struct{} // signals the portable loop goroutine to exit
+	closeOnce sync.Once
 
 	// inflight counts fallback deliveries between detach and callback
 	// return, so Close can guarantee no delivery outlives it.
@@ -194,9 +198,6 @@ func (l *Loop) Len() int { return int(l.count.Load()) }
 // (every handle on the parker-goroutine fallback).
 func (l *Loop) Portable() bool { return l.p == nil }
 
-// Closed reports whether Close has begun; Arm refuses from then on.
-func (l *Loop) Closed() bool { return l.closedFlag.Load() }
-
 // Counters reports the loop's lifetime delivery totals: ready is parked
 // connections delivered because input arrived, dead is connections the
 // loop gave up on (peer gone, deadline, shutdown), expired the subset
@@ -253,28 +254,6 @@ func (h *Handle) Clock() time.Time {
 // ClearReadable drops the poller's readability hint; the owner calls it
 // when it is about to read the transport directly.
 func (h *Handle) ClearReadable() { h.readable = false }
-
-// ReadyNow reports whether the handle's next input — data, EOF, or a
-// pending transport error — is already deliverable, marking the handle
-// readable when so. A pipelined client's next request has usually
-// arrived by the time the handler finishes the previous one, so the
-// park path probes this first (one MSG_PEEK) and skips the poller
-// round-trip — an epoll_wait delivery hop — on a hit.
-// Descriptorless handles and non-Linux builds always report false and
-// take the normal park path.
-func (h *Handle) ReadyNow() bool {
-	if h.has {
-		return true
-	}
-	if h.fd < 0 {
-		return false
-	}
-	if h.probeReadable() {
-		h.readable = true
-		return true
-	}
-	return false
-}
 
 // Retire releases the handle's loop-side resources: its persistent
 // poller registration, and its parker goroutine if it ever grew one.
@@ -431,10 +410,10 @@ func (l *Loop) detachLocked(h *Handle) {
 // deliver hands a poller readability event to its handle's owner,
 // reporting whether it did. tag is the registration's stashed low-order
 // seq bits: a stale event for a since-recycled descriptor number fails
-// the comparison; an edge that fired while the handle was between parks
-// — or that the concurrent Poll/run delivery path already handled —
-// fails the armed check. Either way the event is dropped (the post-arm
-// probe in Arm recovers any input a dropped edge announced).
+// the comparison; an edge that fired while the handle was between parks,
+// or for a handle that shed, sweep or Close already detached, fails the
+// armed check. Either way the event is dropped (the post-arm probe in
+// Arm recovers any input a dropped edge announced).
 func (l *Loop) deliver(fd int32, tag int32) bool {
 	l.mu.Lock()
 	h, ok := l.byFD[fd]
@@ -504,12 +483,10 @@ func (l *Loop) ShedNewest() (net.Conn, bool) {
 
 // Close stops the loop, reports every still-parked connection Dead, and
 // waits until no delivery can be in flight. Arm refuses afterwards.
-func (l *Loop) Close() {
+func (l *Loop) Close() { l.closeOnce.Do(l.shutdown) }
+
+func (l *Loop) shutdown() {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return
-	}
 	l.closed = true
 	started := l.start
 	l.mu.Unlock()

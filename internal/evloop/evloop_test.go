@@ -185,6 +185,44 @@ func paritySuite(t *testing.T, portable bool) {
 		}
 	})
 
+	t.Run("ArmWithInputBuffered", func(t *testing.T) {
+		// Input that is already in the socket buffer when Arm runs must
+		// still be delivered, exactly once: on the first park by the
+		// kernel's initial EPOLL_CTL_ADD event, on a re-park by the
+		// post-arm probe (its edge fired into a dropped event while the
+		// handle was unarmed). The portable parker just reads it.
+		k := &collector{}
+		l := newLoop(t, k)
+		srv, cli := tcpPair(t)
+		defer srv.Close()
+		defer cli.Close()
+		var h Handle
+		h.Init(srv)
+		defer h.Retire()
+		for i, want := range []byte{'f', 'r'} {
+			if _, err := cli.Write([]byte{want}); err != nil {
+				t.Fatal(err)
+			}
+			if !l.Portable() {
+				waitFor(t, "input buffered", h.probeReadable)
+			}
+			if !l.Arm(&h, time.Time{}) {
+				t.Fatalf("arm %d refused", i)
+			}
+			waitFor(t, "Ready delivery", func() bool { r, _ := k.counts(); return r == i+1 })
+			if got := readWakeByte(t, &h); got != want {
+				t.Fatalf("arm %d: wake byte = %q, want %q", i, got, want)
+			}
+		}
+		time.Sleep(20 * time.Millisecond) // a stale event would land by now
+		if r, d := k.counts(); r != 2 || d != 0 {
+			t.Fatalf("ready=%d dead=%d, want 2/0", r, d)
+		}
+		if ready, _, _ := l.Counters(); ready != 2 {
+			t.Fatalf("Counters ready = %d, want 2", ready)
+		}
+	})
+
 	t.Run("DeadlineSweepReapsIdle", func(t *testing.T) {
 		k := &collector{}
 		l := newLoop(t, k)

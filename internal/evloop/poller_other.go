@@ -13,12 +13,12 @@ func (p *poller) del(int)               {}
 func (p *poller) wakeup()               {}
 func (p *poller) close()                {}
 
-// probeReadable has no portable non-consuming implementation; the park
-// fast path simply never triggers off Linux.
+// probeReadable has no portable non-consuming implementation, and no
+// caller off Linux: only a poller-backed Arm probes.
 func (h *Handle) probeReadable() bool { return false }
 
-// Poll has nothing to drain without a platform poller: portable parking
-// delivers wakes from each handle's parker goroutine directly.
+// Poll has nothing to drain without a platform poller. See the Linux
+// build for why it still exists.
 func (l *Loop) Poll() int { return 0 }
 
 // run is never reached off Linux (l.p is always nil), but keeps the

@@ -5,11 +5,11 @@ import (
 	"sync/atomic"
 )
 
-// DefaultSubBits is the histogram resolution knob's default: 2^4 = 16
-// sub-buckets per power of two, a worst-case relative error of 1/16 =
-// 6.25% on any reconstructed quantile. One histogram at this resolution
-// is ~960 buckets — under 8KiB — so a stack of them per worker is cache
-// noise, not a footprint.
+// DefaultSubBits is the histogram resolution every server uses (and
+// what a zero subBits selects): 2^4 = 16 sub-buckets per power of two,
+// a worst-case relative error of 1/16 = 6.25% on any reconstructed
+// quantile. One histogram at this resolution is ~960 buckets — under
+// 8KiB — so a stack of them per worker is cache noise, not a footprint.
 const DefaultSubBits = 4
 
 // maxSubBits bounds the resolution knob: 2^8 sub-buckets is 0.4%

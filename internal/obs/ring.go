@@ -5,10 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// DefaultRingSize is the per-ring slot count when the config knob is
-// zero: 1024 events per worker keeps minutes of control-plane history
-// (migrations, sheds, ratelimits are rare) and a second or two of
-// park/wake churn under load, at 64KiB per ring.
+// DefaultRingSize is the per-ring slot count every server uses (and
+// what a zero size selects): 1024 events per worker keeps minutes of
+// control-plane history (migrations, sheds, ratelimits are rare) and a
+// second or two of park/wake churn under load, at 64KiB per ring.
 const DefaultRingSize = 1024
 
 // Event is one control-plane decision, as drained from a ring. Seq is

@@ -29,13 +29,7 @@ func mv(group, from, to int) core.Migration {
 // cooldown.
 func TestControllerStateMachine(t *testing.T) {
 	const base = 100 * time.Millisecond
-	cfg := ControllerConfig{
-		BaseInterval:   base,
-		MaxInterval:    8 * base,
-		ConvergedTicks: 3,
-		FreezeTicks:    4,
-		PingPongWindow: 6,
-	}
+	cfg := core.ControllerConfig{BaseInterval: base, FreezeTicks: 4}
 	cases := []struct {
 		name  string
 		ticks []tick
@@ -136,7 +130,7 @@ func TestControllerStateMachine(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := NewController(cfg)
+			c := core.NewController(cfg)
 			for i, tk := range tc.ticks {
 				rep := c.Advance(tk.local, tk.stolen, tk.moves)
 				if tk.wantInterval != 0 && rep.Interval != tk.wantInterval {
@@ -171,7 +165,7 @@ func TestControllerStateMachine(t *testing.T) {
 // group's cleared history means its next move does not instantly
 // re-freeze it.
 func TestControllerFreezeVetoIsScoped(t *testing.T) {
-	c := NewController(ControllerConfig{FreezeTicks: 2, ConvergedTicks: 3})
+	c := core.NewController(core.ControllerConfig{FreezeTicks: 2})
 	c.Advance(50, 50, []core.Migration{mv(1, 0, 1)})
 	c.Advance(50, 50, []core.Migration{mv(1, 1, 0)})
 	rep := c.Advance(50, 50, []core.Migration{mv(1, 0, 1)})

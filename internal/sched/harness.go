@@ -43,7 +43,7 @@ func PortForGroups(groups []int) func(rng *rand.Rand) uint16 {
 
 // HarnessConfig configures one deterministic replay.
 type HarnessConfig struct {
-	Topology Topology
+	Topology core.Topology
 	Seed     int64
 	// Groups is the flow-group count (default 64 — small enough that
 	// scenarios can aim traffic at specific owners).
@@ -61,7 +61,7 @@ type HarnessConfig struct {
 	// and vetoes frozen groups. Off, the interval is fixed and no group
 	// is ever frozen — the §3.3.2 baseline.
 	Adaptive   bool
-	Controller ControllerConfig
+	Controller core.ControllerConfig
 	// DistanceBlind drops the topology from the steal path (the
 	// ablation arm): the queues scan victims in flat round-robin order
 	// while the harness still prices every steal against the topology.
@@ -90,7 +90,7 @@ type Result struct {
 	// tentpole promises is that this is always zero.
 	OrderViolations int
 	// Reports holds the controller's per-tick decisions (adaptive only).
-	Reports []Report
+	Reports []core.Report
 	// TickMoves holds the migrations each balancing tick applied, in
 	// tick order — the freeze tests read which ticks touched a group.
 	TickMoves [][]core.Migration
@@ -130,7 +130,7 @@ type Harness struct {
 
 	Q     *core.Queues[Conn]
 	Table *core.FlowTable
-	Ctl   *Controller
+	Ctl   *core.Controller
 
 	phases  []Phase
 	phaseIx int
@@ -172,7 +172,7 @@ func NewHarness(cfg HarnessConfig) *Harness {
 	}
 	h := &Harness{
 		cfg:   cfg,
-		eng:   sim.New(cfg.Topology.SimConfig(cfg.Seed)),
+		eng:   sim.New(simConfig(cfg.Topology, cfg.Seed)),
 		rng:   rand.New(rand.NewSource(cfg.Seed + 1)),
 		Q:     core.NewQueues[Conn](qcfg),
 		Table: core.NewFlowTable(cfg.Groups, n),
@@ -182,7 +182,7 @@ func NewHarness(cfg HarnessConfig) *Harness {
 		if ctlCfg.BaseInterval <= 0 {
 			ctlCfg.BaseInterval = cfg.MigrateEvery
 		}
-		h.Ctl = NewController(ctlCfg)
+		h.Ctl = core.NewController(ctlCfg)
 	}
 	for _, chip := range cfg.Topology.Chip {
 		if chip > h.maxDist {
@@ -191,6 +191,14 @@ func NewHarness(cfg HarnessConfig) *Harness {
 	}
 	h.res.StealsByDistance = make([]uint64, h.maxDist+1)
 	return h
+}
+
+// simConfig builds a sim.Config that places each simulated core on the
+// topology's chips.
+func simConfig(t core.Topology, seed int64) sim.Config {
+	chips := make([]int, len(t.Chip))
+	copy(chips, t.Chip)
+	return sim.Config{Cores: len(t.Chip), ChipOf: chips, Seed: seed}
 }
 
 // stealCost prices a steal at the machine's line-transfer latency for
@@ -232,7 +240,7 @@ func (h *Harness) checkStealOrder(thief, victim int) {
 	}
 }
 
-func chipDist(t Topology, a, b int) int {
+func chipDist(t core.Topology, a, b int) int {
 	return core.ChipDistance(t.Chip[a], t.Chip[b])
 }
 

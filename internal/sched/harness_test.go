@@ -9,6 +9,25 @@ import (
 	"affinityaccept/internal/sim"
 )
 
+// randomTopology draws a machine with 1–8 chips and an uneven worker
+// spread: every chip gets at least one core, the rest land at random —
+// shapes no real SKU ships.
+func randomTopology(rng *rand.Rand, cores int) core.Topology {
+	chips := 1 + rng.Intn(8)
+	if chips > cores {
+		chips = cores
+	}
+	t := core.Topology{Chips: chips, Chip: make([]int, cores)}
+	perm := rng.Perm(cores)
+	for i := 0; i < chips; i++ {
+		t.Chip[perm[i]] = i // every chip occupied
+	}
+	for i := chips; i < cores; i++ {
+		t.Chip[perm[i]] = rng.Intn(chips)
+	}
+	return t
+}
+
 // groupsOwnedBy returns the first n flow groups initially steered to
 // core under the diagonal spread, so scenarios can aim traffic at a
 // chosen owner.
@@ -36,7 +55,7 @@ const msCycles = sim.Cycles(2_400_000) // 1 ms at the default 2.4 GHz
 // interval off once it has.
 func TestHarnessSkewedConvergence(t *testing.T) {
 	h := NewHarness(HarnessConfig{
-		Topology:     Regular(6, 2),
+		Topology:     core.Regular(6, 2),
 		Seed:         1,
 		MigrateEvery: time.Millisecond,
 		Adaptive:     true,
@@ -70,7 +89,7 @@ func TestHarnessSkewedConvergence(t *testing.T) {
 // interval to the aggressive base, then re-converge.
 func TestHarnessShiftingWorkloadReconverges(t *testing.T) {
 	h := NewHarness(HarnessConfig{
-		Topology:     Regular(6, 2),
+		Topology:     core.Regular(6, 2),
 		Seed:         2,
 		MigrateEvery: time.Millisecond,
 		Adaptive:     true,
@@ -119,11 +138,11 @@ func TestHarnessShiftingWorkloadReconverges(t *testing.T) {
 func TestHarnessOscillationFreeze(t *testing.T) {
 	run := func(adaptive bool) (Result, int) {
 		h := NewHarness(HarnessConfig{
-			Topology:     Regular(3, 1),
+			Topology:     core.Regular(3, 1),
 			Seed:         3,
 			MigrateEvery: time.Millisecond,
 			Adaptive:     adaptive,
-			Controller:   ControllerConfig{FreezeTicks: 5},
+			Controller:   core.ControllerConfig{FreezeTicks: 5},
 		})
 		hot := groupsOwnedBy(t, h.Table, 0, 1)
 		res := h.Run([]Phase{{Until: 40 * msCycles, ArrivalGap: 15_000, Port: PortForGroups(hot)}})
@@ -182,7 +201,7 @@ func TestHarnessOscillationFreeze(t *testing.T) {
 func TestHarnessDistanceAwareReducesCrossChipSteals(t *testing.T) {
 	run := func(blind bool) Result {
 		h := NewHarness(HarnessConfig{
-			Topology:      Regular(6, 2),
+			Topology:      core.Regular(6, 2),
 			Seed:          4,
 			MigrateEvery:  time.Second, // no migrations: isolate stealing
 			PollGap:       100_000,     // coarse polling keeps the idle tail cheap
@@ -221,7 +240,7 @@ func TestHarnessDistanceAwareReducesCrossChipSteals(t *testing.T) {
 func TestHarnessRandomTopologies(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 8; i++ {
-		top := RandomTopology(rng, 3+rng.Intn(8))
+		top := randomTopology(rng, 3+rng.Intn(8))
 		h := NewHarness(HarnessConfig{
 			Topology:     top,
 			Seed:         int64(100 + i),

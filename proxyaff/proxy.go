@@ -99,11 +99,8 @@ type Config struct {
 	// 8192); larger heads are answered 502.
 	MaxResponseHeaderBytes int
 
-	// HistSubBits sets the resolution of the upstream exchange-latency
-	// histograms (0 = the obs default, 6.25% relative error); DisableObs
-	// turns them off entirely.
-	HistSubBits int
-	DisableObs  bool
+	// DisableObs turns the upstream exchange-latency histograms off.
+	DisableObs bool
 }
 
 func (c *Config) fill() error {
@@ -143,9 +140,6 @@ func (c *Config) fill() error {
 	}
 	if c.MaxResponseHeaderBytes <= 0 {
 		c.MaxResponseHeaderBytes = 8192
-	}
-	if c.HistSubBits < 0 {
-		return errors.New("proxyaff: HistSubBits must be non-negative")
 	}
 	return nil
 }
@@ -222,7 +216,7 @@ func New(cfg Config) (*Proxy, error) {
 		w.hbuf = make([]byte, 4096)
 		w.rbuf = make([]byte, 0, 1024)
 		if p.obsOn {
-			w.exch = obs.NewHist(cfg.HistSubBits)
+			w.exch = obs.NewHist(obs.DefaultSubBits)
 		}
 	}
 	return p, nil

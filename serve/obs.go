@@ -7,7 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"affinityaccept/internal/mem"
+	"affinityaccept/internal/core"
 	"affinityaccept/internal/obs"
 )
 
@@ -36,21 +36,14 @@ type serverObs struct {
 	// (obs.Stitch) rests on.
 	hops []atomic.Uint32
 
-	// machine is the topology the attribution pass judges distance
-	// against: workers map to cores in internal/mem's contiguous chip
-	// layout (chip = worker / CoresPerChip). On real flat hardware it is
-	// one chip; Config.Chips simulates a multi-chip machine so loopback
-	// runs can still exercise the distance-aware accounting. Latencies
-	// are Table 1's AMD row — the cycle estimates use RemoteL3 vs L3 as
-	// the cross- vs same-chip line-transfer cost.
-	machine mem.Machine
-
 	// stealPairs / migratePairs are the Workers×Workers cost matrices,
 	// flattened row-major: stealPairs[thief*W+victim] counts handler
 	// passes worker "thief" popped from worker "victim"'s queue;
 	// migratePairs[from*W+to] counts §3.3.2 group moves. Joined with
-	// machine at snapshot time they become the same-chip vs cross-chip
-	// attribution Table 1 prices.
+	// Server.topo at snapshot time they become the same-chip vs
+	// cross-chip attribution Table 1 prices. On real flat hardware the
+	// topology is one chip; Config.Chips simulates a multi-chip machine
+	// so loopback runs can still exercise the distance-aware accounting.
 	stealPairs   []atomic.Uint64
 	migratePairs []atomic.Uint64
 
@@ -59,43 +52,22 @@ type serverObs struct {
 	migrate *obs.Hist   // ns per balance tick (BalanceTable call)
 }
 
-func newServerObs(workers, groups, ringSize, subBits, chips int) *serverObs {
+func newServerObs(workers, groups int) *serverObs {
 	o := &serverObs{
-		rings:        obs.NewRings(workers+1, ringSize),
+		rings:        obs.NewRings(workers+1, obs.DefaultRingSize),
 		control:      workers,
 		hops:         make([]atomic.Uint32, groups),
-		machine:      topology(workers, chips),
 		stealPairs:   make([]atomic.Uint64, workers*workers),
 		migratePairs: make([]atomic.Uint64, workers*workers),
 		park:         make([]*obs.Hist, workers),
 		steal:        make([]*obs.Hist, workers),
-		migrate:      obs.NewHist(subBits),
+		migrate:      obs.NewHist(obs.DefaultSubBits),
 	}
 	for i := range o.park {
-		o.park[i] = obs.NewHist(subBits)
-		o.steal[i] = obs.NewHist(subBits)
+		o.park[i] = obs.NewHist(obs.DefaultSubBits)
+		o.steal[i] = obs.NewHist(obs.DefaultSubBits)
 	}
 	return o
-}
-
-// topology builds the distance model workers are attributed against:
-// chips <= 1 is a flat single-chip machine (every steal same-chip);
-// otherwise workers split contiguously into chips exactly like
-// internal/mem's Machine.Chip. Latencies are the paper's Table 1 AMD
-// row, the machine whose remote-vs-local gap motivates §3.3's policies.
-func topology(workers, chips int) mem.Machine {
-	if chips <= 1 {
-		chips = 1
-	}
-	perChip := (workers + chips - 1) / chips
-	if perChip < 1 {
-		perChip = 1
-	}
-	m := mem.AMD48()
-	m.Name = "serve"
-	m.Chips = chips
-	m.CoresPerChip = perChip
-	return m
 }
 
 // nextHop claims flow group g's next hop counter (1-based), 0 for
@@ -189,22 +161,19 @@ func (o *serverObs) countMigrate(from, to, workers int) {
 }
 
 // crossChip reports whether workers a and b live on different chips of
-// the configured topology — the distance line the attribution pass
-// prices hops against.
+// the configured topology — the distance line the steal scan orders by
+// and the attribution pass prices hops against.
 func (s *Server) crossChip(a, b int) bool {
-	if s.obs == nil {
-		return false
-	}
-	return !s.obs.machine.SameChip(a, b)
+	return s.topo.Chip[a] != s.topo.Chip[b]
 }
 
 // WorkerChip reports which chip of the configured topology worker w
-// maps to (always 0 on a flat machine).
+// maps to (always 0 on a flat machine, and for an out-of-range w).
 func (s *Server) WorkerChip(w int) int {
-	if s.obs == nil {
+	if w < 0 || w >= len(s.topo.Chip) {
 		return 0
 	}
-	return s.obs.machine.Chip(w)
+	return s.topo.Chip[w]
 }
 
 // CostMatrix is the snapshot of one worker-pair attribution matrix
@@ -220,19 +189,20 @@ type CostMatrix struct {
 	EstCycles uint64     `json:"estCycles"`
 }
 
-func (o *serverObs) matrix(cells []atomic.Uint64, workers int) CostMatrix {
+func (s *Server) matrix(cells []atomic.Uint64) CostMatrix {
+	workers := s.cfg.Workers
 	m := CostMatrix{Counts: make([][]uint64, workers)}
 	for a := 0; a < workers; a++ {
 		m.Counts[a] = make([]uint64, workers)
 		for b := 0; b < workers; b++ {
 			n := cells[a*workers+b].Load()
 			m.Counts[a][b] = n
-			if o.machine.SameChip(a, b) {
-				m.SameChip += n
-				m.EstCycles += n * uint64(o.machine.Lat.L3)
-			} else {
+			if s.crossChip(a, b) {
 				m.CrossChip += n
-				m.EstCycles += n * uint64(o.machine.Lat.RemoteL3)
+				m.EstCycles += n * core.RemoteL3Cycles
+			} else {
+				m.SameChip += n
+				m.EstCycles += n * core.L3Cycles
 			}
 		}
 	}
@@ -245,7 +215,7 @@ func (s *Server) StealMatrix() CostMatrix {
 	if s.obs == nil {
 		return CostMatrix{}
 	}
-	return s.obs.matrix(s.obs.stealPairs, s.cfg.Workers)
+	return s.matrix(s.obs.stealPairs)
 }
 
 // MigrateMatrix returns the from×to migration attribution matrix.
@@ -254,7 +224,7 @@ func (s *Server) MigrateMatrix() CostMatrix {
 	if s.obs == nil {
 		return CostMatrix{}
 	}
-	return s.obs.matrix(s.obs.migratePairs, s.cfg.Workers)
+	return s.matrix(s.obs.migratePairs)
 }
 
 // GroupOfPort reports which flow group a remote TCP port hashes into —
@@ -410,7 +380,7 @@ func (s *Server) WriteObsMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# HELP affinity_steal_est_cycles_total Estimated line-transfer cycles spent on steals (L3 same-chip, RemoteL3 cross-chip).\n# TYPE affinity_steal_est_cycles_total counter\naffinity_steal_est_cycles_total %d\n", sm.EstCycles)
 	fmt.Fprintf(w, "# HELP affinity_worker_chip Which chip of the configured topology each worker maps to.\n# TYPE affinity_worker_chip gauge\n")
 	for i := 0; i < s.cfg.Workers; i++ {
-		fmt.Fprintf(w, "affinity_worker_chip{worker=\"%d\"} %d\n", i, s.obs.machine.Chip(i))
+		fmt.Fprintf(w, "affinity_worker_chip{worker=\"%d\"} %d\n", i, s.topo.Chip[i])
 	}
 
 	// Adaptive migration: the controller's current interval and freeze

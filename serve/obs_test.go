@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"affinityaccept/internal/core"
 	"affinityaccept/internal/obs"
 )
 
@@ -73,9 +74,8 @@ func TestObsMigrationEventsMatchMoves(t *testing.T) {
 }
 
 // TestObsParkWakeLifecycle runs one real keep-alive connection through a
-// park (the client waits between requests, so the ReadyNow fast path
-// cannot short-circuit it) and checks the event timeline and the park-
-// duration histogram both saw it.
+// park (the client waits between requests) and checks the event
+// timeline and the park-duration histogram both saw it.
 func TestObsParkWakeLifecycle(t *testing.T) {
 	var srv *Server
 	s, err := New(Config{
@@ -170,6 +170,36 @@ func TestObsDisabled(t *testing.T) {
 	}
 	if snap := s.ParkDurationSnapshot(); snap.Count != 0 {
 		t.Error("disabled server has park histogram data")
+	}
+}
+
+// TestTopologyIndependentOfObs: Chips > 1 orders the steal scan whether
+// or not the obs plane is on, so WorkerChip, crossChip and Stats must
+// describe that same layout with DisableObs set (they used to answer
+// 0 / false / 0, disagreeing with the policy about who is remote).
+func TestTopologyIndependentOfObs(t *testing.T) {
+	s, err := New(Config{Workers: 4, Chips: 2, DisableObs: true, Handler: echoHandler})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	st := s.Stats()
+	for w, want := range []int{0, 0, 1, 1} {
+		if got := s.WorkerChip(w); got != want {
+			t.Errorf("WorkerChip(%d) = %d, want %d", w, got, want)
+		}
+		if got := st.Workers[w].Chip; got != want {
+			t.Errorf("Stats.Workers[%d].Chip = %d, want %d", w, got, want)
+		}
+	}
+	if s.crossChip(0, 1) || !s.crossChip(1, 2) {
+		t.Errorf("crossChip(0,1)=%v crossChip(1,2)=%v, want false/true", s.crossChip(0, 1), s.crossChip(1, 2))
+	}
+	if st.Chips != 2 {
+		t.Errorf("Stats.Chips = %d, want 2", st.Chips)
+	}
+	if s.WorkerChip(-1) != 0 || s.WorkerChip(4) != 0 {
+		t.Error("out-of-range WorkerChip must report chip 0")
 	}
 }
 
@@ -310,8 +340,8 @@ func TestObsJourneyTaggingAndAttribution(t *testing.T) {
 	if sm.CrossChip != 1 {
 		t.Errorf("steal matrix cross = %d, want 1", sm.CrossChip)
 	}
-	if sm.EstCycles != uint64(s.obs.machine.Lat.RemoteL3) {
-		t.Errorf("steal est cycles = %d, want RemoteL3 %d", sm.EstCycles, s.obs.machine.Lat.RemoteL3)
+	if sm.EstCycles != core.RemoteL3Cycles {
+		t.Errorf("steal est cycles = %d, want RemoteL3 %d", sm.EstCycles, core.RemoteL3Cycles)
 	}
 
 	st := s.Stats()

@@ -46,11 +46,10 @@ type parkedConn struct {
 	// first park.
 	loop int32
 
-	// armedAt is the obs.Nanos timestamp of the last slow-path park, 0
-	// when the connection took the ReadyNow fast path (no park
-	// happened). Written strictly before Arm and read after the loop's
-	// delivery, so the loop's mutex orders the accesses; the wake path
-	// turns it into the park-duration histogram sample.
+	// armedAt is the obs.Nanos timestamp of the last park (0 with the
+	// obs plane off). Written strictly before Arm and read after the
+	// loop's delivery, so the loop's mutex orders the accesses; the wake
+	// path turns it into the park-duration histogram sample.
 	armedAt int64
 }
 
@@ -110,8 +109,13 @@ func (p *parkedConn) Read(b []byte) (int, error) {
 // The connection parks on the event loop of the worker currently owning
 // its flow group; when its next request bytes arrive the loop re-routes
 // it through the flow table onto the (possibly different, post-
-// migration) owner's queue. Requeue reports false when the server is
-// shutting down — the caller then still owns the connection and must
+// migration) owner's queue. Every successful Requeue is a real park:
+// input already buffered at requeue time is found by Arm's own probe
+// and delivered on the spot through the same Ready callback. (A
+// separate look-before-parking probe hit on 0.7–1.5 % of requeues in
+// the benchmark and cost a recvfrom on the rest; CHANGES.md, PR 16.)
+// Requeue reports false when the server is shutting down — Arm is the
+// authority — and the caller then still owns the connection and must
 // close it. After a successful Requeue the server owns the connection;
 // if its queue overflows, its park deadline passes, or the peer
 // disconnects while parked, the server closes it.
@@ -120,20 +124,6 @@ func (s *Server) Requeue(conn net.Conn) bool {
 	if !ok {
 		p = &parkedConn{Conn: conn, loop: -1}
 		p.h.Init(p)
-	}
-	// Fast path: a pipelined client's next request (or its EOF) has
-	// usually arrived by the time the handler requeues. One MSG_PEEK
-	// detects that and routes the connection straight back onto the
-	// owning worker's queue — no epoll registration, no loop-goroutine
-	// hop. The Closed guard keeps shutdown's contract: once the loops
-	// have closed, Requeue refuses rather than feeding the drained
-	// queues forever. (Loops close together; checking the first is
-	// enough, and Arm re-checks its own loop authoritatively.)
-	if !s.loops[0].Closed() && p.h.ReadyNow() {
-		p.armedAt = 0 // no park: the wake path must not bill a duration
-		s.requeued.Add(1)
-		s.parkWake(p)
-		return true
 	}
 	w := s.parkWorker(p)
 	if s.obs != nil {
@@ -193,26 +183,23 @@ func (s *Server) parkWake(c net.Conn) {
 	p := c.(*parkedConn)
 	group, worker := s.route(p)
 	if s.obs != nil {
-		if at := p.armedAt; at != 0 {
-			p.armedAt = 0
-			d := obs.Nanos() - at
-			s.obs.park[worker].Record(d)
-			port := remotePort(p.Conn)
-			s.RecordGroupEvent(worker, obs.KindWake, group, port, d, 0)
-			if p.loop >= 0 && int(p.loop) != worker {
-				// The flow group migrated while the connection was
-				// parked: it woke on its park loop but routes to the
-				// group's new owner — the moment §3.3.2 pays off for a
-				// requeued connection. C carries the distance verdict:
-				// 1 when the park loop and the new owner live on
-				// different chips of the configured topology, i.e. the
-				// reroute crossed the Table 1 RemoteL3 line.
-				var cross int64
-				if s.crossChip(int(p.loop), worker) {
-					cross = 1
-				}
-				s.RecordGroupEvent(worker, obs.KindReroute, group, port, int64(p.loop), cross)
+		d := obs.Nanos() - p.armedAt
+		s.obs.park[worker].Record(d)
+		port := remotePort(p.Conn)
+		s.RecordGroupEvent(worker, obs.KindWake, group, port, d, 0)
+		if int(p.loop) != worker {
+			// The flow group migrated while the connection was
+			// parked: it woke on its park loop but routes to the
+			// group's new owner — the moment §3.3.2 pays off for a
+			// requeued connection. C carries the distance verdict:
+			// 1 when the park loop and the new owner live on
+			// different chips of the configured topology, i.e. the
+			// reroute crossed the Table 1 RemoteL3 line.
+			var cross int64
+			if s.crossChip(int(p.loop), worker) {
+				cross = 1
 			}
+			s.RecordGroupEvent(worker, obs.KindReroute, group, port, int64(p.loop), cross)
 		}
 	}
 	if !s.bal.Push(worker, p) {

@@ -50,7 +50,6 @@ import (
 	"affinityaccept/internal/core"
 	"affinityaccept/internal/evloop"
 	"affinityaccept/internal/obs"
-	"affinityaccept/internal/sched"
 )
 
 // Handler serves one accepted connection. The handler owns the
@@ -109,7 +108,7 @@ type Config struct {
 	// configuration; useful for A/B comparison).
 	DisableMigration bool
 	// AdaptiveMigration replaces the fixed MigrateInterval ticker with
-	// the internal/sched controller: the interval starts at
+	// the core.Controller: the interval starts at
 	// MigrateInterval and doubles (up to 8x) while the per-tick locality
 	// ratio stays converged, snapping back the moment migrations fire or
 	// locality degrades; flow groups caught ping-ponging between two
@@ -154,23 +153,14 @@ type Config struct {
 	// connection reuse (Upstream).
 	WorkerUpstream func(worker int) PoolStats
 
-	// EventRingSize is the per-worker control-plane event ring's slot
-	// count, rounded up to a power of two (0 = 1024). One extra ring of
-	// the same size holds the rare migrate/shed events so worker-ring
-	// churn cannot evict them.
-	EventRingSize int
-	// HistSubBits sets the latency-histogram resolution: 2^HistSubBits
-	// sub-buckets per power of two, a worst-case relative quantile
-	// error of 2^-HistSubBits (0 = 4, i.e. 6.25%; max 8).
-	HistSubBits int
 	// DisableObs turns the observability plane off entirely: no event
 	// rings, no serve-layer histograms, and the hot paths skip even the
 	// clock reads that feed them.
 	DisableObs bool
 	// Chips is the chip count of the topology the NUMA attribution pass
 	// prices steals and migrations against: workers split contiguously
-	// into Chips chips (worker w lives on chip w/(Workers/Chips), like
-	// internal/mem's Machine.Chip), and a hop whose two workers land on
+	// into Chips chips (core.Regular: worker w lives on chip
+	// w/ceil(Workers/Chips)), and a hop whose two workers land on
 	// different chips is counted cross-chip at the paper's Table 1
 	// RemoteL3 latency instead of L3. 0 or 1 means a flat single-chip
 	// machine — every hop same-chip. With Chips > 1 the same topology
@@ -234,9 +224,6 @@ func (c *Config) fill() error {
 	if c.MaxConns < 0 || c.PerIPAcceptRate < 0 || c.PerIPAcceptBurst < 0 {
 		return errors.New("serve: MaxConns, PerIPAcceptRate and PerIPAcceptBurst must be non-negative")
 	}
-	if c.EventRingSize < 0 || c.HistSubBits < 0 {
-		return errors.New("serve: EventRingSize and HistSubBits must be non-negative")
-	}
 	if c.Chips < 0 {
 		return errors.New("serve: Chips must be non-negative")
 	}
@@ -266,6 +253,11 @@ type Server struct {
 	flow      *core.GuardedFlowTable
 	listeners []net.Listener
 	sharded   bool // one listener per worker (SO_REUSEPORT)
+
+	// topo is the worker→chip layout (Config.Chips). The steal scan
+	// order and the cross-chip attribution both read this one value, so
+	// the policy and the accounting cannot disagree on who is remote.
+	topo core.Topology
 
 	wake    chan struct{} // signaled on every push
 	drainCh chan struct{} // closed when acceptors have stopped
@@ -304,7 +296,7 @@ type Server struct {
 	// ctl is the adaptive migration controller (Config.AdaptiveMigration;
 	// nil = fixed-interval ticker). Only the balance path touches it; the
 	// atomics below republish its decisions for Stats and /metrics.
-	ctl               *sched.Controller
+	ctl               *core.Controller
 	ctlLocals         uint64       // accept deltas fed to ctl (balance path only)
 	ctlSteals         uint64       //
 	migrateIntervalNs atomic.Int64 // current balancing interval
@@ -342,12 +334,13 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		flow:    core.NewGuardedFlowTable(cfg.FlowGroups, cfg.Workers),
+		topo:    core.Regular(cfg.Workers, cfg.Chips),
 		wake:    make(chan struct{}, cfg.Workers),
 		drainCh: make(chan struct{}),
 		workers: make([]workerState, cfg.Workers),
 	}
 	if !cfg.DisableObs {
-		s.obs = newServerObs(cfg.Workers, s.flow.Groups(), cfg.EventRingSize, cfg.HistSubBits, cfg.Chips)
+		s.obs = newServerObs(cfg.Workers, s.flow.Groups())
 	}
 	s.loops = make([]*evloop.Loop, cfg.Workers)
 	for i := range s.loops {
@@ -370,15 +363,13 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Chips > 1 && !cfg.DisableDistanceAware {
 		// Distance-aware stealing: the balancer scans victims in chip
-		// order under the same contiguous worker→chip layout the obs
-		// attribution prices (worker w on chip w/perChip), independent
-		// of DisableObs so the policy works without the metrics plane.
-		perChip := (cfg.Workers + cfg.Chips - 1) / cfg.Chips
-		bcfg.ChipOf = func(w int) int { return w / perChip }
+		// order. Independent of DisableObs, so the policy works without
+		// the metrics plane.
+		bcfg.ChipOf = s.topo.ChipOf
 	}
 	s.bal = core.NewGuarded[net.Conn](bcfg)
 	if cfg.AdaptiveMigration && !cfg.DisableMigration {
-		s.ctl = sched.NewController(sched.ControllerConfig{BaseInterval: cfg.MigrateInterval})
+		s.ctl = core.NewController(core.ControllerConfig{BaseInterval: cfg.MigrateInterval})
 	}
 	s.migrateIntervalNs.Store(int64(cfg.MigrateInterval))
 	for i := range s.workers {
@@ -738,15 +729,6 @@ func (s *Server) workerLoop(worker int) {
 			s.bal.ObserveIdle(worker, n)
 			idleMark = now
 		}
-		// Before sleeping, drain our own event loop's pending wakes
-		// inline: a zero-timeout epoll_wait never surrenders the P, so on
-		// a loaded machine (or GOMAXPROCS=1) a parked connection's next
-		// request is delivered by the worker itself instead of waiting
-		// for the loop goroutine to be scheduled out of its blocking
-		// wait. Delivery is idempotent, so racing the loop is safe.
-		if s.loops[worker].Poll() > 0 {
-			continue
-		}
 		if s.draining.Load() && s.bal.TotalLen() == 0 {
 			return
 		}
@@ -839,10 +821,10 @@ func (s *Server) Stats() Stats {
 		Live:           s.live.Load(),
 		LivePeak:       s.livePeak.Load(),
 		MaxConns:       s.cfg.MaxConns,
+		Chips:          s.topo.Chips,
 	}
 	var stealM CostMatrix
 	if s.obs != nil {
-		st.Chips = s.obs.machine.Chips
 		stealM = s.StealMatrix()
 		st.CrossChipSteals = stealM.CrossChip
 		st.CrossChipMigrations = s.MigrateMatrix().CrossChip
@@ -870,13 +852,12 @@ func (s *Server) Stats() Stats {
 			MigratedIn:   w.migratedIn.Load(),
 			Parked:       s.loops[i].Len(),
 			ClockLagUs:   s.ClockLag(i).Microseconds(),
+			Chip:         s.topo.Chip[i],
 		}
 		if s.obs != nil {
-			ws := &st.Workers[i]
-			ws.Chip = s.obs.machine.Chip(i)
 			for v := 0; v < s.cfg.Workers; v++ {
-				if !s.obs.machine.SameChip(i, v) {
-					ws.StolenCross += stealM.Counts[i][v]
+				if s.crossChip(i, v) {
+					st.Workers[i].StolenCross += stealM.Counts[i][v]
 				}
 			}
 		}
