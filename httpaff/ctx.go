@@ -61,8 +61,7 @@ func (r *response) reset() {
 // request.
 type RequestCtx struct {
 	srv    *Server
-	conn   net.Conn // the pass's connection (park wrapper after pass 1)
-	state  *conn    // per-connection HTTP state
+	conn   *conn // the connection and its HTTP state, the same value every pass
 	worker int
 
 	rbuf []byte // request bytes; req slices alias this
@@ -85,12 +84,12 @@ type RequestCtx struct {
 	headerSlot bool
 }
 
-func (ctx *RequestCtx) begin(nc net.Conn, c *conn, worker int) {
-	ctx.conn, ctx.state, ctx.worker = nc, c, worker
+func (ctx *RequestCtx) begin(c *conn, worker int) {
+	ctx.conn, ctx.worker = c, worker
 }
 
 func (ctx *RequestCtx) end() {
-	ctx.conn, ctx.state = nil, nil
+	ctx.conn = nil
 	ctx.rlen, ctx.rpos = 0, 0
 	ctx.wbuf = ctx.wbuf[:0]
 	ctx.flushed = 0
@@ -174,7 +173,7 @@ func (ctx *RequestCtx) HeaderAt(i int) (key, value []byte) {
 
 // RequestNum reports how many requests this connection has served,
 // including the current one.
-func (ctx *RequestCtx) RequestNum() int { return ctx.state.reqs }
+func (ctx *RequestCtx) RequestNum() int { return ctx.conn.reqs }
 
 // RemoteAddr reports the client address.
 func (ctx *RequestCtx) RemoteAddr() net.Addr { return ctx.conn.RemoteAddr() }
@@ -224,7 +223,7 @@ func (ctx *RequestCtx) SetConnectionClose() { ctx.resp.connClose = true }
 func (ctx *RequestCtx) WillClose() bool {
 	s := ctx.srv
 	return ctx.resp.connClose || !ctx.req.keepAlive || s.draining.Load() ||
-		(s.cfg.MaxRequestsPerConn > 0 && ctx.state.reqs >= s.cfg.MaxRequestsPerConn)
+		(s.cfg.MaxRequestsPerConn > 0 && ctx.conn.reqs >= s.cfg.MaxRequestsPerConn)
 }
 
 // ---- raw responses ----
@@ -309,7 +308,7 @@ func (ctx *RequestCtx) CoarseNow() time.Time { return ctx.srv.srv.CoarseNow(ctx.
 // unregister immediately instead of waiting for a keep-alive probe to
 // find the corpse. It is not called when the handler side closes the
 // connection itself.
-func (ctx *RequestCtx) NotifyParkClose(fn func()) { ctx.state.onParkClose = fn }
+func (ctx *RequestCtx) NotifyParkClose(fn func()) { ctx.conn.OnParkClose = fn }
 
 // Hijack switches the connection to takeover mode: after the current
 // handler returns and its response (serialized by the handler in raw
@@ -321,12 +320,12 @@ func (ctx *RequestCtx) NotifyParkClose(fn func()) { ctx.state.onParkClose = fn }
 // replayed to the takeover before fresh transport reads.
 func (ctx *RequestCtx) Hijack(t TakeoverFunc) { ctx.hijack = t }
 
-// NetConn returns the current pass's transport connection — for
-// handlers that relay raw bytes in both directions (the proxyaff
-// 101 tunnel). Reads through it replay parked and residual input
-// correctly; a handler that touches it owns the connection's framing
-// from that point on and must SetConnectionClose so the server does
-// not try to keep serving HTTP on it.
+// NetConn returns the connection — for handlers that relay raw bytes in
+// both directions (the proxyaff 101 tunnel), and the value a takeover
+// is handed on every later pass. Reads through it replay parked and
+// residual input correctly; a handler that touches it owns the
+// connection's framing from that point on and must SetConnectionClose
+// (or Hijack) so the server does not try to keep serving HTTP on it.
 func (ctx *RequestCtx) NetConn() net.Conn { return ctx.conn }
 
 // Residual returns the unconsumed input bytes buffered beyond the

@@ -84,8 +84,8 @@ type Config struct {
 	// IdleTimeout closes a keep-alive connection parked longer than
 	// this between requests (0 = no limit). Enforced twice over: as the
 	// transport read deadline, and as the park deadline the owning
-	// worker's event-loop sweep reaps without waking anything (see
-	// serve.ParkDeadliner).
+	// worker's event-loop sweep reaps without waking anything
+	// (serve.Conn records it in SetReadDeadline).
 	IdleTimeout time.Duration
 	// ReadTimeout bounds reading one request once the connection
 	// blocks for more bytes (0 = fall back to IdleTimeout; a
@@ -429,21 +429,24 @@ func (d *atomicDate) appendTo(dst []byte) []byte {
 // TakeoverFunc serves one pass of a connection whose protocol has been
 // upgraded away from HTTP (RequestCtx.Hijack). It runs inline on the
 // worker goroutine, exactly like an HTTP handler pass: worker is the
-// serving worker's index and nc is the pass's transport view (which
-// replays the park wake-up byte and any residual buffered input).
-// Returning park=true hands the connection back to the server to park
-// until its next input byte — the takeover owns the read deadline;
-// returning false means the takeover has closed the connection (or
-// will: the server does nothing further with it).
+// serving worker's index and nc is the connection — the same value on
+// every pass, and the one RequestCtx.NetConn returned to the upgrading
+// handler — whose reads replay any residual buffered input and the park
+// wake-up byte. Returning park=true hands the connection back to the
+// server to park until its next input byte — the takeover owns the read
+// deadline; returning false means the takeover has closed the
+// connection (or will: the server does nothing further with it).
 type TakeoverFunc func(worker int, nc net.Conn) (park bool)
 
-// conn carries the HTTP state that must survive Requeue passes — the
+// conn is the HTTP state that must survive Requeue passes — the
 // per-connection request count, and after a Hijack the takeover
-// function and residual input. It is allocated once per accepted
-// connection (the only steady-state allocation in the subsystem) and
-// amortizes across every keep-alive request the connection serves.
+// function and residual input — kept in the serve.Conn's State slot. It
+// is allocated once per accepted connection and amortizes across every
+// keep-alive request the connection serves. Embedding the serve.Conn
+// makes it the connection as this layer sees it: the transport's
+// methods with residual replay in front of Read.
 type conn struct {
-	net.Conn
+	*serve.Conn
 	reqs int // requests served on this connection so far
 
 	// takeover, once set by Hijack, replaces HTTP serving for every
@@ -451,40 +454,6 @@ type conn struct {
 	// upgrade request and must replay before the transport's.
 	takeover TakeoverFunc
 	residual []byte
-
-	// onParkClose, set via RequestCtx.NotifyParkClose, fires when the
-	// serve layer closes this connection while parked — shed under
-	// descriptor or budget pressure, idle deadline, peer gone, or
-	// shutdown. See serve.ParkCloseNotifier for the contract.
-	onParkClose func()
-
-	// parkDL mirrors the most recently armed read deadline, so the
-	// serve layer's park-deadline sweep (serve.ParkDeadliner) enforces
-	// the same instant the transport would. The last deadline armed
-	// before a Requeue is always the park/idle deadline.
-	parkDL time.Time
-}
-
-// SetReadDeadline records the deadline for the park sweep and forwards
-// it to the transport.
-func (c *conn) SetReadDeadline(t time.Time) error {
-	c.parkDL = t
-	return c.Conn.SetReadDeadline(t)
-}
-
-// ParkDeadline implements serve.ParkDeadliner: the owning worker's
-// event loop closes this connection if it is still parked past the
-// deadline, without spending a goroutine on the wait.
-func (c *conn) ParkDeadline() time.Time { return c.parkDL }
-
-// ParkClosed implements serve.ParkCloseNotifier by forwarding to the
-// registered hook, so layers that index parked connections (wsaff's
-// shards) learn of a shed immediately rather than at the next
-// keep-alive probe.
-func (c *conn) ParkClosed() {
-	if c.onParkClose != nil {
-		c.onParkClose()
-	}
 }
 
 // Read replays residual post-upgrade bytes before touching the
@@ -499,41 +468,17 @@ func (c *conn) Read(b []byte) (int, error) {
 	return c.Conn.Read(b)
 }
 
-// InputPending reports whether post-upgrade residual bytes are queued
-// for replay; see the serve layer's park wrapper for the contract.
-func (c *conn) InputPending() bool { return len(c.residual) > 0 }
-
-// NetConn exposes the wrapped transport connection. The serve layer's
-// event loop unwraps through NetConn links to reach the raw descriptor
-// it registers with the poller — without this hop every httpaff (and
-// wsaff, which parks through this wrapper) connection would silently
-// degrade to the parker-goroutine fallback. A pending residual replay
-// never races the poller: the park path refuses to park a connection
-// whose InputPending reports buffered bytes.
-func (c *conn) NetConn() net.Conn { return c.Conn }
-
-// unwrap recovers the state wrapper from whatever the serve layer hands
-// the handler: the wrapper itself on the first pass, or the park
-// wrapper (which replays the wake-up byte and exposes NetConn) on every
-// later pass.
-func unwrap(nc net.Conn) *conn {
-	if c, ok := nc.(*conn); ok {
-		return c
-	}
-	if u, ok := nc.(interface{ NetConn() net.Conn }); ok {
-		if c, ok := u.NetConn().(*conn); ok {
-			return c
-		}
-	}
-	return nil
-}
+// InputPending adds queued post-upgrade residual bytes to the serve
+// layer's answer; see serve.Conn.InputPending for the contract.
+func (c *conn) InputPending() bool { return len(c.residual) > 0 || c.Conn.InputPending() }
 
 // serveConn is the serve.WorkerHandler: one handler pass over a
 // connection. It runs inline on the worker goroutine, which is what
 // makes lock-free worker-local arenas sound — the arena for worker i is
 // only ever touched from worker i's goroutine.
 func (s *Server) serveConn(worker int, nc net.Conn) {
-	c := unwrap(nc)
+	sc := nc.(*serve.Conn)
+	c, _ := sc.State.(*conn)
 	headerSlot := false
 	if c == nil {
 		// First pass on a fresh transport connection: the admission
@@ -543,36 +488,30 @@ func (s *Server) serveConn(worker int, nc net.Conn) {
 		// flows the server has been curating keep their workers.
 		if s.cfg.ShedOnOverload && s.srv.Overloaded() {
 			s.admitw[worker].overloadSheds.Add(1)
-			port, group := connGroup(s, nc)
-			s.srv.RecordGroupEvent(worker, obs.KindShed, group, 0, port, 0)
-			nc.Write(s.shed503)
-			nc.Close()
+			s.shed(worker, sc, 0)
 			return
 		}
 		if s.cfg.MaxInflightHeaders > 0 {
 			if !s.takeHeaderSlot() {
 				s.admitw[worker].headerSheds.Add(1)
-				port, group := connGroup(s, nc)
-				s.srv.RecordGroupEvent(worker, obs.KindShed, group, 1, port, 0)
-				nc.Write(s.shed503)
-				nc.Close()
+				s.shed(worker, sc, 1)
 				return
 			}
 			headerSlot = true
 		}
-		c = &conn{Conn: nc}
-		nc = c
+		c = &conn{Conn: sc}
+		sc.State = c
 	}
 	if c.takeover != nil {
 		// The connection's protocol was upgraded away from HTTP on an
 		// earlier pass: the takeover serves it from here on, still one
 		// pass per available input, still on the flow group's owner.
-		s.runTakeover(worker, c, nc)
+		s.runTakeover(worker, c)
 		return
 	}
 	a := s.arenas[worker]
 	ctx := a.acquire()
-	ctx.begin(nc, c, worker)
+	ctx.begin(c, worker)
 	ctx.headerSlot = headerSlot
 	park := s.servePass(ctx)
 	hijacked := c.takeover != nil
@@ -582,7 +521,7 @@ func (s *Server) serveConn(worker int, nc net.Conn) {
 		// The upgrade response has flushed; run the takeover's first
 		// pass immediately, on this same worker, with the client's
 		// post-upgrade bytes (saved as residual) next in line to read.
-		s.runTakeover(worker, c, nc)
+		s.runTakeover(worker, c)
 		return
 	}
 	if !park {
@@ -597,10 +536,20 @@ func (s *Server) serveConn(worker int, nc net.Conn) {
 	if s.cfg.IdleTimeout > 0 {
 		dl = s.srv.CoarseNow(worker).Add(s.cfg.IdleTimeout)
 	}
-	nc.SetReadDeadline(dl)
-	if !s.srv.Requeue(nc) {
-		nc.Close()
+	sc.SetReadDeadline(dl)
+	if !s.srv.Requeue(sc) {
+		sc.Close()
 	}
+}
+
+// shed answers a fresh connection 503-with-Retry-After and closes it,
+// tagging the decision (why: 0 overload, 1 header slots) onto the flow
+// group's journey.
+func (s *Server) shed(worker int, sc *serve.Conn, why int64) {
+	port, group := sc.Flow()
+	s.srv.RecordGroupEvent(worker, obs.KindShed, group, why, port, 0)
+	sc.Write(s.shed503)
+	sc.Close()
 }
 
 // takeHeaderSlot claims one MaxInflightHeaders slot, CAS-bounded so
@@ -622,11 +571,9 @@ func (s *Server) takeHeaderSlot() bool {
 // The takeover owns the read deadline (a parked WebSocket has no idle
 // timeout — its keep-alive is protocol-level pings), so unlike the HTTP
 // park path the server arms nothing here.
-func (s *Server) runTakeover(worker int, c *conn, nc net.Conn) {
-	if c.takeover(worker, nc) {
-		if !s.srv.Requeue(nc) {
-			nc.Close()
-		}
+func (s *Server) runTakeover(worker int, c *conn) {
+	if c.takeover(worker, c) && !s.srv.Requeue(c.Conn) {
+		c.Close()
 	}
 }
 
@@ -639,7 +586,7 @@ const flushEvery = 32 << 10
 // connection (park: false). Responses to pipelined requests accumulate
 // and flush in one write.
 func (s *Server) servePass(ctx *RequestCtx) (park bool) {
-	c := ctx.state
+	c := ctx.conn
 	var ow *workerObs
 	if s.obsOn {
 		ow = &s.obsw[ctx.worker]

@@ -11,10 +11,12 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"affinityaccept/internal/loadgen"
+	"affinityaccept/internal/testutil"
 )
 
 // echoPath writes the request path, or the body for requests that have
@@ -689,5 +691,66 @@ func TestMigrationComposesWithKeepAlive(t *testing.T) {
 	}
 	if pct := st.Pool.ReusePct(); pct < 90 {
 		t.Errorf("pool reuse %.1f%% with migration on, want >= 90%%", pct)
+	}
+}
+
+// TestTakeoverSeesOneConn: a hijacked connection is one value for life.
+// What RequestCtx.NetConn returned to the upgrading handler is what the
+// takeover is handed on its first pass (which replays the byte the
+// client pipelined behind its upgrade request) and on every pass after
+// a park.
+func TestTakeoverSeesOneConn(t *testing.T) {
+	var mu sync.Mutex
+	var views []net.Conn
+	note := func(nc net.Conn) {
+		mu.Lock()
+		views = append(views, nc)
+		mu.Unlock()
+	}
+	s := start(t, Config{Workers: 2, Handler: func(ctx *RequestCtx) {
+		ctx.BeginRawResponse()
+		ctx.RawWriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: echo\r\nContent-Length: 0\r\n\r\n")
+		note(ctx.NetConn())
+		ctx.Hijack(func(_ int, nc net.Conn) bool {
+			note(nc)
+			var b [1]byte
+			if _, err := io.ReadFull(nc, b[:]); err != nil {
+				nc.Close()
+				return false
+			}
+			if _, err := nc.Write(b[:]); err != nil {
+				nc.Close()
+				return false
+			}
+			return true
+		})
+	}})
+	conn, br := dial(t, s)
+	if _, err := io.WriteString(conn, "GET /up HTTP/1.1\r\nHost: t\r\nConnection: Upgrade\r\nUpgrade: echo\r\n\r\nr"); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, _ := readResponse(t, br); code != 101 {
+		t.Fatalf("upgrade answered %d, want 101", code)
+	}
+	for i, want := range []byte("rxy") {
+		if i > 0 {
+			testutil.WaitFor(t, 5*time.Second, func() bool { return s.Stats().Parked == 1 }, "takeover never parked")
+			if _, err := conn.Write([]byte{want}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, err := br.ReadByte(); err != nil || got != want {
+			t.Fatalf("echo %d = %q, %v; want %q", i, got, err, want)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(views) != 4 {
+		t.Fatalf("recorded %d views, want the handler's and three passes'", len(views))
+	}
+	for i, v := range views {
+		if v != views[0] {
+			t.Errorf("view %d is %p, the upgrading handler saw %p", i, v, views[0])
+		}
 	}
 }

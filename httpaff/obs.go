@@ -3,7 +3,6 @@ package httpaff
 import (
 	"encoding/json"
 	"io"
-	"net"
 	"time"
 
 	"affinityaccept/internal/obs"
@@ -83,17 +82,6 @@ func (s *Server) WriteObsMetrics(w io.Writer) {
 // Events drains the transport's merged control-plane event timeline;
 // see serve.Server.Events.
 func (s *Server) Events() []obs.Event { return s.srv.Events() }
-
-// connGroup resolves a connection's remote port and flow group — the
-// journey tag httpaff's own events (sheds, header timeouts) carry so
-// they stitch into the same per-group timeline as the transport's
-// accept/steal/migrate hops. (-1, -1) for portless transports.
-func connGroup(s *Server, nc net.Conn) (port int64, group int) {
-	if a, ok := nc.RemoteAddr().(*net.TCPAddr); ok {
-		return int64(a.Port), s.srv.GroupOfPort(int64(a.Port))
-	}
-	return -1, -1
-}
 
 // eventsBody is the JSON shape EventsHandler serves.
 type eventsBody struct {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"affinityaccept/internal/obs"
+	"affinityaccept/internal/testutil"
 )
 
 // TestServiceLatencyHistogram drives real requests through the server
@@ -28,6 +29,10 @@ func TestServiceLatencyHistogram(t *testing.T) {
 		}
 	}
 
+	// A sample is recorded after its response has flushed, so the last
+	// one may trail the client's read of it.
+	testutil.WaitFor(t, 5*time.Second, func() bool { return s.mergedSvc().Count >= rounds },
+		"last request's service sample never recorded")
 	m := s.mergedSvc()
 	if m.Count != rounds {
 		t.Fatalf("service histogram count %d, want %d", m.Count, rounds)

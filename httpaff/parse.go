@@ -149,7 +149,7 @@ func (ctx *RequestCtx) readRequest() error {
 				// signature; count it for the worker serving the pass,
 				// tagged onto the victim flow group's journey.
 				ctx.srv.admitw[ctx.worker].headerTimeouts.Add(1)
-				port, group := connGroup(ctx.srv, ctx.conn)
+				port, group := ctx.conn.Flow()
 				ctx.srv.srv.RecordGroupEvent(ctx.worker, obs.KindHeaderTimeout,
 					group, port, int64(ctx.rlen), 0)
 			}

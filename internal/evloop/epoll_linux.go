@@ -14,8 +14,9 @@ import (
 // (closing an epoll descriptor does not unblock epoll_wait). Interest
 // is edge-triggered EPOLLIN|EPOLLRDHUP|EPOLLET, registered once per
 // connection on its first park and kept until Retire: re-parking a
-// keep-alive connection costs zero syscalls, and an event for an
-// unarmed (being-served) handle is simply dropped. The classic ET
+// keep-alive connection costs no epoll_ctl (only Arm's one MSG_PEEK
+// recvfrom), and an event for an unarmed (being-served) handle is
+// simply dropped. The classic ET
 // lost-wakeup hazard — input arriving while unarmed fires an edge into
 // a dropped event, and no new edge comes until new bytes do — is
 // closed by Arm: a re-armed registration is probed with one MSG_PEEK,

@@ -206,14 +206,6 @@ func (l *Loop) Counters() (ready, dead, expired uint64) {
 	return l.ready.Load(), l.dead.Load(), l.expired.Load()
 }
 
-// Registered reports whether the handle holds a persistent poller
-// registration. A registered handle is bound to the loop that holds the
-// registration: the owner must keep arming it there (readability events
-// arrive on that loop's poller), and serve pins its park loop
-// accordingly. Wake-time routing through the flow table — not the park
-// loop — is what tracks flow-group migration.
-func (h *Handle) Registered() bool { return h.registered }
-
 // Init prepares a handle for its connection, resolving the underlying
 // file descriptor once. Call exactly once per handle, before the first
 // Arm.
@@ -257,26 +249,26 @@ func (h *Handle) ClearReadable() { h.readable = false }
 
 // Retire releases the handle's loop-side resources: its persistent
 // poller registration, and its parker goroutine if it ever grew one.
-// The owner calls it when closing the connection; it must not race an
-// Arm (the owner either requeues or closes, never both).
+// The owner calls it when closing the connection, before closing the
+// transport; it must not race an Arm (the owner either requeues or
+// closes, never both).
 func (h *Handle) Retire() {
 	if h.registered {
 		l := h.loop
 		l.mu.Lock()
-		if h.registered {
-			h.registered = false
-			if l.byFD[int32(h.fd)] == h {
-				delete(l.byFD, int32(h.fd))
-			}
+		// Deregister only while the loop still maps the descriptor
+		// number to this handle: a transport closed without Retire freed
+		// the number, and it may since name another connection's
+		// registration. After Close the epoll descriptor itself is gone
+		// and recyclable; closed is written under l.mu strictly before
+		// the poller closes.
+		if h.registered && l.byFD[int32(h.fd)] == h {
+			delete(l.byFD, int32(h.fd))
 			if !l.closed {
-				// After Close the epoll descriptor is gone (and its
-				// number may be recycled); an EPOLL_CTL_DEL then could
-				// touch an unrelated descriptor. closed is written
-				// under l.mu strictly before the poller closes, so
-				// this check suffices.
 				l.p.del(h.fd)
 			}
 		}
+		h.registered = false
 		l.mu.Unlock()
 	}
 	h.closeOnce.Do(func() {
@@ -288,10 +280,10 @@ func (h *Handle) Retire() {
 
 // Arm parks the handle on the loop: the loop now owns the connection
 // and will deliver it to exactly one of Ready (input arrived) or Dead
-// (deadline, error, close) — unless ShedNewest takes it first. deadline,
-// when non-zero, is the park deadline enforced by the idle sweep.
-// Arm reports false, parking nothing, once the loop is closed; the
-// caller then still owns the connection.
+// (deadline, error, close) — unless ShedNewest or Cancel takes it
+// first. deadline, when non-zero, is the park deadline enforced by the
+// idle sweep. Arm reports false, parking nothing, once the loop is
+// closed; the caller then still owns the connection.
 func (l *Loop) Arm(h *Handle, deadline time.Time) bool {
 	var dl int64
 	if !deadline.IsZero() {
@@ -330,7 +322,7 @@ func (l *Loop) Arm(h *Handle, deadline time.Time) bool {
 	if usePoller && !h.registered {
 		// First park: register once, edge-triggered, and keep the
 		// registration for the connection's lifetime. Every later park
-		// is a pure flag flip — zero syscalls on the requeue hot path.
+		// costs no epoll_ctl — only the one MSG_PEEK recvfrom below.
 		var err error = syscall.EMFILE
 		if !testForceCtlError.Load() {
 			err = l.p.add(h.fd, h.seq)
@@ -481,6 +473,21 @@ func (l *Loop) ShedNewest() (net.Conn, bool) {
 	return h.c, true
 }
 
+// Cancel unparks one handle — the targeted form of ShedNewest. It
+// reports true if the handle was armed on this loop: it is detached,
+// the loop will not deliver it and the caller owns the connection. It
+// reports false if a delivery, a shed or the sweep took the handle
+// first (whoever did owns the connection), or it was never armed.
+func (l *Loop) Cancel(h *Handle) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !h.armed {
+		return false
+	}
+	l.detachLocked(h)
+	return true
+}
+
 // Close stops the loop, reports every still-parked connection Dead, and
 // waits until no delivery can be in flight. Arm refuses afterwards.
 func (l *Loop) Close() { l.closeOnce.Do(l.shutdown) }
@@ -595,28 +602,22 @@ func (h *Handle) parkOnce() bool {
 	return true
 }
 
-// rawFD resolves the file descriptor under a connection wrapper chain,
-// unwrapping NetConn links (the idiom proxyaff's MSG_PEEK probe uses).
-// Returns -1 when the chain bottoms out without a syscall.Conn — such
-// connections park on the portable path.
+// rawFD resolves a connection's file descriptor, -1 when it has none
+// to give (net.Pipe; a wrapper whose transport is not a syscall.Conn
+// reports that as an error) — such connections park on the portable
+// path.
 func rawFD(c net.Conn) int {
-	for c != nil {
-		if sc, ok := c.(syscall.Conn); ok {
-			rc, err := sc.SyscallConn()
-			if err != nil {
-				return -1
-			}
-			fd := -1
-			if err := rc.Control(func(u uintptr) { fd = int(u) }); err != nil {
-				return -1
-			}
-			return fd
-		}
-		u, ok := c.(interface{ NetConn() net.Conn })
-		if !ok {
-			return -1
-		}
-		c = u.NetConn()
+	sc, ok := c.(syscall.Conn)
+	if !ok {
+		return -1
 	}
-	return -1
+	rc, err := sc.SyscallConn()
+	if err != nil {
+		return -1
+	}
+	fd := -1
+	if err := rc.Control(func(u uintptr) { fd = int(u) }); err != nil {
+		return -1
+	}
+	return fd
 }

@@ -392,6 +392,49 @@ func paritySuite(t *testing.T, portable bool) {
 		}
 	})
 
+	t.Run("CancelUnparksOne", func(t *testing.T) {
+		// Cancel takes exactly the handle named, wherever it sits in the
+		// park list; the loop never delivers it afterwards, and a handle
+		// that was delivered (or cancelled) already is not there to take.
+		k := &collector{}
+		l := newLoop(t, k)
+		const n = 3
+		srvs, clis := make([]net.Conn, n), make([]net.Conn, n)
+		handles := make([]Handle, n)
+		for i := range handles {
+			srvs[i], clis[i] = tcpPair(t)
+			defer srvs[i].Close()
+			defer clis[i].Close()
+			handles[i].Init(srvs[i])
+			defer handles[i].Retire()
+			if !l.Arm(&handles[i], time.Time{}) {
+				t.Fatalf("Arm %d refused", i)
+			}
+		}
+		if !l.Cancel(&handles[1]) {
+			t.Fatal("Cancel missed an armed handle")
+		}
+		if l.Len() != n-1 {
+			t.Fatalf("Len after Cancel = %d, want %d", l.Len(), n-1)
+		}
+		if l.Cancel(&handles[1]) {
+			t.Fatal("Cancel took the same handle twice")
+		}
+		for _, c := range clis {
+			if _, err := c.Write([]byte{'x'}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFor(t, "the two parked handles' wakes", func() bool { r, _ := k.counts(); return r == n-1 })
+		if l.Cancel(&handles[0]) {
+			t.Fatal("Cancel took a handle the loop had already delivered")
+		}
+		time.Sleep(20 * time.Millisecond)
+		if got := k.delivered(srvs[1]); got != 0 {
+			t.Fatalf("cancelled handle was delivered %d times", got)
+		}
+	})
+
 	t.Run("ArmAfterCloseRefused", func(t *testing.T) {
 		k := &collector{}
 		l := New(Config{Callbacks: k.callbacks(), ForcePortable: portable})

@@ -57,6 +57,11 @@ type upstreamPool struct {
 	dialFn func(addr string, timeout time.Duration) (net.Conn, error)
 }
 
+// maxIdlePerBackend caps each worker's idle connections per backend.
+// The one-connection-per-worker serve model needs exactly one in the
+// steady state.
+const maxIdlePerBackend = 2
+
 func netDial(addr string, timeout time.Duration) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, timeout)
 }

@@ -81,10 +81,6 @@ type Config struct {
 	// head is committed, truncation + close after.
 	ExchangeTimeout time.Duration
 
-	// MaxIdlePerBackend caps each worker's idle connections per backend
-	// (default 2). The one-connection-per-worker serve model needs
-	// exactly one in the steady state.
-	MaxIdlePerBackend int
 	// MaxConnsPerBackend caps each worker's open connections per
 	// backend (default 64); checkouts beyond it are answered 503.
 	MaxConnsPerBackend int
@@ -125,9 +121,6 @@ func (c *Config) fill() error {
 		c.ExchangeTimeout = 30 * time.Second
 	} else if c.ExchangeTimeout < 0 {
 		c.ExchangeTimeout = 0 // explicit opt-out: no deadline
-	}
-	if c.MaxIdlePerBackend <= 0 {
-		c.MaxIdlePerBackend = 2
 	}
 	if c.MaxConnsPerBackend <= 0 {
 		c.MaxConnsPerBackend = 64
@@ -212,7 +205,7 @@ func New(cfg Config) (*Proxy, error) {
 	p.obsOn = !cfg.DisableObs
 	for i := range p.workers {
 		w := &p.workers[i]
-		w.pool.init(cfg.DialTimeout, cfg.MaxIdlePerBackend, cfg.MaxConnsPerBackend)
+		w.pool.init(cfg.DialTimeout, maxIdlePerBackend, cfg.MaxConnsPerBackend)
 		w.hbuf = make([]byte, 4096)
 		w.rbuf = make([]byte, 0, 1024)
 		if p.obsOn {

@@ -2,27 +2,11 @@ package serve
 
 import (
 	"errors"
-	"net"
-	"sync/atomic"
 	"syscall"
 
 	"affinityaccept/internal/evloop"
 	"affinityaccept/internal/obs"
 )
-
-// ParkCloseNotifier is implemented by connection values that want a
-// prompt, synchronous callback when the *server* closes them while
-// parked — the peer vanished mid-park, the shedding policy reclaimed
-// the descriptor, or Shutdown swept the parked population. Application
-// layers that index parked connections in their own registries (the
-// wsaff shards) use it to unregister immediately instead of waiting
-// for a keep-alive probe to discover the corpse. The callback runs on
-// the goroutine doing the close (an event loop or an acceptor) and must
-// not block; it is never invoked for connections the handler itself
-// closes.
-type ParkCloseNotifier interface {
-	ParkClosed()
-}
 
 // fdPressureSheds is how many parked connections one EMFILE/ENFILE
 // accept failure reclaims. More than one, because descriptor exhaustion
@@ -36,48 +20,25 @@ func isFDPressure(err error) bool {
 	return errors.Is(err, syscall.EMFILE) || errors.Is(err, syscall.ENFILE)
 }
 
-// budgetConn wraps an accepted connection when MaxConns is set so the
-// budget is released exactly once, wherever in the stack the final
-// Close happens. It is the budget mode's one per-connection allocation
-// — per connection, not per request, so the zero-alloc request gates
-// are unaffected.
-type budgetConn struct {
-	net.Conn
-	srv      *Server
-	released atomic.Bool
-}
-
-func (b *budgetConn) Close() error {
-	if b.released.CompareAndSwap(false, true) {
-		b.srv.live.Add(-1)
-	}
-	return b.Conn.Close()
-}
-
-// NetConn exposes the wrapped connection, keeping the unwrap chain
-// (parkedConn → httpaff conn → budgetConn → *net.TCPConn) walkable.
-func (b *budgetConn) NetConn() net.Conn { return b.Conn }
-
-// admitBudget charges one accepted connection to the budget. If the
-// budget is exhausted it sheds the newest parked connection — closing
-// it synchronously, so the descriptor and budget slot are free before
-// this accept proceeds — and only rejects the newcomer when nothing is
-// parked (every slot is doing work; shedding an *active* connection is
-// never on the table). Returns the wrapped connection, or nil if it
-// was rejected and closed.
-func (s *Server) admitBudget(conn net.Conn) net.Conn {
+// admitBudget charges one accepted connection to the budget, reporting
+// whether it fits. If the budget is exhausted it sheds the newest
+// parked connection — closing it synchronously, so the descriptor and
+// budget slot are free before this accept proceeds — and only refuses
+// the newcomer when nothing is parked (every slot is doing work;
+// shedding an *active* connection is never on the table). The charge is
+// released by the connection's Close.
+func (s *Server) admitBudget() bool {
 	n := s.live.Add(1)
 	if n > int64(s.cfg.MaxConns) {
 		if !s.shedNewestParked() {
 			s.live.Add(-1)
 			s.budgetRejected.Add(1)
-			conn.Close()
-			return nil
+			return false
 		}
 		s.shedParked.Add(1)
 	}
 	s.notePeak()
-	return &budgetConn{Conn: conn, srv: s}
+	return true
 }
 
 // notePeak folds the current live count into livePeak. Called after
@@ -114,7 +75,7 @@ func (s *Server) shedParkedConns(n int) int {
 // loop head with the largest sequence: O(workers) per shed, against the
 // old design's single global lock on every park. The close is
 // synchronous (the caller gets the descriptor back before its next
-// accept) and fires the victim's ParkCloseNotifier.
+// accept) and fires the victim's OnParkClose.
 func (s *Server) shedNewestParked() bool {
 	// Two attempts: between reading the heads and detaching, the chosen
 	// loop's head can wake and drain; rescan once before giving up.
@@ -130,13 +91,12 @@ func (s *Server) shedNewestParked() bool {
 		if best == nil {
 			return false
 		}
-		if c, ok := best.ShedNewest(); ok {
-			p := c.(*parkedConn)
+		if nc, ok := best.ShedNewest(); ok {
+			c := nc.(*Conn)
 			// Sheds are rare, high-value decisions: control ring, where
 			// park/wake churn can't overwrite them.
-			port := remotePort(p.Conn)
-			s.recordControl(bestWorker, obs.KindShed, s.GroupOfPort(port), port, 0, 0)
-			s.closeParked(p)
+			s.recordControl(bestWorker, obs.KindShed, c.group, c.port, 0, 0)
+			s.closeHeld(c)
 			return true
 		}
 	}

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"io"
-	"net"
 	"sync/atomic"
 	"time"
 
@@ -398,13 +397,4 @@ func (s *Server) WriteObsMetrics(w io.Writer) {
 	for i := range s.workers {
 		fmt.Fprintf(w, "affinity_worker_pinned_cpu{worker=\"%d\"} %d\n", i, s.workers[i].pinnedCPU.Load())
 	}
-}
-
-// remotePort extracts a connection's remote TCP port for event
-// operands, -1 for portless transports (unix sockets, pipes).
-func remotePort(c net.Conn) int64 {
-	if a, ok := c.RemoteAddr().(*net.TCPAddr); ok {
-		return int64(a.Port)
-	}
-	return -1
 }

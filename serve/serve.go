@@ -249,7 +249,7 @@ type Server struct {
 	cfg     Config
 	handler WorkerHandler
 
-	bal       *core.Guarded[net.Conn]
+	bal       *core.Guarded[*Conn]
 	flow      *core.GuardedFlowTable
 	listeners []net.Listener
 	sharded   bool // one listener per worker (SO_REUSEPORT)
@@ -367,7 +367,7 @@ func New(cfg Config) (*Server, error) {
 		// the metrics plane.
 		bcfg.ChipOf = s.topo.ChipOf
 	}
-	s.bal = core.NewGuarded[net.Conn](bcfg)
+	s.bal = core.NewGuarded[*Conn](bcfg)
 	if cfg.AdaptiveMigration && !cfg.DisableMigration {
 		s.ctl = core.NewController(core.ControllerConfig{BaseInterval: cfg.MigrateInterval})
 	}
@@ -494,21 +494,6 @@ func (s *Server) Start() {
 	}
 }
 
-// route maps a connection to the worker owning its flow group, charging
-// one unit of load to the group, and reports both so the accept event
-// can carry its journey tag. The flow table — not the accepting
-// listener — is the routing authority, exactly as the paper's NIC FDir
-// table decides which core receives a flow's packets; under
-// SO_REUSEPORT the kernel's four-tuple hash merely picks which acceptor
-// goroutine performs the push. Non-TCP remote addresses (unix sockets)
-// have no port to hash and fall back to round-robin with group -1.
-func (s *Server) route(conn net.Conn) (group, worker int) {
-	if addr, ok := conn.RemoteAddr().(*net.TCPAddr); ok {
-		return s.flow.Route(uint16(addr.Port), 1)
-	}
-	return -1, int(s.rr.Add(1)-1) % s.cfg.Workers
-}
-
 // wakeWorkers nudges one sleeping worker after a push.
 func (s *Server) wakeWorkers() {
 	select {
@@ -551,29 +536,25 @@ func (s *Server) acceptLoop(idx int, l net.Listener) {
 			time.Sleep(10 * time.Millisecond)
 			continue
 		}
-		if lim != nil && !lim.AllowNow(admit.KeyAddr(conn.RemoteAddr())) {
+		addr := conn.RemoteAddr() // consulted here, once per connection
+		port := addrPort(addr)
+		if lim != nil && !lim.AllowNow(admit.KeyAddr(addr)) {
 			// Over-rate IP: close before any routing or handler work.
 			// The bucket is the acceptor's own, so a flood's cost is
 			// one accept+close per attempt and no shared-state touch.
 			s.ratelimited.Add(1)
-			s.RecordEvent(idx, obs.KindRatelimit, remotePort(conn), 0, 0)
+			s.RecordEvent(idx, obs.KindRatelimit, port, 0, 0)
 			conn.Close()
 			continue
 		}
-		if s.cfg.MaxConns > 0 {
-			conn = s.admitBudget(conn)
-			if conn == nil {
-				continue
-			}
-		}
-		group, worker := s.route(conn)
-		s.workers[worker].accepted.Add(1)
-		s.RecordGroupEvent(worker, obs.KindAccept, group, remotePort(conn), 0, 0)
-		if !s.bal.Push(worker, conn) {
-			conn.Close() // queue overflow: shed load (§3.3 drop)
+		budgeted := s.cfg.MaxConns > 0
+		if budgeted && !s.admitBudget() {
+			conn.Close()
 			continue
 		}
-		s.wakeWorkers()
+		c := s.newConn(conn, port)
+		c.charged = budgeted
+		s.enqueue(c)
 	}
 }
 
@@ -709,9 +690,7 @@ func (s *Server) workerLoop(worker int) {
 					d := obs.Nanos() - t0
 					s.obs.steal[worker].Record(d)
 					s.obs.countSteal(worker, from, s.cfg.Workers)
-					port := remotePort(conn)
-					g := s.GroupOfPort(port)
-					s.RecordGroupEvent(worker, obs.KindSteal, g, int64(from), d, port)
+					s.RecordGroupEvent(worker, obs.KindSteal, conn.group, int64(from), d, conn.port)
 				}
 			}
 			st.active.Add(1)
@@ -758,7 +737,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 		s.acceptWG.Wait() // all accept-time pushes are done
 		// Close the park loops: every idle keep-alive connection is
-		// closed (its ParkCloseNotifier fires), and any wake already in
+		// closed (its OnParkClose fires), and any wake already in
 		// flight finishes its push before Close returns — so nothing is
 		// pushed onto a queue after the workers have drained and exited.
 		for _, l := range s.loops {

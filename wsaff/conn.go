@@ -16,15 +16,8 @@ import (
 // under writeMu, with the pass's replies batched in the worker's codec
 // buffer and flushed in one locked write per pass.
 type Conn struct {
-	ws *WS
-	// tc is the stable transport handle writes go through; rc is the
-	// current pass's read view (which replays parked input and
-	// post-upgrade residual bytes). rc strictly supersedes tc for
-	// closing once set: after the first park it is the serve layer's
-	// park wrapper, whose Close also detaches the connection's
-	// event-loop park state.
-	tc     net.Conn
-	rc     net.Conn
+	ws     *WS
+	tc     transport
 	remote net.Addr
 
 	writeMu   sync.Mutex
@@ -49,6 +42,17 @@ type Conn struct {
 	// Data is free for the application (a chat nickname, a session).
 	// Guard it yourself if you touch it outside OnOpen/OnMessage.
 	Data any
+}
+
+// transport is the connection httpaff hands an upgrade
+// (RequestCtx.NetConn): the same value for the connection's whole life,
+// whose reads replay parked and post-upgrade residual input, whose
+// Close is legal from any goroutine — it unlinks a parked connection
+// from its event loop — and which carries its worker's coarse clock.
+type transport interface {
+	net.Conn
+	InputPending() bool
+	CoarseNow() time.Time
 }
 
 // RemoteAddr reports the client address.
@@ -136,10 +140,11 @@ func (c *Conn) writeRaw(frame []byte) error {
 }
 
 // Close initiates the closing handshake: it sends a close frame and
-// closes the transport. Safe from any goroutine, idempotent.
+// closes the transport — taking a parked socket off its event loop
+// first. Safe from any goroutine, idempotent.
 func (c *Conn) Close(code uint16, reason string) error {
 	c.sendClose(code, reason)
-	c.finish(code, true)
+	c.finish(code)
 	return nil
 }
 
@@ -166,9 +171,8 @@ func (c *Conn) sendClose(code uint16, reason string) {
 
 // finish tears the connection down exactly once: unregisters it from
 // its shard, closes the transport (detaching any event-loop park state
-// with it) and delivers OnClose. closeTransport is false only on
-// the pass path, where the caller still owns rc and closes it itself.
-func (c *Conn) finish(code uint16, closeTransport bool) {
+// with it) and delivers OnClose.
+func (c *Conn) finish(code uint16) {
 	c.finOnce.Do(func() {
 		c.regMu.Lock()
 		c.dead = true
@@ -179,9 +183,7 @@ func (c *Conn) finish(code uint16, closeTransport bool) {
 		c.ws.shards[c.Worker()].remove(c)
 		opened := c.opened
 		c.regMu.Unlock()
-		if closeTransport {
-			c.closeConn()
-		}
+		c.tc.Close()
 		if !opened {
 			return // never joined (Upgrade flush failed): nothing to report
 		}
@@ -193,32 +195,9 @@ func (c *Conn) finish(code uint16, closeTransport bool) {
 	})
 }
 
-// closeConn closes the newest transport handle: the park wrapper once
-// one exists (its Close also detaches the event-loop park state), else
-// the raw conn.
-func (c *Conn) closeConn() {
-	c.writeMu.Lock()
-	nc := c.rc
-	c.writeMu.Unlock()
-	if nc != nil {
-		nc.Close()
-		return
-	}
-	c.tc.Close()
-}
-
 // passFlushEvery bounds how many outbound bytes batch before a
 // mid-pass flush.
 const passFlushEvery = 32 << 10
-
-// beginPass binds the pass's read view and worker codec; sends from
-// handler callbacks batch into w.wbuf from here on.
-func (c *Conn) beginPass(nc net.Conn, w *wsWorker) {
-	c.writeMu.Lock()
-	c.rc = nc
-	c.w = w
-	c.writeMu.Unlock()
-}
 
 // endPass flushes the pass's batched frames and detaches the codec.
 func (c *Conn) endPass() error {
@@ -259,37 +238,24 @@ func (c *Conn) flushMidPass() error {
 }
 
 // parkDeadline arms the park read deadline implementing IdleTimeout;
-// a zero deadline (IdleTimeout disabled) clears it. The deadline is
-// recorded down the wrapper chain (serve.ParkDeadliner), so the owning
-// worker's event-loop sweep reaps a dead peer without a goroutine
-// waiting on it. nc is the pass's read view, which carries the worker's
-// coarse clock once the connection has parked before.
-func (c *Conn) parkDeadline(nc net.Conn) {
+// a zero deadline (IdleTimeout disabled) clears it. The transport
+// records it for the owning worker's event-loop sweep, which reaps a
+// dead peer without a goroutine waiting on it.
+func (c *Conn) parkDeadline() {
 	var dl time.Time
 	if t := c.ws.cfg.IdleTimeout; t > 0 {
-		dl = coarseNow(nc).Add(t)
+		dl = c.tc.CoarseNow().Add(t)
 	}
 	c.tc.SetReadDeadline(dl)
-}
-
-// coarseNow returns the owning worker's coarse clock when the pass
-// connection can supply one (the serve layer's park wrapper — every
-// pass after the first park), else the real clock. It keeps time.Now
-// off the per-frame path.
-func coarseNow(nc net.Conn) time.Time {
-	if cn, ok := nc.(interface{ CoarseNow() time.Time }); ok {
-		return cn.CoarseNow()
-	}
-	return time.Now()
 }
 
 // pass serves one takeover pass: read frames until the inbound stream
 // reaches a clean frame/message boundary with nothing buffered, then
 // park. It runs inline on the worker goroutine — that inlining is what
 // makes the lock-free worker codec sound.
-func (ws *WS) pass(worker int, c *Conn, nc net.Conn) (park bool) {
+func (ws *WS) pass(worker int, c *Conn) (park bool) {
 	if worker < 0 || worker >= len(ws.workers) {
-		c.finish(CloseAbnormal, true)
+		c.finish(CloseAbnormal)
 		return false
 	}
 	first := !c.opened
@@ -312,17 +278,19 @@ func (ws *WS) pass(worker int, c *Conn, nc net.Conn) (park bool) {
 		ws.moveShard(c, cur, worker)
 	}
 	w := &ws.workers[worker]
-	w.acquire(ws.cfg.ReadBufferSize)
-	c.beginPass(nc, w)
-	c.lastActive.Store(coarseNow(nc).UnixNano())
+	w.acquire()
+	c.writeMu.Lock()
+	c.w = w // sends from handler callbacks batch into w.wbuf from here on
+	c.writeMu.Unlock()
+	c.lastActive.Store(c.tc.CoarseNow().UnixNano())
 
 	if first && ws.cfg.OnOpen != nil {
 		ws.cfg.OnOpen(c)
 	}
 
-	park, code, reason := ws.readFrames(c, nc, w)
+	park, code, reason := ws.readFrames(c, w)
 	err := c.endPass()
-	w.release(ws.cfg.ReadBufferSize)
+	w.release()
 	if err != nil && park {
 		park, code = false, CloseAbnormal
 	}
@@ -330,11 +298,10 @@ func (ws *WS) pass(worker int, c *Conn, nc net.Conn) (park bool) {
 		if code != CloseAbnormal {
 			c.sendClose(code, reason)
 		}
-		c.finish(code, false)
-		nc.Close()
+		c.finish(code)
 		return false
 	}
-	c.parkDeadline(nc)
+	c.parkDeadline()
 	return true
 }
 
@@ -342,7 +309,8 @@ func (ws *WS) pass(worker int, c *Conn, nc net.Conn) (park bool) {
 // boundary (park the connection), or park=false with the close code to
 // finish with — CloseAbnormal meaning the transport already failed and
 // no close frame can be sent.
-func (ws *WS) readFrames(c *Conn, nc net.Conn, w *wsWorker) (park bool, code uint16, reason string) {
+func (ws *WS) readFrames(c *Conn, w *wsWorker) (park bool, code uint16, reason string) {
+	nc := c.tc
 	var (
 		rlen, pos  int
 		assembling bool
@@ -356,7 +324,7 @@ func (ws *WS) readFrames(c *Conn, nc net.Conn, w *wsWorker) (park bool, code uin
 	// fresh upgrade with a silent client has nothing, and must park
 	// rather than block the worker on a read. The replayed input makes
 	// this first read return without touching the transport.
-	if !inputPending(nc) {
+	if !nc.InputPending() {
 		return true, 0, ""
 	}
 	n, err := nc.Read(w.rbuf)
@@ -395,7 +363,7 @@ func (ws *WS) readFrames(c *Conn, nc net.Conn, w *wsWorker) (park bool, code uin
 			unmask(h.key, 0, payload)
 			pos = total
 			ws.framesIn.Add(1)
-			c.lastActive.Store(coarseNow(nc).UnixNano())
+			c.lastActive.Store(nc.CoarseNow().UnixNano())
 
 			switch {
 			case h.op == OpPing:
@@ -455,7 +423,7 @@ func (ws *WS) readFrames(c *Conn, nc net.Conn, w *wsWorker) (park bool, code uin
 			armed = true
 			var dl time.Time
 			if t := ws.cfg.IdleTimeout; t > 0 {
-				dl = coarseNow(nc).Add(t)
+				dl = nc.CoarseNow().Add(t)
 			}
 			nc.SetReadDeadline(dl)
 		}
@@ -471,15 +439,6 @@ func (ws *WS) readFrames(c *Conn, nc net.Conn, w *wsWorker) (park bool, code uin
 func (ws *WS) deliver(c *Conn, op Op, payload []byte) {
 	ws.messagesIn.Add(1)
 	ws.cfg.OnMessage(c, op, payload)
-}
-
-// inputPending probes the transport view for replayable buffered input
-// (the serve park wrapper's wake byte, httpaff's post-upgrade
-// residual). Conns without the probe — raw transports in unit tests —
-// report none.
-func inputPending(nc net.Conn) bool {
-	ip, ok := nc.(interface{ InputPending() bool })
-	return ok && ip.InputPending()
 }
 
 // moveShard migrates a connection's shard registration after its flow

@@ -26,7 +26,11 @@ type shard struct {
 	wheel [wheelSlots]map[*Conn]struct{}
 	next  int // wheel slot the next added conn lands in (spread)
 
-	pub chan []byte // pending broadcast frames (pre-encoded, read-only)
+	// pub queues pending broadcast frames (pre-encoded, read-only). A
+	// shard that falls broadcastBuffer behind drops broadcasts — and
+	// counts them — rather than stalling the publisher on a slow worker's
+	// sockets.
+	pub chan []byte
 
 	// scratch is the delivery snapshot buffer: deliveries write to
 	// sockets outside the shard lock (a slow socket must not block
@@ -36,13 +40,15 @@ type shard struct {
 	scratch []*Conn
 }
 
-func (s *shard) init(pubBuffer int) {
+const broadcastBuffer = 128
+
+func (s *shard) init() {
 	s.conns = make(map[*Conn]struct{})
 	s.subs = make(map[*Conn]struct{})
 	for i := range s.wheel {
 		s.wheel[i] = make(map[*Conn]struct{})
 	}
-	s.pub = make(chan []byte, pubBuffer)
+	s.pub = make(chan []byte, broadcastBuffer)
 }
 
 func (s *shard) add(c *Conn) {
@@ -137,7 +143,7 @@ func (ws *WS) shardLoop(s *shard) {
 				err := c.writeRaw(frame)
 				c.writeMu.Unlock()
 				if err != nil {
-					c.finish(CloseAbnormal, true)
+					c.finish(CloseAbnormal)
 				} else {
 					ws.bcastSent.Add(1)
 				}
@@ -165,7 +171,7 @@ func (ws *WS) pingSlot(conns []*Conn) {
 	for _, c := range conns {
 		idle := now.Sub(time.Unix(0, c.lastActive.Load()))
 		if t := ws.cfg.IdleTimeout; t > 0 && idle > t {
-			c.finish(CloseAbnormal, true)
+			c.finish(CloseAbnormal)
 			continue
 		}
 		if idle < ws.cfg.PingInterval {
@@ -175,7 +181,7 @@ func (ws *WS) pingSlot(conns []*Conn) {
 		err := c.writeRaw(pingFrame)
 		c.writeMu.Unlock()
 		if err != nil {
-			c.finish(CloseAbnormal, true)
+			c.finish(CloseAbnormal)
 			continue
 		}
 		ws.pingsSent.Add(1)

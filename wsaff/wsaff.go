@@ -67,10 +67,6 @@ type Config struct {
 	// transport). The connection can no longer send.
 	OnClose func(c *Conn, code uint16)
 
-	// ReadBufferSize is each worker codec's initial frame buffer size
-	// (default 4096); it grows to the largest in-flight frame and is
-	// shed back on release.
-	ReadBufferSize int
 	// MaxMessageBytes caps one message — a single frame's payload or a
 	// fragmented reassembly (default 1 MiB). Larger closes 1009.
 	MaxMessageBytes int
@@ -84,12 +80,6 @@ type Config struct {
 	// disables). It is armed as the park deadline, so a dead peer is
 	// reaped by its worker's event-loop sweep without waking anything.
 	IdleTimeout time.Duration
-
-	// BroadcastBuffer bounds each shard's queue of pending broadcasts
-	// (default 128). A shard that falls behind drops broadcasts — and
-	// counts them — rather than stalling the publisher on a slow
-	// worker's sockets.
-	BroadcastBuffer int
 }
 
 func (c *Config) fill() error {
@@ -99,9 +89,6 @@ func (c *Config) fill() error {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.ReadBufferSize <= 0 {
-		c.ReadBufferSize = 4096
-	}
 	if c.MaxMessageBytes <= 0 {
 		c.MaxMessageBytes = 1 << 20
 	}
@@ -110,9 +97,6 @@ func (c *Config) fill() error {
 	}
 	if c.IdleTimeout == 0 && c.PingInterval > 0 {
 		c.IdleTimeout = 2 * c.PingInterval
-	}
-	if c.BroadcastBuffer <= 0 {
-		c.BroadcastBuffer = 128
 	}
 	return nil
 }
@@ -128,16 +112,21 @@ type wsWorker struct {
 	counters stats.PoolCounters
 }
 
-// retainCap is the largest codec buffer a worker keeps between passes.
-const retainCap = 64 << 10
+const (
+	// codecBufSize is each worker codec's initial frame buffer size; it
+	// grows to the largest in-flight frame and is shed back on release.
+	codecBufSize = 4096
+	// retainCap is the largest codec buffer a worker keeps between passes.
+	retainCap = 64 << 10
+)
 
 // acquire hands out the worker's codec buffers, counting a reuse when
 // they are already warm — the measurement that frame memory stays
 // core-local, mirroring the httpaff arena counters.
-func (w *wsWorker) acquire(size int) {
+func (w *wsWorker) acquire() {
 	if w.rbuf == nil {
-		w.rbuf = make([]byte, size)
-		w.wbuf = make([]byte, 0, size)
+		w.rbuf = make([]byte, codecBufSize)
+		w.wbuf = make([]byte, 0, codecBufSize)
 		w.counters.Miss()
 		return
 	}
@@ -145,12 +134,12 @@ func (w *wsWorker) acquire(size int) {
 }
 
 // release sheds buffers an outlier frame ballooned.
-func (w *wsWorker) release(size int) {
+func (w *wsWorker) release() {
 	if cap(w.rbuf) > retainCap {
-		w.rbuf = make([]byte, size)
+		w.rbuf = make([]byte, codecBufSize)
 	}
 	if cap(w.wbuf) > retainCap {
-		w.wbuf = make([]byte, 0, size)
+		w.wbuf = make([]byte, 0, codecBufSize)
 	}
 	if cap(w.abuf) > retainCap {
 		w.abuf = nil
@@ -195,7 +184,7 @@ func New(cfg Config) (*WS, error) {
 		stopCh:  make(chan struct{}),
 	}
 	for i := range ws.shards {
-		ws.shards[i].init(cfg.BroadcastBuffer)
+		ws.shards[i].init()
 	}
 	return ws, nil
 }
@@ -220,7 +209,7 @@ func (ws *WS) Close() {
 	for i := range ws.shards {
 		sh := &ws.shards[i]
 		for _, c := range sh.snapshot() {
-			c.finish(CloseGoingAway, true)
+			c.finish(CloseGoingAway)
 		}
 	}
 }
@@ -341,7 +330,7 @@ func (ws *WS) Upgrade(ctx *httpaff.RequestCtx) bool {
 
 	c := &Conn{
 		ws:     ws,
-		tc:     ctx.NetConn(),
+		tc:     ctx.NetConn().(transport),
 		remote: ctx.RemoteAddr(),
 		shard:  int32(wid),
 	}
@@ -358,7 +347,7 @@ func (ws *WS) Upgrade(ctx *httpaff.RequestCtx) bool {
 	// would otherwise sit dead in its shard until the ping wheel's
 	// probe failed; the park-close notification reaps it immediately,
 	// so the shard gauge and OnClose track shedding in real time.
-	ctx.NotifyParkClose(func() { c.finish(CloseAbnormal, true) })
-	ctx.Hijack(func(worker int, nc net.Conn) bool { return ws.pass(worker, c, nc) })
+	ctx.NotifyParkClose(func() { c.finish(CloseAbnormal) })
+	ctx.Hijack(func(worker int, _ net.Conn) bool { return ws.pass(worker, c) })
 	return true
 }
