@@ -411,13 +411,13 @@ func (q *Queues[T]) ResetSteals(core int) {
 
 // ObserveIdle folds `samples` observations of the current local queue
 // length into core's EWMA and re-evaluates the busy bit. Real-server
-// pollers (the serve package) call it when an accept attempt finds no
-// work: the EWMA is otherwise sampled only on pushes, so once arrivals
+// workers (the serve package) call it when they come back from waiting
+// for work: the EWMA is otherwise sampled only on pushes, so once arrivals
 // stop it — and therefore the busy bit — would freeze at its burst-time
 // value and non-busy cores would never resume stealing. The kernel gets
 // these samples for free at softirq arrival frequency; a user-space
-// poller supplies the observations its sleep skipped by scaling
-// `samples` with the wall-clock time since its previous poll.
+// worker supplies the observations its sleep skipped by scaling
+// `samples` with the wall-clock time it was away.
 func (q *Queues[T]) ObserveIdle(core, samples int) {
 	q.cores[core].ewma.ObserveN(float64(q.rings[core].len()), samples)
 	q.maybeClearBusy(core)

@@ -6,9 +6,9 @@ import "sync"
 // code: it is the production balancer behind serve.Server, on every
 // accept, wake and pop. The paper's kernel implementation uses one lock
 // per queue (§3.2); the single mutex keeps the policy code identical to
-// the simulator's but is a measured bottleneck — the benchmark reads
-// 11.8 µs of mutex wait per churn connection at two workers (ROADMAP
-// item 2 replaces it).
+// the simulator's but is a measured bottleneck — the benchmark's traced
+// run reads 3–6 µs of mutex wait per churn connection at two workers
+// (ROADMAP item 2 replaces it).
 type Guarded[T any] struct {
 	mu sync.Mutex
 	q  *Queues[T]
@@ -86,12 +86,12 @@ func (g *Guarded[T]) Cores() int {
 }
 
 // ObserveIdle folds `samples` observations of the current queue length
-// into core's EWMA and re-evaluates the busy bit (see
-// Queues.ObserveIdle).
-func (g *Guarded[T]) ObserveIdle(core, samples int) {
+// into core's EWMA (see Queues.ObserveIdle) and reports the busy bit.
+func (g *Guarded[T]) ObserveIdle(core, samples int) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.q.ObserveIdle(core, samples)
+	return g.q.Busy(core)
 }
 
 // Balance runs one migration tick against a flow table.

@@ -86,14 +86,7 @@ func runSkewedKeepAlive(t *testing.T, disableMigration bool) Stats {
 		}
 	}()
 
-	// Groups initially owned by worker 0.
-	var hot []int
-	base := loadgen.PortBase(groups)
-	for g := 0; g < s.FlowGroups(); g++ {
-		if s.OwnerOf(uint16(base+g)) == 0 {
-			hot = append(hot, g)
-		}
-	}
+	hot := groupsOwnedBy(s, 0) // initially
 	if len(hot) == 0 {
 		t.Fatal("worker 0 owns no groups")
 	}

@@ -397,4 +397,9 @@ func (s *Server) WriteObsMetrics(w io.Writer) {
 	for i := range s.workers {
 		fmt.Fprintf(w, "affinity_worker_pinned_cpu{worker=\"%d\"} %d\n", i, s.workers[i].pinnedCPU.Load())
 	}
+	fmt.Fprintf(w, "# HELP affinity_worker_wakes_total Worker returns from the park: a push it was signalled for, or the busy-bit decay tick.\n# TYPE affinity_worker_wakes_total counter\n")
+	for i := range s.workers {
+		fmt.Fprintf(w, "affinity_worker_wakes_total{worker=\"%d\",reason=\"push\"} %d\n", i, s.workers[i].wakes.Load())
+		fmt.Fprintf(w, "affinity_worker_wakes_total{worker=\"%d\",reason=\"decay\"} %d\n", i, s.workers[i].decayTicks.Load())
+	}
 }

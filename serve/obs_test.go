@@ -360,6 +360,8 @@ func TestObsJourneyTaggingAndAttribution(t *testing.T) {
 		`affinity_cross_chip_migrations_total{dist="cross"} 1`,
 		"affinity_steal_est_cycles_total ",
 		`affinity_worker_chip{worker="1"} 1`,
+		`affinity_worker_wakes_total{worker="1",reason="push"} `,
+		`affinity_worker_wakes_total{worker="1",reason="decay"} `,
 	} {
 		if !strings.Contains(out, series) {
 			t.Errorf("metrics output missing %q", series)

@@ -98,7 +98,8 @@ func (s *Server) parkLoop(c *Conn) int {
 // and at every wake: route it to the worker owning its flow group,
 // charging one unit of load to the group; record the hop on the group's
 // journey; push it onto the owner's queue; shed it if that queue is
-// full (§3.3 drop); and nudge a worker. The flow table — not the
+// full (§3.3 drop); and signal the owner — and, once the queue is busy
+// and so may be stolen from, everyone else. The flow table — not the
 // accepting listener or the park loop — is the routing authority,
 // exactly as the paper's NIC FDir table decides which core receives a
 // flow's packets: under SO_REUSEPORT the kernel's four-tuple hash merely
@@ -139,7 +140,16 @@ func (s *Server) enqueue(c *Conn) {
 		s.closeHeld(c)
 		return
 	}
-	s.wakeWorkers()
+	s.signal(worker)
+	if s.bal.Busy(worker) {
+		// The one state in which Pop lets another worker take from this
+		// queue, and only a Push sets it: let the others look.
+		for i := range s.workers {
+			if i != worker {
+				s.signal(i)
+			}
+		}
+	}
 }
 
 // parkWake is the loops' Ready callback: a parked connection's next

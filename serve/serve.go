@@ -13,6 +13,9 @@
 // connections preferred, one remote steal per StealRatio local accepts
 // when some other worker is over its high watermark. A stalled worker's
 // backlog is therefore drained by idle workers instead of timing out.
+// A worker with nothing to pop parks on a slot of its own: a push wakes
+// the worker it pushed to, and the others only once that queue is busy
+// and may be stolen from (§3.3.1); an idle server runs no timers.
 //
 // Stealing alone leaves a long-lived connection remote forever: every
 // keep-alive pass re-enters the overloaded owner's queue and is stolen
@@ -259,7 +262,6 @@ type Server struct {
 	// the policy and the accounting cannot disagree on who is remote.
 	topo core.Topology
 
-	wake    chan struct{} // signaled on every push
 	drainCh chan struct{} // closed when acceptors have stopped
 
 	started  atomic.Bool
@@ -320,6 +322,13 @@ type workerState struct {
 	active       atomic.Int64  // handlers currently running on this worker
 	migratedIn   atomic.Uint64 // flow groups this worker claimed via §3.3.2
 	pinnedCPU    atomic.Int64  // CPU the worker's thread is pinned to, -1 unpinned
+
+	// slot is where the worker parks when it finds nothing to pop: it
+	// holds at most one token, left by signal, so a push that lands after
+	// the worker's failed Pop and before it blocks is found when it blocks.
+	slot       chan struct{}
+	wakes      atomic.Uint64 // returns from the park for a token
+	decayTicks atomic.Uint64 // returns from the park for the busy-bit tick
 }
 
 // New creates a Server and binds its listeners; the returned server is
@@ -335,7 +344,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		flow:    core.NewGuardedFlowTable(cfg.FlowGroups, cfg.Workers),
 		topo:    core.Regular(cfg.Workers, cfg.Chips),
-		wake:    make(chan struct{}, cfg.Workers),
 		drainCh: make(chan struct{}),
 		workers: make([]workerState, cfg.Workers),
 	}
@@ -374,6 +382,7 @@ func New(cfg Config) (*Server, error) {
 	s.migrateIntervalNs.Store(int64(cfg.MigrateInterval))
 	for i := range s.workers {
 		s.workers[i].pinnedCPU.Store(-1)
+		s.workers[i].slot = make(chan struct{}, 1)
 	}
 	if err := s.listen(); err != nil {
 		return nil, err
@@ -494,10 +503,11 @@ func (s *Server) Start() {
 	}
 }
 
-// wakeWorkers nudges one sleeping worker after a push.
-func (s *Server) wakeWorkers() {
+// signal leaves a token in worker's parking slot. A token already there
+// stands for this push too: the worker has not looked since it was left.
+func (s *Server) signal(worker int) {
 	select {
-	case s.wake <- struct{}{}:
+	case s.workers[worker].slot <- struct{}{}:
 	default:
 	}
 }
@@ -637,16 +647,21 @@ func (s *Server) advanceController(moves []core.Migration) {
 // idleSamplePeriod is the virtual sampling interval an idle worker's
 // EWMA observations are scaled by. The kernel samples a core's queue
 // EWMA on every softirq arrival — microseconds apart under load — while
-// a user-space worker polls every few hundred microseconds at best and
-// far less often under CPU contention. Charging one observation per
-// elapsed 10µs makes the busy bit decay at wall-clock speed rather than
-// poll-count speed, so a worker that has been idle a few milliseconds
-// becomes steal-eligible regardless of scheduler jitter.
+// a parked worker samples its own only when it comes back. Charging one
+// observation per elapsed 10µs makes the busy bit decay at wall-clock
+// speed rather than wake-count speed, so a worker that has been idle a
+// few milliseconds becomes steal-eligible regardless of scheduler jitter.
 const idleSamplePeriod = 10 * time.Microsecond
+
+// decayTick is how often a worker parked with its own busy bit still
+// set comes back to charge the idle time to its EWMA: no push is coming
+// to clear the bit, and while it is set the worker may not steal.
+const decayTick = 200 * time.Microsecond
 
 // workerLoop pops connections with the stealing policy and runs the
 // handler inline, so a worker's concurrency is exactly one connection —
-// the paper's one-thread-per-core service model.
+// the paper's one-thread-per-core service model. With nothing to pop it
+// parks on its slot, without a timer unless its own busy bit is set.
 func (s *Server) workerLoop(worker int) {
 	defer s.workerWG.Done()
 	st := &s.workers[worker]
@@ -665,14 +680,24 @@ func (s *Server) workerLoop(worker int) {
 			st.pinnedCPU.Store(int64(cpu))
 		}
 	}
-	var idleMark time.Time // start of the unobserved idle stretch
-	// One reusable timer per worker for the idle re-poll: time.After in
-	// this loop would allocate a timer per poll, and an idle worker
-	// polls 5,000 times a second — enough garbage to show up in the
-	// zero-allocation accounting of the layers above.
-	poll := time.NewTimer(time.Hour)
-	defer poll.Stop()
+	// idleMark is the start of the idle stretch not yet charged to the
+	// EWMA, zero while there is work. latched is the worker's own busy bit
+	// as last read: only a Push onto its queue sets the bit, and that Push
+	// leaves a token in the slot, so a stale false ends the park at once.
+	var idleMark time.Time
+	latched := false
+	tick := time.NewTimer(time.Hour) // reused: time.After would allocate one per tick
+	defer tick.Stop()
 	for {
+		if !idleMark.IsZero() {
+			// Back from the park. Pop decides from the bit it finds on
+			// entry whether this worker may steal, so the idle stretch is
+			// charged first: a burst-time bit the stretch has outlived must
+			// not veto the steal the worker was woken for.
+			n := int(time.Since(idleMark) / idleSamplePeriod)
+			idleMark = idleMark.Add(time.Duration(n) * idleSamplePeriod)
+			latched = s.bal.ObserveIdle(worker, n)
+		}
 		var t0 int64
 		if s.obs != nil {
 			t0 = obs.Nanos()
@@ -698,29 +723,32 @@ func (s *Server) workerLoop(worker int) {
 			st.active.Add(-1)
 			continue
 		}
-		// No work: let the empty queue decay this worker's EWMA so a
-		// burst-time busy bit clears and stealing can resume.
-		now := time.Now()
-		if idleMark.IsZero() {
-			idleMark = now
-			s.bal.ObserveIdle(worker, 1)
-		} else if n := int(now.Sub(idleMark) / idleSamplePeriod); n > 0 {
-			s.bal.ObserveIdle(worker, n)
-			idleMark = now
-		}
 		if s.draining.Load() && s.bal.TotalLen() == 0 {
 			return
 		}
-		poll.Reset(200 * time.Microsecond)
+		if latched && !s.bal.Busy(worker) {
+			// Busy workers never steal, so that Pop looked at no queue but
+			// this one, and the bit has cleared since: pop again, as a thief.
+			latched = false
+			continue
+		}
+		if idleMark.IsZero() {
+			idleMark = time.Now()
+		}
+		var tickC <-chan time.Time
+		if latched {
+			tick.Reset(decayTick)
+			tickC = tick.C
+		}
 		select {
-		case <-s.wake:
+		case <-st.slot:
+			st.wakes.Add(1)
+		case <-tickC:
+			st.decayTicks.Add(1)
 		case <-s.drainCh:
 			// Draining: re-poll promptly, but yield so workers whose
 			// queues cannot be stolen from don't spin.
 			time.Sleep(50 * time.Microsecond)
-		case <-poll.C:
-			// Periodic re-poll: a remote queue may have crossed its
-			// high watermark and become stealable.
 		}
 	}
 }
@@ -766,7 +794,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 				if !ok {
 					break
 				}
-				conn.Close()
+				s.closeHeld(conn)
 			}
 		}
 		return ctx.Err()
@@ -829,6 +857,8 @@ func (s *Server) Stats() Stats {
 			Busy:         s.bal.Busy(i),
 			GroupsOwned:  groups[i],
 			MigratedIn:   w.migratedIn.Load(),
+			Wakes:        w.wakes.Load(),
+			DecayTicks:   w.decayTicks.Load(),
 			Parked:       s.loops[i].Len(),
 			ClockLagUs:   s.ClockLag(i).Microseconds(),
 			Chip:         s.topo.Chip[i],

@@ -127,9 +127,13 @@ func TestBurstAllServed(t *testing.T) {
 // the steal counter is nonzero. The clients bind source ports spread
 // evenly over a small flow-group table, so exactly 1/N of the
 // connections deterministically route to the stalled worker regardless
-// of the OS's ephemeral-port pattern.
+// of the OS's ephemeral-port pattern. Worker 0 holds its first
+// connection until the last dial, so its backlog crosses the watermark
+// however slowly the dials go (source ports an earlier run left in
+// TIME_WAIT slow them down).
 func TestStealFromStalledWorker(t *testing.T) {
 	const workers, total, groups = 4, 120, 8
+	dialed := make(chan struct{})
 	s, err := New(Config{
 		Workers:          workers,
 		DisableReusePort: true,
@@ -139,6 +143,7 @@ func TestStealFromStalledWorker(t *testing.T) {
 		LowPct:           2,  // ~30 pushes only nudge the 1/128-alpha EWMA to ~4; keep busy latched
 		WorkerHandler: func(worker int, conn net.Conn) {
 			if worker == 0 {
+				<-dialed
 				time.Sleep(20 * time.Millisecond) // the artificially stalled worker
 			}
 			echoHandler(conn)
@@ -148,15 +153,8 @@ func TestStealFromStalledWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Start()
-	var wg sync.WaitGroup
-	for i := 0; i < total; i++ {
-		conn := dialHot(t, s.Addr().String(), i%groups, groups)
-		wg.Add(1)
-		go func(conn net.Conn, i int) {
-			defer wg.Done()
-			echoOnce(t, conn, i)
-		}(conn, i)
-	}
+	wg := echoBurst(t, s, total, func(i int) int { return i % groups })
+	close(dialed)
 	wg.Wait()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -50,6 +50,11 @@ type WorkerStats struct {
 	// worker; MigratedIn counts groups it claimed via §3.3.2 migration.
 	GroupsOwned int
 	MigratedIn  uint64
+	// Wakes counts this worker's returns from its park for a push — onto
+	// its own queue, or onto a busy one it may steal from; DecayTicks
+	// counts returns for the busy-bit decay tick. An idle server adds none.
+	Wakes      uint64
+	DecayTicks uint64
 	// ClockLagUs is how far this worker's coarse event-loop clock
 	// trailed the wall clock at snapshot time, in microseconds. Healthy
 	// loops stay under one poll interval (~50ms); a persistently larger
