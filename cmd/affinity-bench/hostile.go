@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -112,7 +111,7 @@ func runHostileBench(o hostileOpts) error {
 		}(i)
 	}
 
-	lat, requests, failed := driveHostileHTTP(target, o.httpOpts)
+	lat, requests, failed := driveHTTP(target, o.httpOpts, true)
 	attackers.Wait()
 	secs := o.duration.Seconds()
 
@@ -195,71 +194,6 @@ func runHostileBench(o hostileOpts) error {
 		fmt.Printf("\nappended %q record to %s\n", rep.Scenario, o.jsonPath)
 	}
 	return nil
-}
-
-// driveHostileHTTP is driveHTTP with a connect phase that retries: a
-// well-behaved client whose very first pass loses a header slot to the
-// startup thundering herd redials instead of giving up, because the
-// hostile run's contract is that persistent legitimate clients are
-// served — a single shed 503 with Retry-After is the mechanism working,
-// not a failure.
-func driveHostileHTTP(target string, o httpOpts) (lat []float64, requests, failed uint64) {
-	var mu sync.Mutex
-	var reqN, failN atomic.Uint64
-	stop := time.Now().Add(o.duration)
-	var wg sync.WaitGroup
-	for c := 0; c < o.clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var conn net.Conn
-			var respLen int
-			for attempt := 0; ; attempt++ {
-				if attempt == 20 || !time.Now().Before(stop) {
-					failN.Add(1)
-					return
-				}
-				nc, err := net.Dial("tcp", target)
-				if err != nil {
-					time.Sleep(20 * time.Millisecond)
-					continue
-				}
-				nc.SetDeadline(time.Now().Add(o.duration + 30*time.Second))
-				if respLen, err = learnResponseLen(nc); err != nil {
-					nc.Close() // shed at the door: back off and retry
-					time.Sleep(50 * time.Millisecond)
-					continue
-				}
-				conn = nc
-				break
-			}
-			defer conn.Close()
-			reqN.Add(1)
-			batch := bytes.Repeat(httpBenchRequest, o.pipeline)
-			resp := make([]byte, respLen*o.pipeline)
-			local := make([]float64, 0, 4096)
-			defer func() {
-				mu.Lock()
-				lat = append(lat, local...)
-				mu.Unlock()
-			}()
-			for time.Now().Before(stop) {
-				t0 := time.Now()
-				if _, err := conn.Write(batch); err != nil {
-					failN.Add(1)
-					return
-				}
-				if _, err := io.ReadFull(conn, resp); err != nil {
-					failN.Add(1)
-					return
-				}
-				local = append(local, float64(time.Since(t0).Microseconds())/float64(o.pipeline))
-				reqN.Add(uint64(o.pipeline))
-			}
-		}()
-	}
-	wg.Wait()
-	return lat, reqN.Load(), failN.Load()
 }
 
 // runSlowloris drips header bytes on fresh connections until the server

@@ -130,7 +130,7 @@ func runHTTPBench(o httpOpts) error {
 	} else {
 		close(scrapeDone)
 	}
-	lat, requests, failed := driveHTTP(target, o)
+	lat, requests, failed := driveHTTP(target, o, false)
 	<-scrapeDone
 	secs := o.duration.Seconds()
 
@@ -275,7 +275,8 @@ func discardResponse(br *bufio.Reader) error {
 
 // learnResponseLen performs one exchange and returns the (fixed)
 // response length, so the batch loop can read with exact ReadFulls
-// instead of parsing every response.
+// instead of parsing every response. Any status but 200 is an error: a
+// 503 shed at the door is not the response the batch loop will see.
 func learnResponseLen(conn net.Conn) (int, error) {
 	if _, err := conn.Write(httpBenchRequest); err != nil {
 		return 0, err
@@ -291,6 +292,10 @@ func learnResponseLen(conn net.Conn) (int, error) {
 		i := bytes.Index(buf[:n], []byte("\r\n\r\n"))
 		if i < 0 {
 			continue
+		}
+		if !bytes.HasPrefix(buf[:i], []byte("HTTP/1.1 200 ")) {
+			line, _, _ := bytes.Cut(buf[:i], []byte("\r\n"))
+			return 0, fmt.Errorf("first response is not a 200: %q", line)
 		}
 		cl := bytes.Index(buf[:i], []byte("Content-Length: "))
 		if cl < 0 {
@@ -315,8 +320,13 @@ func learnResponseLen(conn net.Conn) (int, error) {
 
 // driveHTTP runs the closed-loop pipelined clients and returns
 // per-request latencies (µs, batch RTT divided by depth), the request
-// count, and failures.
-func driveHTTP(target string, o httpOpts) (lat []float64, requests, failed uint64) {
+// count, and failures. With redial, a client whose connect phase fails —
+// a dial error, or a 503 because its first pass lost a header slot to
+// the start-up herd — backs off and dials again instead of giving up:
+// one shed with Retry-After is the admission machinery working, and the
+// hostile run's contract is that persistent legitimate clients are
+// served.
+func driveHTTP(target string, o httpOpts, redial bool) (lat []float64, requests, failed uint64) {
 	var mu sync.Mutex
 	var reqN, failN atomic.Uint64
 	stop := time.Now().Add(o.duration)
@@ -325,18 +335,25 @@ func driveHTTP(target string, o httpOpts) (lat []float64, requests, failed uint6
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			conn, err := net.Dial("tcp", target)
-			if err != nil {
-				failN.Add(1)
-				return
+			var conn net.Conn
+			var respLen int
+			for attempt := 1; ; attempt++ {
+				nc, err := net.Dial("tcp", target)
+				if err == nil {
+					nc.SetDeadline(time.Now().Add(o.duration + 30*time.Second))
+					if respLen, err = learnResponseLen(nc); err == nil {
+						conn = nc
+						break
+					}
+					nc.Close()
+				}
+				if !redial || attempt == 20 || !time.Now().Before(stop) {
+					failN.Add(1)
+					return
+				}
+				time.Sleep(50 * time.Millisecond)
 			}
 			defer conn.Close()
-			conn.SetDeadline(time.Now().Add(o.duration + 30*time.Second))
-			respLen, err := learnResponseLen(conn)
-			if err != nil {
-				failN.Add(1)
-				return
-			}
 			reqN.Add(1)
 			batch := bytes.Repeat(httpBenchRequest, o.pipeline)
 			resp := make([]byte, respLen*o.pipeline)

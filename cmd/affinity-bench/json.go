@@ -72,15 +72,10 @@ type benchReport struct {
 	TraceFile           string `json:"traceFile,omitempty"`
 	TraceSpans          int    `json:"traceSpans,omitempty"`
 
-	// Topology-aware scheduling fields. DistanceBlind marks a run that
-	// forced the flat wraparound steal scan despite -chips > 1 (the A/B
-	// baseline); StealEstCycles is the cost model's total for every
-	// steal's cache-line pulls priced local vs cross-chip. The adaptive
-	// fields record the controller's state at window end; the pinning
-	// pair accounts for every worker (pinned + failed = workers when
-	// -pin is set).
-	DistanceBlind      bool    `json:"distanceBlind,omitempty"`
-	StealEstCycles     uint64  `json:"stealEstCycles,omitempty"`
+	// Topology-aware scheduling fields. The adaptive fields record the
+	// migration controller's state at window end; the pinning pair
+	// accounts for every worker (pinned + failed = workers when -pin is
+	// set).
 	AdaptiveIntervalMs float64 `json:"adaptiveIntervalMs,omitempty"`
 	FrozenGroups       int64   `json:"frozenGroups,omitempty"`
 	GroupFreezes       uint64  `json:"groupFreezes,omitempty"`

@@ -82,16 +82,14 @@ func main() {
 		scenario  = flag.String("scenario", "", "override the scenario name recorded in the -json report (-ws mode)")
 
 		longlived    = flag.Int("longlived", 0, "drive N long-lived keep-alive connections skewed onto worker 0's flow groups (demonstrates §3.3.2 migration)")
-		hotWorkers   = flag.Int("hot-workers", 1, "spread the -longlived skew over this many workers, one per chip first (the distance-aware A/B needs a hot victim on each chip)")
+		hotWorkers   = flag.Int("hot-workers", 1, "spread the -longlived skew over this many workers, one per chip first (the distance-ordered steal scan needs a hot victim on each chip to choose between)")
 		work         = flag.Duration("work", 200*time.Microsecond, "per-request handler service time in -longlived mode")
 		migrate      = flag.Bool("migrate", true, "enable the flow-group migration loop")
-		migrateEvery = flag.Duration("migrate-interval", 0, "migration tick (0 = the paper's 100ms)")
+		migrateEvery = flag.Duration("migrate-interval", 0, "base migration tick, backed off once locality converges (0 = the paper's 100ms)")
 		groups       = flag.Int("groups", 0, "flow-group count (0 = the paper's 4096; -longlived defaults to 16)")
 		scrapeEvery  = flag.Duration("scrape-every", 0, "in -http mode, fetch /metrics and /debug/events at this period during the run (0 = no scraper)")
 		tracePath    = flag.String("trace", "", "save the run's control-plane timeline as a Chrome trace-event file (load in chrome://tracing or Perfetto); -serve and -http modes")
-		chips        = flag.Int("chips", 0, "simulated chip count for the NUMA attribution pass (0 or 1 = flat single-chip)")
-		distAware    = flag.Bool("distance-aware", true, "order steal victims same-chip-first when -chips > 1 (false = the distance-blind wraparound scan)")
-		adaptive     = flag.Bool("adaptive", false, "adaptive migration: back the tick interval off once locality converges, freeze ping-ponging flow groups")
+		chips        = flag.Int("chips", 0, "simulated chip count: orders the steal scan same-chip-first and feeds the NUMA attribution pass (0 or 1 = flat single-chip)")
 		pin          = flag.Bool("pin", false, "pin each worker's OS thread to a CPU via sched_setaffinity (degrades to unpinned where unsupported)")
 		jsonPath     = flag.String("json", "", "append this run's metrics to a JSON array file (e.g. BENCH_ci.json)")
 		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -237,8 +235,6 @@ func main() {
 			jsonPath:     *jsonPath,
 			tracePath:    *tracePath,
 			chips:        *chips,
-			distAware:    *distAware,
-			adaptive:     *adaptive,
 			pin:          *pin,
 		})
 		if err != nil {

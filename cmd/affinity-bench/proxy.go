@@ -115,7 +115,7 @@ func runProxyBench(o proxyOpts) error {
 	fmt.Printf("proxyaff edge on %s: %d workers, %s, migration %s, %d backends (%s)\n",
 		target, o.workers, mode, migr, o.backends, policyName)
 
-	lat, requests, failed := driveHTTP(target, o.httpOpts)
+	lat, requests, failed := driveHTTP(target, o.httpOpts, false)
 	secs := o.duration.Seconds()
 
 	fmt.Println()

@@ -39,9 +39,7 @@ type serveOpts struct {
 	groups       int           // flow-group count (0 = default)
 	jsonPath     string        // append metrics to this JSON array file
 	tracePath    string        // save a Chrome trace-event file here
-	chips        int           // simulated chip count for NUMA attribution
-	distAware    bool          // order steal victims same-chip-first (chips > 1)
-	adaptive     bool          // adaptive migration interval + ping-pong freezing
+	chips        int           // simulated chip count: steal order and NUMA attribution
 	pin          bool          // sched_setaffinity each worker thread to a CPU
 }
 
@@ -94,10 +92,7 @@ func runServeBench(o serveOpts) error {
 			MigrateInterval:  o.migrateEvery,
 			DisableMigration: !o.migrate,
 			Chips:            o.chips,
-
-			DisableDistanceAware: !o.distAware,
-			AdaptiveMigration:    o.adaptive,
-			PinWorkers:           o.pin,
+			PinWorkers:       o.pin,
 		}
 		switch {
 		case o.longlived > 0:
@@ -138,11 +133,7 @@ func runServeBench(o serveOpts) error {
 		fmt.Printf("serving on %s: %d workers, %s, %d flow groups, migration %s\n",
 			target, o.workers, mode, srv.FlowGroups(), migr)
 		if o.chips > 1 {
-			order := "distance-aware (same-chip victims first)"
-			if !o.distAware {
-				order = "distance-blind (wraparound scan)"
-			}
-			fmt.Printf("numa: %d chips, %s steal order\n", o.chips, order)
+			fmt.Printf("numa: %d chips, same-chip victims stolen from first\n", o.chips)
 		}
 	} else {
 		fmt.Printf("driving external server at %s\n", target)
@@ -279,16 +270,10 @@ func runServeBench(o serveOpts) error {
 		rep.Chips = o.chips
 		rep.CrossChipSteals = st.CrossChipSteals
 		rep.CrossChipMigrations = st.CrossChipMigrations
-		rep.StealEstCycles = st.StealEstCycles
-		if o.chips > 1 && !o.distAware {
-			rep.DistanceBlind = true
-		}
-		if o.adaptive {
-			rep.AdaptiveIntervalMs = float64(st.AdaptiveInterval) / float64(time.Millisecond)
-			rep.FrozenGroups = st.FrozenGroups
-			rep.GroupFreezes = st.GroupFreezes
-			rep.GroupUnfreezes = st.GroupUnfreezes
-		}
+		rep.AdaptiveIntervalMs = float64(st.AdaptiveInterval) / float64(time.Millisecond)
+		rep.FrozenGroups = st.FrozenGroups
+		rep.GroupFreezes = st.GroupFreezes
+		rep.GroupUnfreezes = st.GroupUnfreezes
 		rep.PinnedWorkers = st.PinnedWorkers
 		rep.PinFailures = st.PinFailures
 		if o.tracePath != "" {
@@ -411,9 +396,8 @@ func driveLongLived(target string, srv *affinityaccept.Server, o serveOpts) (lat
 	}
 	// The skew targets worker 0's groups by default. With -hot-workers N
 	// the heat lands on N workers spread one per chip first (worker 0,
-	// then the first worker of the next chip, …), so a distance-aware
-	// A/B gives every thief both a same-chip and a cross-chip hot victim
-	// to choose between.
+	// then the first worker of the next chip, …), so every thief has both
+	// a same-chip and a cross-chip hot victim to choose between.
 	hotOwners := map[int]bool{0: true}
 	if o.hotWorkers > 1 {
 		chips := o.chips

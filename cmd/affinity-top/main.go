@@ -172,8 +172,7 @@ func render(w io.Writer, addr string, cur, prev *sample, top, tailN int) {
 		workers, served, locality, stolen,
 		cur.val("affinity_migrations_total"), cur.val("affinity_parked"))
 	if crossSteals > 0 || crossMigr > 0 {
-		fmt.Fprintf(w, "numa: cross-chip steals %.0f  cross-chip migrations %.0f  est steal cycles %.0f\n",
-			crossSteals, crossMigr, cur.val("affinity_steal_est_cycles_total"))
+		fmt.Fprintf(w, "numa: cross-chip steals %.0f  cross-chip migrations %.0f\n", crossSteals, crossMigr)
 	}
 	if iv := cur.val("affinity_migrate_interval_seconds"); iv > 0 {
 		fmt.Fprintf(w, "balance: interval %s  frozen groups %.0f (freezes %.0f, thaws %.0f)\n",

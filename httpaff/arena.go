@@ -22,10 +22,14 @@ type arena struct {
 	counters stats.PoolCounters
 }
 
-// retainCap is the largest buffer the arena keeps on release; a context
-// that ballooned serving an outlier request is shed back to the
-// steady-state size instead of pinning the memory forever.
-const retainCap = 64 << 10
+// bufSize is the size a context's request and response buffers start
+// at. They grow on demand to the workload's largest message and stay
+// there: release sheds a buffer only once it has outgrown
+// MaxHeaderBytes + MaxBodyBytes, the largest request readRequest
+// accepts. A buffer is an outlier only above what the layer accepts;
+// below it, shedding would free and regrow the buffer on every request
+// of a workload that steadily needs it.
+const bufSize = 4096
 
 // maxPooled caps each worker arena's free list; contexts released
 // beyond it are dropped to the GC. One warm context per worker already
@@ -45,25 +49,27 @@ func (a *arena) acquire() *RequestCtx {
 	a.counters.Miss()
 	return &RequestCtx{
 		srv:  a.s,
-		rbuf: make([]byte, a.s.cfg.ReadBufferSize),
-		wbuf: make([]byte, 0, a.s.cfg.WriteBufferSize),
+		rbuf: make([]byte, bufSize),
+		wbuf: make([]byte, 0, bufSize),
 	}
 }
 
 // release returns a finished context to the free list, shedding
-// oversized buffers, or drops it when the list is full.
+// buffers grown past the request bound, or drops it when the list is
+// full.
 func (a *arena) release(ctx *RequestCtx) {
 	if len(a.free) >= maxPooled {
 		a.counters.Drop()
 		return
 	}
-	if cap(ctx.rbuf) > retainCap {
-		ctx.rbuf = make([]byte, a.s.cfg.ReadBufferSize)
+	keep := a.s.cfg.MaxHeaderBytes + a.s.cfg.MaxBodyBytes
+	if cap(ctx.rbuf) > keep {
+		ctx.rbuf = make([]byte, bufSize)
 	}
-	if cap(ctx.wbuf) > retainCap {
-		ctx.wbuf = make([]byte, 0, a.s.cfg.WriteBufferSize)
+	if cap(ctx.wbuf) > keep {
+		ctx.wbuf = make([]byte, 0, bufSize)
 	}
-	if cap(ctx.resp.body) > retainCap {
+	if cap(ctx.resp.body) > keep {
 		ctx.resp.body = nil
 	}
 	a.free = append(a.free, ctx)

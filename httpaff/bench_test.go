@@ -219,3 +219,80 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	t.Logf("steady state: %.3f allocs/request (%d mallocs over %d requests)",
 		perReq, after.Mallocs-before.Mallocs, depth*batches)
 }
+
+// TestLargeResponseBuffersRetained pins the arena's retention rule on
+// the shape that used to thrash it: a 64 KiB body serialises, with its
+// head, to a write buffer just over the old flat 64 KiB cap, so every
+// release freed it and every request regrew it. A buffer is an outlier
+// only above MaxHeaderBytes + MaxBodyBytes: steady 64 KiB responses on
+// one keep-alive connection allocate nothing after warm-up.
+func TestLargeResponseBuffersRetained(t *testing.T) {
+	body := bytes.Repeat([]byte("x"), 64<<10)
+	s := start(t, Config{Workers: 1, Handler: func(ctx *RequestCtx) { ctx.Write(body) }})
+	conn, br := dial(t, s)
+	// First exchange: learn the (fixed) response length.
+	if _, err := conn.Write(benchRequest); err != nil {
+		t.Fatal(err)
+	}
+	respLen := len(body)
+	for line := ""; line != "\r\n"; respLen += len(line) {
+		var err error
+		if line, err = br.ReadString('\n'); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp := make([]byte, respLen)
+	if _, err := io.ReadFull(br, resp[:len(body)]); err != nil {
+		t.Fatal(err)
+	}
+	roundTrip := func() {
+		if _, err := conn.Write(benchRequest); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(br, resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip()
+
+	const requests = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < requests; i++ {
+		roundTrip()
+	}
+	runtime.ReadMemStats(&after)
+	perReq := float64(after.Mallocs-before.Mallocs) / requests
+	bytesPerReq := float64(after.TotalAlloc-before.TotalAlloc) / requests
+	if perReq >= 1 || bytesPerReq >= bufSize {
+		t.Fatalf("steady 64 KiB responses allocate %.2f objects / %.0f bytes per request, want 0: "+
+			"the arena is shedding a buffer the workload needs", perReq, bytesPerReq)
+	}
+}
+
+// TestArenaShedsAboveRequestBound is the other side of the rule: a
+// buffer at the bound is kept, one grown past the largest request the
+// server accepts is shed back to bufSize on release.
+func TestArenaShedsAboveRequestBound(t *testing.T) {
+	s, err := New(Config{Workers: 1, Handler: benchHandler, MaxBodyBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	bound := s.cfg.MaxHeaderBytes + s.cfg.MaxBodyBytes
+	a := s.arenas[0]
+	ctx := a.acquire()
+	ctx.rbuf = make([]byte, bound)
+	ctx.wbuf = make([]byte, 0, bound+1)
+	ctx.resp.body = make([]byte, 0, 2*bound)
+	a.release(ctx)
+	if cap(ctx.rbuf) != bound {
+		t.Errorf("read buffer at the bound was shed: cap %d, want %d", cap(ctx.rbuf), bound)
+	}
+	if cap(ctx.wbuf) != bufSize {
+		t.Errorf("write buffer above the bound kept: cap %d, want %d", cap(ctx.wbuf), bufSize)
+	}
+	if ctx.resp.body != nil {
+		t.Errorf("response body above the bound kept: cap %d", cap(ctx.resp.body))
+	}
+}

@@ -63,18 +63,14 @@ type Config struct {
 	// "httpaff").
 	ServerName string
 
-	// ReadBufferSize and WriteBufferSize are the initial sizes of each
-	// pooled context's request and response buffers (defaults 4096).
-	// Buffers grow on demand and oversized ones are shed on release,
-	// so these size the steady state, not a limit.
-	ReadBufferSize  int
-	WriteBufferSize int
-
 	// MaxHeaderBytes bounds the request line plus headers (default
 	// 8192); larger requests are answered 431 and closed.
 	MaxHeaderBytes int
 	// MaxBodyBytes bounds a request body (default 1 MiB); larger
-	// bodies are answered 413 and closed.
+	// bodies are answered 413 and closed. The two limits together are
+	// also what a worker's arena retains per buffer between requests:
+	// buffers grow on demand to the workload's largest message and only
+	// one grown beyond MaxHeaderBytes + MaxBodyBytes is shed on release.
 	MaxBodyBytes int
 
 	// MaxRequestsPerConn closes a connection (Connection: close) after
@@ -129,28 +125,22 @@ type Config struct {
 	// layer wires its per-worker backend pools here.
 	WorkerUpstream func(worker int) serve.PoolStats
 
-	// DisableObs turns off event tracing and histograms in both this
-	// layer and the transport.
-	DisableObs bool
-
 	// The remaining fields pass straight through to serve.Config:
 	// queueing, stealing, migration and transport-level admission
 	// (per-IP accept rate limiting, the connection budget with LIFO
 	// parked shedding) behave exactly as for a raw TCP server.
-	Backlog              int
-	StealRatio           int
-	HighPct, LowPct      float64
-	DisableReusePort     bool
-	FlowGroups           int
-	MigrateInterval      time.Duration
-	DisableMigration     bool
-	MaxConns             int
-	PerIPAcceptRate      float64
-	PerIPAcceptBurst     int
-	Chips                int
-	DisableDistanceAware bool
-	AdaptiveMigration    bool
-	PinWorkers           bool
+	Backlog          int
+	StealRatio       int
+	HighPct, LowPct  float64
+	DisableReusePort bool
+	FlowGroups       int
+	MigrateInterval  time.Duration
+	DisableMigration bool
+	MaxConns         int
+	PerIPAcceptRate  float64
+	PerIPAcceptBurst int
+	Chips            int
+	PinWorkers       bool
 }
 
 func (c *Config) fill() error {
@@ -162,12 +152,6 @@ func (c *Config) fill() error {
 	}
 	if c.ServerName == "" {
 		c.ServerName = "httpaff"
-	}
-	if c.ReadBufferSize <= 0 {
-		c.ReadBufferSize = 4096
-	}
-	if c.WriteBufferSize <= 0 {
-		c.WriteBufferSize = 4096
 	}
 	if c.MaxHeaderBytes <= 0 {
 		c.MaxHeaderBytes = 8192
@@ -223,10 +207,8 @@ type Server struct {
 	admitw          []admitCounters
 
 	// obsw holds each worker's request-path histograms (service
-	// latency, request/response sizes). obsOn gates the whole plane so
-	// DisableObs removes even the clock reads.
-	obsw  []workerObs
-	obsOn bool
+	// latency, request/response sizes).
+	obsw []workerObs
 }
 
 // admitCounters is one worker's admission-policy counters, updated only
@@ -252,6 +234,7 @@ func New(cfg Config) (*Server, error) {
 		arenas:   make([]*arena, cfg.Workers),
 		stopDate: make(chan struct{}),
 		admitw:   make([]admitCounters, cfg.Workers),
+		obsw:     make([]workerObs, cfg.Workers),
 		shed503: []byte(fmt.Sprintf(
 			"HTTP/1.1 503 Service Unavailable\r\nServer: %s\r\nRetry-After: %d\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
 			cfg.ServerName, retry)),
@@ -259,37 +242,30 @@ func New(cfg Config) (*Server, error) {
 	for i := range s.arenas {
 		s.arenas[i] = &arena{s: s}
 	}
-	if !cfg.DisableObs {
-		s.obsOn = true
-		s.obsw = make([]workerObs, cfg.Workers)
-		for i := range s.obsw {
-			s.obsw[i].svc = obs.NewHist(obs.DefaultSubBits)
-			s.obsw[i].reqBytes = obs.NewHist(obs.DefaultSubBits)
-			s.obsw[i].respBytes = obs.NewHist(obs.DefaultSubBits)
-		}
+	for i := range s.obsw {
+		s.obsw[i].svc = obs.NewHist(obs.DefaultSubBits)
+		s.obsw[i].reqBytes = obs.NewHist(obs.DefaultSubBits)
+		s.obsw[i].respBytes = obs.NewHist(obs.DefaultSubBits)
 	}
 	s.refreshDate()
 	srv, err := serve.New(serve.Config{
-		Network:              cfg.Network,
-		Addr:                 cfg.Addr,
-		Workers:              cfg.Workers,
-		WorkerHandler:        s.serveConn,
-		Backlog:              cfg.Backlog,
-		StealRatio:           cfg.StealRatio,
-		HighPct:              cfg.HighPct,
-		LowPct:               cfg.LowPct,
-		DisableReusePort:     cfg.DisableReusePort,
-		FlowGroups:           cfg.FlowGroups,
-		MigrateInterval:      cfg.MigrateInterval,
-		DisableMigration:     cfg.DisableMigration,
-		MaxConns:             cfg.MaxConns,
-		PerIPAcceptRate:      cfg.PerIPAcceptRate,
-		PerIPAcceptBurst:     cfg.PerIPAcceptBurst,
-		Chips:                cfg.Chips,
-		DisableDistanceAware: cfg.DisableDistanceAware,
-		AdaptiveMigration:    cfg.AdaptiveMigration,
-		PinWorkers:           cfg.PinWorkers,
-		DisableObs:           cfg.DisableObs,
+		Network:          cfg.Network,
+		Addr:             cfg.Addr,
+		Workers:          cfg.Workers,
+		WorkerHandler:    s.serveConn,
+		Backlog:          cfg.Backlog,
+		StealRatio:       cfg.StealRatio,
+		HighPct:          cfg.HighPct,
+		LowPct:           cfg.LowPct,
+		DisableReusePort: cfg.DisableReusePort,
+		FlowGroups:       cfg.FlowGroups,
+		MigrateInterval:  cfg.MigrateInterval,
+		DisableMigration: cfg.DisableMigration,
+		MaxConns:         cfg.MaxConns,
+		PerIPAcceptRate:  cfg.PerIPAcceptRate,
+		PerIPAcceptBurst: cfg.PerIPAcceptBurst,
+		Chips:            cfg.Chips,
+		PinWorkers:       cfg.PinWorkers,
 		WorkerPool: func(worker int) serve.PoolStats {
 			return s.arenas[worker].counters.Snapshot()
 		},
@@ -587,20 +563,14 @@ const flushEvery = 32 << 10
 // and flush in one write.
 func (s *Server) servePass(ctx *RequestCtx) (park bool) {
 	c := ctx.conn
-	var ow *workerObs
-	if s.obsOn {
-		ow = &s.obsw[ctx.worker]
-	}
+	ow := &s.obsw[ctx.worker]
 	for {
-		// With the plane on, every request is timed head-read start ->
-		// response flush (or, for a mid-pipeline request, response
-		// serialization) and sized; the cost is two clock reads and six
-		// atomic adds, all worker-local.
-		var t0, outBefore int64
-		if ow != nil {
-			t0 = obs.Nanos()
-			outBefore = int64(ctx.written())
-		}
+		// Every request is timed head-read start -> response flush (or,
+		// for a mid-pipeline request, response serialization) and sized;
+		// the cost is two clock reads and six atomic adds, all
+		// worker-local.
+		t0 := obs.Nanos()
+		outBefore := int64(ctx.written())
 		err := ctx.readRequest()
 		if ctx.headerSlot {
 			// The fresh connection's first head read is over (parsed or
@@ -642,9 +612,7 @@ func (s *Server) servePass(ctx *RequestCtx) (park bool) {
 		ctx.appendResponse(closing)
 		if closing {
 			ctx.flush()
-			if ow != nil {
-				ow.record(obs.Nanos()-t0, int64(ctx.rpos), int64(ctx.written())-outBefore)
-			}
+			ow.record(obs.Nanos()-t0, int64(ctx.rpos), int64(ctx.written())-outBefore)
 			ctx.conn.Close()
 			return false
 		}
@@ -653,17 +621,13 @@ func (s *Server) servePass(ctx *RequestCtx) (park bool) {
 				ctx.conn.Close()
 				return false
 			}
-			if ow != nil {
-				ow.record(obs.Nanos()-t0, int64(ctx.rpos), int64(ctx.written())-outBefore)
-			}
+			ow.record(obs.Nanos()-t0, int64(ctx.rpos), int64(ctx.written())-outBefore)
 			return true
 		}
-		if ow != nil {
-			// Mid-pipeline: the response is serialized but rides a later
-			// flush; bill through serialization rather than hold the
-			// sample hostage to unrelated pipelined requests.
-			ow.record(obs.Nanos()-t0, int64(ctx.rpos), int64(ctx.written())-outBefore)
-		}
+		// Mid-pipeline: the response is serialized but rides a later
+		// flush; bill through serialization rather than hold the
+		// sample hostage to unrelated pipelined requests.
+		ow.record(obs.Nanos()-t0, int64(ctx.rpos), int64(ctx.written())-outBefore)
 		// More pipelined input is already buffered: keep serving on
 		// this worker, flushing periodically.
 		if len(ctx.wbuf) >= flushEvery {

@@ -26,11 +26,8 @@ func (ow *workerObs) record(svcNs, reqB, respB int64) {
 }
 
 // mergedSvc returns the service-latency histogram merged across
-// workers; empty when observability is off. Diagnostic path: allocates.
+// workers. Diagnostic path: allocates.
 func (s *Server) mergedSvc() obs.HistSnapshot {
-	if !s.obsOn {
-		return obs.HistSnapshot{}
-	}
 	m := s.obsw[0].svc.Snapshot()
 	for i := 1; i < len(s.obsw); i++ {
 		m.Merge(s.obsw[i].svc.Snapshot())
@@ -43,12 +40,9 @@ func (s *Server) mergedSvc() obs.HistSnapshot {
 // start of a request's head read to its response flush, as measured on
 // the workers. The benchmark records these next to the client-observed
 // quantiles, so queueing delay (client-side minus server-side) is
-// separable from service time. Zeros when observability is disabled.
+// separable from service time.
 func (s *Server) ServiceLatencyQuantiles(qs ...float64) []time.Duration {
 	out := make([]time.Duration, len(qs))
-	if !s.obsOn {
-		return out
-	}
 	m := s.mergedSvc()
 	for i, q := range qs {
 		out[i] = time.Duration(m.Quantile(q))
@@ -58,12 +52,8 @@ func (s *Server) ServiceLatencyQuantiles(qs ...float64) []time.Duration {
 
 // WriteObsMetrics renders the HTTP layer's request-path histograms in
 // Prometheus text format. The unified MetricsHandler composes it with
-// the transport's WriteObsMetrics; it writes nothing when observability
-// is disabled.
+// the transport's WriteObsMetrics.
 func (s *Server) WriteObsMetrics(w io.Writer) {
-	if !s.obsOn {
-		return
-	}
 	obs.WriteProm(w, "affinity_http_request_duration_seconds",
 		"Service latency from head-read start to response flush, measured on the worker.",
 		s.mergedSvc(), 1e-9)

@@ -64,32 +64,6 @@ func TestServiceLatencyHistogram(t *testing.T) {
 	}
 }
 
-// TestObsDisabledHTTP: DisableObs zeroes the whole plane end to end —
-// no histograms, no quantiles, no metrics series, no events.
-func TestObsDisabledHTTP(t *testing.T) {
-	s := start(t, Config{Workers: 1, DisableObs: true})
-	conn, br := dial(t, s)
-	fmt.Fprintf(conn, "GET / HTTP/1.1\r\nHost: x\r\n\r\n")
-	readResponse(t, br)
-
-	if s.obsOn || s.obsw != nil {
-		t.Fatal("DisableObs left the HTTP histograms live")
-	}
-	for _, q := range s.ServiceLatencyQuantiles(0.5, 0.99) {
-		if q != 0 {
-			t.Errorf("disabled server reports quantile %v", q)
-		}
-	}
-	var b strings.Builder
-	s.WriteObsMetrics(&b)
-	if b.Len() != 0 {
-		t.Errorf("disabled server wrote obs metrics:\n%s", b.String())
-	}
-	if evs := s.Events(); len(evs) != 0 {
-		t.Errorf("disabled server produced %d events", len(evs))
-	}
-}
-
 // TestMetricsHandlerComposes scrapes the unified /metrics endpoint over
 // the wire and checks it carries all three planes — the classic
 // counters, the HTTP layer's histograms, the transport's event/evloop

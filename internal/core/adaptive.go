@@ -114,7 +114,7 @@ func NewController(cfg ControllerConfig) *Controller {
 func (c *Controller) FrozenCount() int { return len(c.frozen) }
 
 // GroupOK is the veto the balancer consults: false while the group is
-// frozen. Pass it as groupOK to BalanceRecordFiltered.
+// frozen. Pass it as groupOK to Balance.
 func (c *Controller) GroupOK(group int) bool {
 	_, frozen := c.frozen[group]
 	return !frozen

@@ -139,17 +139,11 @@ func (t *FlowTable) decayLoads() {
 // `core` stole the most connections, and select the victim's hottest
 // flow group to migrate to `core`. It returns ok=false when the core
 // stole nothing, is itself the top victim, or the victim has no groups
-// left.
-func (t *FlowTable) PickMigration(core int, stolenFrom []uint64) (group, victim int, ok bool) {
-	return t.PickMigrationFiltered(core, stolenFrom, nil)
-}
-
-// PickMigrationFiltered is PickMigration with a group veto: groups for
-// which groupOK returns false are never selected. The adaptive
-// controller passes its oscillation-freeze set here, so a ping-ponging
-// group sits out its cooldown while the victim's other groups remain
-// migratable.
-func (t *FlowTable) PickMigrationFiltered(core int, stolenFrom []uint64, groupOK func(group int) bool) (group, victim int, ok bool) {
+// left. Groups for which the optional groupOK veto returns false are
+// never selected: the migration controller passes its oscillation-freeze
+// set here, so a ping-ponging group sits out its cooldown while the
+// victim's other groups remain migratable.
+func (t *FlowTable) PickMigration(core int, stolenFrom []uint64, groupOK func(group int) bool) (group, victim int, ok bool) {
 	best, bestCount := -1, uint64(0)
 	for v, n := range stolenFrom {
 		if v == core || n == 0 {
@@ -175,13 +169,7 @@ type Migration struct {
 	Group, From, To int
 }
 
-// Balance runs one full balancing tick and returns the number of
-// migrations applied. See BalanceRecord.
-func Balance[T any](t *FlowTable, q *Queues[T], eligible func(core int) bool) int {
-	return len(BalanceRecord(t, q, eligible))
-}
-
-// BalanceRecord runs one full balancing tick: every non-busy core that
+// Balance runs one full balancing tick: every non-busy core that
 // stole connections migrates its top victim's hottest flow group to
 // itself, then resets its steal counters; finally all group loads decay.
 // It returns the applied migrations. The simulator calls this every
@@ -192,15 +180,10 @@ func Balance[T any](t *FlowTable, q *Queues[T], eligible func(core int) bool) in
 // The optional eligible predicate vetoes migration targets beyond the
 // busy check: a core whose CPU is consumed by unrelated work has an
 // empty accept queue (nothing reaches it) yet must not pull flow groups
-// to itself.
-func BalanceRecord[T any](t *FlowTable, q *Queues[T], eligible func(core int) bool) []Migration {
-	return BalanceRecordFiltered(t, q, eligible, nil)
-}
-
-// BalanceRecordFiltered is BalanceRecord with a group veto: groups for
-// which groupOK returns false are never migrated this tick. The serve
-// package's adaptive controller passes its frozen-group set here.
-func BalanceRecordFiltered[T any](t *FlowTable, q *Queues[T], eligible func(core int) bool, groupOK func(group int) bool) []Migration {
+// to itself. The optional groupOK predicate vetoes groups: ones for
+// which it returns false are never migrated this tick (the migration
+// controller's frozen set).
+func Balance[T any](t *FlowTable, q *Queues[T], eligible func(core int) bool, groupOK func(group int) bool) []Migration {
 	var applied []Migration
 	for core := 0; core < q.Cores(); core++ {
 		q.maybeClearBusy(core)
@@ -212,7 +195,7 @@ func BalanceRecordFiltered[T any](t *FlowTable, q *Queues[T], eligible func(core
 			q.ResetSteals(core)
 			continue
 		}
-		if group, victim, ok := t.PickMigrationFiltered(core, q.cores[core].stolenFrom, groupOK); ok {
+		if group, victim, ok := t.PickMigration(core, q.cores[core].stolenFrom, groupOK); ok {
 			t.Migrate(group, core)
 			applied = append(applied, Migration{Group: group, From: victim, To: core})
 		}

@@ -68,7 +68,7 @@ func TestMigrateInvalidCorePanics(t *testing.T) {
 func TestPickMigrationChoosesTopVictim(t *testing.T) {
 	ft := NewFlowTable(16, 4)
 	stolen := []uint64{0, 3, 7, 1} // core 2 is the top victim
-	g, victim, ok := ft.PickMigration(0, stolen)
+	g, victim, ok := ft.PickMigration(0, stolen, nil)
 	if !ok || victim != 2 {
 		t.Fatalf("victim = %d ok=%v, want 2", victim, ok)
 	}
@@ -79,10 +79,10 @@ func TestPickMigrationChoosesTopVictim(t *testing.T) {
 
 func TestPickMigrationIgnoresSelfAndZero(t *testing.T) {
 	ft := NewFlowTable(16, 4)
-	if _, _, ok := ft.PickMigration(0, []uint64{100, 0, 0, 0}); ok {
+	if _, _, ok := ft.PickMigration(0, []uint64{100, 0, 0, 0}, nil); ok {
 		t.Fatal("migrated based on self-steals")
 	}
-	if _, _, ok := ft.PickMigration(0, []uint64{0, 0, 0, 0}); ok {
+	if _, _, ok := ft.PickMigration(0, []uint64{0, 0, 0, 0}, nil); ok {
 		t.Fatal("migrated with no steals")
 	}
 }
@@ -95,7 +95,7 @@ func TestPickMigrationVictimOutOfGroups(t *testing.T) {
 			ft.Migrate(g, 0)
 		}
 	}
-	if _, _, ok := ft.PickMigration(1, []uint64{0, 0, 0, 9}); ok {
+	if _, _, ok := ft.PickMigration(1, []uint64{0, 0, 0, 9}, nil); ok {
 		t.Fatal("migration picked from a core with no groups")
 	}
 }
@@ -147,7 +147,7 @@ func TestPickMigrationPrefersHottestGroup(t *testing.T) {
 	}
 	ft.ObserveLoad(groups[0], 3)
 	ft.ObserveLoad(groups[1], 50)
-	g, v, ok := ft.PickMigration(0, []uint64{0, 0, 7, 0})
+	g, v, ok := ft.PickMigration(0, []uint64{0, 0, 7, 0}, nil)
 	if !ok || v != victim {
 		t.Fatalf("victim=%d ok=%v, want %d", v, ok, victim)
 	}
@@ -161,7 +161,7 @@ func TestBalanceDecaysLoads(t *testing.T) {
 	ft := NewFlowTable(16, 2)
 	q := NewQueues[int](Config{Cores: 2, Backlog: 8})
 	ft.ObserveLoad(3, 8)
-	BalanceRecord(ft, q, nil)
+	Balance(ft, q, nil, nil)
 	if ft.LoadOf(3) != 4 {
 		t.Fatalf("load after one tick = %d, want 4 (halved)", ft.LoadOf(3))
 	}
@@ -179,7 +179,7 @@ func TestBalanceMovesGroupsTowardStealers(t *testing.T) {
 	q.Pop(0) // local
 	q.Pop(0) // steal
 	before := ft.GroupCount()
-	n := Balance(ft, q, nil)
+	n := len(Balance(ft, q, nil, nil))
 	after := ft.GroupCount()
 	if n != 1 {
 		t.Fatalf("balance applied %d migrations, want 1", n)
@@ -188,7 +188,7 @@ func TestBalanceMovesGroupsTowardStealers(t *testing.T) {
 		t.Fatalf("groups did not move 3->0: before=%v after=%v", before, after)
 	}
 	// Steal counters were reset, so an immediate second tick is a no-op.
-	if Balance(ft, q, nil) != 0 {
+	if len(Balance(ft, q, nil, nil)) != 0 {
 		t.Fatal("second balance tick migrated without new steals")
 	}
 }
@@ -204,7 +204,7 @@ func TestBalanceSkipsBusyCores(t *testing.T) {
 	}
 	// Even with synthetic steal counts, busy cores must not migrate.
 	q.cores[0].stolenFrom[1] = 5
-	if n := Balance(ft, q, nil); n != 0 {
+	if n := len(Balance(ft, q, nil, nil)); n != 0 {
 		t.Fatalf("busy core migrated %d groups", n)
 	}
 }

@@ -94,13 +94,6 @@ func (g *Guarded[T]) ObserveIdle(core, samples int) bool {
 	return g.q.Busy(core)
 }
 
-// Balance runs one migration tick against a flow table.
-func (g *Guarded[T]) Balance(t *FlowTable) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return Balance(t, g.q, nil)
-}
-
 // BalanceTable runs one §3.3.2 migration tick against a concurrently
 // used flow table and returns the applied migrations. It holds both
 // locks — queues first, then table — so routing never observes a
@@ -112,7 +105,7 @@ func (g *Guarded[T]) BalanceTable(gt *GuardedFlowTable, eligible func(core int) 
 }
 
 // BalanceTableFiltered is BalanceTable with a group veto: groups for
-// which groupOK returns false sit the tick out (the adaptive
+// which groupOK returns false sit the tick out (the migration
 // controller's oscillation freeze). groupOK is called with both locks
 // held and must not touch the balancer or the table.
 func (g *Guarded[T]) BalanceTableFiltered(gt *GuardedFlowTable, eligible func(core int) bool, groupOK func(group int) bool) []Migration {
@@ -120,7 +113,7 @@ func (g *Guarded[T]) BalanceTableFiltered(gt *GuardedFlowTable, eligible func(co
 	defer g.mu.Unlock()
 	gt.mu.Lock()
 	defer gt.mu.Unlock()
-	return BalanceRecordFiltered(gt.t, g.q, eligible, groupOK)
+	return Balance(gt.t, g.q, eligible, groupOK)
 }
 
 // Stats returns (pushes, locals, steals, drops).

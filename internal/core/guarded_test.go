@@ -107,7 +107,7 @@ func TestGuardedConcurrentConservation(t *testing.T) {
 
 func TestGuardedBalance(t *testing.T) {
 	g := NewGuarded[int](Config{Cores: 2, Backlog: 4, StealRatio: 1})
-	ft := NewFlowTable(16, 2)
+	ft := NewGuardedFlowTable(16, 2)
 	// Build up steals from core 1.
 	g.Push(1, 1)
 	g.Push(1, 2)
@@ -115,7 +115,7 @@ func TestGuardedBalance(t *testing.T) {
 	g.Push(0, 7)
 	g.Pop(0)
 	g.Pop(0)
-	if n := g.Balance(ft); n != 1 {
+	if n := len(g.BalanceTable(ft, nil)); n != 1 {
 		t.Fatalf("balance = %d, want 1", n)
 	}
 }

@@ -96,7 +96,7 @@ func TestFlowTablePropertyRandomInterleavings(t *testing.T) {
 						q.ObserveIdle(c, 1+rng.Intn(20))
 					}
 				case 8, 9: // §3.3.2 balance tick
-					moves := BalanceRecord(tbl, q, eligible)
+					moves := Balance(tbl, q, eligible, nil)
 					for _, m := range moves {
 						if m.To < 0 || m.To >= cores {
 							t.Fatalf("step %d: migration %+v targets out-of-range worker", step, m)

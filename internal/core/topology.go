@@ -9,16 +9,6 @@ import "sort"
 // by chip distance closes that gap without touching the 5:1
 // proportional-share policy itself.
 
-// Table 1's AMD row, the machine whose remote-vs-local gap motivates
-// §3.3's policies: cycles to pull one cache line from another core's
-// cache on the same chip, and from the chip farthest away. The serve
-// layer prices steals and migrations at these; internal/mem's AMD48
-// machine reads them, so the numbers have one home.
-const (
-	L3Cycles       = 28
-	RemoteL3Cycles = 460
-)
-
 // Topology is an explicit core→chip assignment. Unlike the regular
 // cores-per-chip layout of the paper's testbeds (Table 1), a Topology
 // may be arbitrarily uneven — the shape a pinned deployment gets when

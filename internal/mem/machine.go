@@ -14,10 +14,7 @@
 // charges the access latency implied by where the line currently lives.
 package mem
 
-import (
-	"affinityaccept/internal/core"
-	"affinityaccept/internal/sim"
-)
+import "affinityaccept/internal/sim"
 
 // CacheLineSize is the coherence granularity of both machines.
 const CacheLineSize = 64
@@ -72,8 +69,8 @@ func AMD48() Machine {
 		CoresPerChip: 6,
 		Freq:         sim.DefaultFreq,
 		Lat: Latencies{
-			L1: 3, L2: 14, L3: core.L3Cycles, RAM: 120,
-			RemoteL3: core.RemoteL3Cycles, RemoteRAM: 500,
+			L1: 3, L2: 14, L3: 28, RAM: 120,
+			RemoteL3: 460, RemoteRAM: 500,
 		},
 	}
 }

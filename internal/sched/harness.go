@@ -297,7 +297,7 @@ func (h *Harness) balanceTick(e *sim.Engine, _ *sim.Core) {
 	if h.Ctl != nil {
 		groupOK = h.Ctl.GroupOK
 	}
-	moves := core.BalanceRecordFiltered(h.Table, h.Q, nil, groupOK)
+	moves := core.Balance(h.Table, h.Q, nil, groupOK)
 	h.res.TickMoves = append(h.res.TickMoves, moves)
 
 	locals, steals := h.Q.Locals, h.Q.Steals

@@ -293,8 +293,8 @@ func (s *Stack) Start() {
 
 func (s *Stack) scheduleMigration() {
 	s.Eng.After(s.Cfg.MigrateEvery, func(e *sim.Engine, _ *sim.Core) {
-		n := core.Balance(s.flow, s.queues, s.coreHasCapacity)
-		s.Stats.FDirMigrations += uint64(n)
+		moves := core.Balance(s.flow, s.queues, s.coreHasCapacity, nil)
+		s.Stats.FDirMigrations += uint64(len(moves))
 		s.scheduleMigration()
 	})
 }

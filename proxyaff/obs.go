@@ -10,11 +10,8 @@ import (
 
 // UpstreamLatencySnapshot returns the upstream exchange-latency
 // histogram merged across workers — backend pick to response relayed,
-// dial included. Empty when DisableObs. Diagnostic path: allocates.
+// dial included. Diagnostic path: allocates.
 func (p *Proxy) UpstreamLatencySnapshot() obs.HistSnapshot {
-	if !p.obsOn {
-		return obs.HistSnapshot{}
-	}
 	m := p.workers[0].exch.Snapshot()
 	for i := 1; i < len(p.workers); i++ {
 		m.Merge(p.workers[i].exch.Snapshot())
@@ -27,11 +24,9 @@ func (p *Proxy) UpstreamLatencySnapshot() obs.HistSnapshot {
 // health counters and the tunnel gauges. Pass it as an extra to
 // httpaff.MetricsHandler so one scrape covers the whole stack.
 func (p *Proxy) WriteObsMetrics(w io.Writer) {
-	if p.obsOn {
-		obs.WriteProm(w, "affinity_upstream_exchange_seconds",
-			"Upstream exchange latency from backend pick to response relayed, dial included.",
-			p.UpstreamLatencySnapshot(), 1e-9)
-	}
+	obs.WriteProm(w, "affinity_upstream_exchange_seconds",
+		"Upstream exchange latency from backend pick to response relayed, dial included.",
+		p.UpstreamLatencySnapshot(), 1e-9)
 	now := time.Now().UnixNano()
 	fmt.Fprintf(w, "# HELP affinity_backend_ejections_total Times a backend was passively ejected after consecutive failures.\n# TYPE affinity_backend_ejections_total counter\n")
 	for i := range p.backends {

@@ -47,27 +47,3 @@ func TestObsUpstreamLatency(t *testing.T) {
 		}
 	}
 }
-
-// TestObsDisabledProxy: DisableObs removes the histogram but keeps the
-// health/tunnel series, and the hot path stays hist-free.
-func TestObsDisabledProxy(t *testing.T) {
-	backend := startBackend(t, "origin")
-	front, p := startEdge(t, Config{DisableObs: true}, backend)
-	conn, br := dialFront(t, front)
-	fmt.Fprint(conn, "GET /whoami HTTP/1.1\r\nHost: edge\r\n\r\n")
-	if code, _, _ := readResponse(t, br); code != 200 {
-		t.Fatal("proxied request failed")
-	}
-
-	if snap := p.UpstreamLatencySnapshot(); snap.Count != 0 {
-		t.Error("disabled proxy recorded exchanges")
-	}
-	var b strings.Builder
-	p.WriteObsMetrics(&b)
-	if strings.Contains(b.String(), "affinity_upstream_exchange_seconds") {
-		t.Error("disabled proxy still writes the exchange histogram")
-	}
-	if !strings.Contains(b.String(), "affinity_backend_ejections_total") {
-		t.Error("health counters should survive DisableObs")
-	}
-}

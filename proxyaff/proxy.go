@@ -94,9 +94,6 @@ type Config struct {
 	// MaxResponseHeaderBytes bounds an upstream response head (default
 	// 8192); larger heads are answered 502.
 	MaxResponseHeaderBytes int
-
-	// DisableObs turns the upstream exchange-latency histograms off.
-	DisableObs bool
 }
 
 func (c *Config) fill() error {
@@ -150,7 +147,12 @@ type backendState struct {
 func (b *backendState) ejected(now int64) bool { return b.ejectedUntil.Load() > now }
 
 // proxyWorker is one worker's private proxy state: its upstream pool
-// and the scratch buffers the relay path reuses across requests.
+// and the scratch buffers the relay path reuses across requests. Both
+// scratch buffers are kept at whatever size the workload grew them to;
+// neither can outgrow what the layers already refuse on input — hbuf
+// stops doubling at MaxResponseHeaderBytes, and rbuf holds one rewritten
+// request head (httpaff's MaxHeaderBytes) plus at most appendBodyMax of
+// body; bodies stream through the RequestCtx's write buffer.
 type proxyWorker struct {
 	pool upstreamPool
 	rr   uint32 // RoundRobin cursor, worker-local
@@ -158,21 +160,8 @@ type proxyWorker struct {
 	rbuf []byte // upstream request head buffer
 
 	// exch is the worker's upstream exchange-latency histogram: backend
-	// pick to response relayed, dial included. Nil when DisableObs.
+	// pick to response relayed, dial included.
 	exch *obs.Hist
-}
-
-// retainCap is the largest scratch buffer a worker keeps between
-// requests; one outlier response head or request must not pin memory.
-const retainCap = 64 << 10
-
-func (w *proxyWorker) shed() {
-	if cap(w.hbuf) > retainCap {
-		w.hbuf = make([]byte, 4096)
-	}
-	if cap(w.rbuf) > retainCap {
-		w.rbuf = make([]byte, 0, 1024)
-	}
 }
 
 // Proxy is an httpaff handler (use (*Proxy).Serve as Config.Handler or
@@ -184,7 +173,6 @@ type Proxy struct {
 	workers  []proxyWorker
 	tunnels  atomic.Int64  // 101 upgrades currently being relayed
 	tunneled atomic.Uint64 // 101 upgrades relayed, lifetime
-	obsOn    bool
 }
 
 // New creates a Proxy. Wire p.Serve as the httpaff handler and
@@ -202,15 +190,12 @@ func New(cfg Config) (*Proxy, error) {
 	for i := range p.backends {
 		p.backends[i].addr = cfg.Backends[i]
 	}
-	p.obsOn = !cfg.DisableObs
 	for i := range p.workers {
 		w := &p.workers[i]
 		w.pool.init(cfg.DialTimeout, maxIdlePerBackend, cfg.MaxConnsPerBackend)
 		w.hbuf = make([]byte, 4096)
 		w.rbuf = make([]byte, 0, 1024)
-		if p.obsOn {
-			w.exch = obs.NewHist(obs.DefaultSubBits)
-		}
+		w.exch = obs.NewHist(obs.DefaultSubBits)
 	}
 	return p, nil
 }
@@ -363,7 +348,6 @@ func (p *Proxy) Serve(ctx *httpaff.RequestCtx) {
 		return
 	}
 	w := &p.workers[wid]
-	defer w.shed()
 
 	// Two attempts: a reused connection the liveness peek passed can
 	// still lose the race with a backend close; if it dies before
@@ -374,10 +358,7 @@ func (p *Proxy) Serve(ctx *httpaff.RequestCtx) {
 	// serves both the ejection-window checks and the exchange deadline:
 	// no per-request time.Now in the proxy hot path.
 	now := ctx.CoarseNow()
-	var t0 int64
-	if p.obsOn {
-		t0 = obs.Nanos()
-	}
+	t0 := obs.Nanos()
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		b := p.pick(w, wid, now.UnixNano())
@@ -393,9 +374,7 @@ func (p *Proxy) Serve(ctx *httpaff.RequestCtx) {
 		}
 		done, retry, err := p.exchange(ctx, w, uc, b, reused)
 		if done {
-			if p.obsOn {
-				w.exch.Record(obs.Nanos() - t0)
-			}
+			w.exch.Record(obs.Nanos() - t0)
 			return
 		}
 		lastErr = err

@@ -44,10 +44,10 @@ type Conn struct {
 
 	// loop is the index of the loop the connection parks on, chosen at
 	// its first park (-1 until then) and kept for life. armedAt is the
-	// obs.Nanos timestamp of the last park (0 with the obs plane off),
-	// which the wake turns into the park-duration sample. Both are
-	// written before Arm publishes the handle and read after the loop's
-	// delivery, so the loop's mutex orders the accesses.
+	// obs.Nanos timestamp of the last park, which the wake turns into
+	// the park-duration sample. Both are written before Arm publishes the
+	// handle and read after the loop's delivery, so the loop's mutex
+	// orders the accesses.
 	loop    int32
 	armedAt int64
 

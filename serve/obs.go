@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"affinityaccept/internal/core"
 	"affinityaccept/internal/obs"
 )
 
@@ -14,11 +13,10 @@ import (
 // plus one control ring, the serve-layer latency histograms, the
 // per-flow-group hop counters behind the journey tags, and the
 // worker-pair steal/migrate matrices the NUMA attribution pass joins
-// with the machine distance model. All of it is allocation-free on the
-// hot path — histograms are atomic bucket arrays, rings are
-// preallocated slots, hop counters and pair cells are single atomic
-// adds — and merged only at snapshot time. nil when Config.DisableObs
-// is set; every hook checks.
+// with the machine topology. All of it is allocation-free on the hot
+// path — histograms are atomic bucket arrays, rings are preallocated
+// slots, hop counters and pair cells are single atomic adds — and merged
+// only at snapshot time.
 type serverObs struct {
 	// rings holds Workers+1 event rings sharing one sequence counter.
 	// Ring i carries worker i's high-churn events (accept, park, wake,
@@ -40,9 +38,9 @@ type serverObs struct {
 	// passes worker "thief" popped from worker "victim"'s queue;
 	// migratePairs[from*W+to] counts §3.3.2 group moves. Joined with
 	// Server.topo at snapshot time they become the same-chip vs
-	// cross-chip attribution Table 1 prices. On real flat hardware the
-	// topology is one chip; Config.Chips simulates a multi-chip machine
-	// so loopback runs can still exercise the distance-aware accounting.
+	// cross-chip attribution. On real flat hardware the topology is one
+	// chip; Config.Chips simulates a multi-chip machine so loopback runs
+	// can still exercise the distance-aware accounting.
 	stealPairs   []atomic.Uint64
 	migratePairs []atomic.Uint64
 
@@ -90,11 +88,8 @@ func (s *Server) coarseUnix(w int) int64 {
 // RecordEvent publishes one control-plane event onto worker w's event
 // ring, outside any flow journey. Application layers stacked above
 // serve use it to land their events in the same merged timeline as the
-// server's own. No-op when observability is disabled; zero allocations.
+// server's own. Zero allocations.
 func (s *Server) RecordEvent(w int, k obs.Kind, a, b, c int64) {
-	if s.obs == nil {
-		return
-	}
 	r := w
 	if r < 0 || r >= s.cfg.Workers {
 		r = 0
@@ -109,9 +104,6 @@ func (s *Server) RecordEvent(w int, k obs.Kind, a, b, c int64) {
 // the server's accept/steal/migrate hops. Pass a negative group for an
 // event outside any journey. Zero allocations.
 func (s *Server) RecordGroupEvent(w int, k obs.Kind, g int, a, b, c int64) {
-	if s.obs == nil {
-		return
-	}
 	r := w
 	if r < 0 || r >= s.cfg.Workers {
 		r = 0
@@ -137,9 +129,6 @@ func (s *Server) recordGroup(r int, k obs.Kind, w, g int, a, b, c int64) {
 // onto the control ring, where worker-ring churn cannot overwrite it,
 // tagged with flow group g (negative for none).
 func (s *Server) recordControl(w int, k obs.Kind, g int, a, b, c int64) {
-	if s.obs == nil {
-		return
-	}
 	s.recordGroup(s.obs.control, k, w, g, a, b, c)
 }
 
@@ -161,7 +150,7 @@ func (o *serverObs) countMigrate(from, to, workers int) {
 
 // crossChip reports whether workers a and b live on different chips of
 // the configured topology — the distance line the steal scan orders by
-// and the attribution pass prices hops against.
+// and the attribution pass counts hops against.
 func (s *Server) crossChip(a, b int) bool {
 	return s.topo.Chip[a] != s.topo.Chip[b]
 }
@@ -176,16 +165,13 @@ func (s *Server) WorkerChip(w int) int {
 }
 
 // CostMatrix is the snapshot of one worker-pair attribution matrix
-// joined with the machine distance model: Counts[a][b] is the number of
-// hops from worker a to worker b (thief→victim for steals, from→to for
-// migrations), split into same-chip and cross-chip totals, with an
-// estimated cycle cost priced at the paper's Table 1 line-transfer
-// latencies (L3 for same-chip, RemoteL3 for cross-chip).
+// joined with the machine topology: Counts[a][b] is the number of hops
+// from worker a to worker b (thief→victim for steals, from→to for
+// migrations), split into same-chip and cross-chip totals.
 type CostMatrix struct {
 	Counts    [][]uint64 `json:"counts"`
 	SameChip  uint64     `json:"sameChip"`
 	CrossChip uint64     `json:"crossChip"`
-	EstCycles uint64     `json:"estCycles"`
 }
 
 func (s *Server) matrix(cells []atomic.Uint64) CostMatrix {
@@ -198,10 +184,8 @@ func (s *Server) matrix(cells []atomic.Uint64) CostMatrix {
 			m.Counts[a][b] = n
 			if s.crossChip(a, b) {
 				m.CrossChip += n
-				m.EstCycles += n * core.RemoteL3Cycles
 			} else {
 				m.SameChip += n
-				m.EstCycles += n * core.L3Cycles
 			}
 		}
 	}
@@ -209,80 +193,37 @@ func (s *Server) matrix(cells []atomic.Uint64) CostMatrix {
 }
 
 // StealMatrix returns the thief×victim steal attribution matrix.
-// Diagnostic path: allocates. Zero-valued when observability is off.
-func (s *Server) StealMatrix() CostMatrix {
-	if s.obs == nil {
-		return CostMatrix{}
-	}
-	return s.matrix(s.obs.stealPairs)
-}
+// Diagnostic path: allocates.
+func (s *Server) StealMatrix() CostMatrix { return s.matrix(s.obs.stealPairs) }
 
 // MigrateMatrix returns the from×to migration attribution matrix.
-// Diagnostic path: allocates. Zero-valued when observability is off.
-func (s *Server) MigrateMatrix() CostMatrix {
-	if s.obs == nil {
-		return CostMatrix{}
-	}
-	return s.matrix(s.obs.migratePairs)
-}
-
-// GroupOfPort reports which flow group a remote TCP port hashes into —
-// the join key layers above serve need to tag their own events onto the
-// right journey. -1 for invalid ports or when observability is off.
-func (s *Server) GroupOfPort(port int64) int {
-	if s.obs == nil || port < 0 || port > 65535 {
-		return -1
-	}
-	return s.flow.GroupOf(uint16(port))
-}
+// Diagnostic path: allocates.
+func (s *Server) MigrateMatrix() CostMatrix { return s.matrix(s.obs.migratePairs) }
 
 // Events drains every event ring into one timeline ordered by sequence
 // number — the server's recent control-plane history. Diagnostic path:
-// allocates. Empty when observability is disabled.
-func (s *Server) Events() []obs.Event {
-	if s.obs == nil {
-		return nil
-	}
-	return s.obs.rings.Events()
-}
+// allocates.
+func (s *Server) Events() []obs.Event { return s.obs.rings.Events() }
 
 // EventsSince drains the merged timeline keeping only events with
 // Seq > since — the incremental-poll cursor behind /debug/events?since=.
-// Diagnostic path: allocates. Empty when observability is disabled.
-func (s *Server) EventsSince(since uint64) []obs.Event {
-	if s.obs == nil {
-		return nil
-	}
-	return s.obs.rings.EventsSince(since)
-}
+// Diagnostic path: allocates.
+func (s *Server) EventsSince(since uint64) []obs.Event { return s.obs.rings.EventsSince(since) }
 
 // Journeys stitches the merged timeline into per-flow-group causal
 // journeys (see obs.Stitch), keeping only events with Seq > since.
-// Diagnostic path: allocates. Empty when observability is disabled.
+// Diagnostic path: allocates.
 func (s *Server) Journeys(since uint64) []obs.Journey {
-	if s.obs == nil {
-		return nil
-	}
 	return obs.Stitch(s.obs.rings.EventsSince(since))
 }
 
 // EventsRecorded reports how many events have been published since
 // start (including ones since overwritten by ring wraparound).
-func (s *Server) EventsRecorded() uint64 {
-	if s.obs == nil {
-		return 0
-	}
-	return s.obs.rings.Recorded()
-}
+func (s *Server) EventsRecorded() uint64 { return s.obs.rings.Recorded() }
 
 // EventsDropped reports events lost to writer collisions on a lapped
 // ring slot — nonzero only under pathological event rates.
-func (s *Server) EventsDropped() uint64 {
-	if s.obs == nil {
-		return 0
-	}
-	return s.obs.rings.Dropped()
-}
+func (s *Server) EventsDropped() uint64 { return s.obs.rings.Dropped() }
 
 // ClockLag reports how far worker w's coarse clock currently trails the
 // wall clock — at most one event-loop iteration (~50ms) on a healthy
@@ -295,23 +236,12 @@ func (s *Server) ClockLag(w int) time.Duration {
 }
 
 // ParkDurationSnapshot returns the merged park-duration histogram
-// (nanoseconds parked between requests), empty when observability is
-// disabled. Diagnostic path: allocates.
-func (s *Server) ParkDurationSnapshot() obs.HistSnapshot {
-	if s.obs == nil {
-		return obs.HistSnapshot{}
-	}
-	return mergeHists(s.obs.park)
-}
+// (nanoseconds parked between requests). Diagnostic path: allocates.
+func (s *Server) ParkDurationSnapshot() obs.HistSnapshot { return mergeHists(s.obs.park) }
 
 // StealCostSnapshot returns the merged steal-cost histogram (queue-pop
 // nanoseconds for stolen connections). Diagnostic path: allocates.
-func (s *Server) StealCostSnapshot() obs.HistSnapshot {
-	if s.obs == nil {
-		return obs.HistSnapshot{}
-	}
-	return mergeHists(s.obs.steal)
-}
+func (s *Server) StealCostSnapshot() obs.HistSnapshot { return mergeHists(s.obs.steal) }
 
 func mergeHists(hs []*obs.Hist) obs.HistSnapshot {
 	m := hs[0].Snapshot()
@@ -325,11 +255,8 @@ func mergeHists(hs []*obs.Hist) obs.HistSnapshot {
 // Prometheus text format: park/steal/migrate histograms, event-ring
 // counters, per-worker event-loop delivery counters and coarse-clock
 // lag gauges. The httpaff metrics handler composes it into the unified
-// exporter; it writes nothing when observability is disabled.
+// exporter.
 func (s *Server) WriteObsMetrics(w io.Writer) {
-	if s.obs == nil {
-		return
-	}
 	obs.WriteProm(w, "affinity_park_duration_seconds",
 		"Time keep-alive connections spent parked between requests.",
 		mergeHists(s.obs.park), 1e-9)
@@ -366,30 +293,27 @@ func (s *Server) WriteObsMetrics(w io.Writer) {
 	}
 
 	// NUMA attribution: the pair matrices collapsed along the machine
-	// distance model. Same-chip vs cross-chip totals carry a "dist"
-	// label so one query prices the remote traffic; the estimated cycle
-	// series applies Table 1's L3 / RemoteL3 line-transfer latencies.
+	// topology. Same-chip vs cross-chip totals carry a "dist" label so
+	// one query isolates the remote traffic.
 	sm, mm := s.StealMatrix(), s.MigrateMatrix()
-	fmt.Fprintf(w, "# HELP affinity_cross_chip_steals_total Stolen connections by thief/victim chip distance (Table 1 pricing).\n# TYPE affinity_cross_chip_steals_total counter\n")
+	fmt.Fprintf(w, "# HELP affinity_cross_chip_steals_total Stolen connections by thief/victim chip distance.\n# TYPE affinity_cross_chip_steals_total counter\n")
 	fmt.Fprintf(w, "affinity_cross_chip_steals_total{dist=\"same\"} %d\n", sm.SameChip)
 	fmt.Fprintf(w, "affinity_cross_chip_steals_total{dist=\"cross\"} %d\n", sm.CrossChip)
 	fmt.Fprintf(w, "# HELP affinity_cross_chip_migrations_total Flow-group migrations by from/to chip distance.\n# TYPE affinity_cross_chip_migrations_total counter\n")
 	fmt.Fprintf(w, "affinity_cross_chip_migrations_total{dist=\"same\"} %d\n", mm.SameChip)
 	fmt.Fprintf(w, "affinity_cross_chip_migrations_total{dist=\"cross\"} %d\n", mm.CrossChip)
-	fmt.Fprintf(w, "# HELP affinity_steal_est_cycles_total Estimated line-transfer cycles spent on steals (L3 same-chip, RemoteL3 cross-chip).\n# TYPE affinity_steal_est_cycles_total counter\naffinity_steal_est_cycles_total %d\n", sm.EstCycles)
 	fmt.Fprintf(w, "# HELP affinity_worker_chip Which chip of the configured topology each worker maps to.\n# TYPE affinity_worker_chip gauge\n")
 	for i := 0; i < s.cfg.Workers; i++ {
 		fmt.Fprintf(w, "affinity_worker_chip{worker=\"%d\"} %d\n", i, s.topo.Chip[i])
 	}
 
-	// Adaptive migration: the controller's current interval and freeze
-	// state (the interval gauge reads MigrateInterval when the fixed
-	// ticker is in use, so dashboards need no mode branch).
-	fmt.Fprintf(w, "# HELP affinity_migrate_interval_seconds Current flow-group balancing interval (adaptive controller or fixed).\n# TYPE affinity_migrate_interval_seconds gauge\naffinity_migrate_interval_seconds %g\n",
+	// Migration timing: the controller's current interval and freeze
+	// state.
+	fmt.Fprintf(w, "# HELP affinity_migrate_interval_seconds Current flow-group balancing interval chosen by the migration controller.\n# TYPE affinity_migrate_interval_seconds gauge\naffinity_migrate_interval_seconds %g\n",
 		time.Duration(s.migrateIntervalNs.Load()).Seconds())
 	fmt.Fprintf(w, "# HELP affinity_frozen_groups Flow groups currently frozen for ping-ponging between owners.\n# TYPE affinity_frozen_groups gauge\naffinity_frozen_groups %d\n",
 		s.frozenGroups.Load())
-	fmt.Fprintf(w, "# HELP affinity_group_freezes_total Flow groups frozen by the adaptive controller.\n# TYPE affinity_group_freezes_total counter\naffinity_group_freezes_total %d\n",
+	fmt.Fprintf(w, "# HELP affinity_group_freezes_total Flow groups frozen by the migration controller.\n# TYPE affinity_group_freezes_total counter\naffinity_group_freezes_total %d\n",
 		s.groupFreezes.Load())
 	fmt.Fprintf(w, "# HELP affinity_group_unfreezes_total Frozen flow groups thawed after their cooldown.\n# TYPE affinity_group_unfreezes_total counter\naffinity_group_unfreezes_total %d\n",
 		s.groupUnfreezes.Load())

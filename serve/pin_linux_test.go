@@ -24,7 +24,6 @@ func TestPinWorkersAffinityMask(t *testing.T) {
 	s, err := New(Config{
 		Workers:    workers,
 		PinWorkers: true,
-		DisableObs: true,
 		WorkerHandler: func(worker int, conn net.Conn) {
 			if cpus, err := threadAffinity(); err == nil {
 				mu.Lock()

@@ -18,7 +18,6 @@ func TestPinWorkersFallbackParity(t *testing.T) {
 		Workers:    2,
 		Handler:    echoHandler,
 		PinWorkers: true,
-		DisableObs: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +52,7 @@ func TestPinWorkersFallbackParity(t *testing.T) {
 // TestPinWorkersOffReportsUnpinned: without the knob, every worker
 // reports -1 and the stats carry no pinning line.
 func TestPinWorkersOffReportsUnpinned(t *testing.T) {
-	s, err := New(Config{Workers: 2, Handler: echoHandler, DisableObs: true})
+	s, err := New(Config{Workers: 2, Handler: echoHandler})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +77,9 @@ func TestPinWorkersOffReportsUnpinned(t *testing.T) {
 func TestAdaptiveMigrationBacksOffAndSnapsBack(t *testing.T) {
 	base := 50 * time.Millisecond
 	s, err := New(Config{
-		Workers:           2,
-		Handler:           echoHandler,
-		AdaptiveMigration: true,
-		MigrateInterval:   base,
-		DisableMigration:  false,
-		DisableObs:        true,
+		Workers:         2,
+		Handler:         echoHandler,
+		MigrateInterval: base,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,20 +95,5 @@ func TestAdaptiveMigrationBacksOffAndSnapsBack(t *testing.T) {
 	}
 	if got := s.Stats().AdaptiveInterval; got != 2*base {
 		t.Fatalf("interval after 3 idle ticks = %v, want %v", got, 2*base)
-	}
-}
-
-// TestAdaptiveMigrationDisabled: without the knob the interval stays
-// fixed and Stats reports no adaptive state.
-func TestAdaptiveMigrationDisabled(t *testing.T) {
-	s, err := New(Config{Workers: 2, Handler: echoHandler, DisableObs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Shutdown(context.Background())
-	s.balanceOnce()
-	st := s.Stats()
-	if st.AdaptiveInterval != 0 || st.FrozenGroups != 0 || st.GroupFreezes != 0 {
-		t.Fatalf("adaptive state reported with controller off: %+v", st.AdaptiveInterval)
 	}
 }

@@ -49,9 +49,7 @@ func (s *Server) Requeue(conn net.Conn) bool {
 	w := int(c.loop)
 	// armedAt (like loop) must be written before Arm publishes the
 	// handle: the loop-side callbacks read both.
-	if s.obs != nil {
-		c.armedAt = obs.Nanos()
-	}
+	c.armedAt = obs.Nanos()
 	if !c.state.CompareAndSwap(connRunning, connParked) {
 		return false // closed under the pass
 	}
@@ -117,7 +115,7 @@ func (s *Server) enqueue(c *Conn) {
 	if from := int(c.loop); from < 0 {
 		s.workers[worker].accepted.Add(1)
 		s.RecordGroupEvent(worker, obs.KindAccept, group, c.port, 0, 0)
-	} else if s.obs != nil {
+	} else {
 		d := obs.Nanos() - c.armedAt
 		s.obs.park[worker].Record(d)
 		s.RecordGroupEvent(worker, obs.KindWake, group, c.port, d, 0)
@@ -127,8 +125,7 @@ func (s *Server) enqueue(c *Conn) {
 			// group's new owner — the moment §3.3.2 pays off for a
 			// requeued connection. C carries the distance verdict:
 			// 1 when the park loop and the new owner live on
-			// different chips of the configured topology, i.e. the
-			// reroute crossed the Table 1 RemoteL3 line.
+			// different chips of the configured topology.
 			var cross int64
 			if s.crossChip(from, worker) {
 				cross = 1

@@ -19,11 +19,12 @@
 //
 // Stealing alone leaves a long-lived connection remote forever: every
 // keep-alive pass re-enters the overloaded owner's queue and is stolen
-// again. The migration loop fixes that — every MigrateInterval, each
+// again. The migration loop fixes that — every balancing tick, each
 // non-busy worker re-points the hottest flow group of the victim it
 // stole from most at itself (§3.3.2), so subsequent connections in that
 // group, and requeued keep-alive connections returned via
-// Server.Requeue, land locally.
+// Server.Requeue, land locally. The tick starts at MigrateInterval and
+// is timed by core.Controller from the measured locality ratio.
 //
 // Between requests a keep-alive connection parks on the event loop of
 // the worker owning its flow group (internal/evloop): one epoll
@@ -102,22 +103,19 @@ type Config struct {
 	// into by the low bits of their remote port, rounded up to a power
 	// of two (0 = the paper's 4,096, §3.1).
 	FlowGroups int
-	// MigrateInterval is how often each non-busy worker considers
-	// claiming one flow group from the victim it stole from most
-	// (0 = the paper's 100ms, §3.3.2).
+	// MigrateInterval is how often, while the workload is still
+	// converging, each non-busy worker considers claiming one flow group
+	// from the victim it stole from most (0 = the paper's 100ms, §3.3.2).
+	// The core.Controller times the ticks from there: the interval
+	// doubles (up to 8x) while the per-tick locality ratio stays
+	// converged and snaps back the moment migrations fire or locality
+	// degrades; flow groups caught ping-ponging between two owners are
+	// frozen for a cooldown so the rest of the table keeps balancing.
 	MigrateInterval time.Duration
 	// DisableMigration turns the migration loop off, leaving accept-time
 	// stealing as the only balancing mechanism (the paper's §3.3.1-only
 	// configuration; useful for A/B comparison).
 	DisableMigration bool
-	// AdaptiveMigration replaces the fixed MigrateInterval ticker with
-	// the core.Controller: the interval starts at
-	// MigrateInterval and doubles (up to 8x) while the per-tick locality
-	// ratio stays converged, snapping back the moment migrations fire or
-	// locality degrades; flow groups caught ping-ponging between two
-	// owners are frozen for a cooldown so the rest of the table keeps
-	// balancing. Ignored when DisableMigration is set.
-	AdaptiveMigration bool
 
 	// MaxConns, when positive, is the server's connection budget: the
 	// maximum number of accepted connections (plus descriptors charged
@@ -156,27 +154,16 @@ type Config struct {
 	// connection reuse (Upstream).
 	WorkerUpstream func(worker int) PoolStats
 
-	// DisableObs turns the observability plane off entirely: no event
-	// rings, no serve-layer histograms, and the hot paths skip even the
-	// clock reads that feed them.
-	DisableObs bool
-	// Chips is the chip count of the topology the NUMA attribution pass
-	// prices steals and migrations against: workers split contiguously
-	// into Chips chips (core.Regular: worker w lives on chip
-	// w/ceil(Workers/Chips)), and a hop whose two workers land on
-	// different chips is counted cross-chip at the paper's Table 1
-	// RemoteL3 latency instead of L3. 0 or 1 means a flat single-chip
-	// machine — every hop same-chip. With Chips > 1 the same topology
-	// also orders the steal path (see DisableDistanceAware); the
-	// accounting model and the policy always agree on who is remote.
+	// Chips is the chip count of the machine topology: workers split
+	// contiguously into Chips chips (core.Regular: worker w lives on chip
+	// w/ceil(Workers/Chips)). The one topology both orders the steal scan
+	// — victims in non-decreasing chip distance, same-chip first,
+	// round-robin within each distance tier — and counts a steal or
+	// migration whose two workers land on different chips as cross-chip,
+	// so the policy and the accounting always agree on who is remote.
+	// 0 or 1 means a flat single-chip machine: every hop same-chip, and
+	// the scan is the paper's wraparound order.
 	Chips int
-	// DisableDistanceAware drops the topology from the steal path: with
-	// Chips > 1 the balancer normally scans victims in non-decreasing
-	// chip-distance order (same-chip victims first, round-robin within
-	// each distance tier); disabling reverts to the paper's flat
-	// wraparound scan while keeping the cross-chip *accounting*. The
-	// ablation arm of the distance-aware A/B.
-	DisableDistanceAware bool
 	// PinWorkers pins each worker goroutine's OS thread to CPU
 	// worker%NumCPU via sched_setaffinity (Linux; a no-op that reports
 	// unpinned elsewhere), so the serve worker really is the paper's
@@ -295,9 +282,8 @@ type Server struct {
 	budgetRejected atomic.Uint64 // conns rejected because the budget was exhausted and nothing was parked
 	acceptRetries  atomic.Uint64 // transient accept errors survived (EMFILE/ENFILE/ECONNABORTED)
 
-	// ctl is the adaptive migration controller (Config.AdaptiveMigration;
-	// nil = fixed-interval ticker). Only the balance path touches it; the
-	// atomics below republish its decisions for Stats and /metrics.
+	// ctl times the migration ticks. Only the balance path touches it;
+	// the atomics below republish its decisions for Stats and /metrics.
 	ctl               *core.Controller
 	ctlLocals         uint64       // accept deltas fed to ctl (balance path only)
 	ctlSteals         uint64       //
@@ -309,8 +295,7 @@ type Server struct {
 	pinFailures atomic.Uint64 // workers that asked to pin but could not
 
 	// obs is the observability plane: event rings and serve-layer
-	// histograms. nil when Config.DisableObs is set — every hook
-	// nil-checks, so disabling removes even the timestamp reads.
+	// histograms.
 	obs *serverObs
 }
 
@@ -346,10 +331,9 @@ func New(cfg Config) (*Server, error) {
 		topo:    core.Regular(cfg.Workers, cfg.Chips),
 		drainCh: make(chan struct{}),
 		workers: make([]workerState, cfg.Workers),
+		ctl:     core.NewController(core.ControllerConfig{BaseInterval: cfg.MigrateInterval}),
 	}
-	if !cfg.DisableObs {
-		s.obs = newServerObs(cfg.Workers, s.flow.Groups())
-	}
+	s.obs = newServerObs(cfg.Workers, s.flow.Groups())
 	s.loops = make([]*evloop.Loop, cfg.Workers)
 	for i := range s.loops {
 		s.loops[i] = evloop.New(evloop.Config{
@@ -368,17 +352,11 @@ func New(cfg Config) (*Server, error) {
 		StealRatio: cfg.StealRatio,
 		HighPct:    cfg.HighPct,
 		LowPct:     cfg.LowPct,
-	}
-	if cfg.Chips > 1 && !cfg.DisableDistanceAware {
-		// Distance-aware stealing: the balancer scans victims in chip
-		// order. Independent of DisableObs, so the policy works without
-		// the metrics plane.
-		bcfg.ChipOf = s.topo.ChipOf
+		// Victims are scanned in chip-distance order; on one chip every
+		// distance ties and that is the paper's wraparound scan.
+		ChipOf: s.topo.ChipOf,
 	}
 	s.bal = core.NewGuarded[*Conn](bcfg)
-	if cfg.AdaptiveMigration && !cfg.DisableMigration {
-		s.ctl = core.NewController(core.ControllerConfig{BaseInterval: cfg.MigrateInterval})
-	}
 	s.migrateIntervalNs.Store(int64(cfg.MigrateInterval))
 	for i := range s.workers {
 		s.workers[i].pinnedCPU.Store(-1)
@@ -571,9 +549,8 @@ func (s *Server) acceptLoop(idx int, l net.Listener) {
 // migrateLoop runs the §3.3.2 balancing tick until shutdown: each
 // non-busy worker claims the hottest flow group of the victim it stole
 // from most, so that group's future connections — and requeued
-// keep-alive passes — become local. With AdaptiveMigration the
-// controller re-arms the timer with whatever interval it chose after
-// each tick; otherwise the interval is the fixed MigrateInterval.
+// keep-alive passes — become local. The controller chooses the next
+// interval after each tick and the timer is re-armed with it.
 func (s *Server) migrateLoop() {
 	defer s.workerWG.Done()
 	timer := time.NewTimer(s.cfg.MigrateInterval)
@@ -593,39 +570,25 @@ func (s *Server) migrateLoop() {
 // group to its new owner. Tests drive it directly for determinism.
 // Every applied move lands on the control event ring — migrations are
 // the decisions a "why did this flow move" question needs, and the
-// control ring guarantees park/wake churn can't evict them. Under
-// AdaptiveMigration the tick also advances the controller: frozen
-// groups sit the tick out via the GroupOK veto, freeze/thaw decisions
-// land on the control ring, and the next interval is republished for
-// the migrate loop and Stats.
+// control ring guarantees park/wake churn can't evict them. The tick
+// also advances the controller: frozen groups sit the tick out via the
+// GroupOK veto, freeze/thaw decisions land on the control ring, and the
+// next interval is republished for the migrate loop and Stats.
 func (s *Server) balanceOnce() int {
-	var t0 int64
-	if s.obs != nil {
-		t0 = obs.Nanos()
-	}
-	var groupOK func(int) bool
-	if s.ctl != nil {
-		groupOK = s.ctl.GroupOK
-	}
-	moves := s.bal.BalanceTableFiltered(s.flow, nil, groupOK)
+	t0 := obs.Nanos()
+	moves := s.bal.BalanceTableFiltered(s.flow, nil, s.ctl.GroupOK)
 	for _, m := range moves {
 		s.workers[m.To].migratedIn.Add(1)
-		if s.obs != nil {
-			s.obs.countMigrate(m.From, m.To, s.cfg.Workers)
-		}
+		s.obs.countMigrate(m.From, m.To, s.cfg.Workers)
 		s.recordControl(m.To, obs.KindMigrate, m.Group, int64(m.Group), int64(m.From), int64(m.To))
 	}
-	if s.ctl != nil {
-		s.advanceController(moves)
-	}
-	if s.obs != nil {
-		s.obs.migrate.Record(obs.Nanos() - t0)
-	}
+	s.advanceController(moves)
+	s.obs.migrate.Record(obs.Nanos() - t0)
 	return len(moves)
 }
 
 // advanceController feeds one tick's accept deltas and applied moves to
-// the adaptive controller and republishes its decisions. Only the
+// the migration controller and republishes its decisions. Only the
 // balance path calls it (the migrate loop, or tests driving balanceOnce
 // directly), matching the controller's single-caller contract.
 func (s *Server) advanceController(moves []core.Migration) {
@@ -698,10 +661,7 @@ func (s *Server) workerLoop(worker int) {
 			idleMark = idleMark.Add(time.Duration(n) * idleSamplePeriod)
 			latched = s.bal.ObserveIdle(worker, n)
 		}
-		var t0 int64
-		if s.obs != nil {
-			t0 = obs.Nanos()
-		}
+		t0 := obs.Nanos()
 		conn, from, ok := s.bal.Pop(worker)
 		if ok {
 			idleMark = time.Time{}
@@ -709,14 +669,12 @@ func (s *Server) workerLoop(worker int) {
 				st.servedLocal.Add(1)
 			} else {
 				st.servedStolen.Add(1)
-				if s.obs != nil {
-					// Steal cost: the pop itself — the cross-queue lock
-					// walk the paper's policy pays for load balance.
-					d := obs.Nanos() - t0
-					s.obs.steal[worker].Record(d)
-					s.obs.countSteal(worker, from, s.cfg.Workers)
-					s.RecordGroupEvent(worker, obs.KindSteal, conn.group, int64(from), d, conn.port)
-				}
+				// Steal cost: the pop itself — the cross-queue lock
+				// walk the paper's policy pays for load balance.
+				d := obs.Nanos() - t0
+				s.obs.steal[worker].Record(d)
+				s.obs.countSteal(worker, from, s.cfg.Workers)
+				s.RecordGroupEvent(worker, obs.KindSteal, conn.group, int64(from), d, conn.port)
 			}
 			st.active.Add(1)
 			s.handler(worker, conn)
@@ -829,21 +787,18 @@ func (s *Server) Stats() Stats {
 		LivePeak:       s.livePeak.Load(),
 		MaxConns:       s.cfg.MaxConns,
 		Chips:          s.topo.Chips,
+
+		FrozenGroups:   s.frozenGroups.Load(),
+		GroupFreezes:   s.groupFreezes.Load(),
+		GroupUnfreezes: s.groupUnfreezes.Load(),
+		PinFailures:    s.pinFailures.Load(),
 	}
-	var stealM CostMatrix
-	if s.obs != nil {
-		stealM = s.StealMatrix()
-		st.CrossChipSteals = stealM.CrossChip
-		st.CrossChipMigrations = s.MigrateMatrix().CrossChip
-		st.StealEstCycles = stealM.EstCycles
-	}
-	if s.ctl != nil {
+	stealM := s.StealMatrix()
+	st.CrossChipSteals = stealM.CrossChip
+	st.CrossChipMigrations = s.MigrateMatrix().CrossChip
+	if !s.cfg.DisableMigration {
 		st.AdaptiveInterval = time.Duration(s.migrateIntervalNs.Load())
-		st.FrozenGroups = s.frozenGroups.Load()
-		st.GroupFreezes = s.groupFreezes.Load()
-		st.GroupUnfreezes = s.groupUnfreezes.Load()
 	}
-	st.PinFailures = s.pinFailures.Load()
 	for i := range st.Workers {
 		w := &s.workers[i]
 		st.Workers[i] = WorkerStats{
@@ -863,11 +818,9 @@ func (s *Server) Stats() Stats {
 			ClockLagUs:   s.ClockLag(i).Microseconds(),
 			Chip:         s.topo.Chip[i],
 		}
-		if s.obs != nil {
-			for v := 0; v < s.cfg.Workers; v++ {
-				if s.crossChip(i, v) {
-					st.Workers[i].StolenCross += stealM.Counts[i][v]
-				}
+		for v := 0; v < s.cfg.Workers; v++ {
+			if s.crossChip(i, v) {
+				st.Workers[i].StolenCross += stealM.Counts[i][v]
 			}
 		}
 		if s.cfg.WorkerPool != nil {

@@ -34,8 +34,8 @@ type WorkerStats struct {
 	// Config.PinWorkers, -1 when unpinned.
 	PinnedCPU int
 	// StolenCross counts the subset of ServedStolen whose victim lived
-	// on a different chip — the steals the attribution pass prices at
-	// Table 1's RemoteL3 latency instead of L3.
+	// on a different chip — the steals the distance-ordered scan exists
+	// to avoid.
 	StolenCross uint64
 	// Active is the number of handlers currently running.
 	Active int64
@@ -92,17 +92,12 @@ type Stats struct {
 	// Chips is the configured topology's chip count (1 = flat).
 	// CrossChipSteals and CrossChipMigrations count the hops whose two
 	// workers lived on different chips — the traffic the paper's
-	// policies exist to minimize, priced at Table 1's RemoteL3 latency
-	// by the /metrics attribution series.
+	// policies exist to minimize.
 	Chips               int
 	CrossChipSteals     uint64
 	CrossChipMigrations uint64
-	// StealEstCycles prices every steal at the topology's Table 1
-	// line-transfer latency (L3 same-chip, RemoteL3 cross-chip) — the
-	// counter the distance-aware steal path exists to shrink.
-	StealEstCycles uint64
 	// AdaptiveInterval is the migration controller's current balancing
-	// interval (zero unless Config.AdaptiveMigration): MigrateInterval
+	// interval (zero under Config.DisableMigration): MigrateInterval
 	// while converging, backed off up to 8x once locality converges.
 	AdaptiveInterval time.Duration
 	// FrozenGroups is how many flow groups the controller currently has
@@ -190,8 +185,8 @@ func (s Stats) String() string {
 			s.Ratelimited, s.ShedParked, s.BudgetRejected, s.AcceptRetries, s.Live, s.LivePeak, s.MaxConns)
 	}
 	if s.Chips > 1 {
-		fmt.Fprintf(&b, "numa: %d chips  cross-chip steals %d  cross-chip migrations %d  est steal cycles %d\n",
-			s.Chips, s.CrossChipSteals, s.CrossChipMigrations, s.StealEstCycles)
+		fmt.Fprintf(&b, "numa: %d chips  cross-chip steals %d  cross-chip migrations %d\n",
+			s.Chips, s.CrossChipSteals, s.CrossChipMigrations)
 	}
 	if s.AdaptiveInterval > 0 {
 		fmt.Fprintf(&b, "adaptive: interval %s  frozen groups %d (freezes %d, thaws %d)\n",

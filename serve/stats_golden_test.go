@@ -37,7 +37,6 @@ func TestStatsStringGolden(t *testing.T) {
 		Chips:               2,
 		CrossChipSteals:     12345678,
 		CrossChipMigrations: 617,
-		StealEstCycles:      5679012345678,
 
 		AdaptiveInterval: 400 * time.Millisecond,
 		FrozenGroups:     2,
@@ -69,7 +68,7 @@ func TestStatsStringGolden(t *testing.T) {
 		"mode: SO_REUSEPORT per-worker listeners, 512 flow groups\n" +
 		"accepted 12345678901  served 23456789012 (89.5% local)  stolen 2456789012  dropped 42  requeued 9876543210  parked 1000000  migrations 1234  queued 7  active 64\n" +
 		"admission: ratelimited 5  shed-parked 6  budget-rejected 7  accept-retries 8  live 900000 (peak 1000000 / budget 1048576)\n" +
-		"numa: 2 chips  cross-chip steals 12345678  cross-chip migrations 617  est steal cycles 5679012345678\n" +
+		"numa: 2 chips  cross-chip steals 12345678  cross-chip migrations 617\n" +
 		"adaptive: interval 400ms  frozen groups 2 (freezes 9, thaws 7)\n" +
 		"pinning: 1 workers pinned, 1 failed\n" +
 		"pools: 1000 gets, 99.9% reused from the worker-local free list (1 misses, 3 drops)\n" +
@@ -82,8 +81,8 @@ func TestStatsStringGolden(t *testing.T) {
 		t.Errorf("stats rendering drifted from the golden:\ngot:\n%s\nwant:\n%s\ngot %q", got, want, got)
 	}
 
-	// A minimal snapshot (no pools, no admission knobs, no adaptive
-	// controller, unpinned workers) must render only the core table.
+	// A minimal snapshot (no pools, no admission knobs, migration off,
+	// unpinned workers) must render only the core table.
 	bare := Stats{FlowGroups: 8, Workers: []WorkerStats{{Worker: 0, PinnedCPU: -1, GroupsOwned: 8}}}
 	const wantBare = "" +
 		"mode: shared listener, 8 flow groups\n" +

@@ -153,3 +153,53 @@ func TestWSSteadyStateZeroAlloc(t *testing.T) {
 	t.Logf("steady state: %.3f allocs/frame (%d mallocs over %d frames)",
 		perFrame, after.Mallocs-before.Mallocs, depth*batches)
 }
+
+// TestLargeMessageBuffersRetained pins the codec's retention rule: a
+// message between the old flat 64 KiB cap and MaxMessageBytes is one the
+// layer accepts, so the buffers it grew are kept and steady echoes of it
+// allocate nothing after warm-up; only a buffer grown past the message
+// bound is shed.
+func TestLargeMessageBuffersRetained(t *testing.T) {
+	conn, _ := startWSBench(t)
+	payload := bytes.Repeat([]byte("x"), 100<<10)
+	frame := appendMaskedFrame(nil, true, OpBinary, [4]byte{9, 8, 7, 6}, payload)
+	echo := make([]byte, len(appendFrame(nil, OpBinary, payload)))
+	roundTrip := func() {
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, echo); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip()
+	roundTrip()
+
+	const messages = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < messages; i++ {
+		roundTrip()
+	}
+	runtime.ReadMemStats(&after)
+	perMsg := float64(after.Mallocs-before.Mallocs) / messages
+	bytesPerMsg := float64(after.TotalAlloc-before.TotalAlloc) / messages
+	if perMsg >= 1 || bytesPerMsg >= codecBufSize {
+		t.Fatalf("steady 100 KiB echoes allocate %.2f objects / %.0f bytes per message, want 0: "+
+			"the codec is shedding a buffer the workload needs", perMsg, bytesPerMsg)
+	}
+
+	const maxMsg = 1 << 20
+	w := wsWorker{
+		rbuf: make([]byte, maxMsg+2*maxHeaderBytes),
+		wbuf: make([]byte, 0, maxMsg+2*maxHeaderBytes+1),
+		abuf: make([]byte, 0, 2*maxMsg),
+	}
+	w.release(maxMsg)
+	if cap(w.rbuf) != maxMsg+2*maxHeaderBytes {
+		t.Errorf("read buffer at the bound was shed: cap %d", cap(w.rbuf))
+	}
+	if cap(w.wbuf) != codecBufSize || w.abuf != nil {
+		t.Errorf("buffers above the bound kept: wbuf cap %d, abuf cap %d", cap(w.wbuf), cap(w.abuf))
+	}
+}

@@ -290,7 +290,7 @@ func (ws *WS) pass(worker int, c *Conn) (park bool) {
 
 	park, code, reason := ws.readFrames(c, w)
 	err := c.endPass()
-	w.release()
+	w.release(ws.cfg.MaxMessageBytes)
 	if err != nil && park {
 		park, code = false, CloseAbnormal
 	}

@@ -112,13 +112,9 @@ type wsWorker struct {
 	counters stats.PoolCounters
 }
 
-const (
-	// codecBufSize is each worker codec's initial frame buffer size; it
-	// grows to the largest in-flight frame and is shed back on release.
-	codecBufSize = 4096
-	// retainCap is the largest codec buffer a worker keeps between passes.
-	retainCap = 64 << 10
-)
+// codecBufSize is each worker codec's initial frame buffer size. The
+// buffers grow to the workload's largest message and stay there.
+const codecBufSize = 4096
 
 // acquire hands out the worker's codec buffers, counting a reuse when
 // they are already warm — the measurement that frame memory stays
@@ -133,15 +129,18 @@ func (w *wsWorker) acquire() {
 	w.counters.Reuse()
 }
 
-// release sheds buffers an outlier frame ballooned.
-func (w *wsWorker) release() {
-	if cap(w.rbuf) > retainCap {
+// release sheds a buffer only once it has outgrown the largest message
+// readFrames accepts: a maxMsg payload, its frame header, and the
+// header's worth of slack readFrames grows by.
+func (w *wsWorker) release(maxMsg int) {
+	keep := maxMsg + 2*maxHeaderBytes
+	if cap(w.rbuf) > keep {
 		w.rbuf = make([]byte, codecBufSize)
 	}
-	if cap(w.wbuf) > retainCap {
+	if cap(w.wbuf) > keep {
 		w.wbuf = make([]byte, 0, codecBufSize)
 	}
-	if cap(w.abuf) > retainCap {
+	if cap(w.abuf) > keep {
 		w.abuf = nil
 	}
 }
