@@ -1,6 +1,6 @@
-// Package affinityaccept reproduces "Improving Network Connection
-// Locality on Multicore Systems" (Pesterev, Strauss, Zeldovich, Morris —
-// EuroSys 2012) as a Go library.
+// Package affinityaccept reproduces the evaluation of "Improving
+// Network Connection Locality on Multicore Systems" (Pesterev, Strauss,
+// Zeldovich, Morris — EuroSys 2012).
 //
 // The paper's contribution, Affinity-Accept, keeps every phase of a TCP
 // connection's processing — NIC receive, softirq protocol work,
@@ -8,49 +8,29 @@
 // flow-group steering, per-core accept queues, connection stealing and
 // flow-group migration.
 //
-// This package exposes three layers:
+// This package is the simulator's facade:
 //
-//   - The experiment harness: every table and figure of the paper's
-//     evaluation can be regenerated with RunExperiment (see DESIGN.md
-//     for the experiment index and EXPERIMENTS.md for paper-vs-measured
-//     results).
+//   - RunExperiment regenerates every table and figure of the paper's
+//     evaluation (see DESIGN.md for the experiment index and
+//     EXPERIMENTS.md for paper-vs-measured results; cmd/affinity-sim
+//     runs them from the command line).
 //
-//   - The simulator: Simulate runs one configured workload on a
-//     simulated multicore machine (cache-coherence cost model, NIC with
-//     FDir flow steering, Linux-like TCP stack with the Stock-, Fine-
-//     and Affinity-Accept listen sockets, Apache/lighttpd application
-//     models, httperf-like load generation).
+//   - Simulate runs one configured workload on a simulated multicore
+//     machine (cache-coherence cost model, NIC with FDir flow steering,
+//     Linux-like TCP stack with the Stock-, Fine- and Affinity-Accept
+//     listen sockets, Apache/lighttpd application models, httperf-like
+//     load generation).
 //
-//   - The algorithms: NewBalancer and NewFlowTable expose the paper's
-//     per-core accept queues, busy tracking, proportional-share
-//     stealing and flow-group migration as plain data structures, ready
-//     to wrap real SO_REUSEPORT listeners.
-//
-//   - The server: NewServer runs a production TCP server that applies
-//     the algorithms to real traffic — one SO_REUSEPORT listener per
-//     worker (with a portable shared-listener fallback), flow-group
-//     routing of every connection, Balancer-backed stealing, the
-//     §3.3.2 flow-group migration loop, a Requeue keep-alive path,
-//     graceful shutdown and per-worker locality/migration stats (see
-//     the serve package, examples/reuseport, examples/webfarm and
-//     examples/longlived).
-//
-//   - The HTTP layer: the httpaff package serves HTTP/1.1 with
-//     keep-alive and pipelining on top of serve, keeping request
-//     memory as core-local as the connections via worker-private
-//     context arenas — zero allocations per request on the
-//     steady-state path, with per-worker pool-reuse counters in the
-//     server stats to prove the locality (see examples/webfarm).
+// The production server that applies the same mechanism to real
+// traffic is a separate set of packages that links none of this: serve
+// (per-worker SO_REUSEPORT listeners, stealing, migration), httpaff,
+// proxyaff and wsaff.
 package affinityaccept
 
 import (
-	"net"
-
-	"affinityaccept/internal/core"
 	"affinityaccept/internal/experiments"
 	"affinityaccept/internal/mem"
 	"affinityaccept/internal/tcp"
-	"affinityaccept/serve"
 )
 
 // Options tunes experiment execution (Quick shrinks sweeps).
@@ -111,84 +91,3 @@ func RunExperiment(id string, opt Options) (Result, error) {
 // Simulate executes one simulation run (with saturation search when no
 // explicit load is configured) and returns its measurements.
 func Simulate(cfg RunConfig) RunResult { return experiments.Run(cfg) }
-
-// BalancerConfig parameterizes a real-world accept balancer.
-type BalancerConfig struct {
-	// Cores is the number of accept queues (usually GOMAXPROCS).
-	Cores int
-	// Backlog is the total queued-connection bound across queues.
-	Backlog int
-	// StealRatio is local accepts per remote accept on a non-busy core
-	// (0 = the paper's 5).
-	StealRatio int
-	// HighPct / LowPct are the busy watermarks in percent of the
-	// per-core queue bound (0 = the paper's 75 and 10).
-	HighPct, LowPct float64
-}
-
-// Balancer applies Affinity-Accept's queueing and stealing policy to
-// real network connections: push accepted connections on the accepting
-// core's queue, pop from worker cores.
-type Balancer = core.Guarded[net.Conn]
-
-// NewBalancer builds a connection balancer over per-core queues.
-func NewBalancer(cfg BalancerConfig) *Balancer {
-	return core.NewGuarded[net.Conn](core.Config{
-		Cores:      cfg.Cores,
-		Backlog:    cfg.Backlog,
-		StealRatio: cfg.StealRatio,
-		HighPct:    cfg.HighPct,
-		LowPct:     cfg.LowPct,
-	})
-}
-
-// FlowTable maps flow groups (low source-port bits) to cores, as the
-// paper programs the NIC's FDir table.
-type FlowTable = core.FlowTable
-
-// NewFlowTable builds a flow-group table spread over cores.
-func NewFlowTable(groups, cores int) *FlowTable {
-	return core.NewFlowTable(groups, cores)
-}
-
-// GuardedFlowTable is a mutex-protected FlowTable for concurrent use:
-// acceptors route connections and charge per-group load while a
-// migration loop re-points groups (see serve).
-type GuardedFlowTable = core.GuardedFlowTable
-
-// NewGuardedFlowTable builds a concurrency-safe flow-group table.
-func NewGuardedFlowTable(groups, cores int) *GuardedFlowTable {
-	return core.NewGuardedFlowTable(groups, cores)
-}
-
-// InitialFlowOwner reports which core a flow group is steered to before
-// any migration — useful for load generators that construct skewed
-// workloads against a fresh server.
-func InitialFlowOwner(group, cores int) int { return core.InitialOwner(group, cores) }
-
-// FlowKey is a TCP/IP five-tuple.
-type FlowKey = core.FlowKey
-
-// Server is a production TCP server applying Affinity-Accept's per-core
-// accept queues and stealing policy to real connections: one
-// SO_REUSEPORT listener per worker on Linux, a shared listener
-// elsewhere.
-type Server = serve.Server
-
-// ServeConfig parameterizes NewServer; its Backlog, StealRatio and
-// watermark fields mirror BalancerConfig.
-type ServeConfig = serve.Config
-
-// Handler serves one accepted connection and must close it.
-type Handler = serve.Handler
-
-// ServeStats is a Server counter snapshot (accepted, served locally,
-// stolen, dropped, per-worker breakdown).
-type ServeStats = serve.Stats
-
-// WorkerStats is one worker's slice of ServeStats.
-type WorkerStats = serve.WorkerStats
-
-// NewServer creates a Server and binds its listeners; call Start to
-// begin accepting and Shutdown to drain and stop.
-func NewServer(cfg ServeConfig) (*Server, error) { return serve.New(cfg) }

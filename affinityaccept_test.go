@@ -44,28 +44,6 @@ func TestFacadeExperimentRegistry(t *testing.T) {
 	}
 }
 
-func TestFacadeBalancer(t *testing.T) {
-	b := NewBalancer(BalancerConfig{Cores: 2, Backlog: 8})
-	if !b.Push(0, nil) {
-		t.Fatal("push failed")
-	}
-	_, from, ok := b.Pop(0)
-	if !ok || from != 0 {
-		t.Fatal("pop failed")
-	}
-	ft := NewFlowTable(64, 2)
-	if ft.Groups() != 64 {
-		t.Fatal("flow table wrong")
-	}
-	k := FlowKey{Proto: 6, SrcPort: 1234, DstPort: 80}
-	if k.Hash() == 0 {
-		t.Log("hash may legitimately be zero, just exercising the API")
-	}
-	if ft.CoreForPort(1234) < 0 || ft.CoreForPort(1234) > 1 {
-		t.Fatal("steering out of range")
-	}
-}
-
 func TestMachinePresets(t *testing.T) {
 	if AMD48().Cores() != 48 || Intel80().Cores() != 80 {
 		t.Fatal("machine presets wrong")

@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation, one per artifact, in reduced ("quick") form so the whole
-// suite completes in minutes. The cmd/affinity-bench binary runs the
+// suite completes in minutes. The cmd/affinity-sim binary runs the
 // full-scale versions. Each benchmark reports the reproduced artifact
 // through -v logging and paper-shaped custom metrics where meaningful.
 package affinityaccept

@@ -144,9 +144,8 @@ func runHostileBench(o hostileOpts) error {
 		o.slowloris, hc.slowClosed.Load(), ad.HeaderTimeouts)
 	fmt.Printf("floods:    %d clients, %d attempts — %d served, %d refused; server rate-limited %d at accept\n",
 		o.floods, hc.floodAttempts.Load(), hc.floodServed.Load(), hc.floodRefused.Load(), st.Ratelimited)
-	fmt.Printf("admission: %d header-slot sheds, %d overload sheds, %d parked shed, %d budget-rejected, live peak %d / budget %d\n",
-		ad.HeaderSheds, ad.OverloadSheds, st.ShedParked, st.BudgetRejected, st.LivePeak, st.MaxConns)
-	fmt.Print(st)
+	fmt.Printf("http admission: %d header-slot sheds, %d overload sheds\n", ad.HeaderSheds, ad.OverloadSheds)
+	printStats(srv.Transport())
 
 	rep := benchReport{
 		Scenario:     "http-hostile",

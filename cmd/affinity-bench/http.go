@@ -109,16 +109,7 @@ func runHTTPBench(o httpOpts) error {
 	}
 	srv.Start()
 	target := srv.Addr().String()
-	mode := "shared listener"
-	if srv.Sharded() {
-		mode = "SO_REUSEPORT shards"
-	}
-	migr := "off"
-	if o.migrate {
-		migr = "on"
-	}
-	fmt.Printf("httpaff on %s: %d workers, %s, %d flow groups, migration %s\n",
-		target, o.workers, mode, srv.FlowGroups(), migr)
+	fmt.Printf("httpaff on %s: %d workers, migration %v\n", target, o.workers, o.migrate)
 
 	var scrapes uint64
 	scrapeDone := make(chan struct{})
@@ -161,14 +152,12 @@ func runHTTPBench(o httpOpts) error {
 	// head-read start to response flush, no client or loopback time.
 	srvQ := srv.ServiceLatencyQuantiles(0.5, 0.99, 0.999)
 	fmt.Println()
-	fmt.Printf("locality: %.1f%% of %d handler passes on the owning worker; pool reuse: %.1f%% of %d gets worker-local (%d misses)\n",
-		st.LocalityPct(), st.Served, st.Pool.ReusePct(), st.Pool.Gets(), st.Pool.Misses)
-	fmt.Printf("keep-alive: %d requeues, %d flow-group migrations\n", st.Requeued, st.Migrations)
+	fmt.Printf("pool reuse: %.1f%% of %d gets worker-local (%d misses)\n", st.Pool.ReusePct(), st.Pool.Gets(), st.Pool.Misses)
 	fmt.Printf("server-side service latency: p50 %v  p99 %v  p999 %v\n", srvQ[0], srvQ[1], srvQ[2])
 	if o.scrapeEvery > 0 {
 		fmt.Printf("scraper: %d /metrics + /debug/events fetches at %v period during the run\n", scrapes, o.scrapeEvery)
 	}
-	fmt.Print(st)
+	printStats(srv.Transport())
 
 	var traceSpans int
 	if o.tracePath != "" {

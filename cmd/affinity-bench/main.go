@@ -1,11 +1,9 @@
-// Command affinity-bench regenerates the paper's tables and figures,
-// and can also drive the real serve.Server over loopback.
+// Command affinity-bench drives the real server — serve, httpaff,
+// proxyaff and wsaff — over loopback and prints its throughput, latency
+// and per-worker locality table. It links none of the simulator; the
+// paper's tables and figures are regenerated by affinity-sim.
 //
 // Usage:
-//
-//	affinity-bench -list
-//	affinity-bench F2 T2          # run selected experiments
-//	affinity-bench -quick -all    # reduced sweeps, everything
 //
 //	affinity-bench -serve                  # real-server loopback benchmark
 //	affinity-bench -serve -stall 2         # stall worker 0: show stealing
@@ -39,17 +37,10 @@ import (
 	"os"
 	"runtime/pprof"
 	"time"
-
-	"affinityaccept"
 )
 
 func main() {
 	var (
-		list  = flag.Bool("list", false, "list available experiments")
-		all   = flag.Bool("all", false, "run every experiment")
-		quick = flag.Bool("quick", false, "reduced sweeps and windows")
-		seed  = flag.Int64("seed", 42, "simulation seed")
-
 		serveMode = flag.Bool("serve", false, "benchmark the real serve.Server over loopback")
 		client    = flag.String("client", "", "drive an external server at host:port instead of starting one")
 		addr      = flag.String("addr", "127.0.0.1:0", "listen address for -serve")
@@ -244,27 +235,7 @@ func main() {
 		return
 	}
 
-	if *list {
-		for _, id := range affinityaccept.Experiments() {
-			fmt.Printf("%-4s %s\n", id, affinityaccept.DescribeExperiment(id))
-		}
-		return
-	}
-
-	ids := flag.Args()
-	if *all || len(ids) == 0 {
-		ids = affinityaccept.Experiments()
-	}
-
-	opt := affinityaccept.Options{Quick: *quick, Seed: *seed}
-	for _, id := range ids {
-		start := time.Now()
-		res, err := affinityaccept.RunExperiment(id, opt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Println(res.Render())
-		fmt.Printf("(%s took %.1fs)\n\n", id, time.Since(start).Seconds())
-	}
+	fmt.Fprintln(os.Stderr, "affinity-bench: choose a mode: -serve, -client, -http, -proxy, -ws or -hostile (the paper's experiments run in affinity-sim)")
+	flag.Usage()
+	os.Exit(2)
 }

@@ -104,16 +104,8 @@ func runProxyBench(o proxyOpts) error {
 	}
 	front.Start()
 	target := front.Addr().String()
-	mode := "shared listener"
-	if front.Sharded() {
-		mode = "SO_REUSEPORT shards"
-	}
-	migr := "off"
-	if o.migrate {
-		migr = "on"
-	}
-	fmt.Printf("proxyaff edge on %s: %d workers, %s, migration %s, %d backends (%s)\n",
-		target, o.workers, mode, migr, o.backends, policyName)
+	fmt.Printf("proxyaff edge on %s: %d workers, migration %v, %d backends (%s)\n",
+		target, o.workers, o.migrate, o.backends, policyName)
 
 	lat, requests, failed := driveHTTP(target, o.httpOpts, false)
 	secs := o.duration.Seconds()
@@ -144,12 +136,9 @@ func runProxyBench(o proxyOpts) error {
 	st := front.Stats()
 	proxy.Close()
 	fmt.Println()
-	fmt.Printf("locality: %.1f%% of %d handler passes on the owning worker; ctx pool reuse: %.1f%%\n",
-		st.LocalityPct(), st.Served, st.Pool.ReusePct())
-	fmt.Printf("upstream: %.1f%% of %d checkouts reused from the worker-local pool (%d dials, %d drops)\n",
-		st.Upstream.ReusePct(), st.Upstream.Gets(), st.Upstream.Misses, st.Upstream.Drops)
-	fmt.Printf("keep-alive: %d requeues, %d flow-group migrations\n", st.Requeued, st.Migrations)
-	fmt.Print(st)
+	fmt.Printf("ctx pool reuse: %.1f%%; upstream: %.1f%% of %d checkouts reused from the worker-local pool (%d dials, %d drops)\n",
+		st.Pool.ReusePct(), st.Upstream.ReusePct(), st.Upstream.Gets(), st.Upstream.Misses, st.Upstream.Drops)
+	printStats(front.Transport())
 
 	rep := benchReport{
 		Scenario:         o.scenario(),

@@ -4,19 +4,23 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"affinityaccept"
+	"affinityaccept/cmd/internal/top"
+	"affinityaccept/internal/core"
 	"affinityaccept/internal/loadgen"
 	"affinityaccept/internal/obs"
+	"affinityaccept/serve"
 )
 
 // serveOpts carries the -serve/-client flag values.
@@ -81,10 +85,10 @@ func runServeBench(o serveOpts) error {
 		// migration to spread the hot groups evenly over the claimants.
 		o.groups = 64
 	}
-	var srv *affinityaccept.Server
+	var srv *serve.Server
 	target := o.client
 	if target == "" {
-		cfg := affinityaccept.ServeConfig{
+		cfg := serve.Config{
 			Addr:             o.addr,
 			Workers:          o.workers,
 			DisableReusePort: o.noShard,
@@ -116,22 +120,13 @@ func runServeBench(o serveOpts) error {
 			cfg.Handler = echo
 		}
 		var err error
-		srv, err = affinityaccept.NewServer(cfg)
+		srv, err = serve.New(cfg)
 		if err != nil {
 			return err
 		}
 		srv.Start()
 		target = srv.Addr().String()
-		mode := "shared listener"
-		if srv.Sharded() {
-			mode = "SO_REUSEPORT shards"
-		}
-		migr := "off"
-		if o.migrate {
-			migr = "on"
-		}
-		fmt.Printf("serving on %s: %d workers, %s, %d flow groups, migration %s\n",
-			target, o.workers, mode, srv.FlowGroups(), migr)
+		fmt.Printf("serving on %s: %d workers, migration %v\n", target, o.workers, o.migrate)
 		if o.chips > 1 {
 			fmt.Printf("numa: %d chips, same-chip victims stolen from first\n", o.chips)
 		}
@@ -200,8 +195,6 @@ func runServeBench(o serveOpts) error {
 		}
 		st := srv.Stats()
 		fmt.Println()
-		fmt.Printf("locality: %.1f%% of %d handler passes served by the flow group's owning worker (%d stolen, %d dropped)\n",
-			st.LocalityPct(), st.Served, st.ServedStolen, st.Dropped)
 		if o.longlived > 0 {
 			fmt.Printf("migration report: %d flow-group migrations, %d keep-alive requeues\n",
 				st.Migrations, st.Requeued)
@@ -253,7 +246,7 @@ func runServeBench(o serveOpts) error {
 					len(journeys), journeyMigrates, st.Migrations, missing)
 			}
 		}
-		fmt.Print(st)
+		printStats(srv)
 		if o.stallMS > 0 {
 			fmt.Printf("note: worker 0 stalled %.1fms per connection; \"stolen\" shows the §3.3.1 rescue\n", o.stallMS)
 		}
@@ -300,7 +293,7 @@ func runServeBench(o serveOpts) error {
 // (read payload, spend the service time, echo), then the connection
 // goes back to the server via Requeue so the next pass re-consults the
 // flow table — the path migration optimizes.
-func keepAliveEcho(srv *affinityaccept.Server, conn net.Conn, payload int, work time.Duration) {
+func keepAliveEcho(srv *serve.Server, conn net.Conn, payload int, work time.Duration) {
 	buf := make([]byte, payload)
 	if _, err := io.ReadFull(conn, buf); err != nil {
 		conn.Close()
@@ -377,7 +370,7 @@ func drive(target string, o serveOpts) (lat []float64, requests, conns, failed u
 // ports all hash into flow groups initially owned by worker 0 — the
 // paper's skewed long-lived workload — and runs request/response loops
 // on every connection for the window.
-func driveLongLived(target string, srv *affinityaccept.Server, o serveOpts) (lat []float64, requests, conns, failed uint64) {
+func driveLongLived(target string, srv *serve.Server, o serveOpts) (lat []float64, requests, conns, failed uint64) {
 	groups := 1
 	for groups < o.groups {
 		groups <<= 1
@@ -388,7 +381,7 @@ func driveLongLived(target string, srv *affinityaccept.Server, o serveOpts) (lat
 			return srv.OwnerOf(uint16(base + g))
 		}
 		// External target: assume a fresh table (no migrations yet).
-		return affinityaccept.InitialFlowOwner(g, o.workers)
+		return core.InitialOwner(g, o.workers)
 	}
 	if srv == nil {
 		fmt.Printf("note: external target — the skew assumes the server runs %d workers and %d flow groups with no prior migrations; pass matching -workers/-groups or the workload is not skewed\n",
@@ -472,6 +465,14 @@ func percentile(values []float64, p float64) float64 {
 	sort.Float64s(s)
 	idx := int(p / 100 * float64(len(s)-1))
 	return s[idx]
+}
+
+// printStats prints srv's summary and per-worker table, rendered from
+// its metrics scrape: the table affinity-top draws, from the same series.
+func printStats(srv *serve.Server) {
+	var b bytes.Buffer
+	srv.WriteObsMetrics(&b)
+	top.Write(os.Stdout, top.Parse(b.Bytes()))
 }
 
 // printAligned renders one header and rows with the simulator tables'

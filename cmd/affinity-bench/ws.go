@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -104,16 +105,7 @@ func runWSBench(o wsOpts) error {
 	}
 	srv.Start()
 	target := srv.Addr().String()
-	mode := "shared listener"
-	if srv.Sharded() {
-		mode = "SO_REUSEPORT shards"
-	}
-	migr := "off"
-	if o.migrate {
-		migr = "on"
-	}
-	fmt.Printf("wsaff on %s: %d workers, %s, %d flow groups, migration %s\n",
-		target, o.workers, mode, srv.FlowGroups(), migr)
+	fmt.Printf("wsaff on %s: %d workers, migration %v\n", target, o.workers, o.migrate)
 
 	// Skew: active connections dial from source ports hashing into flow
 	// groups initially owned by worker 0.
@@ -157,28 +149,35 @@ func runWSBench(o wsOpts) error {
 		go func() {
 			defer dialWG.Done()
 			defer func() { <-dialSem }()
-			d := net.Dialer{LocalAddr: &net.TCPAddr{
-				IP: net.IPv4(127, 0, byte(src>>8), byte(1+src&0xff)),
-			}}
-			nc, err := d.Dial("tcp", target)
-			if err != nil {
-				failN.Add(1)
-				return
+			// The first block dials unbound: connect() may reuse a port
+			// an earlier run left in TIME_WAIT, bind() to 127.0.0.1:0 may
+			// not, and back-to-back runs would exhaust the range.
+			var d net.Dialer
+			if src > 0 {
+				d.LocalAddr = &net.TCPAddr{IP: net.IPv4(127, 0, byte(src>>8), byte(1+src&0xff))}
 			}
-			c, err := wsaff.NewClient(nc, "/")
+			var c *wsaff.Client
+			nc, err := d.Dial("tcp", target)
+			if err == nil {
+				if c, err = wsaff.NewClient(nc, "/"); err != nil {
+					nc.Close()
+				}
+			}
+			// One echo opens the conn server-side (OnOpen → Subscribe).
+			// Waiting for it keeps the build closed-loop: send-only dialers
+			// outran the workers until full queues shed fresh handshakes.
+			if err == nil {
+				c.NetConn().SetDeadline(time.Now().Add(o.duration + 60*time.Second))
+				if _, err = c.Echo(wsaff.OpText, []byte("hold")); err != nil {
+					c.Close()
+				}
+			}
 			if err != nil {
-				nc.Close()
+				fmt.Fprintln(os.Stderr, "held conn:", err)
 				failN.Add(1)
 				return
 			}
 			heldN.Add(1)
-			c.NetConn().SetDeadline(time.Now().Add(o.duration + 60*time.Second))
-			// One send opens the conn server-side (OnOpen → Subscribe).
-			if err := c.Send(wsaff.OpText, []byte("hold")); err != nil {
-				c.Close()
-				failN.Add(1)
-				return
-			}
 			heldMu.Lock()
 			heldClients = append(heldClients, c)
 			heldMu.Unlock()
@@ -328,7 +327,7 @@ func runWSBench(o wsOpts) error {
 	fmt.Printf("wsaff: %d frames in / %d out, %d pings, %d pongs, %d broadcasts (%d delivered, %d shard drops), codec reuse %.1f%%\n",
 		wsStats.FramesIn, wsStats.FramesOut, wsStats.PingsSent, wsStats.PongsReceived,
 		wsStats.Broadcasts, wsStats.Delivered, wsStats.Dropped, wsStats.Pool.ReusePct())
-	fmt.Print(st)
+	printStats(srv.Transport())
 
 	rep := benchReport{
 		Scenario:     o.scenario(),

@@ -116,8 +116,8 @@ func main() {
 		wst.Open, wst.Subscribers, st.Parked)
 	fmt.Printf("traffic: %d messages in, %d broadcasts fanned out to %d deliveries (codec reuse %.1f%%)\n",
 		wst.MessagesIn, wst.Broadcasts, wst.Delivered, wst.Pool.ReusePct())
-	fmt.Printf("locality: %.1f%% of %d passes served by the owning worker, %d requeues\n\n%s",
-		st.LocalityPct(), st.Served, st.Requeued, st)
+	fmt.Printf("locality: %.1f%% of %d passes served by the owning worker, %d requeues\n",
+		st.LocalityPct(), st.Served, st.Requeued)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

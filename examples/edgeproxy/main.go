@@ -13,17 +13,19 @@
 // back through worker i's response buffer: the connection's whole
 // round trip — inbound AND outbound — touches one core's caches. The
 // run drives the edge with stock net/http clients, scrapes the live
-// /_stats debug endpoint mid-flight (httpaff.StatsHandler), and closes
+// /metrics endpoint mid-flight (httpaff.MetricsHandler), and closes
 // with the locality / pool / upstream-reuse report.
 package main
 
 import (
+	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,8 +91,8 @@ func main() {
 		return
 	}
 
-	// The edge server: proxy on every path, plus the JSON stats
-	// endpoint mounted beside it.
+	// The edge server: proxy on every path, plus the observability
+	// endpoints mounted beside it.
 	router := httpaff.NewRouter()
 	router.Handle("/asset", proxy.Serve)
 	router.Handle("/whoami", proxy.Serve)
@@ -108,7 +110,6 @@ func main() {
 	// metrics endpoint composes the proxy's series (upstream exchange
 	// histogram, backend health) into the edge server's scrape via the
 	// extras hook; /debug/events serves the control-plane timeline.
-	router.Handle("/_stats", httpaff.StatsHandler(edge.Transport()))
 	router.Handle("/metrics", httpaff.MetricsHandler(edge, proxy.WriteObsMetrics))
 	router.Handle("/debug/events", httpaff.EventsHandler(edge))
 	// Flow journeys and the Chrome trace export: affinity-top polls
@@ -151,22 +152,26 @@ func main() {
 		}()
 	}
 
-	// Mid-flight, scrape the live debug endpoint like a dashboard would.
+	// Mid-flight, scrape the live /metrics endpoint like a dashboard
+	// would, summing the served passes by the queue they came from.
 	time.Sleep(duration / 2)
-	var scraped struct {
-		Served           uint64
-		LocalityPct      float64 `json:"localityPct"`
-		PoolReusePct     float64 `json:"poolReusePct"`
-		UpstreamReusePct float64 `json:"upstreamReusePct"`
-	}
-	if resp, err := http.Get("http://" + addr + "/_stats"); err == nil {
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if json.Unmarshal(body, &scraped) == nil {
-			fmt.Printf("live /_stats at t=%.1fs: %d passes served, locality %.1f%%, ctx pool reuse %.1f%%, upstream reuse %.1f%%\n\n",
-				time.Since(start).Seconds(), scraped.Served, scraped.LocalityPct,
-				scraped.PoolReusePct, scraped.UpstreamReusePct)
+	if resp, err := http.Get("http://" + addr + "/metrics"); err == nil {
+		var local, stolen float64
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			series, value, _ := strings.Cut(sc.Text(), " ")
+			v, _ := strconv.ParseFloat(value, 64)
+			if strings.HasPrefix(series, "affinity_served_total{") {
+				if strings.Contains(series, `queue="local"`) {
+					local += v
+				} else {
+					stolen += v
+				}
+			}
 		}
+		resp.Body.Close()
+		fmt.Printf("live /metrics at t=%.1fs: %.0f passes served, %.0f stolen\n\n",
+			time.Since(start).Seconds(), local+stolen, stolen)
 	}
 
 	wg.Wait()
@@ -182,8 +187,9 @@ func main() {
 
 	fmt.Printf("%.0f req/s end-to-end (%d requests, %d failures, in %.1fs)\n\n",
 		float64(requests.Load())/secs, requests.Load(), failures.Load(), secs)
-	fmt.Print(st)
-	fmt.Printf("\nupstream reuse %.1f%%: each edge worker forwarded over its own pooled backend connections —\n"+
+	fmt.Printf("locality %.1f%% of %d handler passes, ctx pool reuse %.1f%%\n",
+		st.LocalityPct(), st.Served, st.Pool.ReusePct())
+	fmt.Printf("upstream reuse %.1f%%: each edge worker forwarded over its own pooled backend connections —\n"+
 		"the inbound half (accept locality, arena parsing) and the outbound half (dial, keep-alive,\n"+
 		"relay) of every request stayed on the worker that accepted it.\n",
 		st.Upstream.ReusePct())

@@ -20,8 +20,8 @@ import (
 	"sync"
 	"time"
 
-	"affinityaccept"
 	"affinityaccept/internal/loadgen"
+	"affinityaccept/serve"
 )
 
 const (
@@ -56,14 +56,15 @@ func main() {
 	fmt.Println()
 	fmt.Println("stealing alone keeps the clients served but every pass stays remote;")
 	fmt.Println("migration re-points the hot groups so the same connections become local:")
-	fmt.Println()
-	fmt.Print(migr)
+	for _, w := range migr.Workers {
+		fmt.Printf("  worker %d owns %2d flow groups, %2d of them claimed by migration\n", w.Worker, w.GroupsOwned, w.MigratedIn)
+	}
 }
 
 // run serves the skewed workload once and returns the final stats.
-func run(stealOnly bool) (affinityaccept.ServeStats, error) {
-	var srv *affinityaccept.Server
-	srv, err := affinityaccept.NewServer(affinityaccept.ServeConfig{
+func run(stealOnly bool) (serve.Stats, error) {
+	var srv *serve.Server
+	srv, err := serve.New(serve.Config{
 		Addr:             "127.0.0.1:0",
 		Workers:          workers,
 		FlowGroups:       groups,
@@ -89,14 +90,15 @@ func run(stealOnly bool) (affinityaccept.ServeStats, error) {
 		},
 	})
 	if err != nil {
-		return affinityaccept.ServeStats{}, err
+		return serve.Stats{}, err
 	}
 	srv.Start()
 
-	// Flow groups initially steered to worker 0.
+	// Flow groups steered to worker 0, asked of the server itself.
+	base := loadgen.PortBase(groups)
 	var hot []int
 	for g := 0; g < srv.FlowGroups(); g++ {
-		if affinityaccept.InitialFlowOwner(g, workers) == 0 {
+		if srv.OwnerOf(uint16(base+g)) == 0 {
 			hot = append(hot, g)
 		}
 	}

@@ -33,5 +33,5 @@ func main() {
 	}
 	fmt.Println()
 	fmt.Println("Affinity-Accept keeps packet and application processing on one core;")
-	fmt.Println("run cmd/affinity-bench for the full paper reproduction.")
+	fmt.Println("run cmd/affinity-sim for the full paper reproduction.")
 }

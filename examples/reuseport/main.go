@@ -1,12 +1,12 @@
 // Reuseport applies Affinity-Accept's user-space half to Go's real
 // network stack via the serve package: SO_REUSEPORT gives each worker
 // its own kernel accept queue (the per-core clone queues of §3.2), and
-// the Balancer underneath adds the paper's busy tracking and 5:1
+// the balancer underneath adds the paper's busy tracking and 5:1
 // proportional-share stealing, so a slow worker's connections get
 // picked up by idle ones.
 //
 // Worker 0 is made artificially slow; the final report shows the other
-// workers rescuing its backlog (nonzero "stolen" column).
+// workers rescuing its backlog (nonzero "stolen" counts).
 package main
 
 import (
@@ -18,7 +18,7 @@ import (
 	"sync"
 	"time"
 
-	"affinityaccept"
+	"affinityaccept/serve"
 )
 
 func main() {
@@ -26,7 +26,7 @@ func main() {
 	if workers < 2 {
 		workers = 2
 	}
-	srv, err := affinityaccept.NewServer(affinityaccept.ServeConfig{
+	srv, err := serve.New(serve.Config{
 		Addr:    "127.0.0.1:0",
 		Workers: workers,
 		HighPct: 20, // mark a lagging worker busy early so the demo steals visibly
@@ -78,5 +78,7 @@ func main() {
 		fmt.Println("shutdown:", err)
 	}
 	fmt.Println()
-	fmt.Print(srv.Stats())
+	for _, w := range srv.Stats().Workers {
+		fmt.Printf("worker %d: %3d served from its own queue, %3d stolen from others\n", w.Worker, w.ServedLocal, w.ServedStolen)
+	}
 }

@@ -3,9 +3,8 @@
 // worker owns a SO_REUSEPORT accept queue and a private arena of pooled
 // request contexts, the farm serves a SpecWeb-like static mix over
 // keep-alive connections (the paper's six requests per connection), and
-// the closing report shows throughput plus the per-worker
-// locality/steal/pool-reuse breakdown — proving the connections AND the
-// memory serving them stayed core-local.
+// the closing report shows throughput, locality and pool reuse —
+// proving the connections AND the memory serving them stayed core-local.
 //
 // The clients are net/http — the stock library talking to httpaff over
 // the wire, connection pooling and all.
@@ -133,8 +132,9 @@ func main() {
 	st := srv.Stats()
 	fmt.Printf("%.0f req/s  (%d requests, %d failures, in %.1fs)\n\n",
 		float64(requests.Load())/secs, requests.Load(), failures.Load(), secs)
-	fmt.Print(st)
-	fmt.Printf("\npool reuse %.1f%%: after warm-up every request context came from the serving worker's own arena —\n"+
+	fmt.Printf("locality %.1f%%: %d of %d handler passes ran on the worker owning the connection's flow group\n",
+		st.LocalityPct(), st.ServedLocal, st.Served)
+	fmt.Printf("pool reuse %.1f%%: after warm-up every request context came from the serving worker's own arena —\n"+
 		"the keep-alive connections moved between workers (stealing/migration), the memory never did.\n",
 		st.Pool.ReusePct())
 }

@@ -322,9 +322,8 @@ func (s *Server) OwnerOf(remotePort uint16) int { return s.srv.OwnerOf(remotePor
 // Stats.Upstream carries the upstream connection-pool counters.
 func (s *Server) Stats() serve.Stats { return s.srv.Stats() }
 
-// Transport exposes the underlying serve.Server — for StatsHandler and
-// other diagnostics that want the transport object itself rather than a
-// snapshot.
+// Transport exposes the underlying serve.Server — for diagnostics that
+// want the transport object itself rather than a snapshot.
 func (s *Server) Transport() *serve.Server { return s.srv }
 
 // dateLoop refreshes the cached Date header once a second until

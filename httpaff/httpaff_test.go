@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -329,48 +328,6 @@ func TestRouterMethodZeroAlloc(t *testing.T) {
 	r.Serve(ctx) // warm
 	if allocs := testing.AllocsPerRun(200, func() { r.Serve(ctx) }); allocs != 0 {
 		t.Fatalf("method routing allocates %.1f objects per request, want 0", allocs)
-	}
-}
-
-// TestStatsHandler scrapes the debug endpoint over the wire and checks
-// the JSON carries the locality and pool counters a dashboard needs.
-func TestStatsHandler(t *testing.T) {
-	r := NewRouter()
-	r.Handle("/", echoPath)
-	s := start(t, Config{Workers: 2, Handler: r.Serve})
-	// Setup-time registration: the server is live but nothing has
-	// connected yet, so this cannot race a Serve call.
-	r.Handle("/_stats", StatsHandler(s.Transport()))
-	conn, br := dial(t, s)
-
-	for i := 0; i < 3; i++ {
-		fmt.Fprint(conn, "GET / HTTP/1.1\r\nHost: t\r\n\r\n")
-		if code, _, _ := readResponse(t, br); code != 200 {
-			t.Fatalf("warm-up request %d failed", i)
-		}
-	}
-	fmt.Fprint(conn, "GET /_stats HTTP/1.1\r\nHost: t\r\n\r\n")
-	code, headers, body := readResponse(t, br)
-	if code != 200 || headers["content-type"] != "application/json" {
-		t.Fatalf("stats endpoint: %d %q", code, headers["content-type"])
-	}
-	var payload struct {
-		Served       uint64
-		LocalityPct  float64 `json:"localityPct"`
-		PoolReusePct float64 `json:"poolReusePct"`
-		Workers      []struct{ Worker int }
-	}
-	if err := json.Unmarshal(body, &payload); err != nil {
-		t.Fatalf("stats JSON: %v\n%s", err, body)
-	}
-	if payload.Served < 3 {
-		t.Errorf("stats served = %d, want >= 3", payload.Served)
-	}
-	if len(payload.Workers) != 2 {
-		t.Errorf("stats workers = %d, want 2", len(payload.Workers))
-	}
-	if payload.PoolReusePct == 0 {
-		t.Error("stats poolReusePct missing")
 	}
 }
 

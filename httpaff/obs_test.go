@@ -91,6 +91,7 @@ func TestMetricsHandlerComposes(t *testing.T) {
 	out := string(body)
 	for _, series := range []string{
 		"affinity_served_total{worker=\"0\",queue=\"local\"}",
+		"affinity_pool_reuses_total{worker=\"0\"}",
 		"# TYPE affinity_http_request_duration_seconds histogram",
 		"affinity_http_request_duration_seconds_bucket{le=\"+Inf\"}",
 		"affinity_http_request_size_bytes_sum",

@@ -6,6 +6,7 @@ import (
 	"os"
 	"time"
 
+	"affinityaccept/internal/evloop"
 	"affinityaccept/internal/http11"
 	"affinityaccept/internal/obs"
 )
@@ -92,10 +93,12 @@ func (ctx *RequestCtx) armDeadline(timeout time.Duration) {
 	var dl time.Time
 	if timeout > 0 {
 		// The worker's coarse clock (one stamp per event-loop
-		// iteration, ≤~50ms stale) replaces a time.Now call per
-		// request; deadlines are hundreds of milliseconds and up, so
-		// the slack is noise.
-		dl = ctx.srv.srv.CoarseNow(ctx.worker).Add(timeout)
+		// iteration) replaces a time.Now call per request. It trails
+		// time.Now by up to one poll interval, which is added so the
+		// deadline fires no earlier than timeout: without it a timeout
+		// near that interval could be past on arming, and a fresh
+		// connection whose request was still in flight was cut off.
+		dl = ctx.srv.srv.CoarseNow(ctx.worker).Add(timeout + evloop.PollInterval)
 	}
 	ctx.conn.SetReadDeadline(dl)
 }

@@ -13,22 +13,34 @@ import (
 )
 
 // TestProductionLinksNoSimulator keeps DESIGN.md's layering rule true:
-// the production packages import no simulator package, directly or
-// transitively. internal/core is the only part of the reproduction they
-// share.
+// the production packages, and every tool and example that serves
+// traffic, import no simulator package, directly or transitively.
+// internal/core is the only part of the reproduction they share.
 func TestProductionLinksNoSimulator(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("no go tool on PATH")
 	}
-	out, err := exec.Command("go", "list", "-deps",
-		"affinityaccept/serve", "affinityaccept/httpaff", "affinityaccept/proxyaff", "affinityaccept/wsaff").Output()
-	if err != nil {
-		t.Fatalf("go list -deps: %v", err)
-	}
-	simulator := regexp.MustCompile(`^affinityaccept/internal/(sim|mem|sched|tcp|nic|app|locks|perfctr|loadgen|workload|experiments)$`)
-	for _, pkg := range strings.Fields(string(out)) {
-		if simulator.MatchString(pkg) {
-			t.Errorf("production import graph contains simulator package %s", pkg)
+	simulator := `affinityaccept/internal/(sim|mem|sched|tcp|nic|app|locks|perfctr|workload|experiments)`
+	// The production packages may not link the load generator either.
+	production := regexp.MustCompile(`^(` + simulator + `|affinityaccept/internal/loadgen)$`)
+	// The serving binaries may drive load with internal/loadgen, which
+	// imports no simulator package, but not reach the server through the
+	// root package: that is the simulator's facade.
+	binary := regexp.MustCompile(`^(affinityaccept|` + simulator + `)$`)
+	for pkg, banned := range map[string]*regexp.Regexp{
+		"serve": production, "httpaff": production, "proxyaff": production, "wsaff": production,
+		"cmd/affinity-bench": binary, "cmd/affinity-top": binary,
+		"examples/reuseport": binary, "examples/longlived": binary, "examples/webfarm": binary,
+		"examples/edgeproxy": binary, "examples/chat": binary,
+	} {
+		out, err := exec.Command("go", "list", "-deps", "affinityaccept/"+pkg).Output()
+		if err != nil {
+			t.Fatalf("go list -deps %s: %v", pkg, err)
+		}
+		for _, dep := range strings.Fields(string(out)) {
+			if banned.MatchString(dep) {
+				t.Errorf("%s links simulator package %s", pkg, dep)
+			}
 		}
 	}
 }

@@ -86,7 +86,7 @@ func (p *poller) netpoll() bool {
 		return false
 	}
 	p.netf = os.NewFile(uintptr(dupfd), "evloop-epfd")
-	if p.netf.SetReadDeadline(time.Now().Add(pollInterval)) != nil {
+	if p.netf.SetReadDeadline(time.Now().Add(PollInterval)) != nil {
 		return false
 	}
 	p.netc, err = p.netf.SyscallConn()
@@ -203,7 +203,7 @@ func (l *Loop) run() {
 	lastSweep := time.Now().UnixNano()
 	for {
 		n = 0
-		p.netf.SetReadDeadline(time.Now().Add(pollInterval))
+		p.netf.SetReadDeadline(time.Now().Add(PollInterval))
 		rerr := p.netc.Read(harvest)
 		now := time.Now().UnixNano()
 		l.clock.Store(now)

@@ -39,10 +39,10 @@ import (
 )
 
 const (
-	// pollInterval bounds how long a loop iteration may block, and is
+	// PollInterval bounds how long a loop iteration may block, and is
 	// therefore the resolution of the coarse clock: Now() is at most
 	// this far behind time.Now.
-	pollInterval = 50 * time.Millisecond
+	PollInterval = 50 * time.Millisecond
 
 	// sweepInterval is how often a loop walks its park list looking for
 	// expired park deadlines. The walk is skipped entirely while no
@@ -186,7 +186,7 @@ func (l *Loop) Start() {
 }
 
 // Now returns the loop's coarse clock: the wall time as of the last
-// loop iteration, at most pollInterval behind time.Now. Layers above
+// loop iteration, at most PollInterval behind time.Now. Layers above
 // use it for idle/read deadlines so the request hot path performs no
 // clock syscalls.
 func (l *Loop) Now() time.Time { return time.Unix(0, l.clock.Load()) }
@@ -533,7 +533,7 @@ func (l *Loop) shutdown() {
 // per-handle parkers.
 func (l *Loop) runPortable() {
 	defer close(l.done)
-	t := time.NewTicker(pollInterval)
+	t := time.NewTicker(PollInterval)
 	defer t.Stop()
 	lastSweep := time.Now().UnixNano()
 	for {

@@ -487,10 +487,10 @@ func paritySuite(t *testing.T, portable bool) {
 		k := &collector{}
 		l := newLoop(t, k)
 		waitFor(t, "clock tick", func() bool {
-			return time.Since(l.Now()) < 2*pollInterval
+			return time.Since(l.Now()) < 2*PollInterval
 		})
-		if lag := time.Since(l.Now()); lag < 0 || lag > 2*pollInterval {
-			t.Fatalf("coarse clock lag %v outside [0, %v]", lag, 2*pollInterval)
+		if lag := time.Since(l.Now()); lag < 0 || lag > 2*PollInterval {
+			t.Fatalf("coarse clock lag %v outside [0, %v]", lag, 2*PollInterval)
 		}
 	})
 }

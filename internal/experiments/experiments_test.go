@@ -11,6 +11,7 @@ import (
 var quick = Options{Quick: true, Seed: 42}
 
 func TestRegistryComplete(t *testing.T) {
+	t.Parallel()
 	want := []string{"T1", "T2", "T3", "T4", "T5",
 		"F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "F10",
 		"LB1", "LB2", "A1", "A2", "A3", "A4", "A5", "X1"}
@@ -33,6 +34,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestTable1MatchesPaper(t *testing.T) {
+	t.Parallel()
 	tab := Table1(quick)
 	if len(tab.Rows) != 2 {
 		t.Fatal("table 1 should have two machines")
@@ -49,6 +51,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 }
 
 func TestTable5MatchesPaper(t *testing.T) {
+	t.Parallel()
 	tab := Table5(quick)
 	if len(tab.Rows) != 4 {
 		t.Fatal("table 5 should have four NICs")
@@ -67,6 +70,7 @@ func TestTable5MatchesPaper(t *testing.T) {
 // TestScalingOrder asserts the paper's headline ordering at the machine's
 // full size: Affinity >= Fine > Stock, with Affinity fully local.
 func TestScalingOrder(t *testing.T) {
+	t.Parallel()
 	results := map[tcp.ListenKind]RunResult{}
 	for _, kind := range threeKinds {
 		results[kind] = Run(RunConfig{
@@ -93,6 +97,7 @@ func TestScalingOrder(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
+	t.Parallel()
 	tab := Table2(quick)
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows: %d", len(tab.Rows))
@@ -105,6 +110,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
+	t.Parallel()
 	tab := Table3(quick)
 	if len(tab.Rows) == 0 {
 		t.Fatal("empty table 3")
@@ -115,6 +121,7 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestTable4AndFigure4Shape(t *testing.T) {
+	t.Parallel()
 	tab := Table4(quick)
 	var sockRow []string
 	for _, r := range tab.Rows {
@@ -156,6 +163,7 @@ func TestTable4AndFigure4Shape(t *testing.T) {
 }
 
 func TestAblationRequestTableWithinFewPercent(t *testing.T) {
+	t.Parallel()
 	tab := AblationRequestTable(quick)
 	if len(tab.Rows) != 2 {
 		t.Fatal("rows")
@@ -168,6 +176,7 @@ func TestAblationRequestTableWithinFewPercent(t *testing.T) {
 // TestExtensionRFSOrdering: software RFS restores locality but costs
 // routing CPU, so it should land between stock and affinity at scale.
 func TestExtensionRFSOrdering(t *testing.T) {
+	t.Parallel()
 	tab := ExtensionRFS(quick)
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows: %d", len(tab.Rows))
@@ -189,6 +198,7 @@ func TestExtensionRFSOrdering(t *testing.T) {
 }
 
 func TestAblationApachePinning(t *testing.T) {
+	t.Parallel()
 	tab := AblationApachePinning(quick)
 	if len(tab.Rows) != 2 {
 		t.Fatal("rows")

@@ -124,9 +124,9 @@ func TestMigrationRescuesSkewedKeepAlive(t *testing.T) {
 	stealOnly := runSkewedKeepAlive(t, true)
 	migrating := runSkewedKeepAlive(t, false)
 
-	t.Logf("steal-only: locality %.1f%% migrations %d\n%s",
+	t.Logf("steal-only: locality %.1f%% migrations %d\n%+v",
 		stealOnly.LocalityPct(), stealOnly.Migrations, stealOnly)
-	t.Logf("migrating:  locality %.1f%% migrations %d\n%s",
+	t.Logf("migrating:  locality %.1f%% migrations %d\n%+v",
 		migrating.LocalityPct(), migrating.Migrations, migrating)
 
 	if stealOnly.Migrations != 0 {

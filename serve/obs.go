@@ -251,12 +251,55 @@ func mergeHists(hs []*obs.Hist) obs.HistSnapshot {
 	return m
 }
 
-// WriteObsMetrics renders the serve layer's observability series in
-// Prometheus text format: park/steal/migrate histograms, event-ring
-// counters, per-worker event-loop delivery counters and coarse-clock
-// lag gauges. The httpaff metrics handler composes it into the unified
-// exporter.
+// WriteObsMetrics renders every serve-layer series in Prometheus text
+// format, from one Stats snapshot plus the observability plane: the
+// served/accepted/queue counters and per-worker gauges, transport
+// admission, park/steal/migrate histograms, event-ring counters,
+// event-loop delivery counters, coarse-clock lag, the NUMA attribution
+// totals and the migration controller's state. It is the one renderer
+// of the server's state: httpaff.MetricsHandler composes it into the
+// unified exporter, and the affinity tools print their tables from it.
 func (s *Server) WriteObsMetrics(w io.Writer) {
+	st := s.Stats()
+	ws := st.Workers
+	sharded := 0
+	if st.Sharded {
+		sharded = 1
+	}
+	scalar(w, "affinity_workers", "gauge", "Configured worker (and on Linux, listener) count.", len(ws))
+	scalar(w, "affinity_sharded", "gauge", "1 when every worker has its own SO_REUSEPORT listener, 0 on the shared-listener fallback.", sharded)
+	scalar(w, "affinity_flow_groups", "gauge", "Flow groups connections are routed by (sec 3.1).", st.FlowGroups)
+	fmt.Fprintf(w, "# HELP affinity_served_total Handler passes served, by worker and queue the pass was popped from.\n# TYPE affinity_served_total counter\n")
+	for i, x := range ws {
+		fmt.Fprintf(w, "affinity_served_total{worker=\"%d\",queue=\"local\"} %d\n", i, x.ServedLocal)
+		fmt.Fprintf(w, "affinity_served_total{worker=\"%d\",queue=\"stolen\"} %d\n", i, x.ServedStolen)
+	}
+	perWorker(w, "affinity_accepted_total", "counter", "Connections routed at accept time, by accepting worker.", len(ws), func(i int) any { return ws[i].Accepted })
+	perWorker(w, "affinity_worker_cross_chip_steals_total", "counter", "Passes each worker stole from a victim on another chip.", len(ws), func(i int) any { return ws[i].StolenCross })
+	perWorker(w, "affinity_queue_depth", "gauge", "Instantaneous per-worker queue depth.", len(ws), func(i int) any { return ws[i].QueueDepth })
+	perWorker(w, "affinity_worker_busy", "gauge", "The sec 3.3.1 busy bit, 1 while the worker's queue is over its watermark.", len(ws), func(i int) any {
+		if ws[i].Busy {
+			return 1
+		}
+		return 0
+	})
+	perWorker(w, "affinity_worker_active", "gauge", "Handlers running on each worker.", len(ws), func(i int) any { return ws[i].Active })
+	perWorker(w, "affinity_worker_parked", "gauge", "Connections parked on each worker's event loop.", len(ws), func(i int) any { return ws[i].Parked })
+	perWorker(w, "affinity_worker_groups", "gauge", "Flow groups each worker owns.", len(ws), func(i int) any { return ws[i].GroupsOwned })
+	perWorker(w, "affinity_migrated_in_total", "counter", "Flow groups each worker claimed by sec 3.3.2 migration.", len(ws), func(i int) any { return ws[i].MigratedIn })
+	scalar(w, "affinity_dropped_total", "counter", "Connections shed on queue overflow.", st.Dropped)
+	scalar(w, "affinity_parked", "gauge", "Keep-alive connections parked between requests.", st.Parked)
+	scalar(w, "affinity_requeued_total", "counter", "Successful keep-alive requeues.", st.Requeued)
+	scalar(w, "affinity_migrations_total", "counter", "Applied flow-group migrations.", st.Migrations)
+
+	scalar(w, "affinity_ratelimited_total", "counter", "Connections closed at accept by the per-IP token buckets.", st.Ratelimited)
+	scalar(w, "affinity_shed_parked_total", "counter", "Parked connections closed LIFO to reclaim descriptors or budget.", st.ShedParked)
+	scalar(w, "affinity_budget_rejected_total", "counter", "Connections rejected with the budget exhausted and nothing parked.", st.BudgetRejected)
+	scalar(w, "affinity_accept_retries_total", "counter", "Transient accept errors survived (EMFILE/ENFILE/ECONNABORTED).", st.AcceptRetries)
+	scalar(w, "affinity_live_conns", "gauge", "Connections charged against the budget right now (0 when MaxConns unset).", st.Live)
+	scalar(w, "affinity_live_conns_peak", "gauge", "High-water mark of affinity_live_conns; never exceeds the budget.", st.LivePeak)
+	scalar(w, "affinity_conn_budget", "gauge", "Configured connection budget (0 = unlimited).", st.MaxConns)
+
 	obs.WriteProm(w, "affinity_park_duration_seconds",
 		"Time keep-alive connections spent parked between requests.",
 		mergeHists(s.obs.park), 1e-9)
@@ -266,31 +309,22 @@ func (s *Server) WriteObsMetrics(w io.Writer) {
 	obs.WriteProm(w, "affinity_migrate_tick_seconds",
 		"Duration of flow-group balance ticks (sec 3.3.2).",
 		s.obs.migrate.Snapshot(), 1e-9)
+	scalar(w, "affinity_events_recorded_total", "counter", "Control-plane events published to the trace rings.", s.obs.rings.Recorded())
+	scalar(w, "affinity_events_dropped_total", "counter", "Trace events lost to ring writer collisions.", s.obs.rings.Dropped())
 
-	fmt.Fprintf(w, "# HELP affinity_events_recorded_total Control-plane events published to the trace rings.\n# TYPE affinity_events_recorded_total counter\naffinity_events_recorded_total %d\n",
-		s.obs.rings.Recorded())
-	fmt.Fprintf(w, "# HELP affinity_events_dropped_total Trace events lost to ring writer collisions.\n# TYPE affinity_events_dropped_total counter\naffinity_events_dropped_total %d\n",
-		s.obs.rings.Dropped())
-
-	fmt.Fprintf(w, "# HELP affinity_evloop_ready_total Parked connections delivered ready by each worker's event loop.\n# TYPE affinity_evloop_ready_total counter\n")
-	for i, l := range s.loops {
-		ready, _, _ := l.Counters()
-		fmt.Fprintf(w, "affinity_evloop_ready_total{worker=\"%d\"} %d\n", i, ready)
-	}
-	fmt.Fprintf(w, "# HELP affinity_evloop_dead_total Parked connections the event loops gave up on (peer gone, deadline, shutdown).\n# TYPE affinity_evloop_dead_total counter\n")
-	for i, l := range s.loops {
-		_, dead, _ := l.Counters()
-		fmt.Fprintf(w, "affinity_evloop_dead_total{worker=\"%d\"} %d\n", i, dead)
-	}
-	fmt.Fprintf(w, "# HELP affinity_evloop_expired_total Parked connections closed by park-deadline expiry.\n# TYPE affinity_evloop_expired_total counter\n")
-	for i, l := range s.loops {
-		_, _, expired := l.Counters()
-		fmt.Fprintf(w, "affinity_evloop_expired_total{worker=\"%d\"} %d\n", i, expired)
-	}
-	fmt.Fprintf(w, "# HELP affinity_clock_lag_seconds How far each worker's coarse clock trails the wall clock.\n# TYPE affinity_clock_lag_seconds gauge\n")
-	for i := range s.loops {
-		fmt.Fprintf(w, "affinity_clock_lag_seconds{worker=\"%d\"} %g\n", i, s.ClockLag(i).Seconds())
-	}
+	perWorker(w, "affinity_evloop_ready_total", "counter", "Parked connections delivered ready by each worker's event loop.", len(ws), func(i int) any {
+		ready, _, _ := s.loops[i].Counters()
+		return ready
+	})
+	perWorker(w, "affinity_evloop_dead_total", "counter", "Parked connections the event loops gave up on (peer gone, deadline, shutdown).", len(ws), func(i int) any {
+		_, dead, _ := s.loops[i].Counters()
+		return dead
+	})
+	perWorker(w, "affinity_evloop_expired_total", "counter", "Parked connections closed by park-deadline expiry.", len(ws), func(i int) any {
+		_, _, expired := s.loops[i].Counters()
+		return expired
+	})
+	perWorker(w, "affinity_clock_lag_seconds", "gauge", "How far each worker's coarse clock trails the wall clock.", len(ws), func(i int) any { return s.ClockLag(i).Seconds() })
 
 	// NUMA attribution: the pair matrices collapsed along the machine
 	// topology. Same-chip vs cross-chip totals carry a "dist" label so
@@ -302,28 +336,30 @@ func (s *Server) WriteObsMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# HELP affinity_cross_chip_migrations_total Flow-group migrations by from/to chip distance.\n# TYPE affinity_cross_chip_migrations_total counter\n")
 	fmt.Fprintf(w, "affinity_cross_chip_migrations_total{dist=\"same\"} %d\n", mm.SameChip)
 	fmt.Fprintf(w, "affinity_cross_chip_migrations_total{dist=\"cross\"} %d\n", mm.CrossChip)
-	fmt.Fprintf(w, "# HELP affinity_worker_chip Which chip of the configured topology each worker maps to.\n# TYPE affinity_worker_chip gauge\n")
-	for i := 0; i < s.cfg.Workers; i++ {
-		fmt.Fprintf(w, "affinity_worker_chip{worker=\"%d\"} %d\n", i, s.topo.Chip[i])
-	}
+	perWorker(w, "affinity_worker_chip", "gauge", "Which chip of the configured topology each worker maps to.", len(ws), func(i int) any { return ws[i].Chip })
 
-	// Migration timing: the controller's current interval and freeze
-	// state.
-	fmt.Fprintf(w, "# HELP affinity_migrate_interval_seconds Current flow-group balancing interval chosen by the migration controller.\n# TYPE affinity_migrate_interval_seconds gauge\naffinity_migrate_interval_seconds %g\n",
-		time.Duration(s.migrateIntervalNs.Load()).Seconds())
-	fmt.Fprintf(w, "# HELP affinity_frozen_groups Flow groups currently frozen for ping-ponging between owners.\n# TYPE affinity_frozen_groups gauge\naffinity_frozen_groups %d\n",
-		s.frozenGroups.Load())
-	fmt.Fprintf(w, "# HELP affinity_group_freezes_total Flow groups frozen by the migration controller.\n# TYPE affinity_group_freezes_total counter\naffinity_group_freezes_total %d\n",
-		s.groupFreezes.Load())
-	fmt.Fprintf(w, "# HELP affinity_group_unfreezes_total Frozen flow groups thawed after their cooldown.\n# TYPE affinity_group_unfreezes_total counter\naffinity_group_unfreezes_total %d\n",
-		s.groupUnfreezes.Load())
-	fmt.Fprintf(w, "# HELP affinity_worker_pinned_cpu CPU each worker's thread is pinned to (-1 unpinned).\n# TYPE affinity_worker_pinned_cpu gauge\n")
-	for i := range s.workers {
-		fmt.Fprintf(w, "affinity_worker_pinned_cpu{worker=\"%d\"} %d\n", i, s.workers[i].pinnedCPU.Load())
-	}
+	scalar(w, "affinity_migrate_interval_seconds", "gauge", "Current flow-group balancing interval chosen by the migration controller (0 with migration off).", st.AdaptiveInterval.Seconds())
+	scalar(w, "affinity_frozen_groups", "gauge", "Flow groups currently frozen for ping-ponging between owners.", st.FrozenGroups)
+	scalar(w, "affinity_group_freezes_total", "counter", "Flow groups frozen by the migration controller.", st.GroupFreezes)
+	scalar(w, "affinity_group_unfreezes_total", "counter", "Frozen flow groups thawed after their cooldown.", st.GroupUnfreezes)
+	perWorker(w, "affinity_worker_pinned_cpu", "gauge", "CPU each worker's thread is pinned to (-1 unpinned).", len(ws), func(i int) any { return ws[i].PinnedCPU })
+	scalar(w, "affinity_pin_failures_total", "counter", "Workers that asked to pin their thread but could not.", st.PinFailures)
 	fmt.Fprintf(w, "# HELP affinity_worker_wakes_total Worker returns from the park: a push it was signalled for, or the busy-bit decay tick.\n# TYPE affinity_worker_wakes_total counter\n")
-	for i := range s.workers {
-		fmt.Fprintf(w, "affinity_worker_wakes_total{worker=\"%d\",reason=\"push\"} %d\n", i, s.workers[i].wakes.Load())
-		fmt.Fprintf(w, "affinity_worker_wakes_total{worker=\"%d\",reason=\"decay\"} %d\n", i, s.workers[i].decayTicks.Load())
+	for i, x := range ws {
+		fmt.Fprintf(w, "affinity_worker_wakes_total{worker=\"%d\",reason=\"push\"} %d\n", i, x.Wakes)
+		fmt.Fprintf(w, "affinity_worker_wakes_total{worker=\"%d\",reason=\"decay\"} %d\n", i, x.DecayTicks)
+	}
+}
+
+// scalar writes one unlabelled series with its HELP and TYPE lines.
+func scalar(w io.Writer, name, typ, help string, v any) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", name, help, name, typ, name, v)
+}
+
+// perWorker writes one series per worker, labelled worker="i".
+func perWorker(w io.Writer, name, typ, help string, workers int, v func(i int) any) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	for i := 0; i < workers; i++ {
+		fmt.Fprintf(w, "%s{worker=\"%d\"} %v\n", name, i, v(i))
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -214,6 +215,110 @@ func TestWriteObsMetricsSeries(t *testing.T) {
 		if w.ClockLagUs < 0 {
 			t.Errorf("worker %d negative clock lag %dus", i, w.ClockLagUs)
 		}
+	}
+}
+
+// TestWriteObsMetricsMatchesStats pins WriteObsMetrics as the one
+// renderer of the server's state: on a live server holding a running
+// handler and parked connections, every per-worker value the tools'
+// table shows, and every summary counter, reads in the scrape exactly as
+// Stats reports it.
+func TestWriteObsMetricsMatchesStats(t *testing.T) {
+	release := make(chan struct{})
+	var srv *Server
+	s, err := New(Config{
+		Workers:          2,
+		Chips:            2,
+		FlowGroups:       8,
+		DisableMigration: true,
+		Handler: func(conn net.Conn) {
+			b := make([]byte, 1)
+			if _, err := io.ReadFull(conn, b); err != nil {
+				conn.Close()
+				return
+			}
+			if b[0] == 'b' {
+				<-release // hold the worker: Active reads 1
+			}
+			if _, err := conn.Write(b); err != nil || !srv.Requeue(conn) {
+				conn.Close()
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv = s
+	s.Start()
+	defer func() {
+		close(release)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	}()
+	for i, msg := range []string{"p", "p", "p", "b"} {
+		conn, err := net.Dial("tcp", s.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.Write([]byte(msg))
+		if msg == "p" {
+			if _, err := io.ReadFull(conn, make([]byte, 1)); err != nil {
+				t.Fatalf("conn %d: %v", i, err)
+			}
+		}
+	}
+	waitFor(t, 5*time.Second, func() bool { st := s.Stats(); return st.Parked == 3 && st.Active == 1 },
+		"three connections never parked beside one running handler")
+	s.workers[1].migratedIn.Add(3)
+	s.obs.countSteal(1, 0, 2)
+
+	st := s.Stats()
+	var b strings.Builder
+	s.WriteObsMetrics(&b)
+	got := map[string]string{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if i := strings.LastIndexByte(line, ' '); i > 0 && !strings.HasPrefix(line, "#") {
+			got[line[:i]] = line[i+1:]
+		}
+	}
+	want := map[string]any{
+		"affinity_workers":                               len(st.Workers),
+		"affinity_sharded":                               map[bool]int{false: 0, true: 1}[st.Sharded],
+		"affinity_flow_groups":                           st.FlowGroups,
+		"affinity_dropped_total":                         st.Dropped,
+		"affinity_parked":                                st.Parked,
+		"affinity_requeued_total":                        st.Requeued,
+		"affinity_migrations_total":                      st.Migrations,
+		"affinity_pin_failures_total":                    st.PinFailures,
+		`affinity_cross_chip_steals_total{dist="cross"}`: st.CrossChipSteals,
+	}
+	for i, w := range st.Workers {
+		label := fmt.Sprintf(`{worker="%d"}`, i)
+		want["affinity_worker_chip"+label] = w.Chip
+		want["affinity_worker_pinned_cpu"+label] = w.PinnedCPU
+		want["affinity_accepted_total"+label] = w.Accepted
+		want[fmt.Sprintf(`affinity_served_total{worker="%d",queue="local"}`, i)] = w.ServedLocal
+		want[fmt.Sprintf(`affinity_served_total{worker="%d",queue="stolen"}`, i)] = w.ServedStolen
+		want["affinity_worker_cross_chip_steals_total"+label] = w.StolenCross
+		want["affinity_worker_active"+label] = w.Active
+		want["affinity_queue_depth"+label] = w.QueueDepth
+		want["affinity_worker_parked"+label] = w.Parked
+		want["affinity_worker_groups"+label] = w.GroupsOwned
+		want["affinity_migrated_in_total"+label] = w.MigratedIn
+		want["affinity_worker_busy"+label] = map[bool]int{false: 0, true: 1}[w.Busy]
+		if _, ok := got["affinity_clock_lag_seconds"+label]; !ok {
+			t.Errorf("scrape has no clock lag for worker %d", i)
+		}
+	}
+	for key, v := range want {
+		if g, ok := got[key]; !ok || g != fmt.Sprint(v) {
+			t.Errorf("%s: scrape reads %q, Stats reads %v", key, g, v)
+		}
+	}
+	if st.Workers[1].MigratedIn != 3 || st.Workers[1].StolenCross != 1 || st.Active != 1 {
+		t.Errorf("fixture did not take: %+v", st.Workers)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -164,7 +163,7 @@ func TestStealFromStalledWorker(t *testing.T) {
 	}
 	st := s.Stats()
 	if st.ServedStolen == 0 {
-		t.Fatalf("expected nonzero steals with a stalled worker; stats:\n%s", st)
+		t.Fatalf("expected nonzero steals with a stalled worker; stats:\n%+v", st)
 	}
 	if st.Served+st.Dropped != total {
 		t.Errorf("served %d + dropped %d != %d", st.Served, st.Dropped, total)
@@ -310,7 +309,7 @@ func TestSharedListenerFallback(t *testing.T) {
 	totalGroups := 0
 	for _, w := range st.Workers {
 		if w.Accepted == 0 {
-			t.Errorf("worker %d accepted 0 connections; flow-group routing starved it:\n%s", w.Worker, st)
+			t.Errorf("worker %d accepted 0 connections; flow-group routing starved it:\n%+v", w.Worker, st)
 		}
 		totalGroups += w.GroupsOwned
 	}
@@ -340,24 +339,5 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Handler: echoHandler, StealRatio: -1}); err == nil {
 		t.Error("want error for a negative steal ratio")
-	}
-}
-
-// TestStatsString sanity-checks the report rendering.
-func TestStatsString(t *testing.T) {
-	s, err := New(Config{Workers: 2, Handler: echoHandler})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	burst(t, s.Addr().String(), 10)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	s.Shutdown(ctx)
-	out := s.Stats().String()
-	for _, want := range []string{"worker", "accepted", "local", "stolen"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("stats report missing %q:\n%s", want, out)
-		}
 	}
 }

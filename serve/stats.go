@@ -1,9 +1,6 @@
 package serve
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"affinityaccept/internal/stats"
@@ -167,83 +164,4 @@ func (s Stats) StealPct() float64 {
 		return 0
 	}
 	return 100 * float64(s.ServedStolen) / float64(s.Served)
-}
-
-// String renders the snapshot as an aligned per-worker table in the
-// shape the simulator's reports use.
-func (s Stats) String() string {
-	var b strings.Builder
-	mode := "shared listener"
-	if s.Sharded {
-		mode = "SO_REUSEPORT per-worker listeners"
-	}
-	fmt.Fprintf(&b, "mode: %s, %d flow groups\n", mode, s.FlowGroups)
-	fmt.Fprintf(&b, "accepted %d  served %d (%.1f%% local)  stolen %d  dropped %d  requeued %d  parked %d  migrations %d  queued %d  active %d\n",
-		s.Accepted, s.Served, s.LocalityPct(), s.ServedStolen, s.Dropped, s.Requeued, s.Parked, s.Migrations, s.Queued, s.Active)
-	if s.Ratelimited > 0 || s.ShedParked > 0 || s.BudgetRejected > 0 || s.AcceptRetries > 0 || s.MaxConns > 0 {
-		fmt.Fprintf(&b, "admission: ratelimited %d  shed-parked %d  budget-rejected %d  accept-retries %d  live %d (peak %d / budget %d)\n",
-			s.Ratelimited, s.ShedParked, s.BudgetRejected, s.AcceptRetries, s.Live, s.LivePeak, s.MaxConns)
-	}
-	if s.Chips > 1 {
-		fmt.Fprintf(&b, "numa: %d chips  cross-chip steals %d  cross-chip migrations %d\n",
-			s.Chips, s.CrossChipSteals, s.CrossChipMigrations)
-	}
-	if s.AdaptiveInterval > 0 {
-		fmt.Fprintf(&b, "adaptive: interval %s  frozen groups %d (freezes %d, thaws %d)\n",
-			s.AdaptiveInterval, s.FrozenGroups, s.GroupFreezes, s.GroupUnfreezes)
-	}
-	if s.PinnedWorkers > 0 || s.PinFailures > 0 {
-		fmt.Fprintf(&b, "pinning: %d workers pinned, %d failed\n", s.PinnedWorkers, s.PinFailures)
-	}
-	pools := s.Pool.Gets() > 0
-	if pools {
-		fmt.Fprintf(&b, "pools: %d gets, %.1f%% reused from the worker-local free list (%d misses, %d drops)\n",
-			s.Pool.Gets(), s.Pool.ReusePct(), s.Pool.Misses, s.Pool.Drops)
-	}
-	upstream := s.Upstream.Gets() > 0
-	if upstream {
-		fmt.Fprintf(&b, "upstream: %d checkouts, %.1f%% reused from the worker-local pool (%d dials, %d drops)\n",
-			s.Upstream.Gets(), s.Upstream.ReusePct(), s.Upstream.Misses, s.Upstream.Drops)
-	}
-	// Header and rows share one format: identical column widths, every
-	// gauge column wide enough for production-scale counters (11 digits
-	// of accepts, 8-digit parked populations), so the table cannot
-	// drift however wide the numbers get. TestStatsStringGolden pins
-	// the alignment.
-	const (
-		statsHeaderFmt = "%-6s %4s %4s %11s %11s %11s %8s %7s %7s %8s %7s %8s %8s %5s"
-		statsRowFmt    = "%-6d %4d %4s %11d %11d %11d %8d %7d %7d %8d %7d %8d %8d %5s"
-		poolHeaderFmt  = " %10s %7s"
-		poolRowFmt     = " %10d %7.1f"
-	)
-	fmt.Fprintf(&b, statsHeaderFmt,
-		"worker", "chip", "cpu", "accepted", "local", "stolen", "x-steal", "active", "qdepth", "parked", "groups", "migr-in", "lag-us", "busy")
-	if pools {
-		fmt.Fprintf(&b, poolHeaderFmt, "pool-get", "reuse%")
-	}
-	if upstream {
-		fmt.Fprintf(&b, poolHeaderFmt, "up-get", "up-re%")
-	}
-	b.WriteByte('\n')
-	for _, w := range s.Workers {
-		busy := ""
-		if w.Busy {
-			busy = "*"
-		}
-		cpu := "-"
-		if w.PinnedCPU >= 0 {
-			cpu = strconv.Itoa(w.PinnedCPU)
-		}
-		fmt.Fprintf(&b, statsRowFmt,
-			w.Worker, w.Chip, cpu, w.Accepted, w.ServedLocal, w.ServedStolen, w.StolenCross, w.Active, w.QueueDepth,
-			w.Parked, w.GroupsOwned, w.MigratedIn, w.ClockLagUs, busy)
-		if pools {
-			fmt.Fprintf(&b, poolRowFmt, w.Pool.Gets(), w.Pool.ReusePct())
-		}
-		if upstream {
-			fmt.Fprintf(&b, poolRowFmt, w.Upstream.Gets(), w.Upstream.ReusePct())
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

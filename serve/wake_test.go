@@ -151,7 +151,7 @@ func TestBusyPushWakesThieves(t *testing.T) {
 
 	st := s.Stats()
 	if st.Accepted != st.Workers[0].Accepted {
-		t.Fatalf("connections routed to other workers than 0:\n%s", st)
+		t.Fatalf("connections routed to other workers than 0:\n%+v", st)
 	}
 	for _, w := range st.Workers[1:] {
 		if w.Wakes == 0 || w.DecayTicks != 0 {
@@ -203,7 +203,7 @@ func TestLatchedThievesStillSteal(t *testing.T) {
 
 	st := s.Stats()
 	if st.ServedStolen == 0 {
-		t.Errorf("latched workers never stole from the slow one; stats:\n%s", st)
+		t.Errorf("latched workers never stole from the slow one; stats:\n%+v", st)
 	}
 	if st.Served != total || st.Dropped != 0 {
 		t.Errorf("served %d dropped %d, want %d and 0", st.Served, st.Dropped, total)

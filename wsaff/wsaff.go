@@ -34,7 +34,6 @@ package wsaff
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"net/http"
 	"runtime"
@@ -258,28 +257,6 @@ func (ws *WS) Stats() Stats {
 		st.Pool = st.Pool.Add(st.Workers[i])
 	}
 	return st
-}
-
-// String renders the snapshot in the serve.Stats report style.
-func (st Stats) String() string {
-	return fmt.Sprintf(
-		"websockets: %d open (%d subscribed), %d closed\n"+
-			"frames: %d in / %d out, %d messages, %d pings sent, %d pongs received\n"+
-			"broadcast: %d published, %d delivered, %d dropped at full shards\n"+
-			"codec pool: %d gets, %.1f%% worker-local reuse (%d misses)\n",
-		st.Open, st.Subscribers, st.Closes,
-		st.FramesIn, st.FramesOut, st.MessagesIn, st.PingsSent, st.PongsReceived,
-		st.Broadcasts, st.Delivered, st.Dropped,
-		st.Pool.Gets(), st.Pool.ReusePct(), st.Pool.Misses)
-}
-
-// PoolSnapshot reports one worker's codec-buffer counters, shaped for
-// hooks that want per-worker pool stats.
-func (ws *WS) PoolSnapshot(worker int) stats.PoolSnapshot {
-	if worker < 0 || worker >= len(ws.workers) {
-		return stats.PoolSnapshot{}
-	}
-	return ws.workers[worker].counters.Snapshot()
 }
 
 // Upgrade performs the RFC 6455 server handshake on an httpaff request
