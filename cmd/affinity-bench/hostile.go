@@ -60,7 +60,6 @@ func runHostileBench(o hostileOpts) error {
 	srv, err := httpaff.New(httpaff.Config{
 		Addr:             o.addr,
 		Workers:          o.workers,
-		DisableReusePort: o.noShard,
 		FlowGroups:       o.groups,
 		MigrateInterval:  o.migrateEvery,
 		DisableMigration: !o.migrate,

@@ -29,7 +29,6 @@ type httpOpts struct {
 	pipeline int // requests per pipelined batch
 	payload  int // response body bytes
 	duration time.Duration
-	noShard  bool
 
 	migrate      bool
 	migrateEvery time.Duration
@@ -97,7 +96,6 @@ func runHTTPBench(o httpOpts) error {
 	srv, err := httpaff.New(httpaff.Config{
 		Addr:             o.addr,
 		Workers:          o.workers,
-		DisableReusePort: o.noShard,
 		FlowGroups:       o.groups,
 		MigrateInterval:  o.migrateEvery,
 		DisableMigration: !o.migrate,

@@ -50,7 +50,6 @@ func main() {
 		payload   = flag.Int("payload", 64, "request/response payload bytes")
 		duration  = flag.Duration("duration", 2*time.Second, "load-generation window")
 		stall     = flag.Float64("stall", 0, "stall worker 0 this many ms per connection (demonstrates stealing)")
-		noShard   = flag.Bool("noshard", false, "force the shared-listener fallback instead of SO_REUSEPORT")
 
 		httpMode = flag.Bool("http", false, "benchmark the httpaff HTTP/1.1 layer with pipelined keep-alive clients")
 		pipeline = flag.Int("pipeline", 16, "requests per pipelined batch in -http/-proxy mode")
@@ -113,7 +112,6 @@ func main() {
 				pipeline:     *pipeline,
 				payload:      *payload,
 				duration:     *duration,
-				noShard:      *noShard,
 				migrate:      *migrate,
 				migrateEvery: *migrateEvery,
 				groups:       *groups,
@@ -142,7 +140,6 @@ func main() {
 			payload:        *payload,
 			duration:       *duration,
 			work:           *work,
-			noShard:        *noShard,
 			broadcastEvery: *broadcast,
 			migrate:        *migrate,
 			migrateEvery:   *migrateEvery,
@@ -166,7 +163,6 @@ func main() {
 				pipeline:     *pipeline,
 				payload:      *payload,
 				duration:     *duration,
-				noShard:      *noShard,
 				migrate:      *migrate,
 				migrateEvery: *migrateEvery,
 				groups:       *groups,
@@ -190,7 +186,6 @@ func main() {
 			pipeline:     *pipeline,
 			payload:      *payload,
 			duration:     *duration,
-			noShard:      *noShard,
 			migrate:      *migrate,
 			migrateEvery: *migrateEvery,
 			groups:       *groups,
@@ -216,7 +211,6 @@ func main() {
 			payload:      *payload,
 			duration:     *duration,
 			stallMS:      *stall,
-			noShard:      *noShard,
 			longlived:    *longlived,
 			hotWorkers:   *hotWorkers,
 			work:         *work,

@@ -94,7 +94,6 @@ func runProxyBench(o proxyOpts) error {
 		Workers:          o.workers,
 		Handler:          proxy.Serve,
 		WorkerUpstream:   proxy.PoolSnapshot,
-		DisableReusePort: o.noShard,
 		FlowGroups:       o.groups,
 		MigrateInterval:  o.migrateEvery,
 		DisableMigration: !o.migrate,

@@ -33,7 +33,6 @@ type serveOpts struct {
 	payload  int // bytes per request/response
 	duration time.Duration
 	stallMS  float64 // artificial per-connection stall on worker 0
-	noShard  bool    // force the single-shared-listener fallback
 
 	longlived    int           // long-lived skewed connections (0 = short-lived mode)
 	hotWorkers   int           // workers whose groups receive the skew (<=1 = worker 0 only)
@@ -91,7 +90,6 @@ func runServeBench(o serveOpts) error {
 		cfg := serve.Config{
 			Addr:             o.addr,
 			Workers:          o.workers,
-			DisableReusePort: o.noShard,
 			FlowGroups:       o.groups,
 			MigrateInterval:  o.migrateEvery,
 			DisableMigration: !o.migrate,

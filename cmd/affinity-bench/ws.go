@@ -32,7 +32,6 @@ type wsOpts struct {
 	payload  int
 	duration time.Duration
 	work     time.Duration // per-message service time
-	noShard  bool
 
 	broadcastEvery time.Duration // publish period (0 = no broadcasts)
 
@@ -90,7 +89,6 @@ func runWSBench(o wsOpts) error {
 	srv, err := httpaff.New(httpaff.Config{
 		Addr:             o.addr,
 		Workers:          o.workers,
-		DisableReusePort: o.noShard,
 		FlowGroups:       o.groups,
 		MigrateInterval:  o.migrateEvery,
 		DisableMigration: !o.migrate,

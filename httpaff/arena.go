@@ -1,6 +1,11 @@
 package httpaff
 
-import "affinityaccept/internal/stats"
+import (
+	"net/http"
+	"time"
+
+	"affinityaccept/internal/stats"
+)
 
 // arena is one worker's private pool of RequestCtx objects. It is
 // deliberately NOT a sync.Pool: a process-wide pool lets any worker
@@ -20,6 +25,22 @@ type arena struct {
 	s        *Server
 	free     []*RequestCtx
 	counters stats.PoolCounters
+
+	// date is the Date header value for second sec of the worker's
+	// coarse clock, formatted in place when the second changes: every
+	// response reads the worker's own copy and no goroutine refreshes it.
+	sec  int64
+	date [len(http.TimeFormat)]byte
+}
+
+// appendDate appends the Date header value for now, reformatting the
+// arena's copy only when now is in a different second.
+func (a *arena) appendDate(b []byte, now time.Time) []byte {
+	if sec := now.Unix(); sec != a.sec {
+		a.sec = sec
+		now.UTC().AppendFormat(a.date[:0], http.TimeFormat)
+	}
+	return append(b, a.date[:]...)
 }
 
 // bufSize is the size a context's request and response buffers start

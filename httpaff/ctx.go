@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"affinityaccept/internal/http11"
 )
 
 // headerField is one parsed request header; key and value alias the
@@ -143,7 +145,7 @@ func (ctx *RequestCtx) Body() []byte { return ctx.req.body }
 // case-insensitive; name must be lowercase), or nil.
 func (ctx *RequestCtx) Header(name string) []byte {
 	for i := range ctx.req.headers {
-		if equalFold(ctx.req.headers[i].key, name) {
+		if http11.EqualFold(ctx.req.headers[i].key, name) {
 			return ctx.req.headers[i].val
 		}
 	}
@@ -378,7 +380,7 @@ func (ctx *RequestCtx) appendResponse(closing bool) {
 	b = append(b, serverColon...)
 	b = append(b, ctx.srv.name...)
 	b = append(b, dateColon...)
-	b = ctx.srv.date.appendTo(b)
+	b = ctx.srv.arenas[ctx.worker].appendDate(b, ctx.CoarseNow())
 	b = append(b, ctypeColon...)
 	b = append(b, ctx.resp.contentType...)
 	b = append(b, clenColon...)
@@ -389,7 +391,7 @@ func (ctx *RequestCtx) appendResponse(closing bool) {
 		b = append(b, connClose...)
 	}
 	b = append(b, crlf...)
-	if !equalFold(ctx.req.method, "head") {
+	if !http11.EqualFold(ctx.req.method, "head") {
 		b = append(b, ctx.resp.body...)
 	}
 	ctx.wbuf = b

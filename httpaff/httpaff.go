@@ -29,9 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -132,7 +130,6 @@ type Config struct {
 	Backlog          int
 	StealRatio       int
 	HighPct, LowPct  float64
-	DisableReusePort bool
 	FlowGroups       int
 	MigrateInterval  time.Duration
 	DisableMigration bool
@@ -181,18 +178,6 @@ type Server struct {
 	arenas  []*arena
 
 	draining atomic.Bool
-	started  atomic.Bool
-	stopOnce sync.Once
-
-	// date is the cached RFC 1123 Date header value, refreshed once a
-	// second so responses never format time on the hot path. It is held
-	// in atomics (seqlock-style, like the event rings) rather than an
-	// atomic.Pointer to a fresh buffer so the once-a-second refresh
-	// allocates nothing: a background tick that allocated would show up
-	// as a residual in the steady-state zero-alloc gates.
-	date        atomicDate
-	dateScratch [dateWords * 8]byte // refreshDate's format buffer (single writer)
-	stopDate    chan struct{}
 
 	// shed503 is the complete, pre-serialized 503-with-Retry-After
 	// response admission sheds write: built once at New so the shed
@@ -228,13 +213,12 @@ func New(cfg Config) (*Server, error) {
 	}
 	retry := int((cfg.RetryAfter + time.Second - 1) / time.Second)
 	s := &Server{
-		cfg:      cfg,
-		handler:  cfg.Handler,
-		name:     []byte(cfg.ServerName),
-		arenas:   make([]*arena, cfg.Workers),
-		stopDate: make(chan struct{}),
-		admitw:   make([]admitCounters, cfg.Workers),
-		obsw:     make([]workerObs, cfg.Workers),
+		cfg:     cfg,
+		handler: cfg.Handler,
+		name:    []byte(cfg.ServerName),
+		arenas:  make([]*arena, cfg.Workers),
+		admitw:  make([]admitCounters, cfg.Workers),
+		obsw:    make([]workerObs, cfg.Workers),
 		shed503: []byte(fmt.Sprintf(
 			"HTTP/1.1 503 Service Unavailable\r\nServer: %s\r\nRetry-After: %d\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
 			cfg.ServerName, retry)),
@@ -247,7 +231,6 @@ func New(cfg Config) (*Server, error) {
 		s.obsw[i].reqBytes = obs.NewHist(obs.DefaultSubBits)
 		s.obsw[i].respBytes = obs.NewHist(obs.DefaultSubBits)
 	}
-	s.refreshDate()
 	srv, err := serve.New(serve.Config{
 		Network:          cfg.Network,
 		Addr:             cfg.Addr,
@@ -257,7 +240,6 @@ func New(cfg Config) (*Server, error) {
 		StealRatio:       cfg.StealRatio,
 		HighPct:          cfg.HighPct,
 		LowPct:           cfg.LowPct,
-		DisableReusePort: cfg.DisableReusePort,
 		FlowGroups:       cfg.FlowGroups,
 		MigrateInterval:  cfg.MigrateInterval,
 		DisableMigration: cfg.DisableMigration,
@@ -278,14 +260,8 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Start launches the transport server and the Date-header refresher.
-func (s *Server) Start() {
-	if !s.started.CompareAndSwap(false, true) {
-		return
-	}
-	go s.dateLoop()
-	s.srv.Start()
-}
+// Start launches the transport server.
+func (s *Server) Start() { s.srv.Start() }
 
 // Shutdown drains gracefully: in-flight responses switch to
 // Connection: close, parked keep-alive connections are closed, queued
@@ -293,9 +269,7 @@ func (s *Server) Start() {
 // force-closes whatever is still queued (see serve.Server.Shutdown).
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
-	err := s.srv.Shutdown(ctx)
-	s.stopOnce.Do(func() { close(s.stopDate) })
-	return err
+	return s.srv.Shutdown(ctx)
 }
 
 // Addr returns the bound address (useful with ":0"), or nil before a
@@ -325,81 +299,6 @@ func (s *Server) Stats() serve.Stats { return s.srv.Stats() }
 // Transport exposes the underlying serve.Server — for diagnostics that
 // want the transport object itself rather than a snapshot.
 func (s *Server) Transport() *serve.Server { return s.srv }
-
-// dateLoop refreshes the cached Date header once a second until
-// Shutdown.
-func (s *Server) dateLoop() {
-	ticker := time.NewTicker(time.Second)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			s.refreshDate()
-		case <-s.stopDate:
-			return
-		}
-	}
-}
-
-func (s *Server) refreshDate() {
-	b := time.Now().UTC().AppendFormat(s.dateScratch[:0], http.TimeFormat)
-	s.date.store(b)
-}
-
-// dateWords is the atomicDate payload size in uint64 words; 4 words =
-// 32 bytes comfortably holds the 29-byte RFC 1123 form.
-const dateWords = 4
-
-// atomicDate publishes a short byte string through plain atomics — a
-// single-writer seqlock. The reader never sees a torn value (the
-// version check rejects concurrent writes) and, unlike handing out a
-// shared buffer, every access is an atomic operation, so the race
-// detector stays satisfied without a per-refresh allocation.
-type atomicDate struct {
-	seq atomic.Uint32 // odd while a store is in flight
-	n   atomic.Uint32
-	w   [dateWords]atomic.Uint64
-}
-
-// store publishes b (at most dateWords*8 bytes; single writer).
-func (d *atomicDate) store(b []byte) {
-	d.seq.Add(1) // now odd: readers retry
-	var w [dateWords]uint64
-	for i, c := range b {
-		w[i/8] |= uint64(c) << (8 * uint(i%8))
-	}
-	for i := range d.w {
-		d.w[i].Store(w[i])
-	}
-	d.n.Store(uint32(len(b)))
-	d.seq.Add(1) // even again: value is consistent
-}
-
-// appendTo appends the current value to dst without allocating beyond
-// dst's own growth.
-func (d *atomicDate) appendTo(dst []byte) []byte {
-	for {
-		s1 := d.seq.Load()
-		if s1&1 != 0 {
-			continue // store in flight
-		}
-		n := d.n.Load()
-		var w [dateWords]uint64
-		for i := range d.w {
-			w[i] = d.w[i].Load()
-		}
-		if d.seq.Load() != s1 {
-			continue // raced with a store; reread
-		}
-		if n > dateWords*8 {
-			n = dateWords * 8
-		}
-		for i := uint32(0); i < n; i++ {
-			dst = append(dst, byte(w[i/8]>>(8*uint(i%8))))
-		}
-		return dst
-	}
-}
 
 // TakeoverFunc serves one pass of a connection whose protocol has been
 // upgraded away from HTTP (RequestCtx.Hijack). It runs inline on the

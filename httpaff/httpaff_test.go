@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -709,5 +710,58 @@ func TestTakeoverSeesOneConn(t *testing.T) {
 		if v != views[0] {
 			t.Errorf("view %d is %p, the upgrading handler saw %p", i, v, views[0])
 		}
+	}
+}
+
+// TestStartedServerGoroutines pins what a started server runs: an
+// acceptor per listener, a worker and an event loop per worker, and the
+// migration loop. The Date header comes from each worker's own clock,
+// so no ticker goroutine keeps a second copy of the time.
+func TestStartedServerGoroutines(t *testing.T) {
+	const workers = 3
+	s, err := New(Config{Workers: workers, Handler: echoPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	s.Start()
+	got := runtime.NumGoroutine() - before
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	})
+	listeners := 1
+	if s.Sharded() {
+		listeners = workers
+	}
+	if want := listeners + 2*workers + 1; got != want {
+		t.Errorf("Start launched %d goroutines, want %d (%d listeners + 2 x %d workers + 1 migration loop)",
+			got, want, listeners, workers)
+	}
+}
+
+// TestDateFromWorkerClock checks the Date header on every worker: it
+// parses as http.TimeFormat and is within 2 s of the client's clock.
+func TestDateFromWorkerClock(t *testing.T) {
+	const workers = 4
+	s := start(t, Config{Workers: workers, Handler: func(ctx *RequestCtx) { fmt.Fprint(ctx, ctx.Worker()) }})
+	seen := map[string]bool{}
+	for i := 0; i < 400 && len(seen) < workers; i++ {
+		conn, br := dial(t, s)
+		fmt.Fprint(conn, "GET / HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+		_, headers, body := readResponse(t, br)
+		conn.Close()
+		date, err := time.Parse(http.TimeFormat, headers["date"])
+		if err != nil {
+			t.Fatalf("worker %s: Date %q: %v", body, headers["date"], err)
+		}
+		if d := time.Since(date); d < -2*time.Second || d > 2*time.Second {
+			t.Fatalf("worker %s: Date %q is %v off the client clock", body, headers["date"], d)
+		}
+		seen[string(body)] = true
+	}
+	if len(seen) < workers {
+		t.Fatalf("only workers %v served a request", seen)
 	}
 }

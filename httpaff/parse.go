@@ -38,11 +38,6 @@ var (
 	protoHTTP10 = []byte("HTTP/1.0")
 )
 
-// equalFold and trimOWS are the shared byte-level primitives from
-// internal/http11, aliased so call sites stay short on the hot path.
-func equalFold(b []byte, s string) bool { return http11.EqualFold(b, s) }
-func trimOWS(b []byte) []byte           { return http11.TrimOWS(b) }
-
 // parseUint parses a non-negative decimal without allocating; false on
 // empty input, non-digits, or overflow past 2^30.
 func parseUint(b []byte) (int, bool) {
@@ -271,11 +266,11 @@ func (ctx *RequestCtx) parseHead(head []byte) error {
 		if col <= 0 {
 			return errBadRequest
 		}
-		key := trimOWS(line[:col])
-		val := trimOWS(line[col+1:])
+		key := http11.TrimOWS(line[:col])
+		val := http11.TrimOWS(line[col+1:])
 		req.headers = append(req.headers, headerField{key: key, val: val})
 		switch {
-		case equalFold(key, "content-length"):
+		case http11.EqualFold(key, "content-length"):
 			// Duplicate Content-Length headers are a request-smuggling
 			// vector (RFC 9112 §6.3): two parsers disagreeing on which
 			// copy wins disagree on where the next request starts.
@@ -289,13 +284,13 @@ func (ctx *RequestCtx) parseHead(head []byte) error {
 				return errBadRequest
 			}
 			req.contentLength = n
-		case equalFold(key, "connection"):
-			if equalFold(val, "close") {
+		case http11.EqualFold(key, "connection"):
+			if http11.EqualFold(val, "close") {
 				req.keepAlive = false
-			} else if equalFold(val, "keep-alive") {
+			} else if http11.EqualFold(val, "keep-alive") {
 				req.keepAlive = true
 			}
-		case equalFold(key, "transfer-encoding"):
+		case http11.EqualFold(key, "transfer-encoding"):
 			return errChunked
 		}
 	}

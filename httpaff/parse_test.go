@@ -3,14 +3,17 @@ package httpaff
 import (
 	"bytes"
 	"testing"
+
+	"affinityaccept/internal/http11"
+	"affinityaccept/serve"
 )
 
 // newTestCtx builds a context wired to a minimal server, no transport.
 func newTestCtx() *RequestCtx {
-	s := &Server{name: []byte("httpaff")}
+	// A zero serve.Server has no loops: CoarseNow reads the real clock.
+	s := &Server{name: []byte("httpaff"), srv: &serve.Server{}, arenas: []*arena{{}}}
 	s.cfg.MaxHeaderBytes = 8192
 	s.cfg.MaxBodyBytes = 1 << 20
-	s.refreshDate()
 	return &RequestCtx{srv: s, rbuf: make([]byte, 4096), wbuf: make([]byte, 0, 4096)}
 }
 
@@ -131,13 +134,13 @@ func TestHTTP10KeepAliveOptIn(t *testing.T) {
 }
 
 func TestHelpers(t *testing.T) {
-	if !equalFold([]byte("Content-LENGTH"), "content-length") {
+	if !http11.EqualFold([]byte("Content-LENGTH"), "content-length") {
 		t.Error("equalFold should fold ASCII case")
 	}
-	if equalFold([]byte("abc"), "abd") || equalFold([]byte("ab"), "abc") {
+	if http11.EqualFold([]byte("abc"), "abd") || http11.EqualFold([]byte("ab"), "abc") {
 		t.Error("equalFold false positives")
 	}
-	if got := string(trimOWS([]byte("\t  x y \t"))); got != "x y" {
+	if got := string(http11.TrimOWS([]byte("\t  x y \t"))); got != "x y" {
 		t.Errorf("trimOWS = %q", got)
 	}
 	if n, ok := parseUint([]byte("1234")); !ok || n != 1234 {

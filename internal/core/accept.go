@@ -12,10 +12,10 @@
 //     migrates one group away from the victim it stole from most).
 //
 // The simulator wires these into its TCP stack and charges lock and
-// cache costs around them; the examples/reuseport program wires the same
-// structures around real SO_REUSEPORT listeners. The structures
-// themselves do no locking: callers either run single-threaded (the
-// simulator) or use Guarded.
+// cache costs around them; the serve package wires the same structures
+// around real SO_REUSEPORT listeners. The structures themselves do no
+// locking: callers either run single-threaded (the simulator) or use
+// Guarded.
 package core
 
 import (
@@ -317,31 +317,6 @@ func (q *Queues[T]) stealFrom(core int) (T, int, bool) {
 	return zero, -1, false
 }
 
-// scanRemote takes from a busy remote queue when the local queue is
-// empty — the pre-sleep scan of §3.3.1. It deliberately skips non-busy
-// remote cores: their own local threads are about to serve those
-// connections, and yanking them away would destroy the very affinity
-// the design exists to preserve. (The paper's prose scans non-busy
-// cores last; in a discrete-event model that scan wins races against
-// the local thread far more often than real timing allows, so the
-// conservative policy reproduces the measured behaviour.)
-func (q *Queues[T]) scanRemote(core int) (T, int, bool) {
-	var zero T
-	for _, o := range q.cores[core].order {
-		other := int(o)
-		if !q.Busy(other) {
-			continue
-		}
-		if v, ok := q.rings[other].pop(); ok {
-			q.Steals++
-			q.cores[core].stolenFrom[other]++
-			q.cores[core].sinceSteal = 0
-			return v, other, true
-		}
-	}
-	return zero, -1, false
-}
-
 // PopAt dequeues directly from queue idx without applying the stealing
 // policy. Fine-Accept's round-robin accept and tests use it.
 func (q *Queues[T]) PopAt(idx int) (T, bool) {
@@ -363,8 +338,16 @@ func (q *Queues[T]) DiscardAt(idx int) (T, bool) {
 
 // Pop implements accept() on the given core: proportional-share between
 // local and stolen connections when the core is non-busy, local-only
-// preference when busy, and a full remote scan before reporting empty.
-// It returns the connection and the core whose queue supplied it.
+// preference when busy, and a steal scan of every other core before
+// reporting empty. The scan skips non-busy victims — their own threads
+// are about to serve those connections, and taking them would destroy
+// the affinity the design exists to preserve (the paper's prose scans
+// non-busy cores last; in a discrete-event model that scan wins races
+// against the local thread far more often than real timing allows, so
+// the conservative policy reproduces the measured behaviour). So an
+// empty Pop by a non-busy core leaves no other core busy with queued
+// connections. It returns the connection and the core whose queue
+// supplied it.
 func (q *Queues[T]) Pop(core int) (v T, from int, ok bool) {
 	st := &q.cores[core]
 	busySelf := q.Busy(core)
@@ -385,11 +368,8 @@ func (q *Queues[T]) Pop(core int) (v T, from int, ok bool) {
 		var zero T
 		return zero, -1, false
 	}
-	// Nothing local: check busy cores, then any remote queue.
-	if v, victim, ok := q.stealFrom(core); ok {
-		return v, victim, true
-	}
-	return q.scanRemote(core)
+	// Nothing local: steal from the nearest busy core.
+	return q.stealFrom(core)
 }
 
 // StolenFrom returns how many connections `core` has stolen from each

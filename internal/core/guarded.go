@@ -8,7 +8,7 @@ import "sync"
 // per queue (§3.2); the single mutex keeps the policy code identical to
 // the simulator's but is a measured bottleneck — the benchmark's traced
 // run reads 3–6 µs of mutex wait per churn connection at two workers
-// (ROADMAP item 2 replaces it).
+// (ROADMAP item 3 replaces it).
 type Guarded[T any] struct {
 	mu sync.Mutex
 	q  *Queues[T]

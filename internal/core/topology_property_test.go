@@ -176,3 +176,48 @@ func TestStealShareWithinTier(t *testing.T) {
 			locals, nearSteals, ratio*nearSteals)
 	}
 }
+
+// TestEmptyPopLeavesNothingStealable pins the invariant that makes a
+// second scan in Pop dead code: over random topologies and random
+// Push/Pop/ObserveIdle schedules, a Pop by a non-busy core that comes
+// back empty leaves no other core busy with queued connections — the
+// steal scan has already visited every one.
+func TestEmptyPopLeavesNothingStealable(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261015))
+	exercised := 0 // empty pops beside a core that still had connections queued
+	for iter := 0; iter < 200; iter++ {
+		n := 2 + rng.Intn(11) // 2–12 cores
+		chipOf, chips := randomChipOf(rng, n)
+		q := NewQueues[int](Config{Cores: n, Backlog: 8 * n, HighPct: 20 + 60*rng.Float64(), LowPct: 15, ChipOf: chipOf})
+		hot := rng.Intn(n) // half the pushes pile onto one core so it turns busy
+		for step := 0; step < 400; step++ {
+			c := rng.Intn(n)
+			switch rng.Intn(4) {
+			case 0:
+				q.Push(hot, step)
+			case 1:
+				q.Push(c, step)
+			case 2:
+				q.ObserveIdle(c, rng.Intn(20))
+			case 3:
+				busy := q.Busy(c)
+				if _, _, ok := q.Pop(c); ok || busy {
+					continue
+				}
+				for v := 0; v < n; v++ {
+					if v == c || q.Len(v) == 0 {
+						continue
+					}
+					exercised++
+					if q.Busy(v) {
+						t.Fatalf("iter %d (%d cores, %d chips) step %d: core %d popped nothing while core %d is busy with %d queued",
+							iter, n, chips, step, c, v, q.Len(v))
+					}
+				}
+			}
+		}
+	}
+	if exercised == 0 {
+		t.Fatal("no empty Pop ever ran beside queued connections: the schedule tests nothing")
+	}
+}

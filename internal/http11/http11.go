@@ -34,10 +34,10 @@ func TrimOWS(b []byte) []byte {
 }
 
 // TokenListContains reports whether the comma-separated token list
-// (a Connection header value, e.g. "close, TE") contains the lowercase
-// token s, ASCII case-insensitively, ignoring optional whitespace
-// around tokens.
-func TokenListContains(list []byte, s string) bool {
+// (a Connection header value, e.g. "close, TE") contains token, ASCII
+// case-insensitively, ignoring optional whitespace around tokens. token
+// is a lowercase literal, or a header name as received.
+func TokenListContains[T string | []byte](list []byte, token T) bool {
 	for len(list) > 0 {
 		var tok []byte
 		if i := indexComma(list); i >= 0 {
@@ -45,11 +45,31 @@ func TokenListContains(list []byte, s string) bool {
 		} else {
 			tok, list = list, nil
 		}
-		if EqualFold(TrimOWS(tok), s) {
+		if foldEqual(TrimOWS(tok), token) {
 			return true
 		}
 	}
 	return false
+}
+
+// foldEqual is EqualFold with both sides folded.
+func foldEqual[T string | []byte](a []byte, b T) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := 0; i < len(a); i++ {
+		if lower(a[i]) != lower(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func lower(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
 }
 
 func indexComma(b []byte) int {

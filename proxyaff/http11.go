@@ -16,9 +16,6 @@ var (
 	crlfCRLF = []byte("\r\n\r\n")
 )
 
-func equalFold(b []byte, s string) bool { return http11.EqualFold(b, s) }
-func trimOWS(b []byte) []byte           { return http11.TrimOWS(b) }
-
 // parseContentLength parses an upstream response's Content-Length
 // without allocating. Unlike the request-side parser's 2^30 cap (a
 // request-smuggling bound on what this server will buffer), a relayed
@@ -41,54 +38,6 @@ func parseContentLength(b []byte) (int64, bool) {
 	return n, true
 }
 
-// equalFoldBytes reports whether a and b are equal under ASCII A-Z
-// folding, without allocating.
-func equalFoldBytes(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
-}
-
-// tokenListContains reports whether the comma-separated token list
-// (e.g. a Connection header value, "close, TE") contains the lowercase
-// token s, ASCII case-insensitively. Shared with the wsaff upgrade
-// check via internal/http11.
-func tokenListContains(list []byte, s string) bool {
-	return http11.TokenListContains(list, s)
-}
-
-// connectionNominates reports whether the Connection header value list
-// nominates the header named name as connection-scoped (RFC 9110
-// §7.6.1): nominated headers must be consumed by this hop, not
-// forwarded.
-func connectionNominates(list, name []byte) bool {
-	for len(list) > 0 {
-		var tok []byte
-		if i := bytes.IndexByte(list, ','); i >= 0 {
-			tok, list = list[:i], list[i+1:]
-		} else {
-			tok, list = list, nil
-		}
-		if equalFoldBytes(trimOWS(tok), name) {
-			return true
-		}
-	}
-	return false
-}
-
 // idempotentMethod reports whether the request method is safe to
 // replay on a fresh connection after a stale pooled connection failed
 // before yielding a response byte. A write failure does not prove the
@@ -96,8 +45,8 @@ func connectionNominates(list, name []byte) bool {
 // (RFC 9110 §9.2.2, matching net/http.Transport's retry set) may be
 // repeated without risking double execution.
 func idempotentMethod(m []byte) bool {
-	return equalFold(m, "get") || equalFold(m, "head") ||
-		equalFold(m, "options") || equalFold(m, "trace")
+	return http11.EqualFold(m, "get") || http11.EqualFold(m, "head") ||
+		http11.EqualFold(m, "options") || http11.EqualFold(m, "trace")
 }
 
 // hopByHop reports whether the header named key is connection-scoped
@@ -106,19 +55,19 @@ func idempotentMethod(m []byte) bool {
 func hopByHop(key []byte) bool {
 	switch len(key) {
 	case 2:
-		return equalFold(key, "te")
+		return http11.EqualFold(key, "te")
 	case 7:
-		return equalFold(key, "trailer") || equalFold(key, "upgrade")
+		return http11.EqualFold(key, "trailer") || http11.EqualFold(key, "upgrade")
 	case 10:
-		return equalFold(key, "connection") || equalFold(key, "keep-alive")
+		return http11.EqualFold(key, "connection") || http11.EqualFold(key, "keep-alive")
 	case 16:
-		return equalFold(key, "proxy-connection")
+		return http11.EqualFold(key, "proxy-connection")
 	case 17:
-		return equalFold(key, "transfer-encoding")
+		return http11.EqualFold(key, "transfer-encoding")
 	case 18:
-		return equalFold(key, "proxy-authenticate")
+		return http11.EqualFold(key, "proxy-authenticate")
 	case 19:
-		return equalFold(key, "proxy-authorization")
+		return http11.EqualFold(key, "proxy-authorization")
 	}
 	return false
 }

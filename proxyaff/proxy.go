@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"affinityaccept/httpaff"
+	"affinityaccept/internal/http11"
 	"affinityaccept/internal/obs"
 	"affinityaccept/internal/stats"
 )
@@ -426,7 +427,7 @@ func (p *Proxy) exchange(ctx *httpaff.RequestCtx, w *proxyWorker, uc *upstreamCo
 	// hop-by-hop strip and a fresh Connection: Upgrade is emitted, so
 	// the backend sees the same handshake the client sent (RFC 9110
 	// §7.8). A 101 answer then switches the exchange to tunnel relay.
-	isUpgrade := len(ctx.Header("upgrade")) > 0 && tokenListContains(reqConn, "upgrade")
+	isUpgrade := len(ctx.Header("upgrade")) > 0 && http11.TokenListContains(reqConn, "upgrade")
 	for i, n := 0, ctx.HeaderCount(); i < n; i++ {
 		k, v := ctx.HeaderAt(i)
 		// Expect is stripped alongside the hop-by-hop set: httpaff has
@@ -435,10 +436,10 @@ func (p *Proxy) exchange(ctx *httpaff.RequestCtx, w *proxyWorker, uc *upstreamCo
 		// make the backend emit an interim response the relay refuses.
 		// Headers the client's Connection header nominates are likewise
 		// consumed by this hop (RFC 9110 §7.6.1).
-		if isUpgrade && equalFold(k, "upgrade") {
+		if isUpgrade && http11.EqualFold(k, "upgrade") {
 			// Re-emitted below alongside Connection: Upgrade.
-		} else if hopByHop(k) || equalFold(k, "expect") ||
-			(len(reqConn) > 0 && connectionNominates(reqConn, k)) {
+		} else if hopByHop(k) || http11.EqualFold(k, "expect") ||
+			(len(reqConn) > 0 && http11.TokenListContains(reqConn, k)) {
 			continue
 		}
 		head = append(head, k...)
@@ -551,10 +552,10 @@ func (p *Proxy) exchange(ctx *httpaff.RequestCtx, w *proxyWorker, uc *upstreamCo
 		if col <= 0 {
 			return p.badGateway(ctx, w, uc, b, "malformed upstream header")
 		}
-		key := trimOWS(line[:col])
-		val := trimOWS(line[col+1:])
+		key := http11.TrimOWS(line[:col])
+		val := http11.TrimOWS(line[col+1:])
 		switch {
-		case equalFold(key, "content-length"):
+		case http11.EqualFold(key, "content-length"):
 			if contentLength >= 0 {
 				return p.badGateway(ctx, w, uc, b, "duplicate upstream Content-Length")
 			}
@@ -563,17 +564,17 @@ func (p *Proxy) exchange(ctx *httpaff.RequestCtx, w *proxyWorker, uc *upstreamCo
 				return p.badGateway(ctx, w, uc, b, "bad upstream Content-Length")
 			}
 			contentLength = v
-		case equalFold(key, "connection"):
+		case http11.EqualFold(key, "connection"):
 			if upConn == nil {
 				upConn = val
 			}
 			// The value is a token list ("close, TE"), not one token.
-			if tokenListContains(val, "close") {
+			if http11.TokenListContains(val, "close") {
 				upKeepAlive = false
-			} else if tokenListContains(val, "keep-alive") {
+			} else if http11.TokenListContains(val, "keep-alive") {
 				upKeepAlive = true
 			}
-		case equalFold(key, "transfer-encoding"):
+		case http11.EqualFold(key, "transfer-encoding"):
 			// Chunked framing is self-delimiting only to a parser; the
 			// relay would have to decode it to know when the upstream
 			// connection is clean again. httpaff backends never chunk.
@@ -582,7 +583,7 @@ func (p *Proxy) exchange(ctx *httpaff.RequestCtx, w *proxyWorker, uc *upstreamCo
 	}
 
 	leftover := hbuf[headerEnd:n]
-	noBody := code == 204 || code == 304 || equalFold(ctx.Method(), "head")
+	noBody := code == 204 || code == 304 || http11.EqualFold(ctx.Method(), "head")
 	closeDelimited := contentLength < 0 && !noBody
 	willClose := closeDelimited || ctx.WillClose()
 
@@ -602,8 +603,8 @@ func (p *Proxy) exchange(ctx *httpaff.RequestCtx, w *proxyWorker, uc *upstreamCo
 		for line[col] != ':' {
 			col++
 		}
-		key := trimOWS(line[:col])
-		if hopByHop(key) || (len(upConn) > 0 && connectionNominates(upConn, key)) {
+		key := http11.TrimOWS(line[:col])
+		if hopByHop(key) || (len(upConn) > 0 && http11.TokenListContains(upConn, key)) {
 			continue
 		}
 		ctx.RawWrite(line)

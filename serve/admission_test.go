@@ -197,11 +197,11 @@ func TestChargeConnCountsAgainstBudget(t *testing.T) {
 // clipped to the bucket's burst; over-rate conns are closed before any
 // handler runs. Single-listener mode so exactly one bucket applies.
 func TestPerIPRateLimitAtAccept(t *testing.T) {
+	sharedListener(t)
 	var served int64
 	var mu sync.Mutex
 	s, err := New(Config{
 		Workers:          2,
-		DisableReusePort: true,
 		PerIPAcceptRate:  1, // 1/s: no meaningful refill inside the test
 		PerIPAcceptBurst: 2,
 		Handler: func(conn net.Conn) {

@@ -9,7 +9,8 @@ import (
 
 // reusePortAvailable reports platform support for SO_REUSEPORT
 // sharding. On non-Linux platforms the server always uses the portable
-// single-shared-listener fallback with round-robin queue assignment.
+// single-shared-listener fallback; the flow table still routes every
+// connection.
 const reusePortAvailable = false
 
 // listenShards is never called when reusePortAvailable is false; it

@@ -10,13 +10,11 @@ import (
 )
 
 // serverObs is the server's observability plane: per-worker event rings
-// plus one control ring, the serve-layer latency histograms, the
-// per-flow-group hop counters behind the journey tags, and the
-// worker-pair steal/migrate matrices the NUMA attribution pass joins
-// with the machine topology. All of it is allocation-free on the hot
-// path — histograms are atomic bucket arrays, rings are preallocated
-// slots, hop counters and pair cells are single atomic adds — and merged
-// only at snapshot time.
+// plus one control ring, the serve-layer latency histograms and the
+// per-flow-group hop counters behind the journey tags. All of it is
+// allocation-free on the hot path — histograms are atomic bucket arrays,
+// rings are preallocated slots, hop counters are single atomic adds —
+// and merged only at snapshot time.
 type serverObs struct {
 	// rings holds Workers+1 event rings sharing one sequence counter.
 	// Ring i carries worker i's high-churn events (accept, park, wake,
@@ -33,17 +31,6 @@ type serverObs struct {
 	// (obs.Stitch) rests on.
 	hops []atomic.Uint32
 
-	// stealPairs / migratePairs are the Workers×Workers cost matrices,
-	// flattened row-major: stealPairs[thief*W+victim] counts handler
-	// passes worker "thief" popped from worker "victim"'s queue;
-	// migratePairs[from*W+to] counts §3.3.2 group moves. Joined with
-	// Server.topo at snapshot time they become the same-chip vs
-	// cross-chip attribution. On real flat hardware the topology is one
-	// chip; Config.Chips simulates a multi-chip machine so loopback runs
-	// can still exercise the distance-aware accounting.
-	stealPairs   []atomic.Uint64
-	migratePairs []atomic.Uint64
-
 	park    []*obs.Hist // per worker: ns parked between requests
 	steal   []*obs.Hist // per worker: queue-pop ns of stolen connections
 	migrate *obs.Hist   // ns per balance tick (BalanceTable call)
@@ -51,14 +38,12 @@ type serverObs struct {
 
 func newServerObs(workers, groups int) *serverObs {
 	o := &serverObs{
-		rings:        obs.NewRings(workers+1, obs.DefaultRingSize),
-		control:      workers,
-		hops:         make([]atomic.Uint32, groups),
-		stealPairs:   make([]atomic.Uint64, workers*workers),
-		migratePairs: make([]atomic.Uint64, workers*workers),
-		park:         make([]*obs.Hist, workers),
-		steal:        make([]*obs.Hist, workers),
-		migrate:      obs.NewHist(obs.DefaultSubBits),
+		rings:   obs.NewRings(workers+1, obs.DefaultRingSize),
+		control: workers,
+		hops:    make([]atomic.Uint32, groups),
+		park:    make([]*obs.Hist, workers),
+		steal:   make([]*obs.Hist, workers),
+		migrate: obs.NewHist(obs.DefaultSubBits),
 	}
 	for i := range o.park {
 		o.park[i] = obs.NewHist(obs.DefaultSubBits)
@@ -83,18 +68,6 @@ func (s *Server) coarseUnix(w int) int64 {
 		w = 0
 	}
 	return s.loops[w].Now().UnixNano()
-}
-
-// RecordEvent publishes one control-plane event onto worker w's event
-// ring, outside any flow journey. Application layers stacked above
-// serve use it to land their events in the same merged timeline as the
-// server's own. Zero allocations.
-func (s *Server) RecordEvent(w int, k obs.Kind, a, b, c int64) {
-	r := w
-	if r < 0 || r >= s.cfg.Workers {
-		r = 0
-	}
-	s.obs.rings.Record(r, k, w, s.coarseUnix(r), a, b, c)
 }
 
 // RecordGroupEvent publishes one flow-journey event onto worker w's
@@ -132,25 +105,11 @@ func (s *Server) recordControl(w int, k obs.Kind, g int, a, b, c int64) {
 	s.recordGroup(s.obs.control, k, w, g, a, b, c)
 }
 
-// countSteal attributes one stolen connection to the (thief, victim)
-// worker pair. One atomic add; zero allocations.
-func (o *serverObs) countSteal(thief, victim, workers int) {
-	if thief >= 0 && thief < workers && victim >= 0 && victim < workers {
-		o.stealPairs[thief*workers+victim].Add(1)
-	}
-}
-
-// countMigrate attributes one flow-group migration to the (from, to)
-// worker pair.
-func (o *serverObs) countMigrate(from, to, workers int) {
-	if from >= 0 && from < workers && to >= 0 && to < workers {
-		o.migratePairs[from*workers+to].Add(1)
-	}
-}
-
 // crossChip reports whether workers a and b live on different chips of
 // the configured topology — the distance line the steal scan orders by
-// and the attribution pass counts hops against.
+// and the steal and migration paths count hops against. Config.Chips
+// simulates a multi-chip machine, so loopback runs on flat hardware
+// still exercise the distance-aware accounting.
 func (s *Server) crossChip(a, b int) bool {
 	return s.topo.Chip[a] != s.topo.Chip[b]
 }
@@ -163,42 +122,6 @@ func (s *Server) WorkerChip(w int) int {
 	}
 	return s.topo.Chip[w]
 }
-
-// CostMatrix is the snapshot of one worker-pair attribution matrix
-// joined with the machine topology: Counts[a][b] is the number of hops
-// from worker a to worker b (thief→victim for steals, from→to for
-// migrations), split into same-chip and cross-chip totals.
-type CostMatrix struct {
-	Counts    [][]uint64 `json:"counts"`
-	SameChip  uint64     `json:"sameChip"`
-	CrossChip uint64     `json:"crossChip"`
-}
-
-func (s *Server) matrix(cells []atomic.Uint64) CostMatrix {
-	workers := s.cfg.Workers
-	m := CostMatrix{Counts: make([][]uint64, workers)}
-	for a := 0; a < workers; a++ {
-		m.Counts[a] = make([]uint64, workers)
-		for b := 0; b < workers; b++ {
-			n := cells[a*workers+b].Load()
-			m.Counts[a][b] = n
-			if s.crossChip(a, b) {
-				m.CrossChip += n
-			} else {
-				m.SameChip += n
-			}
-		}
-	}
-	return m
-}
-
-// StealMatrix returns the thief×victim steal attribution matrix.
-// Diagnostic path: allocates.
-func (s *Server) StealMatrix() CostMatrix { return s.matrix(s.obs.stealPairs) }
-
-// MigrateMatrix returns the from×to migration attribution matrix.
-// Diagnostic path: allocates.
-func (s *Server) MigrateMatrix() CostMatrix { return s.matrix(s.obs.migratePairs) }
 
 // Events drains every event ring into one timeline ordered by sequence
 // number — the server's recent control-plane history. Diagnostic path:
@@ -274,7 +197,8 @@ func (s *Server) WriteObsMetrics(w io.Writer) {
 		fmt.Fprintf(w, "affinity_served_total{worker=\"%d\",queue=\"local\"} %d\n", i, x.ServedLocal)
 		fmt.Fprintf(w, "affinity_served_total{worker=\"%d\",queue=\"stolen\"} %d\n", i, x.ServedStolen)
 	}
-	perWorker(w, "affinity_accepted_total", "counter", "Connections routed at accept time, by accepting worker.", len(ws), func(i int) any { return ws[i].Accepted })
+	perWorker(w, "affinity_accepted_total", "counter", "Connections routed at accept time, by the flow-group owner they were routed to.", len(ws), func(i int) any { return ws[i].Accepted })
+	perWorker(w, "affinity_accept_remote_total", "counter", "Of affinity_accepted_total, connections another worker's listener accepted (sharded mode).", len(ws), func(i int) any { return ws[i].AcceptRemote })
 	perWorker(w, "affinity_worker_cross_chip_steals_total", "counter", "Passes each worker stole from a victim on another chip.", len(ws), func(i int) any { return ws[i].StolenCross })
 	perWorker(w, "affinity_queue_depth", "gauge", "Instantaneous per-worker queue depth.", len(ws), func(i int) any { return ws[i].QueueDepth })
 	perWorker(w, "affinity_worker_busy", "gauge", "The sec 3.3.1 busy bit, 1 while the worker's queue is over its watermark.", len(ws), func(i int) any {
@@ -326,16 +250,20 @@ func (s *Server) WriteObsMetrics(w io.Writer) {
 	})
 	perWorker(w, "affinity_clock_lag_seconds", "gauge", "How far each worker's coarse clock trails the wall clock.", len(ws), func(i int) any { return s.ClockLag(i).Seconds() })
 
-	// NUMA attribution: the pair matrices collapsed along the machine
-	// topology. Same-chip vs cross-chip totals carry a "dist" label so
-	// one query isolates the remote traffic.
-	sm, mm := s.StealMatrix(), s.MigrateMatrix()
+	// NUMA attribution: same-chip vs cross-chip totals carry a "dist"
+	// label so one query isolates the remote traffic. The same-chip side
+	// is the remainder of the per-worker totals the hops were counted in.
+	var stolen, migrated uint64
+	for _, x := range ws {
+		stolen += x.ServedStolen
+		migrated += x.MigratedIn
+	}
 	fmt.Fprintf(w, "# HELP affinity_cross_chip_steals_total Stolen connections by thief/victim chip distance.\n# TYPE affinity_cross_chip_steals_total counter\n")
-	fmt.Fprintf(w, "affinity_cross_chip_steals_total{dist=\"same\"} %d\n", sm.SameChip)
-	fmt.Fprintf(w, "affinity_cross_chip_steals_total{dist=\"cross\"} %d\n", sm.CrossChip)
+	fmt.Fprintf(w, "affinity_cross_chip_steals_total{dist=\"same\"} %d\n", stolen-st.CrossChipSteals)
+	fmt.Fprintf(w, "affinity_cross_chip_steals_total{dist=\"cross\"} %d\n", st.CrossChipSteals)
 	fmt.Fprintf(w, "# HELP affinity_cross_chip_migrations_total Flow-group migrations by from/to chip distance.\n# TYPE affinity_cross_chip_migrations_total counter\n")
-	fmt.Fprintf(w, "affinity_cross_chip_migrations_total{dist=\"same\"} %d\n", mm.SameChip)
-	fmt.Fprintf(w, "affinity_cross_chip_migrations_total{dist=\"cross\"} %d\n", mm.CrossChip)
+	fmt.Fprintf(w, "affinity_cross_chip_migrations_total{dist=\"same\"} %d\n", migrated-st.CrossChipMigrations)
+	fmt.Fprintf(w, "affinity_cross_chip_migrations_total{dist=\"cross\"} %d\n", st.CrossChipMigrations)
 	perWorker(w, "affinity_worker_chip", "gauge", "Which chip of the configured topology each worker maps to.", len(ws), func(i int) any { return ws[i].Chip })
 
 	scalar(w, "affinity_migrate_interval_seconds", "gauge", "Current flow-group balancing interval chosen by the migration controller (0 with migration off).", st.AdaptiveInterval.Seconds())

@@ -272,7 +272,8 @@ func TestWriteObsMetricsMatchesStats(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { st := s.Stats(); return st.Parked == 3 && st.Active == 1 },
 		"three connections never parked beside one running handler")
 	s.workers[1].migratedIn.Add(3)
-	s.obs.countSteal(1, 0, 2)
+	s.workers[1].servedStolen.Add(1) // worker 1 stole from worker 0, across the chip line
+	s.workers[1].stolenCross.Add(1)
 
 	st := s.Stats()
 	var b strings.Builder
@@ -299,6 +300,7 @@ func TestWriteObsMetricsMatchesStats(t *testing.T) {
 		want["affinity_worker_chip"+label] = w.Chip
 		want["affinity_worker_pinned_cpu"+label] = w.PinnedCPU
 		want["affinity_accepted_total"+label] = w.Accepted
+		want["affinity_accept_remote_total"+label] = w.AcceptRemote
 		want[fmt.Sprintf(`affinity_served_total{worker="%d",queue="local"}`, i)] = w.ServedLocal
 		want[fmt.Sprintf(`affinity_served_total{worker="%d",queue="stolen"}`, i)] = w.ServedStolen
 		want["affinity_worker_cross_chip_steals_total"+label] = w.StolenCross
@@ -326,8 +328,8 @@ func TestWriteObsMetricsMatchesStats(t *testing.T) {
 // steal-then-migrate sequence on a simulated two-chip topology and
 // checks the whole flow-journey layer end to end: the migrate event
 // carries its group tag and a claimed hop, the stitched journey reports
-// the migration and the new owner, and the attribution matrices price
-// the move as cross-chip.
+// the migration and the new owner, and Stats and the scrape price the
+// move as cross-chip.
 func TestObsJourneyTaggingAndAttribution(t *testing.T) {
 	s, err := New(Config{
 		Workers:          2,
@@ -395,20 +397,11 @@ func TestObsJourneyTaggingAndAttribution(t *testing.T) {
 		t.Errorf("journey owner = %d, want the claimer 1", j.Owner)
 	}
 
-	// Attribution: the 0 -> 1 move crosses the two-chip boundary.
-	mm := s.MigrateMatrix()
-	if mm.Counts[0][1] != 1 {
-		t.Errorf("migrate matrix [0][1] = %d, want 1", mm.Counts[0][1])
-	}
-	if mm.CrossChip != 1 || mm.SameChip != 0 {
-		t.Errorf("migrate matrix cross=%d same=%d, want cross=1 same=0", mm.CrossChip, mm.SameChip)
-	}
-	s.obs.countSteal(1, 0, 2) // worker 1 stole from worker 0: cross-chip
-	sm := s.StealMatrix()
-	if sm.CrossChip != 1 {
-		t.Errorf("steal matrix cross = %d, want 1", sm.CrossChip)
-	}
-
+	// Attribution: the 0 -> 1 move crosses the two-chip boundary. The
+	// Pop above bypassed workerLoop, so its steal is counted by hand the
+	// way workerLoop counts one: worker 1 stole from worker 0, cross-chip.
+	s.workers[1].servedStolen.Add(1)
+	s.workers[1].stolenCross.Add(1)
 	st := s.Stats()
 	if st.Chips != 2 || st.CrossChipMigrations != 1 || st.CrossChipSteals != 1 {
 		t.Errorf("stats chips=%d xmigr=%d xsteal=%d, want 2/1/1", st.Chips, st.CrossChipMigrations, st.CrossChipSteals)
@@ -421,7 +414,9 @@ func TestObsJourneyTaggingAndAttribution(t *testing.T) {
 	s.WriteObsMetrics(&b)
 	out := b.String()
 	for _, series := range []string{
+		`affinity_cross_chip_steals_total{dist="same"} 0`,
 		`affinity_cross_chip_steals_total{dist="cross"} 1`,
+		`affinity_cross_chip_migrations_total{dist="same"} 0`,
 		`affinity_cross_chip_migrations_total{dist="cross"} 1`,
 		`affinity_worker_chip{worker="1"} 1`,
 		`affinity_worker_wakes_total{worker="1",reason="push"} `,
@@ -452,7 +447,7 @@ func TestObsEventsSinceCursor(t *testing.T) {
 	var cursor uint64
 	for round := 0; round < 10; round++ {
 		for i := 0; i < 7; i++ {
-			s.RecordEvent(i%2, obs.KindAccept, int64(round*7+i), 0, 0)
+			s.RecordGroupEvent(i%2, obs.KindAccept, -1, int64(round*7+i), 0, 0)
 		}
 		for _, ev := range s.EventsSince(cursor) {
 			seen[ev.Seq]++

@@ -104,8 +104,9 @@ func (s *Server) parkLoop(c *Conn) int {
 // picks which acceptor goroutine performs the push, and a group that
 // migrated while the connection was parked steers it to its new owner.
 // Portless transports (unix sockets, pipes) have nothing to hash and go
-// round-robin with group -1. The server holds c on entry and not after.
-func (s *Server) enqueue(c *Conn) {
+// round-robin with group -1. listener is the index of the listener that
+// accepted c, -1 for a wake. The server holds c on entry and not after.
+func (s *Server) enqueue(c *Conn, listener int) {
 	group, worker := -1, 0
 	if c.port >= 0 {
 		group, worker = s.flow.Route(uint16(c.port), 1)
@@ -114,6 +115,11 @@ func (s *Server) enqueue(c *Conn) {
 	}
 	if from := int(c.loop); from < 0 {
 		s.workers[worker].accepted.Add(1)
+		if s.sharded && listener != worker {
+			// The kernel's reuseport hash, not the flow table, chose the
+			// listener: this connection is handed to another worker.
+			s.workers[worker].acceptRemote.Add(1)
+		}
 		s.RecordGroupEvent(worker, obs.KindAccept, group, c.port, 0, 0)
 	} else {
 		d := obs.Nanos() - c.armedAt
@@ -157,7 +163,7 @@ func (s *Server) parkWake(nc net.Conn) {
 		c.teardown() // Close marked it after the loop had detached it
 		return
 	}
-	s.enqueue(c)
+	s.enqueue(c, -1)
 }
 
 // parkDead is the loops' Dead callback: the loop gave up on a parked

@@ -94,11 +94,6 @@ type Config struct {
 	// per-worker queue bound (0 = the paper's 75 and 10).
 	HighPct, LowPct float64
 
-	// DisableReusePort forces the single-shared-listener fallback even
-	// on Linux. Connections are still routed through the flow-group
-	// table, exactly as in sharded mode.
-	DisableReusePort bool
-
 	// FlowGroups is the number of flow groups connections are hashed
 	// into by the low bits of their remote port, rounded up to a power
 	// of two (0 = the paper's 4,096, §3.1).
@@ -259,6 +254,9 @@ type Server struct {
 	workerWG sync.WaitGroup
 
 	workers []workerState
+	// migratedCross counts flow-group moves between workers on different
+	// chips; the balance path alone writes it.
+	migratedCross atomic.Uint64
 	// loops are the per-worker park event loops: loops[i] owns
 	// readability (one epoll instance on Linux) for every keep-alive
 	// connection parked between requeue passes whose flow group worker
@@ -302,8 +300,10 @@ type Server struct {
 // workerState holds one worker's atomically updated counters.
 type workerState struct {
 	accepted     atomic.Uint64 // connections routed to this worker at accept time
+	acceptRemote atomic.Uint64 // of those, accepted on another worker's listener
 	servedLocal  atomic.Uint64 // served from this worker's own queue
 	servedStolen atomic.Uint64 // served by this worker from another queue
+	stolenCross  atomic.Uint64 // of those, stolen from a worker on another chip
 	active       atomic.Int64  // handlers currently running on this worker
 	migratedIn   atomic.Uint64 // flow groups this worker claimed via §3.3.2
 	pinnedCPU    atomic.Int64  // CPU the worker's thread is pinned to, -1 unpinned
@@ -318,9 +318,8 @@ type workerState struct {
 
 // New creates a Server and binds its listeners; the returned server is
 // not accepting until Start. On Linux it opens Config.Workers
-// SO_REUSEPORT listeners on the same address; elsewhere (or if
-// SO_REUSEPORT fails, or DisableReusePort is set) it opens one shared
-// listener.
+// SO_REUSEPORT listeners on the same address; elsewhere, or if
+// SO_REUSEPORT fails, it opens one shared listener.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -374,10 +373,15 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
+// forceSharedListener makes New take the single-shared-listener
+// fallback even where SO_REUSEPORT works, so tests on Linux exercise the
+// path every other platform runs.
+var forceSharedListener = false
+
 // listen binds the listeners, preferring one SO_REUSEPORT listener per
 // worker and falling back to a single shared listener.
 func (s *Server) listen() error {
-	if !s.cfg.DisableReusePort && reusePortAvailable {
+	if !forceSharedListener && reusePortAvailable {
 		listeners, err := listenShards(s.cfg.Network, s.cfg.Addr, s.cfg.Workers)
 		if err == nil {
 			s.listeners = listeners
@@ -531,7 +535,7 @@ func (s *Server) acceptLoop(idx int, l net.Listener) {
 			// The bucket is the acceptor's own, so a flood's cost is
 			// one accept+close per attempt and no shared-state touch.
 			s.ratelimited.Add(1)
-			s.RecordEvent(idx, obs.KindRatelimit, port, 0, 0)
+			s.RecordGroupEvent(idx, obs.KindRatelimit, -1, port, 0, 0)
 			conn.Close()
 			continue
 		}
@@ -542,7 +546,7 @@ func (s *Server) acceptLoop(idx int, l net.Listener) {
 		}
 		c := s.newConn(conn, port)
 		c.charged = budgeted
-		s.enqueue(c)
+		s.enqueue(c, idx)
 	}
 }
 
@@ -579,7 +583,9 @@ func (s *Server) balanceOnce() int {
 	moves := s.bal.BalanceTableFiltered(s.flow, nil, s.ctl.GroupOK)
 	for _, m := range moves {
 		s.workers[m.To].migratedIn.Add(1)
-		s.obs.countMigrate(m.From, m.To, s.cfg.Workers)
+		if s.crossChip(m.From, m.To) {
+			s.migratedCross.Add(1)
+		}
 		s.recordControl(m.To, obs.KindMigrate, m.Group, int64(m.Group), int64(m.From), int64(m.To))
 	}
 	s.advanceController(moves)
@@ -673,7 +679,9 @@ func (s *Server) workerLoop(worker int) {
 				// walk the paper's policy pays for load balance.
 				d := obs.Nanos() - t0
 				s.obs.steal[worker].Record(d)
-				s.obs.countSteal(worker, from, s.cfg.Workers)
+				if s.crossChip(worker, from) {
+					st.stolenCross.Add(1)
+				}
 				s.RecordGroupEvent(worker, obs.KindSteal, conn.group, int64(from), d, conn.port)
 			}
 			st.active.Add(1)
@@ -786,26 +794,31 @@ func (s *Server) Stats() Stats {
 		Live:           s.live.Load(),
 		LivePeak:       s.livePeak.Load(),
 		MaxConns:       s.cfg.MaxConns,
-		Chips:          s.topo.Chips,
+
+		Chips:               s.topo.Chips,
+		CrossChipMigrations: s.migratedCross.Load(),
 
 		FrozenGroups:   s.frozenGroups.Load(),
 		GroupFreezes:   s.groupFreezes.Load(),
 		GroupUnfreezes: s.groupUnfreezes.Load(),
 		PinFailures:    s.pinFailures.Load(),
 	}
-	stealM := s.StealMatrix()
-	st.CrossChipSteals = stealM.CrossChip
-	st.CrossChipMigrations = s.MigrateMatrix().CrossChip
 	if !s.cfg.DisableMigration {
 		st.AdaptiveInterval = time.Duration(s.migrateIntervalNs.Load())
 	}
 	for i := range st.Workers {
 		w := &s.workers[i]
+		// A subset is loaded before its total, which its writer bumps
+		// first (CrossChipMigrations above precedes every MigratedIn), so
+		// a remainder derived from this snapshot never goes negative.
+		acceptRemote, stolenCross := w.acceptRemote.Load(), w.stolenCross.Load()
 		st.Workers[i] = WorkerStats{
 			Worker:       i,
 			Accepted:     w.accepted.Load(),
+			AcceptRemote: acceptRemote,
 			ServedLocal:  w.servedLocal.Load(),
 			ServedStolen: w.servedStolen.Load(),
+			StolenCross:  stolenCross,
 			PinnedCPU:    int(w.pinnedCPU.Load()),
 			Active:       w.active.Load(),
 			QueueDepth:   s.bal.Len(i),
@@ -818,11 +831,6 @@ func (s *Server) Stats() Stats {
 			ClockLagUs:   s.ClockLag(i).Microseconds(),
 			Chip:         s.topo.Chip[i],
 		}
-		for v := 0; v < s.cfg.Workers; v++ {
-			if s.crossChip(i, v) {
-				st.Workers[i].StolenCross += stealM.Counts[i][v]
-			}
-		}
 		if s.cfg.WorkerPool != nil {
 			st.Workers[i].Pool = s.cfg.WorkerPool(i)
 			st.Pool = st.Pool.Add(st.Workers[i].Pool)
@@ -832,6 +840,7 @@ func (s *Server) Stats() Stats {
 			st.Upstream = st.Upstream.Add(st.Workers[i].Upstream)
 		}
 		st.Accepted += st.Workers[i].Accepted
+		st.CrossChipSteals += stolenCross
 		st.Queued += st.Workers[i].QueueDepth
 		st.Active += st.Workers[i].Active
 		if st.Workers[i].PinnedCPU >= 0 {

@@ -26,6 +26,13 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 	testutil.WaitFor(t, d, cond, msg)
 }
 
+// sharedListener makes the servers t builds take the shared-listener
+// fallback, the path every platform without SO_REUSEPORT runs.
+func sharedListener(t *testing.T) {
+	forceSharedListener = true
+	t.Cleanup(func() { forceSharedListener = false })
+}
+
 // dialEcho opens one connection, round-trips one message and closes.
 func dialEcho(t *testing.T, addr string, i int) {
 	t.Helper()
@@ -131,15 +138,15 @@ func TestBurstAllServed(t *testing.T) {
 // however slowly the dials go (source ports an earlier run left in
 // TIME_WAIT slow them down).
 func TestStealFromStalledWorker(t *testing.T) {
+	sharedListener(t)
 	const workers, total, groups = 4, 120, 8
 	dialed := make(chan struct{})
 	s, err := New(Config{
-		Workers:          workers,
-		DisableReusePort: true,
-		FlowGroups:       groups,
-		Backlog:          workers * 64,
-		HighPct:          20, // mark busy early so stealing engages
-		LowPct:           2,  // ~30 pushes only nudge the 1/128-alpha EWMA to ~4; keep busy latched
+		Workers:    workers,
+		FlowGroups: groups,
+		Backlog:    workers * 64,
+		HighPct:    20, // mark busy early so stealing engages
+		LowPct:     2,  // ~30 pushes only nudge the 1/128-alpha EWMA to ~4; keep busy latched
 		WorkerHandler: func(worker int, conn net.Conn) {
 			if worker == 0 {
 				<-dialed
@@ -278,16 +285,16 @@ func TestShutdownDeadlineForcesClose(t *testing.T) {
 // single shared listener routes through the same flow-group table as
 // sharded mode, so locality and group stats stay meaningful off-Linux.
 func TestSharedListenerFallback(t *testing.T) {
+	sharedListener(t)
 	s, err := New(Config{
-		Workers:          3,
-		DisableReusePort: true,
-		Handler:          echoHandler,
+		Workers: 3,
+		Handler: echoHandler,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Sharded() {
-		t.Fatal("DisableReusePort ignored")
+		t.Fatal("forceSharedListener ignored")
 	}
 	s.Start()
 	burst(t, s.Addr().String(), 60)
@@ -315,6 +322,49 @@ func TestSharedListenerFallback(t *testing.T) {
 	}
 	if totalGroups != st.FlowGroups {
 		t.Errorf("groups owned sum to %d, want %d", totalGroups, st.FlowGroups)
+	}
+}
+
+// TestAcceptRemoteCountsHandOff pins the accept-time hand-off count:
+// under SO_REUSEPORT the kernel's hash picks the listener and agrees
+// with the flow table on about one connection in Workers, so some of
+// 200 dials at two workers land on the other worker's listener — never
+// more than were accepted, per worker — while the shared listener,
+// which hands every connection off by construction, counts none.
+func TestAcceptRemoteCountsHandOff(t *testing.T) {
+	for _, shared := range []bool{true, false} {
+		forceSharedListener = shared
+		s, err := New(Config{Workers: 2, Handler: echoHandler})
+		forceSharedListener = false
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !shared && !s.Sharded() {
+			t.Skip("SO_REUSEPORT unavailable: no sharded listeners to compare")
+		}
+		s.Start()
+		burst(t, s.Addr().String(), 200)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		err = s.Shutdown(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+		st := s.Stats()
+		var remote uint64
+		for _, w := range st.Workers {
+			if w.AcceptRemote > w.Accepted {
+				t.Errorf("shared=%v worker %d: %d remote of %d accepted", shared, w.Worker, w.AcceptRemote, w.Accepted)
+			}
+			remote += w.AcceptRemote
+		}
+		if shared && remote != 0 {
+			t.Errorf("shared listener counted %d remote accepts, want 0", remote)
+		}
+		if !shared && (remote == 0 || remote > st.Accepted) {
+			t.Errorf("sharded: %d remote accepts of %d, want 0 < remote <= accepted", remote, st.Accepted)
+		}
+		t.Logf("shared=%v: %d of %d accepts handed to another worker", shared, remote, st.Accepted)
 	}
 }
 

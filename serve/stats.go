@@ -17,9 +17,13 @@ type PoolStats = stats.PoolSnapshot
 // per-core counters the paper's kernel implementation exports.
 type WorkerStats struct {
 	Worker int
-	// Accepted counts connections accepted by this worker's listener
-	// (its kernel accept queue under SO_REUSEPORT).
-	Accepted uint64
+	// Accepted counts connections routed to this worker at accept time:
+	// the owner of their flow group, whichever listener accepted them.
+	// AcceptRemote counts the subset another worker's listener accepted
+	// under SO_REUSEPORT, where the kernel's hash rather than the flow
+	// table picks the listener (0 on the shared-listener fallback).
+	Accepted     uint64
+	AcceptRemote uint64
 	// ServedLocal counts connections this worker served from its own
 	// queue; ServedStolen counts ones it stole from other workers.
 	ServedLocal  uint64

@@ -120,11 +120,11 @@ func TestWakeReachesOwnerOnly(t *testing.T) {
 // steal. The thieves were never busy themselves, so they sleep without a
 // timer and only that signal can have woken them.
 func TestBusyPushWakesThieves(t *testing.T) {
+	sharedListener(t)
 	const workers, total, groups = 4, 40, 8
 	gate := make(chan struct{})
 	s, err := New(Config{
 		Workers:          workers,
-		DisableReusePort: true,
 		FlowGroups:       groups,
 		DisableMigration: true,
 		Backlog:          workers * 64,
@@ -167,11 +167,11 @@ func TestBusyPushWakesThieves(t *testing.T) {
 // signal them again: only charging idle time to their EWMAs clears the
 // bits, after which their last Pop before sleeping scans the busy victim.
 func TestLatchedThievesStillSteal(t *testing.T) {
+	sharedListener(t)
 	const workers, total, groups = 4, 120, 8
 	gate := make(chan struct{})
 	s, err := New(Config{
 		Workers:          workers,
-		DisableReusePort: true,
 		FlowGroups:       groups,
 		DisableMigration: true,
 		Backlog:          workers * 64,

@@ -163,18 +163,13 @@ var pingFrame = []byte{0x80 | byte(OpPing), 0}
 
 // pingSlot examines one wheel slot's connections: sockets quiet longer
 // than PingInterval get a ping (whose pong will ride the park→route→
-// pass path, keeping even keep-alive traffic on the owning worker);
-// sockets dead longer than IdleTimeout — the park deadline has already
-// closed their transport — are reaped so OnClose fires promptly.
+// pass path, keeping even keep-alive traffic on the owning worker).
+// Sockets silent past IdleTimeout are not its business: the park
+// deadline reaps them, and OnParkClose reports the 1006.
 func (ws *WS) pingSlot(conns []*Conn) {
 	now := time.Now()
 	for _, c := range conns {
-		idle := now.Sub(time.Unix(0, c.lastActive.Load()))
-		if t := ws.cfg.IdleTimeout; t > 0 && idle > t {
-			c.finish(CloseAbnormal)
-			continue
-		}
-		if idle < ws.cfg.PingInterval {
+		if now.Sub(time.Unix(0, c.lastActive.Load())) < ws.cfg.PingInterval {
 			continue
 		}
 		c.writeMu.Lock()

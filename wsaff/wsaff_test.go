@@ -364,9 +364,9 @@ func TestServerPingKeepAlive(t *testing.T) {
 	}
 }
 
-// TestIdleTimeoutReapsSilentPeer: with pings disabled and a short idle
-// timeout, a silent peer's park deadline fires and the wheel reaps it
-// with OnClose(1006).
+// TestIdleTimeoutReapsSilentPeer: with a short idle timeout and a peer
+// that never pongs, the park deadline fires, the worker's event-loop
+// sweep closes the socket, and OnParkClose reports OnClose(1006).
 func TestIdleTimeoutReapsSilentPeer(t *testing.T) {
 	var closed atomic.Int64
 	srv, ws := startWS(t, Config{
