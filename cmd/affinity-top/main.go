@@ -3,7 +3,7 @@
 // /debug/flows journey endpoint and renders the per-worker locality
 // table, steal and migration rates, plus the hottest flow groups with
 // the tail of their journeys — the §3.3 control plane at a glance. The
-// table is the one affinity-bench prints, drawn from the same series.
+// table is rendered from the series a scrape of /metrics returns.
 //
 // Usage:
 //
@@ -12,8 +12,8 @@
 //	affinity-top -addr 127.0.0.1:8080 -once        # one frame, no clear
 //
 // The server must mount httpaff.MetricsHandler on /metrics and
-// httpaff.FlowsHandler on /debug/flows (affinity-bench -http does, as
-// do the webfarm and edgeproxy examples).
+// httpaff.FlowsHandler on /debug/flows, as the webfarm and edgeproxy
+// examples do.
 package main
 
 import (

@@ -2,8 +2,8 @@
 // Prometheus text serve.Server.WriteObsMetrics writes (alone, or inside
 // httpaff.MetricsHandler's unified /metrics) parsed into Series, and
 // Write prints the summary lines and the per-worker locality table.
-// affinity-top draws its live frames with it and affinity-bench its
-// end-of-run report, so the two read the same series users scrape.
+// affinity-top draws its live frames with it, so the dashboard reads the
+// same series users scrape.
 package top
 
 import (

@@ -173,10 +173,6 @@ func (ctx *RequestCtx) HeaderAt(i int) (key, value []byte) {
 	return h.key, h.val
 }
 
-// RequestNum reports how many requests this connection has served,
-// including the current one.
-func (ctx *RequestCtx) RequestNum() int { return ctx.conn.reqs }
-
 // RemoteAddr reports the client address.
 func (ctx *RequestCtx) RemoteAddr() net.Addr { return ctx.conn.RemoteAddr() }
 

@@ -1,13 +1,16 @@
 package httpaff
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"strings"
 	"testing"
 	"time"
 
+	"affinityaccept/internal/loadgen"
 	"affinityaccept/internal/obs"
 	"affinityaccept/internal/testutil"
 )
@@ -305,17 +308,72 @@ func TestFlowsHandlerJSON(t *testing.T) {
 // TestTraceHandlerChromeFormat mounts /debug/trace and checks the
 // export is a loadable Chrome trace: valid JSON, a traceEvents array
 // with per-worker thread_name metadata, and at least one residency span
-// ("X" event) for the traffic the warm-up generated.
+// ("X" event) for the traffic the warm-up generated. With four workers
+// on two simulated chips and keep-alive traffic on every worker, every
+// worker's track carries a residency span.
 func TestTraceHandlerChromeFormat(t *testing.T) {
+	t.Run("warm-up", func(t *testing.T) {
+		s := startTraced(t, Config{Workers: 2})
+		conn, br := dial(t, s)
+		fmt.Fprintf(conn, "GET / HTTP/1.1\r\nHost: x\r\n\r\n")
+		readResponse(t, br)
+		threads, spans := fetchTrace(t, conn, br)
+		if !threads[0] || !threads[1] {
+			t.Errorf("trace missing worker track metadata: %v", threads)
+		}
+		if len(spans) == 0 {
+			t.Error("trace has no residency spans after a served request")
+		}
+	})
+	t.Run("every worker", func(t *testing.T) {
+		s := startTraced(t, Config{Workers: 4, Chips: 2})
+		var conn net.Conn
+		var br *bufio.Reader
+		for w := 0; w < s.Workers(); w++ {
+			base := loadgen.PortBase(s.FlowGroups())
+			g := 0
+			for s.OwnerOf(uint16(base+g)) != w {
+				g++
+			}
+			nc, err := loadgen.DialGroup(s.Addr().String(), g, s.FlowGroups())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { nc.Close() })
+			nc.SetDeadline(time.Now().Add(10 * time.Second))
+			conn, br = nc, bufio.NewReader(nc)
+			for i := 0; i < 2; i++ {
+				fmt.Fprintf(conn, "GET / HTTP/1.1\r\nHost: x\r\n\r\n")
+				readResponse(t, br)
+			}
+		}
+		_, spans := fetchTrace(t, conn, br)
+		for w := 0; w < s.Workers(); w++ {
+			if spans[w] == 0 {
+				t.Errorf("worker %d track has no residency span: %v", w, spans)
+			}
+		}
+	})
+}
+
+// startTraced starts a server serving echoPath with /debug/trace
+// mounted.
+func startTraced(t *testing.T, cfg Config) *Server {
 	var s *Server
 	r := NewRouter()
 	r.Handle("/", echoPath)
 	r.Handle("/debug/trace", func(ctx *RequestCtx) { TraceHandler(s)(ctx) })
-	s = start(t, Config{Workers: 2, Handler: r.Serve})
-	conn, br := dial(t, s)
-	fmt.Fprintf(conn, "GET / HTTP/1.1\r\nHost: x\r\n\r\n")
-	readResponse(t, br)
+	cfg.Handler = r.Serve
+	s = start(t, cfg)
+	return s
+}
 
+// fetchTrace fetches /debug/trace on conn, checks it is a Chrome trace
+// in milliseconds whose residency spans have positive durations, and
+// returns the tracks with thread_name metadata and the span count per
+// track.
+func fetchTrace(t *testing.T, conn net.Conn, br *bufio.Reader) (threads map[int]bool, spans map[int]int) {
+	t.Helper()
 	fmt.Fprintf(conn, "GET /debug/trace HTTP/1.1\r\nHost: x\r\n\r\n")
 	code, headers, raw := readResponse(t, br)
 	if code != 200 || headers["content-type"] != "application/json" {
@@ -337,23 +395,17 @@ func TestTraceHandlerChromeFormat(t *testing.T) {
 	if doc.DisplayTimeUnit != "ms" {
 		t.Errorf("displayTimeUnit %q, want ms", doc.DisplayTimeUnit)
 	}
-	threads := map[int]bool{}
-	spans := 0
+	threads, spans = map[int]bool{}, map[int]int{}
 	for _, ev := range doc.TraceEvents {
 		switch {
 		case ev.Ph == "M" && ev.Name == "thread_name":
 			threads[ev.TID] = true
 		case ev.Ph == "X":
-			spans++
+			spans[ev.TID]++
 			if ev.Dur <= 0 {
 				t.Errorf("residency span with non-positive duration %v", ev.Dur)
 			}
 		}
 	}
-	if !threads[0] || !threads[1] {
-		t.Errorf("trace missing worker track metadata: %v", threads)
-	}
-	if spans == 0 {
-		t.Error("trace has no residency spans after a served request")
-	}
+	return threads, spans
 }

@@ -22,18 +22,12 @@ type methodRoute struct {
 // linear scan of the few registered methods, so routing stays on the
 // zero-allocation path.
 type Router struct {
-	routes   map[string]*route
-	notFound HandlerFunc
+	routes map[string]*route
 }
 
-// NewRouter returns an empty router whose fallback answers 404.
+// NewRouter returns an empty router: an unregistered path answers 404.
 func NewRouter() *Router {
-	return &Router{
-		routes: make(map[string]*route),
-		notFound: func(ctx *RequestCtx) {
-			ctx.SetStatus(http.StatusNotFound)
-		},
-	}
+	return &Router{routes: make(map[string]*route)}
 }
 
 func (r *Router) route(path string) *route {
@@ -77,14 +71,11 @@ func (r *Router) HandleMethod(method, path string, h HandlerFunc) {
 	}
 }
 
-// NotFound replaces the fallback handler.
-func (r *Router) NotFound(h HandlerFunc) { r.notFound = h }
-
 // Serve dispatches one request; use it as Config.Handler.
 func (r *Router) Serve(ctx *RequestCtx) {
 	e, ok := r.routes[string(ctx.Path())]
 	if !ok {
-		r.notFound(ctx)
+		ctx.SetStatus(http.StatusNotFound)
 		return
 	}
 	m := ctx.Method()

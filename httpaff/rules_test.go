@@ -29,7 +29,7 @@ func TestProductionLinksNoSimulator(t *testing.T) {
 	binary := regexp.MustCompile(`^(affinityaccept|` + simulator + `)$`)
 	for pkg, banned := range map[string]*regexp.Regexp{
 		"serve": production, "httpaff": production, "proxyaff": production, "wsaff": production,
-		"cmd/affinity-bench": binary, "cmd/affinity-top": binary,
+		"cmd/affinity-top":   binary,
 		"examples/reuseport": binary, "examples/longlived": binary, "examples/webfarm": binary,
 		"examples/edgeproxy": binary, "examples/chat": binary,
 	} {

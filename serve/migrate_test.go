@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"affinityaccept/internal/loadgen"
+	"affinityaccept/internal/obs"
 )
 
 // dialHot opens a connection whose local (ephemeral) port hashes into
@@ -49,52 +50,54 @@ func requeueEcho(srv **Server, msgLen int, work time.Duration) Handler {
 	}
 }
 
-// runSkewedKeepAlive drives one server with the paper's §3.3.2 problem
-// workload: long-lived connections, all hashing into flow groups owned
-// by worker 0, each looping request/response for the window. It returns
-// the final stats.
-func runSkewedKeepAlive(t *testing.T, disableMigration bool) Stats {
+// runSkewedKeepAlive drives one four-worker server, configured by cfg's
+// FlowGroups, Chips and DisableMigration, with the paper's §3.3.2
+// problem workload: conns long-lived connections, all hashing into flow
+// groups initially owned by the first worker of each chip (worker 0 on
+// a flat machine), each looping request/response for the window. It
+// returns the stats sampled as the window closes, with every client
+// still looping, and, once the clients have stopped and the server has
+// shut down, the final stats and event timeline.
+func runSkewedKeepAlive(t *testing.T, cfg Config, conns int) (closing, final Stats, events []obs.Event) {
 	t.Helper()
 	const (
-		workers = 4
-		groups  = 16
-		conns   = 24
-		msgLen  = 8
-		window  = 400 * time.Millisecond
+		msgLen = 8
+		window = 400 * time.Millisecond
 	)
 	var srv *Server
-	s, err := New(Config{
-		Workers:          workers,
-		FlowGroups:       groups,
-		MigrateInterval:  2 * time.Millisecond,
-		DisableMigration: disableMigration,
-		Backlog:          workers * 64,
-		HighPct:          20,
-		LowPct:           5,
-		Handler:          requeueEcho(&srv, msgLen, 200*time.Microsecond),
-	})
+	cfg.Workers = 4
+	cfg.MigrateInterval = 2 * time.Millisecond
+	cfg.Backlog = cfg.Workers * 64
+	cfg.HighPct, cfg.LowPct = 20, 5
+	cfg.Handler = requeueEcho(&srv, msgLen, 200*time.Microsecond)
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv = s
 	s.Start()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := s.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-	}()
 
-	hot := groupsOwnedBy(s, 0) // initially
+	hotWorker := map[int]bool{}
+	for w := 0; w < cfg.Workers; w++ {
+		hotWorker[w] = w == 0 || s.WorkerChip(w) != s.WorkerChip(w-1)
+	}
+	// The hot workers' groups as the run starts, in group order so the
+	// connections spread evenly over the hot workers.
+	var hot []int
+	base := loadgen.PortBase(s.FlowGroups())
+	for g := 0; g < s.FlowGroups(); g++ {
+		if hotWorker[s.OwnerOf(uint16(base+g))] {
+			hot = append(hot, g)
+		}
+	}
 	if len(hot) == 0 {
-		t.Fatal("worker 0 owns no groups")
+		t.Fatal("the hot workers own no groups")
 	}
 
 	var wg sync.WaitGroup
 	stop := time.Now().Add(window)
 	for i := 0; i < conns; i++ {
-		conn := dialHot(t, s.Addr().String(), hot[i%len(hot)], groups)
+		conn := dialHot(t, s.Addr().String(), hot[i%len(hot)], s.FlowGroups())
 		wg.Add(1)
 		go func(conn net.Conn) {
 			defer wg.Done()
@@ -111,18 +114,28 @@ func runSkewedKeepAlive(t *testing.T, disableMigration bool) Stats {
 			}
 		}(conn)
 	}
+	time.Sleep(time.Until(stop))
+	closing = s.Stats()
 	wg.Wait()
-	return s.Stats()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Errorf("shutdown: %v", err)
+	}
+	return closing, s.Stats(), s.Events()
 }
 
 // TestMigrationRescuesSkewedKeepAlive is the §3.3.2 headline: with all
 // long-lived connections hashed into worker 0's flow groups, stealing
 // alone serves most passes remotely forever; the migration loop
 // re-points the hot groups at the stealing workers, so locality
-// improves and the migration count is nonzero.
+// improves and the migration count is nonzero. Over the whole migrating
+// run, the event plane keeps every move: each one left a KindMigrate
+// event on the control ring, and the stitched per-group journeys carry
+// them all.
 func TestMigrationRescuesSkewedKeepAlive(t *testing.T) {
-	stealOnly := runSkewedKeepAlive(t, true)
-	migrating := runSkewedKeepAlive(t, false)
+	_, stealOnly, _ := runSkewedKeepAlive(t, Config{FlowGroups: 16, DisableMigration: true}, 24)
+	_, migrating, events := runSkewedKeepAlive(t, Config{FlowGroups: 16}, 24)
 
 	t.Logf("steal-only: locality %.1f%% migrations %d\n%+v",
 		stealOnly.LocalityPct(), stealOnly.Migrations, stealOnly)
@@ -143,6 +156,49 @@ func TestMigrationRescuesSkewedKeepAlive(t *testing.T) {
 	// remote serving.
 	if stealOnly.ServedStolen == 0 {
 		t.Error("steal-only run recorded no steals; workload was not skewed enough")
+	}
+
+	var migrateEvents uint64
+	migrated := map[int32]bool{}
+	for _, ev := range events {
+		if ev.Kind == obs.KindMigrate {
+			migrateEvents++
+			migrated[ev.Group] = true
+		}
+	}
+	if migrateEvents != migrating.Migrations {
+		t.Errorf("%d migrate events on the control ring for %d stats migrations", migrateEvents, migrating.Migrations)
+	}
+	var journeyMigrations uint64
+	for _, j := range obs.Stitch(events) {
+		journeyMigrations += uint64(j.Migrations)
+		delete(migrated, j.Group)
+	}
+	if journeyMigrations != migrating.Migrations {
+		t.Errorf("stitched journeys carry %d migrations, stats count %d", journeyMigrations, migrating.Migrations)
+	}
+	if len(migrated) != 0 {
+		t.Errorf("migrated groups without a journey: %v", migrated)
+	}
+}
+
+// TestStealStaysOnChip drives the skewed keep-alive workload through
+// real sockets on a simulated two-chip machine, one hot worker per chip
+// and migration off, so every thief has a same-chip and a cross-chip
+// victim to choose between. While the load runs, the steal scan serve
+// wires from Config.Chips must take nearly every steal from the thief's
+// own chip (a flat scan takes about half across the chip line). The
+// count is read as the window closes: once the clients stop, one chip's
+// hot queue runs dry first, and stealing from the other chip is then
+// the nearest busy victim, as it should be.
+func TestStealStaysOnChip(t *testing.T) {
+	st, _, _ := runSkewedKeepAlive(t, Config{FlowGroups: 64, Chips: 2, DisableMigration: true}, 48)
+	t.Logf("%d steals, %d cross-chip", st.ServedStolen, st.CrossChipSteals)
+	if st.ServedStolen == 0 {
+		t.Fatal("no steals; workload was not skewed enough")
+	}
+	if 100*st.CrossChipSteals >= 5*st.ServedStolen {
+		t.Errorf("%d of %d steals crossed the chip line, want under 5%%", st.CrossChipSteals, st.ServedStolen)
 	}
 }
 

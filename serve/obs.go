@@ -162,10 +162,6 @@ func (s *Server) ClockLag(w int) time.Duration {
 // (nanoseconds parked between requests). Diagnostic path: allocates.
 func (s *Server) ParkDurationSnapshot() obs.HistSnapshot { return mergeHists(s.obs.park) }
 
-// StealCostSnapshot returns the merged steal-cost histogram (queue-pop
-// nanoseconds for stolen connections). Diagnostic path: allocates.
-func (s *Server) StealCostSnapshot() obs.HistSnapshot { return mergeHists(s.obs.steal) }
-
 func mergeHists(hs []*obs.Hist) obs.HistSnapshot {
 	m := hs[0].Snapshot()
 	for _, h := range hs[1:] {

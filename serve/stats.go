@@ -160,12 +160,3 @@ func (s Stats) LocalityPct() float64 {
 	}
 	return 100 * float64(s.ServedLocal) / float64(s.Served)
 }
-
-// StealPct is the percentage of served handler passes that were stolen
-// from another worker's queue.
-func (s Stats) StealPct() float64 {
-	if s.Served == 0 {
-		return 0
-	}
-	return 100 * float64(s.ServedStolen) / float64(s.Served)
-}

@@ -13,10 +13,10 @@ import (
 
 // Client is a minimal RFC 6455 client — handshake, masked sends, frame
 // reads with automatic pong replies. It exists so the subsystem's own
-// tooling (affinity-bench's -ws mode, examples/chat, tests) can drive a
-// wsaff server without duplicating the codec; it is intentionally not a
-// full-featured client library (no fragmented sends, no extension
-// negotiation, one goroutine's use at a time).
+// examples and tests can drive a wsaff server without duplicating the
+// codec; it is intentionally not a full-featured client library (no
+// fragmented sends, no extension negotiation, one goroutine's use at a
+// time).
 type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
@@ -89,22 +89,6 @@ func (c *Client) Close() error { return c.conn.Close() }
 // buffer so a steady send loop does not allocate.
 func (c *Client) Send(op Op, payload []byte) error {
 	c.mbuf = appendMaskedFrame(c.mbuf[:0], true, op, c.key, payload)
-	_, err := c.conn.Write(c.mbuf)
-	return err
-}
-
-// SendClose writes a masked close frame.
-func (c *Client) SendClose(code uint16, reason string) error {
-	var pbuf [125]byte
-	payload := pbuf[:0]
-	if code != CloseNoStatus && code != CloseAbnormal {
-		if len(reason) > 123 {
-			reason = reason[:123]
-		}
-		payload = append(payload, byte(code>>8), byte(code))
-		payload = append(payload, reason...)
-	}
-	c.mbuf = appendMaskedFrame(c.mbuf[:0], true, OpClose, c.key, payload)
 	_, err := c.conn.Write(c.mbuf)
 	return err
 }

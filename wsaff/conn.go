@@ -34,6 +34,7 @@ type Conn struct {
 	regMu      sync.Mutex
 	dead       bool         // finish ran; no further registration
 	shard      int32        // current shard index; moves with §3.3.2 migration
+	slot       int          // wheel slot in that shard (under regMu; set by shard.add)
 	subscribed atomic.Bool  // registered in the shard's broadcast set
 	lastActive atomic.Int64 // unix nanos of last inbound traffic
 	opened     bool         // OnOpen delivered (pass-side state)

@@ -12,19 +12,18 @@ import (
 const wheelSlots = 8
 
 // shard is one worker's slice of the connection population: every open
-// connection whose flow group the worker owns, the worker-local
-// broadcast subscriber set, and the timer wheel that paces their
-// keep-alive pings. Each shard has its own mutex — the whole point is
-// that publishing to a million subscribers takes no process-wide lock,
-// only per-worker ones, and the hot registration operations (a
-// connection's own worker adding, moving or removing it) contend only
-// with that worker's shard.
+// connection whose flow group the worker owns, held in exactly one slot
+// of the timer wheel that paces their keep-alive pings, and the
+// worker-local broadcast subscriber set. Each shard has its own mutex —
+// the whole point is that publishing to a million subscribers takes no
+// process-wide lock, only per-worker ones, and the hot registration
+// operations (a connection's own worker adding, moving or removing it)
+// contend only with that worker's shard.
 type shard struct {
 	mu    sync.Mutex
-	conns map[*Conn]struct{} // every open conn owned by this shard
-	subs  map[*Conn]struct{} // broadcast subscribers
-	wheel [wheelSlots]map[*Conn]struct{}
-	next  int // wheel slot the next added conn lands in (spread)
+	subs  map[*Conn]struct{}             // broadcast subscribers
+	wheel [wheelSlots]map[*Conn]struct{} // every open conn, in its Conn.slot
+	next  int                            // wheel slot the next added conn lands in (spread)
 
 	// pub queues pending broadcast frames (pre-encoded, read-only). A
 	// shard that falls broadcastBuffer behind drops broadcasts — and
@@ -43,7 +42,6 @@ type shard struct {
 const broadcastBuffer = 128
 
 func (s *shard) init() {
-	s.conns = make(map[*Conn]struct{})
 	s.subs = make(map[*Conn]struct{})
 	for i := range s.wheel {
 		s.wheel[i] = make(map[*Conn]struct{})
@@ -54,7 +52,7 @@ func (s *shard) init() {
 func (s *shard) add(c *Conn) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.conns[c] = struct{}{}
+	c.slot = s.next
 	s.wheel[s.next][c] = struct{}{}
 	s.next = (s.next + 1) % wheelSlots
 }
@@ -62,10 +60,7 @@ func (s *shard) add(c *Conn) {
 func (s *shard) remove(c *Conn) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.conns, c)
-	for i := range s.wheel {
-		delete(s.wheel[i], c)
-	}
+	delete(s.wheel[c.slot], c)
 }
 
 func (s *shard) subscribe(c *Conn) {
@@ -84,9 +79,11 @@ func (s *shard) unsubscribe(c *Conn) {
 func (s *shard) snapshot() []*Conn {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*Conn, 0, len(s.conns))
-	for c := range s.conns {
-		out = append(out, c)
+	var out []*Conn
+	for i := range s.wheel {
+		for c := range s.wheel[i] {
+			out = append(out, c)
+		}
 	}
 	return out
 }
