@@ -156,12 +156,10 @@ func BenchmarkSequentialKeepAlive(b *testing.B) {
 func BenchmarkParseRequest(b *testing.B) {
 	ctx := newTestCtx()
 	raw := "GET /hot/path?q=1 HTTP/1.1\r\nHost: bench.test\r\nUser-Agent: affinity-bench\r\nAccept: */*\r\n\r\n"
-	copy(ctx.rbuf, raw)
-	end := bytes.Index(ctx.rbuf[:len(raw)], crlfCRLF)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ctx.parseHead(ctx.rbuf[:end+2]); err != nil {
+		if err := parseRaw(ctx, raw); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -170,8 +168,7 @@ func BenchmarkParseRequest(b *testing.B) {
 // BenchmarkSerializeResponse isolates the response writer.
 func BenchmarkSerializeResponse(b *testing.B) {
 	ctx := newTestCtx()
-	copy(ctx.rbuf, "GET / HTTP/1.1\r\n\r\n")
-	if err := ctx.parseHead(ctx.rbuf[:16]); err != nil {
+	if err := parseRaw(ctx, "GET / HTTP/1.1\r\n\r\n"); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

@@ -24,6 +24,7 @@ type request struct {
 	headers            []headerField
 	body               []byte
 	contentLength      int
+	seenCL             bool // a Content-Length field was parsed
 	keepAlive          bool
 }
 
@@ -32,6 +33,7 @@ func (r *request) reset() {
 	r.path, r.query, r.body = nil, nil, nil
 	r.headers = r.headers[:0]
 	r.contentLength = 0
+	r.seenCL = false
 	r.keepAlive = false
 }
 
@@ -66,9 +68,10 @@ type RequestCtx struct {
 	conn   *conn // the connection and its HTTP state, the same value every pass
 	worker int
 
-	rbuf []byte // request bytes; req slices alias this
-	rlen int    // valid bytes in rbuf
-	rpos int    // consumed bytes (start of the next pipelined request)
+	rbuf  []byte // request bytes; req slices alias this
+	rlen  int    // valid bytes in rbuf
+	rpos  int    // consumed bytes (start of the next pipelined request)
+	start int    // where the request last read began: its size is rpos-start
 
 	wbuf    []byte // serialized responses awaiting one flush
 	flushed int    // response bytes already written this pass
@@ -92,7 +95,7 @@ func (ctx *RequestCtx) begin(c *conn, worker int) {
 
 func (ctx *RequestCtx) end() {
 	ctx.conn = nil
-	ctx.rlen, ctx.rpos = 0, 0
+	ctx.rlen, ctx.rpos, ctx.start = 0, 0, 0
 	ctx.wbuf = ctx.wbuf[:0]
 	ctx.flushed = 0
 	ctx.req.reset()

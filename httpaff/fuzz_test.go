@@ -3,7 +3,16 @@ package httpaff
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
+	"net"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
+
+	"affinityaccept/serve"
 )
 
 // fuzzSeeds is the shared seed corpus: every shape the handwritten
@@ -30,42 +39,46 @@ var fuzzSeeds = []string{
 	"A B C\r\nX:\r\n\r\n",
 }
 
-// FuzzParseHead hammers the zero-copy request parser with arbitrary
-// head bytes. The parser's contract under fuzzing:
+// blankLine is the CRLF pair that ends a request head.
+var blankLine = []byte("\r\n\r\n")
+
+// FuzzParseHead hammers the zero-copy head walk with arbitrary bytes.
+// The walk's contract under fuzzing:
 //
 //   - never panic, whatever the bytes;
+//   - given a blank line, it reaches a verdict: a protocol error, or a
+//     head ending exactly where the first CRLF CRLF ends;
 //   - on success, the request-line views are non-empty, alias the
 //     input buffer, and Content-Length is within the buffering cap;
 //   - parsing is deterministic: the same bytes parse to the same
-//     result twice (the parser must not leave state behind in the ctx).
+//     result twice (the walk must not leave state behind in the ctx).
 func FuzzParseHead(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		end := bytes.Index(data, crlfCRLF)
-		if end < 0 {
-			// readRequest only hands parseHead a complete head; mirror
-			// that contract by completing the terminator ourselves.
-			data = append(data, crlfCRLF...)
-			end = len(data) - 4
+		if !bytes.Contains(data, blankLine) {
+			// readRequest decides on a head once its blank line has
+			// arrived; complete the terminator ourselves.
+			data = append(data, blankLine...)
 		}
-		head := data[:end+2]
-
 		ctx := newTestCtx()
-		if len(head) > len(ctx.rbuf) {
-			ctx.rbuf = make([]byte, len(head))
+		if len(data) > len(ctx.rbuf) {
+			ctx.rbuf = make([]byte, len(data))
 		}
-		copy(ctx.rbuf, head)
-		ctx.rlen = len(head)
-		err := ctx.parseHead(ctx.rbuf[:len(head)])
+		ctx.rlen = copy(ctx.rbuf, data)
+		end, done, err := ctx.walkHead(0, ctx.rlen)
 		if err != nil {
 			var pe *protoError
 			if !errors.As(err, &pe) {
-				t.Fatalf("parseHead returned a non-protocol error: %v", err)
+				t.Fatalf("walkHead returned a non-protocol error: %v", err)
 			}
 			return
 		}
+		if want := bytes.Index(data, blankLine) + len(blankLine); !done || end != want {
+			t.Fatalf("walk stopped at %d (done %v), want the head's end %d in %q", end, done, want, data)
+		}
+		head := data[:end]
 		if len(ctx.req.method) == 0 || len(ctx.req.uri) == 0 || len(ctx.req.proto) == 0 {
 			t.Fatalf("accepted request with empty views: method=%q uri=%q proto=%q from %q",
 				ctx.req.method, ctx.req.uri, ctx.req.proto, head)
@@ -80,14 +93,126 @@ func FuzzParseHead(f *testing.F) {
 		}
 		method1, uri1, nHeaders := string(ctx.req.method), string(ctx.req.uri), len(ctx.req.headers)
 
-		// Determinism: a second parse of the same bytes in the same ctx
+		// Determinism: a second walk of the same bytes in the same ctx
 		// (the keep-alive reuse pattern) must agree.
-		if err := ctx.parseHead(ctx.rbuf[:len(head)]); err != nil {
+		if _, _, err := ctx.walkHead(0, ctx.rlen); err != nil {
 			t.Fatalf("reparse failed: %v", err)
 		}
 		if string(ctx.req.method) != method1 || string(ctx.req.uri) != uri1 || len(ctx.req.headers) != nHeaders {
 			t.Fatalf("reparse disagreed: %q/%q/%d vs %q/%q/%d",
 				ctx.req.method, ctx.req.uri, len(ctx.req.headers), method1, uri1, nHeaders)
+		}
+	})
+}
+
+// scriptedConn delivers a fixed byte stream in scripted read sizes,
+// cycling through chunks, then reports io.EOF.
+type scriptedConn struct {
+	net.Conn // nil: only Read and SetReadDeadline are called
+	data     []byte
+	chunks   []int
+	reads    int
+}
+
+func (c *scriptedConn) Read(b []byte) (int, error) {
+	if len(c.data) == 0 {
+		return 0, io.EOF
+	}
+	n := min(len(b), len(c.data), c.chunks[c.reads%len(c.chunks)])
+	c.reads++
+	n = copy(b, c.data[:n])
+	c.data = c.data[n:]
+	return n, nil
+}
+
+func (c *scriptedConn) SetReadDeadline(time.Time) error { return nil }
+
+// readAll runs readRequest over stream, delivered in the given read
+// sizes, until it fails. It returns every request it parsed, rendered
+// to a string (copied before the next read can move the bytes), the
+// request bytes they were counted as, and the terminal error's class.
+func readAll(stream []byte, chunks []int) (reqs []string, consumed int, class string) {
+	ctx := newTestCtx()
+	ctx.conn = &conn{Conn: &serve.Conn{Conn: &scriptedConn{data: stream, chunks: chunks}}}
+	for {
+		err := ctx.readRequest()
+		if err != nil {
+			var pe *protoError
+			if errors.As(err, &pe) {
+				return reqs, consumed, strconv.Itoa(pe.code)
+			}
+			return reqs, consumed, err.Error()
+		}
+		consumed += ctx.rpos - ctx.start
+		r := fmt.Sprintf("%q %q %q %d|", ctx.req.method, ctx.req.uri, ctx.req.proto, ctx.rpos-ctx.start)
+		for _, h := range ctx.req.headers {
+			r += fmt.Sprintf("%q=%q|", h.key, h.val)
+		}
+		reqs = append(reqs, r+string(ctx.req.body))
+	}
+}
+
+// withBody appends to a seed request the body its Content-Length
+// declares, when that is small.
+func withBody(seed string) string {
+	lower := strings.ToLower(seed)
+	i := strings.Index(lower, "content-length:")
+	if i < 0 {
+		return seed
+	}
+	v, _, _ := strings.Cut(lower[i+len("content-length:"):], "\r\n")
+	if n, err := strconv.Atoi(strings.TrimSpace(v)); err == nil && n > 0 && n <= 64 {
+		return seed + strings.Repeat("b", n)
+	}
+	return seed
+}
+
+// FuzzReadRequestSplits pins that parsing depends on the bytes, not on
+// how reads split them: a stream of pipelined requests delivered in
+// fuzzer-chosen read sizes yields the same requests (method, target,
+// version, size, headers, body) and the same terminal error as the
+// stream delivered in reads as large as the buffer takes. A clean end
+// of stream after whole requests must account for every byte.
+func FuzzReadRequestSplits(f *testing.F) {
+	for i := range fuzzSeeds {
+		var stream string
+		for j := 0; j <= i%3; j++ {
+			stream += withBody(fuzzSeeds[(i+j)%len(fuzzSeeds)])
+		}
+		f.Add([]byte(stream), []byte{byte(i * 13)})
+	}
+	// Reads that end inside a pipelined head after its first lines,
+	// so the walk resumes on a request that starts mid-buffer.
+	heads := "GET /one HTTP/1.1\r\nHost: a\r\nX-A: 1111\r\n\r\n" +
+		"DELETE /second HTTP/1.1\r\nHost: bb\r\nX-B: 22222222\r\n\r\n" +
+		"PUT /third/one HTTP/1.0\r\nHost: ccc\r\nX-C: 3\r\n\r\n"
+	f.Add([]byte(heads), []byte{39})
+	f.Add([]byte(heads), []byte{59, 20})
+	// A body that crosses the initial buffer's end, behind a request
+	// that makes it start mid-buffer.
+	big := "GET /a HTTP/1.1\r\nHost: h\r\n\r\nPOST /b HTTP/1.1\r\nContent-Length: 5000\r\n\r\n" +
+		strings.Repeat("x", 5000) + "GET /c HTTP/1.1\r\n\r\n"
+	f.Add([]byte(big), []byte{})
+	f.Add([]byte(big), []byte{200, 7, 255, 0})
+	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
+		if len(stream) > 64<<10 {
+			t.Skip("stream beyond the fuzzed range")
+		}
+		chunks := []int{1} // no cuts: a byte at a time
+		if len(cuts) > 0 {
+			chunks = make([]int, len(cuts))
+			for i, c := range cuts {
+				chunks[i] = 1 + int(c)
+			}
+		}
+		split, _, splitErr := readAll(stream, chunks)
+		whole, consumed, wholeErr := readAll(stream, []int{len(stream) + 1})
+		if splitErr != wholeErr || !slices.Equal(split, whole) {
+			t.Fatalf("split reads %v gave %d requests then %q; one read gave %d then %q\nsplit: %q\nwhole: %q",
+				chunks, len(split), splitErr, len(whole), wholeErr, split, whole)
+		}
+		if wholeErr == errClientGone.Error() && consumed != len(stream) {
+			t.Fatalf("requests account for %d of %d bytes before a clean end", consumed, len(stream))
 		}
 	})
 }

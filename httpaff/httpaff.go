@@ -227,9 +227,9 @@ func New(cfg Config) (*Server, error) {
 		s.arenas[i] = &arena{s: s}
 	}
 	for i := range s.obsw {
-		s.obsw[i].svc = obs.NewHist(obs.DefaultSubBits)
-		s.obsw[i].reqBytes = obs.NewHist(obs.DefaultSubBits)
-		s.obsw[i].respBytes = obs.NewHist(obs.DefaultSubBits)
+		s.obsw[i].svc = obs.Stage{Hist: obs.NewHist(obs.DefaultSubBits)}
+		s.obsw[i].reqBytes = obs.Stage{Hist: obs.NewHist(obs.DefaultSubBits)}
+		s.obsw[i].respBytes = obs.Stage{Hist: obs.NewHist(obs.DefaultSubBits)}
 	}
 	srv, err := serve.New(serve.Config{
 		Network:          cfg.Network,
@@ -388,6 +388,7 @@ func (s *Server) serveConn(worker int, nc net.Conn) {
 	ctx.begin(c, worker)
 	ctx.headerSlot = headerSlot
 	park := s.servePass(ctx)
+	s.obsw[worker].fold()
 	hijacked := c.takeover != nil
 	ctx.end()
 	a.release(ctx)
@@ -462,12 +463,12 @@ const flushEvery = 32 << 10
 func (s *Server) servePass(ctx *RequestCtx) (park bool) {
 	c := ctx.conn
 	ow := &s.obsw[ctx.worker]
+	// Every request is timed head-read start -> response flush (or, for
+	// a mid-pipeline request, response serialization) and sized, for one
+	// clock read (its end stamp is the next one's start) and plain
+	// arithmetic on the worker's staged histograms.
+	t0 := obs.Nanos()
 	for {
-		// Every request is timed head-read start -> response flush (or,
-		// for a mid-pipeline request, response serialization) and sized;
-		// the cost is two clock reads and six atomic adds, all
-		// worker-local.
-		t0 := obs.Nanos()
 		outBefore := int64(ctx.written())
 		err := ctx.readRequest()
 		if ctx.headerSlot {
@@ -510,7 +511,7 @@ func (s *Server) servePass(ctx *RequestCtx) (park bool) {
 		ctx.appendResponse(closing)
 		if closing {
 			ctx.flush()
-			ow.record(obs.Nanos()-t0, int64(ctx.rpos), int64(ctx.written())-outBefore)
+			ow.record(obs.Nanos()-t0, int64(ctx.rpos-ctx.start), int64(ctx.written())-outBefore)
 			ctx.conn.Close()
 			return false
 		}
@@ -519,20 +520,24 @@ func (s *Server) servePass(ctx *RequestCtx) (park bool) {
 				ctx.conn.Close()
 				return false
 			}
-			ow.record(obs.Nanos()-t0, int64(ctx.rpos), int64(ctx.written())-outBefore)
+			ow.record(obs.Nanos()-t0, int64(ctx.rpos-ctx.start), int64(ctx.written())-outBefore)
 			return true
 		}
 		// Mid-pipeline: the response is serialized but rides a later
 		// flush; bill through serialization rather than hold the
 		// sample hostage to unrelated pipelined requests.
-		ow.record(obs.Nanos()-t0, int64(ctx.rpos), int64(ctx.written())-outBefore)
+		t1 := obs.Nanos()
+		ow.record(t1-t0, int64(ctx.rpos-ctx.start), int64(ctx.written())-outBefore)
+		t0 = t1
 		// More pipelined input is already buffered: keep serving on
-		// this worker, flushing periodically.
+		// this worker, flushing periodically (a write no request is billed).
 		if len(ctx.wbuf) >= flushEvery {
 			if ctx.flush() != nil {
 				ctx.conn.Close()
 				return false
 			}
+			ow.fold()
+			t0 = obs.Nanos()
 		}
 	}
 }

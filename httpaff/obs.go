@@ -10,28 +10,38 @@ import (
 )
 
 // workerObs is one worker's request-path histograms. Each worker
-// records only into its own entry — from its own goroutine, with two
-// atomic adds per histogram sample — and the merge across workers
-// happens at scrape time, never on the hot path.
+// records only into its own entry, from its own goroutine, through a
+// Stage: a sample is plain arithmetic, and the atomic adds are paid
+// per pass, when the worker folds. The merge across workers happens at
+// scrape time, never on the hot path.
 type workerObs struct {
-	svc       *obs.Hist // head-read -> flush service latency, ns
-	reqBytes  *obs.Hist // bytes consumed per request (head + body)
-	respBytes *obs.Hist // bytes serialized per response
+	svc       obs.Stage // head-read -> flush service latency, ns
+	reqBytes  obs.Stage // bytes consumed per request (head + body)
+	respBytes obs.Stage // bytes serialized per response
+	_         [64]byte  // written per request: keeps the next worker's stages off this line
 }
 
-// record samples one completed request into the worker's histograms.
+// record stages one completed request's samples.
 func (ow *workerObs) record(svcNs, reqB, respB int64) {
 	ow.svc.Record(svcNs)
 	ow.reqBytes.Record(reqB)
 	ow.respBytes.Record(respB)
 }
 
+// fold publishes the staged samples. It runs at every pass end, before
+// the requeue, and at every mid-pipeline flush.
+func (ow *workerObs) fold() {
+	ow.svc.Fold()
+	ow.reqBytes.Fold()
+	ow.respBytes.Fold()
+}
+
 // mergedSvc returns the service-latency histogram merged across
 // workers. Diagnostic path: allocates.
 func (s *Server) mergedSvc() obs.HistSnapshot {
-	m := s.obsw[0].svc.Snapshot()
+	m := s.obsw[0].svc.Hist.Snapshot()
 	for i := 1; i < len(s.obsw); i++ {
-		m.Merge(s.obsw[i].svc.Snapshot())
+		m.Merge(s.obsw[i].svc.Hist.Snapshot())
 	}
 	return m
 }
@@ -79,11 +89,11 @@ func (s *Server) WriteObsMetrics(w io.Writer) {
 	obs.WriteProm(w, "affinity_http_request_duration_seconds",
 		"Service latency from head-read start to response flush, measured on the worker.",
 		s.mergedSvc(), 1e-9)
-	req := s.obsw[0].reqBytes.Snapshot()
-	resp := s.obsw[0].respBytes.Snapshot()
+	req := s.obsw[0].reqBytes.Hist.Snapshot()
+	resp := s.obsw[0].respBytes.Hist.Snapshot()
 	for i := 1; i < len(s.obsw); i++ {
-		req.Merge(s.obsw[i].reqBytes.Snapshot())
-		resp.Merge(s.obsw[i].respBytes.Snapshot())
+		req.Merge(s.obsw[i].reqBytes.Hist.Snapshot())
+		resp.Merge(s.obsw[i].respBytes.Hist.Snapshot())
 	}
 	obs.WriteProm(w, "affinity_http_request_size_bytes",
 		"Request bytes consumed per request (head plus body).", req, 1)

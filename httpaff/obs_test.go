@@ -55,15 +55,96 @@ func TestServiceLatencyHistogram(t *testing.T) {
 
 	// The request was 28 bytes on the wire; the log-bucketed histogram
 	// may round up by its relative error but never below the true size.
-	req := s.obsw[0].reqBytes.Snapshot()
+	req := s.obsw[0].reqBytes.Hist.Snapshot()
 	for i := 1; i < len(s.obsw); i++ {
-		req.Merge(s.obsw[i].reqBytes.Snapshot())
+		req.Merge(s.obsw[i].reqBytes.Hist.Snapshot())
 	}
 	if req.Count != rounds {
 		t.Fatalf("request-size count %d, want %d", req.Count, rounds)
 	}
 	if lo, hi := req.Quantile(0), req.Quantile(1); lo < 28 || hi > 64 {
 		t.Errorf("request sizes [%d, %d], want around the 28-byte request", lo, hi)
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(b []byte) (int, error) {
+	n, err := c.r.Read(b)
+	c.n += n
+	return n, err
+}
+
+// TestPipelinedAccountingExact sends pipelined batches of GETs around
+// one POST whose body crosses the end of the read buffer, so a request
+// that starts mid-buffer moves to the front and, from the second batch
+// on, the buffer grows under it. After each batch's responses are read,
+// with no Shutdown to flush anything, the scrape must count every
+// request exactly once, the request sizes must sum to the bytes sent
+// and the response sizes to the bytes received: no staged sample
+// outlives its pass, and the request start survives every move.
+func TestPipelinedAccountingExact(t *testing.T) {
+	s := start(t, Config{Workers: 1})
+	conn, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	got := &countingReader{r: conn}
+	br := bufio.NewReader(got)
+	sent, reqs := 0, 0
+	for batch := 0; batch < 3; batch++ {
+		// The context's read buffer starts at 4 KiB and at least
+		// doubles per growth; each batch's body outgrows the last one.
+		body := strings.Repeat("p", 4000<<batch)
+		var b strings.Builder
+		n := 0
+		for i := 0; i < 6; i++ {
+			if i == 3 {
+				fmt.Fprintf(&b, "POST /p HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+			} else {
+				fmt.Fprintf(&b, "GET /g%d HTTP/1.1\r\nHost: x\r\n\r\n", i)
+			}
+			n++
+		}
+		if _, err := io.WriteString(conn, b.String()); err != nil {
+			t.Fatal(err)
+		}
+		sent += b.Len()
+		reqs += n
+		for i := 0; i < n; i++ {
+			if code, _, _ := readResponse(t, br); code != 200 {
+				t.Fatalf("batch %d response %d: status %d", batch, i, code)
+			}
+		}
+		want := map[string]float64{
+			"affinity_http_request_duration_seconds_count": float64(reqs),
+			"affinity_http_request_size_bytes_sum":         float64(sent),
+			"affinity_http_response_size_bytes_sum":        float64(got.n),
+		}
+		// The pass folds its samples right after its last flush, so
+		// the scrape may briefly trail the client's last read.
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			var out strings.Builder
+			s.WriteObsMetrics(&out)
+			series := scrapeSeries([]byte(out.String()), "histogram")
+			off := map[string]float64{}
+			for k, v := range want {
+				if series[k] != v {
+					off[k] = series[k]
+				}
+			}
+			if len(off) == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("batch %d: scrape shows %v, the traffic was %v", batch, off, want)
+			}
+		}
 	}
 }
 

@@ -33,7 +33,6 @@ var (
 )
 
 var (
-	crlfCRLF    = []byte("\r\n\r\n")
 	protoHTTP11 = []byte("HTTP/1.1")
 	protoHTTP10 = []byte("HTTP/1.0")
 )
@@ -98,36 +97,41 @@ func (ctx *RequestCtx) armDeadline(timeout time.Duration) {
 	ctx.conn.SetReadDeadline(dl)
 }
 
-// readRequest reads and parses the next request into ctx.req, consuming
-// its bytes from the read buffer. Requests already fully buffered
-// (pipelining) are parsed without touching the connection. Returns a
-// *protoError for answerable protocol failures, errClientGone for a
-// clean EOF between requests, or the transport error.
+// readRequest reads and parses the next request, which starts at
+// ctx.rpos, into ctx.req in place: one forward walk over the head's
+// lines finds its end and fills ctx.req, resuming after a short read at
+// the first incomplete line. The bytes move only when the request needs
+// room for a read or its body: to the buffer's front, where the walk
+// starts over so no parsed slice aliases moved bytes, or, already at
+// the front, into a larger buffer (grow). Returns a *protoError for
+// answerable protocol failures, errClientGone for a clean EOF between
+// requests, or the transport error.
 func (ctx *RequestCtx) readRequest() error {
-	// Compact: slide unconsumed pipelined bytes to the front so every
-	// request's slices index one contiguous region.
-	if ctx.rpos > 0 {
-		ctx.rlen = copy(ctx.rbuf, ctx.rbuf[ctx.rpos:ctx.rlen])
-		ctx.rpos = 0
-	}
+	maxHead := ctx.srv.cfg.MaxHeaderBytes
 	armed := false  // a read deadline has been armed for this request
 	headDL := false // ...and it is the (typically tighter) head deadline
-	scan := 0
-	headerEnd := -1
+	next, done := ctx.rpos, false
 	for {
-		if ctx.rlen > scan {
-			if i := bytes.Index(ctx.rbuf[scan:ctx.rlen], crlfCRLF); i >= 0 {
-				headerEnd = scan + i + len(crlfCRLF)
+		// Only lines ending within MaxHeaderBytes of the request's start
+		// count, so the verdict does not depend on how reads split it.
+		var err error
+		if next, done, err = ctx.walkHead(next, min(ctx.rlen, ctx.rpos+maxHead)); err != nil {
+			return err
+		}
+		if done {
+			if ctx.req.contentLength > ctx.srv.cfg.MaxBodyBytes {
+				return errBodyTooLarge
+			}
+			if ctx.rpos == 0 || next+ctx.req.contentLength <= len(ctx.rbuf) {
 				break
 			}
-			// The terminator may straddle the next read; back up by
-			// its length minus one.
-			if scan = ctx.rlen - (len(crlfCRLF) - 1); scan < 0 {
-				scan = 0
-			}
-		}
-		if ctx.rlen >= ctx.srv.cfg.MaxHeaderBytes {
+		} else if ctx.rlen-ctx.rpos >= maxHead {
 			return errHeaderTooLarge
+		}
+		if ctx.rpos > 0 {
+			ctx.rlen = copy(ctx.rbuf, ctx.rbuf[ctx.rpos:ctx.rlen])
+			ctx.rpos, next = 0, 0
+			continue
 		}
 		if ctx.rlen == len(ctx.rbuf) {
 			ctx.grow(2 * len(ctx.rbuf))
@@ -154,18 +158,9 @@ func (ctx *RequestCtx) readRequest() error {
 			return err // mid-request EOF or timeout
 		}
 	}
-	if headerEnd > ctx.srv.cfg.MaxHeaderBytes {
-		return errHeaderTooLarge
-	}
-	if err := ctx.parseHead(ctx.rbuf[:headerEnd-2]); err != nil {
-		return err
-	}
 	// Body: Content-Length bytes immediately following the headers.
-	if ctx.req.contentLength > 0 {
-		if ctx.req.contentLength > ctx.srv.cfg.MaxBodyBytes {
-			return errBodyTooLarge
-		}
-		total := headerEnd + ctx.req.contentLength
+	if cl := ctx.req.contentLength; cl > 0 {
+		total := next + cl
 		if total > len(ctx.rbuf) {
 			ctx.grow(total)
 		}
@@ -184,15 +179,15 @@ func (ctx *RequestCtx) readRequest() error {
 				return err
 			}
 		}
-		ctx.req.body = ctx.rbuf[headerEnd:total]
-		ctx.rpos = total
-	} else {
-		ctx.rpos = headerEnd
+		ctx.req.body = ctx.rbuf[next:total]
+		next = total
 	}
+	ctx.start, ctx.rpos = ctx.rpos, next
 	return nil
 }
 
-// grow resizes the read buffer to at least n bytes, preserving content.
+// grow resizes the read buffer to at least n bytes, preserving content
+// and leaving the old buffer, which parsed slices may alias, intact.
 // Growth allocates — it happens only until the buffer fits the
 // workload's largest request, then the arena retains the grown buffer.
 func (ctx *RequestCtx) grow(n int) {
@@ -204,33 +199,46 @@ func (ctx *RequestCtx) grow(n int) {
 	ctx.rbuf = nb
 }
 
-// parseHead parses the request line and header fields from head, which
-// ends with the CRLF of the last header line (the blank line is already
-// stripped). All slices stored into ctx.req alias head.
-func (ctx *RequestCtx) parseHead(head []byte) error {
-	req := &ctx.req
-	req.reset()
-
-	eol := bytes.Index(head, crlf)
-	if eol < 0 {
-		eol = len(head) // request without headers: "GET / HTTP/1.1"
+// walkHead parses the complete lines in rbuf[from:end] into ctx.req
+// (slices alias rbuf; the line at ctx.rpos is the request line) and
+// returns the offset it stopped at: the first incomplete line, or, when
+// done, the end of the blank line closing the head.
+func (ctx *RequestCtx) walkHead(from, end int) (next int, done bool, err error) {
+	for {
+		i := bytes.Index(ctx.rbuf[from:end], crlf)
+		if i < 0 {
+			return from, false, nil
+		}
+		line := ctx.rbuf[from : from+i]
+		switch {
+		case from == ctx.rpos:
+			ctx.req.reset()
+			err = ctx.req.parseRequestLine(line)
+		case i == 0:
+			return from + len(crlf), true, nil
+		default:
+			err = ctx.req.parseHeader(line)
+		}
+		if from += i + len(crlf); err != nil {
+			return from, false, err
+		}
 	}
-	line := head[:eol]
+}
+
+// parseRequestLine parses "METHOD target VERSION".
+func (req *request) parseRequestLine(line []byte) error {
 	sp1 := bytes.IndexByte(line, ' ')
 	if sp1 <= 0 {
 		return errBadRequest
 	}
 	sp2 := bytes.IndexByte(line[sp1+1:], ' ')
 	if sp2 <= 0 {
-		return errBadRequest
+		return errBadRequest // no version, or an empty target
 	}
 	sp2 += sp1 + 1
 	req.method = line[:sp1]
 	req.uri = line[sp1+1 : sp2]
 	req.proto = line[sp2+1:]
-	if len(req.uri) == 0 {
-		return errBadRequest
-	}
 	switch {
 	case bytes.Equal(req.proto, protoHTTP11):
 		req.keepAlive = true
@@ -244,55 +252,41 @@ func (ctx *RequestCtx) parseHead(head []byte) error {
 	} else {
 		req.path = req.uri
 	}
+	return nil
+}
 
-	rest := head
-	if eol < len(head) {
-		rest = head[eol+2:]
-	} else {
-		rest = nil
+// parseHeader parses one "Key: value" field line.
+func (req *request) parseHeader(line []byte) error {
+	col := bytes.IndexByte(line, ':')
+	if col <= 0 {
+		return errBadRequest
 	}
-	seenCL := false
-	for len(rest) > 0 {
-		eol := bytes.Index(rest, crlf)
-		if eol < 0 {
-			line, rest = rest, nil
-		} else {
-			line, rest = rest[:eol], rest[eol+2:]
-		}
-		if len(line) == 0 {
-			continue
-		}
-		col := bytes.IndexByte(line, ':')
-		if col <= 0 {
+	key := http11.TrimOWS(line[:col])
+	val := http11.TrimOWS(line[col+1:])
+	req.headers = append(req.headers, headerField{key: key, val: val})
+	switch {
+	case http11.EqualFold(key, "content-length"):
+		// Duplicate Content-Length headers are a request-smuggling
+		// vector (RFC 9112 §6.3): two parsers disagreeing on which copy
+		// wins disagree on where the next request starts. Reject them
+		// outright, matching values included.
+		if req.seenCL {
 			return errBadRequest
 		}
-		key := http11.TrimOWS(line[:col])
-		val := http11.TrimOWS(line[col+1:])
-		req.headers = append(req.headers, headerField{key: key, val: val})
-		switch {
-		case http11.EqualFold(key, "content-length"):
-			// Duplicate Content-Length headers are a request-smuggling
-			// vector (RFC 9112 §6.3): two parsers disagreeing on which
-			// copy wins disagree on where the next request starts.
-			// Reject them outright, matching values included.
-			if seenCL {
-				return errBadRequest
-			}
-			seenCL = true
-			n, ok := parseUint(val)
-			if !ok {
-				return errBadRequest
-			}
-			req.contentLength = n
-		case http11.EqualFold(key, "connection"):
-			if http11.EqualFold(val, "close") {
-				req.keepAlive = false
-			} else if http11.EqualFold(val, "keep-alive") {
-				req.keepAlive = true
-			}
-		case http11.EqualFold(key, "transfer-encoding"):
-			return errChunked
+		req.seenCL = true
+		n, ok := parseUint(val)
+		if !ok {
+			return errBadRequest
 		}
+		req.contentLength = n
+	case http11.EqualFold(key, "connection"):
+		if http11.EqualFold(val, "close") {
+			req.keepAlive = false
+		} else if http11.EqualFold(val, "keep-alive") {
+			req.keepAlive = true
+		}
+	case http11.EqualFold(key, "transfer-encoding"):
+		return errChunked
 	}
 	return nil
 }

@@ -1,7 +1,7 @@
 package httpaff
 
 import (
-	"bytes"
+	"fmt"
 	"testing"
 
 	"affinityaccept/internal/http11"
@@ -17,17 +17,17 @@ func newTestCtx() *RequestCtx {
 	return &RequestCtx{srv: s, rbuf: make([]byte, 4096), wbuf: make([]byte, 0, 4096)}
 }
 
-// load primes the read buffer as if the bytes had arrived from the
-// network, then parses the head directly.
+// parseRaw primes the read buffer as if the bytes had arrived from the
+// network, then walks the head directly.
 func parseRaw(ctx *RequestCtx, raw string) error {
 	copy(ctx.rbuf, raw)
 	ctx.rlen = len(raw)
 	ctx.rpos = 0
-	end := bytes.Index(ctx.rbuf[:ctx.rlen], crlfCRLF)
-	if end < 0 {
+	_, done, err := ctx.walkHead(0, ctx.rlen)
+	if err == nil && !done {
 		panic("test request has no header terminator")
 	}
-	return ctx.parseHead(ctx.rbuf[:end+2])
+	return err
 }
 
 func TestParseRequestLine(t *testing.T) {
@@ -161,6 +161,40 @@ func TestHelpers(t *testing.T) {
 		if n, ok := parseUint([]byte(bad)); ok {
 			t.Errorf("parseUint(%q) accepted as %d, want overflow rejection", bad, n)
 		}
+	}
+}
+
+// TestLongPipelineKeepsBuffer: a client that pipelines without pause,
+// its reads ending mid-head, must not grow the read buffer. Each
+// request that needs a read moves to the buffer's front and its head is
+// walked again there, so the buffer stays at its initial size.
+func TestLongPipelineKeepsBuffer(t *testing.T) {
+	var stream []byte
+	for i := 0; i < 2000; i++ {
+		stream = fmt.Appendf(stream, "GET /p%d HTTP/1.1\r\nHost: h\r\nX-Pad: %0*d\r\n\r\n", i, i%40, 0)
+	}
+	ctx := newTestCtx()
+	size := len(ctx.rbuf)
+	ctx.conn = &conn{Conn: &serve.Conn{Conn: &scriptedConn{data: stream, chunks: []int{1000, 333, 2900}}}}
+	consumed := 0
+	for i := 0; ; i++ {
+		err := ctx.readRequest()
+		if err == errClientGone {
+			break
+		}
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if want := fmt.Sprintf("/p%d", i); string(ctx.Path()) != want {
+			t.Fatalf("request %d: path %q, want %q", i, ctx.Path(), want)
+		}
+		consumed += ctx.rpos - ctx.start
+	}
+	if consumed != len(stream) {
+		t.Fatalf("requests account for %d of %d bytes", consumed, len(stream))
+	}
+	if len(ctx.rbuf) != size {
+		t.Fatalf("read buffer grew from %d to %d bytes under a pipeline of small requests", size, len(ctx.rbuf))
 	}
 }
 

@@ -185,7 +185,8 @@ func (h *Handle) probeReadable() bool {
 // run is the epoll loop goroutine. EPOLLERR/EPOLLHUP/EPOLLRDHUP are
 // delivered as readability like EPOLLIN — the woken handler's next read
 // observes the EOF or error and closes the connection on its normal
-// path. The wait deadline doubles as the coarse-clock tick.
+// path. The wait deadline doubles as the coarse-clock tick; it is
+// absolute, so it is re-armed only after it fires.
 func (l *Loop) run() {
 	defer close(l.done)
 	p := l.p
@@ -201,9 +202,9 @@ func (l *Loop) run() {
 		return n > 0 || l.closedFlag.Load()
 	}
 	lastSweep := time.Now().UnixNano()
+	p.netf.SetReadDeadline(time.Now().Add(PollInterval))
 	for {
 		n = 0
-		p.netf.SetReadDeadline(time.Now().Add(PollInterval))
 		rerr := p.netc.Read(harvest)
 		now := time.Now().UnixNano()
 		l.clock.Store(now)
@@ -227,6 +228,9 @@ func (l *Loop) run() {
 			// this goroutine to return, hence its own.
 			go l.Close()
 			return
+		}
+		if rerr != nil { // the deadline fired: arm the next one
+			p.netf.SetReadDeadline(time.Now().Add(PollInterval))
 		}
 		if now-lastSweep >= int64(sweepInterval) {
 			lastSweep = now

@@ -115,3 +115,51 @@ func TestStaleRetireSparesRecycledDescriptor(t *testing.T) {
 	}
 	waitFor(t, "B's wake after stale A retired", func() bool { return k.delivered(srvB) == 1 })
 }
+
+// TestContinuousWakesKeepClockAndSweep: the loop re-arms its wait
+// deadline only when it fires, so a loop that never waits it out —
+// woken again and again through its self-pipe — must still see the
+// deadline expire, keep its coarse clock within PollInterval of the
+// wall clock, and run its deadline sweep.
+func TestContinuousWakesKeepClockAndSweep(t *testing.T) {
+	k := &collector{}
+	l := New(Config{Callbacks: k.callbacks()})
+	if l.Portable() {
+		t.Skip("no platform poller in this sandbox")
+	}
+	l.Start()
+	defer l.Close()
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			l.p.wakeup()
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	defer func() { close(stop); <-done }()
+
+	srv, cli := tcpPair(t)
+	defer srv.Close()
+	defer cli.Close()
+	var h Handle
+	h.Init(srv)
+	defer h.Retire()
+	if !l.Arm(&h, time.Now().Add(50*time.Millisecond)) {
+		t.Fatal("Arm refused")
+	}
+	for end := time.Now().Add(3 * sweepInterval); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+		// The clock is stamped on every wake; the bound leaves the
+		// scheduler the same slack CoarseClockAdvances does.
+		if lag := time.Since(l.Now()); lag > 2*PollInterval {
+			t.Fatalf("coarse clock lags %v under continuous wakes", lag)
+		}
+	}
+	waitFor(t, "sweep expiry under continuous wakes", func() bool { _, d := k.counts(); return d == 1 })
+}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 )
@@ -26,8 +27,8 @@ const maxSubBits = 8
 // power-of-two range is split into 2^subBits equal sub-buckets, so the
 // relative width of any bucket — and therefore the worst-case error of
 // any quantile read from a snapshot — is 2^-subBits. Record is two
-// atomic adds: one bucket counter, one running sum. The count is the
-// sum of the buckets, so a snapshot is consistent with itself even when
+// atomic adds (a Stage pays them per batch for a sole writer). The
+// count is the buckets' sum, so a snapshot is self-consistent even when
 // taken mid-record (at worst it misses in-flight records entirely).
 type Hist struct {
 	subBits uint
@@ -69,13 +70,56 @@ func (h *Hist) bucketIndex(v uint64) int {
 // Record adds one observation. Negative values clamp to zero (they only
 // arise from clock retrogression, which Nanos's monotonic source should
 // preclude; clamping keeps the histogram total honest regardless).
-// Zero allocations, two atomic adds.
+// Zero allocations, two atomic adds, safe from any goroutine.
 func (h *Hist) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
 	h.buckets[h.bucketIndex(uint64(v))].Add(1)
 	h.sum.Add(v)
+}
+
+// Stage is a single-owner front for a Hist: Record is plain arithmetic
+// on a few staged buckets, and Fold publishes them with one atomic add
+// per touched bucket plus one for the sum. Only the owner calls Record
+// and Fold; readers snapshot Hist and see a value once it is folded.
+type Stage struct {
+	Hist *Hist
+	n    int // staged slots in use
+	sum  int64
+	idx  [stageSlots]int
+	cnt  [stageSlots]uint64
+}
+
+const stageSlots = 8 // distinct buckets staged; a ninth folds the stage first
+
+// Record stages one observation, clamped at zero like Hist.Record.
+func (s *Stage) Record(v int64) {
+	v = max(v, 0)
+	b := s.Hist.bucketIndex(uint64(v))
+	j := 0
+	for j < s.n && s.idx[j] != b {
+		j++
+	}
+	if j == stageSlots {
+		s.Fold()
+		j = 0
+	}
+	if j == s.n {
+		s.idx[j], s.cnt[j] = b, 0
+		s.n++
+	}
+	s.cnt[j]++
+	s.sum += v
+}
+
+// Fold publishes the staged observations and empties the stage.
+func (s *Stage) Fold() {
+	for j := 0; j < s.n; j++ {
+		s.Hist.buckets[s.idx[j]].Add(s.cnt[j])
+	}
+	s.Hist.sum.Add(s.sum)
+	s.n, s.sum = 0, 0
 }
 
 // Snapshot copies the histogram's state. The copy is not an atomic
@@ -140,12 +184,12 @@ func (s HistSnapshot) UpperBound(i int) int64 {
 }
 
 // Quantile reports the q-th quantile (0 < q <= 1) as the upper bound of
-// the bucket holding that rank, or 0 on an empty snapshot.
+// the bucket holding the nearest rank ⌈q·n⌉, or 0 on an empty snapshot.
 func (s HistSnapshot) Quantile(q float64) int64 {
 	if s.Count == 0 {
 		return 0
 	}
-	rank := uint64(q * float64(s.Count))
+	rank := uint64(math.Ceil(q*float64(s.Count) - 1e-9)) // 0.7·10 = 7.000000000000001
 	if rank < 1 {
 		rank = 1
 	}

@@ -174,12 +174,145 @@ func TestHistConcurrentRecordSnapshot(t *testing.T) {
 	}
 }
 
+// TestHistQuantileNearestRank pins the rank rule on the exact unit
+// buckets: the q-quantile of n values is the ⌈q·n⌉-th smallest, so p90
+// of 1..15 is 14 (rank 13.5 rounds up), not 13.
+func TestHistQuantileNearestRank(t *testing.T) {
+	h := NewHist(4)
+	for v := int64(1); v <= 15; v++ {
+		h.Record(v)
+	}
+	s := h.Snapshot()
+	for _, c := range []struct {
+		q    float64
+		want int64
+	}{{0.01, 1}, {0.1, 2}, {0.5, 8}, {0.9, 14}, {0.99, 15}, {1, 15}} {
+		if got := s.Quantile(c.q); got != c.want {
+			t.Errorf("Quantile(%v) of 1..15 = %d, want %d", c.q, got, c.want)
+		}
+	}
+	// Where q·n is an integer the rank is exactly it, float rounding
+	// notwithstanding (0.7·10 evaluates to 7.000000000000001).
+	h = NewHist(4)
+	for v := int64(1); v <= 10; v++ {
+		h.Record(v)
+	}
+	for q, want := range map[float64]int64{0.3: 3, 0.6: 6, 0.7: 7, 0.9: 9} {
+		if got := h.Snapshot().Quantile(q); got != want {
+			t.Errorf("Quantile(%v) of 1..10 = %d, want %d", q, got, want)
+		}
+	}
+}
+
+// TestStageFoldMatchesRecord: values staged and folded land in exactly
+// the buckets and sum that Hist.Record gives them — with folds at random
+// points, and with more distinct buckets between folds than the stage
+// holds, so the early fold is exercised too.
+func TestStageFoldMatchesRecord(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	direct, staged := NewHist(4), NewHist(4)
+	st := Stage{Hist: staged}
+	for i := 0; i < 20000; i++ {
+		var v int64
+		switch rng.Intn(4) {
+		case 0:
+			v = rng.Int63n(16) // exact unit buckets
+		case 1:
+			v = rng.Int63n(1 << 40) // far more distinct buckets than slots
+		case 2:
+			v = -rng.Int63n(5) // clamps to zero
+		default:
+			v = 40_000 + rng.Int63n(4_000) // a pass's few service buckets
+		}
+		direct.Record(v)
+		st.Record(v)
+		if rng.Intn(64) == 0 {
+			st.Fold()
+		}
+	}
+	st.Fold()
+	d, s := direct.Snapshot(), staged.Snapshot()
+	if d.Count != s.Count || d.Sum != s.Sum {
+		t.Fatalf("staged count %d sum %d, direct count %d sum %d", s.Count, s.Sum, d.Count, d.Sum)
+	}
+	for i := range d.Buckets {
+		if d.Buckets[i] != s.Buckets[i] {
+			t.Fatalf("bucket %d: staged %d, direct %d", i, s.Buckets[i], d.Buckets[i])
+		}
+	}
+	// Nothing is published before a fold; an empty fold publishes nothing.
+	st.Record(12345)
+	if got := staged.Snapshot().Count; got != d.Count {
+		t.Fatalf("unfolded value visible: count %d, want %d", got, d.Count)
+	}
+	st.Fold()
+	st.Fold()
+	if got := staged.Snapshot().Count; got != d.Count+1 {
+		t.Fatalf("count after fold %d, want %d", got, d.Count+1)
+	}
+}
+
+// TestStageConcurrentFoldSnapshot: readers snapshot while the owner
+// stages and folds. Every snapshot must be self-consistent and never go
+// backwards, and the final tally must be exact.
+func TestStageConcurrentFoldSnapshot(t *testing.T) {
+	const each = 50000
+	h := NewHist(4)
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var last uint64
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				s := h.Snapshot()
+				var sum uint64
+				for _, n := range s.Buckets {
+					sum += n
+				}
+				if sum != s.Count || s.Count < last {
+					t.Errorf("snapshot count %d (buckets %d, previous %d)", s.Count, sum, last)
+					return
+				}
+				last = s.Count
+			}
+		}()
+	}
+	st := Stage{Hist: h}
+	rng := rand.New(rand.NewSource(3))
+	var want int64
+	for i := 0; i < each; i++ {
+		v := rng.Int63n(1 << 20)
+		want += v
+		st.Record(v)
+		if i%32 == 31 {
+			st.Fold()
+		}
+	}
+	st.Fold()
+	close(stop)
+	readers.Wait()
+	if s := h.Snapshot(); s.Count != each || s.Sum != want {
+		t.Fatalf("final count %d sum %d, want %d / %d", s.Count, s.Sum, each, want)
+	}
+}
+
 // TestHistRecordAllocs pins the hot-path contract: recording allocates
 // nothing.
 func TestHistRecordAllocs(t *testing.T) {
 	h := NewHist(0)
 	if allocs := testing.AllocsPerRun(1000, func() { h.Record(12345) }); allocs != 0 {
 		t.Fatalf("Record allocates %.1f per call, want 0", allocs)
+	}
+	st := Stage{Hist: h}
+	if allocs := testing.AllocsPerRun(1000, func() { st.Record(12345); st.Fold() }); allocs != 0 {
+		t.Fatalf("Stage Record+Fold allocates %.1f per call, want 0", allocs)
 	}
 }
 
