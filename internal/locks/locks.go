@@ -119,12 +119,12 @@ func (l *Lock) Acquire(c *sim.Core, fromProcess bool) {
 			parked := wait - l.SpinLimit + l.HandoffDelay
 			l.Stats.SpinWait += l.SpinLimit
 			l.Stats.MutexWait += parked
-			c.Stall(l.SpinLimit)
+			c.Charge(l.SpinLimit)
 			c.Sleep(parked)
 			start += l.HandoffDelay
 		} else {
 			l.Stats.SpinWait += wait
-			c.Stall(wait)
+			c.Charge(wait)
 		}
 	}
 	l.lastHolder = int16(c.ID)

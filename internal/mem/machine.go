@@ -43,10 +43,10 @@ type Machine struct {
 func (m Machine) Cores() int { return m.Chips * m.CoresPerChip }
 
 // Chip reports which chip a core belongs to.
-func (m Machine) Chip(core int) int { return core / m.CoresPerChip }
+func (m *Machine) Chip(core int) int { return core / m.CoresPerChip }
 
 // SameChip reports whether two cores share an L3.
-func (m Machine) SameChip(a, b int) bool { return m.Chip(a) == m.Chip(b) }
+func (m *Machine) SameChip(a, b int) bool { return m.Chip(a) == m.Chip(b) }
 
 // WithCores returns a copy of the machine restricted to n cores, keeping
 // the chip topology (used for core-count sweeps in Figures 2/3/5/6).

@@ -362,3 +362,21 @@ func TestCoreMaskOps(t *testing.T) {
 		t.Fatal("clear failed")
 	}
 }
+
+// TestReportTiesKeepTypeOrder checks that rows with equal shared cycles
+// come out in the order their types were declared, on every run.
+func TestReportTiesKeepTypeOrder(t *testing.T) {
+	var types []*TypeInfo
+	for i := 0; i < 20; i++ {
+		types = append(types, NewType(string(rune('a'+i)), 64, Field{Name: "f", Off: 0, Len: 64}))
+	}
+	m := NewModel(AMD48())
+	for i := len(types) - 1; i >= 0; i-- {
+		m.Alloc(0, types[i])
+	}
+	for i, r := range m.Report() {
+		if r.SharedCycles != 0 || r.Name != types[i].Name {
+			t.Fatalf("row %d is %s with %d shared cycles, want %s with 0", i, r.Name, r.SharedCycles, types[i].Name)
+		}
+	}
+}

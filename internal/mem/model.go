@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"sort"
 
 	"affinityaccept/internal/sim"
@@ -19,9 +20,16 @@ type AccessResult struct {
 	Shared bool
 }
 
-// typeStats aggregates DProf statistics for one type.
+// typeStats is the model's record of one type: its allocator state and
+// its DProf statistics.
 type typeStats struct {
 	info *TypeInfo
+
+	// free is the type's free list; pool[core] is the coherence line of
+	// a per-core slab pool head, so remote frees touch a remote pool
+	// head and pay for it.
+	free *Object
+	pool []Line
 
 	objects      uint64
 	linesTotal   uint64
@@ -90,12 +98,8 @@ type Model struct {
 	// CtlDelays accumulates queueing delay cycles for diagnostics.
 	CtlDelays uint64
 
-	stats map[*TypeInfo]*typeStats
-	free  map[*TypeInfo]*Object
-
-	// pools[class][core] is the coherence line of a per-core slab pool
-	// head; remote frees touch a remote pool head and pay for it.
-	pools map[*TypeInfo][]Line
+	// types is indexed by TypeInfo.id; nil for types this model never saw.
+	types []*typeStats
 
 	// Counters
 	Allocs, Frees, RemoteFrees uint64
@@ -105,9 +109,6 @@ type Model struct {
 func NewModel(m Machine) *Model {
 	return &Model{
 		Machine:    m,
-		stats:      make(map[*TypeInfo]*typeStats),
-		free:       make(map[*TypeInfo]*Object),
-		pools:      make(map[*TypeInfo][]Line),
 		CtlService: 36,
 		ctlFree:    make([]sim.Time, m.Chips),
 	}
@@ -140,10 +141,17 @@ func (m *Model) dramDelay(chip int, issue sim.Time) sim.Cycles {
 }
 
 func (m *Model) statsOf(t *TypeInfo) *typeStats {
-	ts := m.stats[t]
+	for len(m.types) <= t.id {
+		m.types = append(m.types, nil)
+	}
+	ts := m.types[t.id]
 	if ts == nil {
-		ts = &typeStats{info: t, latencies: stats.NewLatencyHistogram()}
-		m.stats[t] = ts
+		ts = &typeStats{info: t, latencies: stats.NewLatencyHistogram(),
+			pool: make([]Line, m.Machine.Cores())}
+		for i := range ts.pool {
+			ts.pool[i] = Line{owner: -1, last: -1}
+		}
+		m.types[t.id] = ts
 	}
 	return ts
 }
@@ -152,20 +160,19 @@ func (m *Model) statsOf(t *TypeInfo) *typeStats {
 // The returned cost covers allocator bookkeeping (pool head touch).
 func (m *Model) Alloc(core int, t *TypeInfo) (*Object, sim.Cycles) {
 	m.Allocs++
-	o := m.free[t]
+	ts := m.statsOf(t)
+	o := ts.free
 	if o != nil {
-		m.free[t] = o.nextFree
+		ts.free = o.nextFree
 		o.nextFree = nil
 	} else {
 		o = &Object{Type: t, lines: make([]Line, t.Lines())}
 	}
 	o.reset(int16(core), m.Profiling)
-	ts := m.statsOf(t)
 	ts.objects++
 	ts.linesTotal += uint64(t.LinesFull())
 	ts.bytesTotal += uint64(t.Size)
-	cost := m.poolTouch(core, t)
-	return o, cost
+	return o, m.poolTouch(core, ts)
 }
 
 // Free releases an object from the given core. Freeing on a core other
@@ -173,33 +180,26 @@ func (m *Model) Alloc(core int, t *TypeInfo) (*Object, sim.Cycles) {
 // describes for packet buffers (§2.2).
 func (m *Model) Free(core int, o *Object) sim.Cycles {
 	m.Frees++
-	m.harvest(o)
-	cost := m.poolTouch(int(o.AllocCore), o.Type)
+	ts := m.statsOf(o.Type)
+	m.harvest(ts, o)
+	cost := m.poolTouch(int(o.AllocCore), ts)
 	if int(o.AllocCore) != core {
 		m.RemoteFrees++
 		// The free itself executes on `core` but manipulates the remote
 		// pool head: pay a remote transfer in addition to the touch.
 		cost += m.remotePenalty(core, int(o.AllocCore))
 	}
-	o.nextFree = m.free[o.Type]
-	m.free[o.Type] = o
+	o.nextFree = ts.free
+	ts.free = o
 	return cost
 }
 
 // poolTouch models a write to the per-core slab pool head line.
-func (m *Model) poolTouch(core int, t *TypeInfo) sim.Cycles {
-	pool := m.pools[t]
-	if pool == nil {
-		pool = make([]Line, m.Machine.Cores())
-		for i := range pool {
-			pool[i] = Line{owner: -1, last: -1}
-		}
-		m.pools[t] = pool
-	}
-	if core >= len(pool) {
+func (m *Model) poolTouch(core int, ts *typeStats) sim.Cycles {
+	if core >= len(ts.pool) {
 		return m.Machine.Lat.L1
 	}
-	cyc, _, _ := m.lineAccess(&pool[core], core, true, -1)
+	cyc, _, _ := m.lineAccess(&ts.pool[core], core, true, -1)
 	return cyc
 }
 
@@ -395,10 +395,13 @@ func (m *Model) WatchFields(t *TypeInfo, fields []FieldID) {
 // more than one reader (requires Profiling; call after the run).
 func (m *Model) SharedFields() map[*TypeInfo][]FieldID {
 	out := make(map[*TypeInfo][]FieldID)
-	for t, ts := range m.stats {
+	for _, ts := range m.types {
+		if ts == nil {
+			continue
+		}
 		for fi, shared := range ts.fieldMultiReader {
 			if shared {
-				out[t] = append(out[t], FieldID(fi))
+				out[ts.info] = append(out[ts.info], FieldID(fi))
 			}
 		}
 	}
@@ -413,13 +416,9 @@ func (m *Model) WatchedCycles(t *TypeInfo) uint64 {
 // WatchedLatencies merges watched-access latency histograms of the named
 // types (or all types when none are named).
 func (m *Model) WatchedLatencies(names ...string) *stats.Histogram {
-	want := make(map[string]bool, len(names))
-	for _, n := range names {
-		want[n] = true
-	}
 	h := stats.NewLatencyHistogram()
-	for _, ts := range m.stats {
-		if ts.watchLat != nil && (len(names) == 0 || want[ts.info.Name]) {
+	for _, ts := range m.types {
+		if ts != nil && ts.watchLat != nil && (len(names) == 0 || slices.Contains(names, ts.info.Name)) {
 			h.Merge(ts.watchLat)
 		}
 	}
@@ -427,8 +426,7 @@ func (m *Model) WatchedLatencies(names ...string) *stats.Histogram {
 }
 
 // harvest folds a dying object's sharing state into its type statistics.
-func (m *Model) harvest(o *Object) {
-	ts := m.statsOf(o.Type)
+func (m *Model) harvest(ts *typeStats, o *Object) {
 	for i := range o.lines {
 		if o.lines[i].shared {
 			ts.linesShared++
@@ -460,7 +458,7 @@ func (m *Model) harvest(o *Object) {
 // a run (connections still open when measurement stops).
 func (m *Model) HarvestLive(objs []*Object) {
 	for _, o := range objs {
-		m.harvest(o)
+		m.harvest(m.statsOf(o.Type), o)
 	}
 }
 
@@ -484,8 +482,11 @@ type TypeReport struct {
 // Report produces DProf rows for all tracked types, sorted by shared
 // cycles descending (the paper's presentation order).
 func (m *Model) Report() []TypeReport {
-	rows := make([]TypeReport, 0, len(m.stats))
-	for _, ts := range m.stats {
+	var rows []TypeReport
+	for _, ts := range m.types {
+		if ts == nil {
+			continue
+		}
 		r := TypeReport{
 			Name:         ts.info.Name,
 			Size:         ts.info.Size,
@@ -503,20 +504,16 @@ func (m *Model) Report() []TypeReport {
 		}
 		rows = append(rows, r)
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].SharedCycles > rows[j].SharedCycles })
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i].SharedCycles > rows[j].SharedCycles })
 	return rows
 }
 
 // SharedLatencies merges the shared-access latency histograms of the
 // given type names (Figure 4 plots the union of the top shared types).
 func (m *Model) SharedLatencies(names ...string) *stats.Histogram {
-	want := make(map[string]bool, len(names))
-	for _, n := range names {
-		want[n] = true
-	}
 	h := stats.NewLatencyHistogram()
-	for _, ts := range m.stats {
-		if len(names) == 0 || want[ts.info.Name] {
+	for _, ts := range m.types {
+		if ts != nil && (len(names) == 0 || slices.Contains(names, ts.info.Name)) {
 			h.Merge(ts.latencies)
 		}
 	}

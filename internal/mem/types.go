@@ -1,6 +1,9 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // FieldID names a byte range inside a TypeInfo.
 type FieldID int
@@ -20,11 +23,16 @@ type TypeInfo struct {
 	Size   int
 	Fields []Field
 
+	// id is the dense index of the type's record in every Model.
+	id        int
 	lines     int
 	linesFull int
 	// firstLine/lastLine cache the cache-line span of each field.
 	firstLine, lastLine []int
 }
+
+// typeCount hands out TypeInfo ids.
+var typeCount atomic.Int32
 
 // NewType builds a TypeInfo. Fields may overlap lines arbitrarily; they
 // must lie within the object. Coherence state is only allocated for the
@@ -38,6 +46,7 @@ func NewType(name string, size int, fields ...Field) *TypeInfo {
 		Name:      name,
 		Size:      size,
 		Fields:    fields,
+		id:        int(typeCount.Add(1) - 1),
 		linesFull: (size + CacheLineSize - 1) / CacheLineSize,
 	}
 	maxEnd := 0

@@ -8,7 +8,6 @@ package perfctr
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"affinityaccept/internal/sim"
 )
@@ -171,18 +170,4 @@ func BuildTable3(fine, affinity *Set, fineReqs, affinityReqs uint64) []Table3Row
 	}
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].FineCycles > rows[j].FineCycles })
 	return rows
-}
-
-// FormatTable3 renders rows in the paper's layout.
-func FormatTable3(rows []Table3Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-18s %22s %22s %18s\n", "Kernel Entry",
-		"Cycles (F/A, delta)", "Instr (F/A, delta)", "L2 (F/A, delta)")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-18s %8d/%8d %6d %8d/%8d %5d %6d/%6d %5d\n",
-			r.Entry, r.FineCycles, r.AffinityCycles, r.DeltaCycles(),
-			r.FineInstructions, r.AffinityInstructions, r.DeltaInstructions(),
-			r.FineL2Misses, r.AffinityL2Misses, r.DeltaL2())
-	}
-	return b.String()
 }

@@ -1,9 +1,6 @@
 package perfctr
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestEntryNames(t *testing.T) {
 	if SoftirqNetRX.String() != "softirq_net_rx" {
@@ -69,10 +66,5 @@ func TestBuildTable3SortsAndDiffs(t *testing.T) {
 	}
 	if rows[0].DeltaL2() != 1 {
 		t.Fatalf("l2 delta = %d", rows[0].DeltaL2())
-	}
-
-	out := FormatTable3(rows)
-	if !strings.Contains(out, "softirq_net_rx") {
-		t.Fatal("format missing entries")
 	}
 }

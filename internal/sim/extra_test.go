@@ -5,7 +5,7 @@ import "testing"
 func TestSleepAndStallAccounting(t *testing.T) {
 	e := newTestEngine(1)
 	e.OnCore(0, 0, func(_ *Engine, c *Core) {
-		c.Stall(100)
+		c.Charge(100)
 		c.Sleep(50)
 		c.AddIdle(5)
 		if c.Now() != 150 {

@@ -18,7 +18,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -40,23 +39,10 @@ type event struct {
 	handler Handler
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+// before orders events by time, then by scheduling order: a strict
+// total order, so every run dispatches the same events in the same order.
+func (a *event) before(b *event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
 // Core is one simulated CPU core's execution context.
@@ -141,13 +127,6 @@ func (c *Core) Charge(d Cycles) {
 	c.busy += d
 }
 
-// Stall advances the core's clock by d cycles without counting the time
-// as useful work (the caller accounts it separately, e.g. as lock wait).
-func (c *Core) Stall(d Cycles) {
-	c.now += d
-	c.busy += d
-}
-
 // BusyUntil reports the end of the last scheduled work on this core.
 func (c *Core) BusyUntil() Time { return c.busyUntil }
 
@@ -176,7 +155,7 @@ type Engine struct {
 	// Freq is the simulated core clock in cycles per second.
 	Freq uint64
 
-	heap   eventHeap
+	queue  []event // binary min-heap under event.before
 	seq    uint64
 	now    Time
 	nEvent uint64
@@ -249,16 +228,10 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Events() uint64 { return e.nEvent }
 
 // At schedules a global event at absolute time t.
-func (e *Engine) At(t Time, h Handler) {
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	heap.Push(&e.heap, event{at: t, seq: e.seq, core: -1, handler: h})
-}
+func (e *Engine) At(t Time, h Handler) { e.schedule(-1, t, h) }
 
 // After schedules a global event d cycles from the global clock.
-func (e *Engine) After(d Cycles, h Handler) { e.At(e.now+d, h) }
+func (e *Engine) After(d Cycles, h Handler) { e.schedule(-1, e.now+d, h) }
 
 // OnCore schedules an event on a core at absolute time t. If the core is
 // busy at t the handler starts when the core frees up.
@@ -266,11 +239,39 @@ func (e *Engine) OnCore(core int, t Time, h Handler) {
 	if core < 0 || core >= len(e.Cores) {
 		panic(fmt.Sprintf("sim: no such core %d", core))
 	}
-	if t < e.now {
-		t = e.now
-	}
+	e.schedule(core, t, h)
+}
+
+// schedule queues an event no earlier than the global clock.
+func (e *Engine) schedule(core int, t Time, h Handler) {
 	e.seq++
-	heap.Push(&e.heap, event{at: t, seq: e.seq, core: core, handler: h})
+	ev := event{at: max(t, e.now), seq: e.seq, core: core, handler: h}
+	q := append(e.queue, ev)
+	i := len(q) - 1
+	for ; i > 0 && ev.before(&q[(i-1)/2]); i = (i - 1) / 2 {
+		q[i] = q[(i-1)/2]
+	}
+	q[i] = ev
+	e.queue = q
+}
+
+// pop removes and returns the earliest queued event.
+func (e *Engine) pop() event {
+	q, n := e.queue, len(e.queue)-1
+	top, last, i := q[0], q[n], 0
+	for c := 1; c < n; i, c = c, 2*c+1 {
+		if c+1 < n && q[c+1].before(&q[c]) {
+			c++
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i] = q[c]
+	}
+	q[i] = last
+	q[n] = event{} // drop the handler reference (when n == 0, q[n] is q[i])
+	e.queue = q[:n]
+	return top
 }
 
 // Stop aborts the run loop after the current event completes.
@@ -280,14 +281,13 @@ func (e *Engine) Stop() { e.stop = true }
 // until, or Stop is called. It returns the final global time.
 func (e *Engine) Run(until Time) Time {
 	e.stop = false
-	for len(e.heap) > 0 && !e.stop {
-		ev := heap.Pop(&e.heap).(event)
-		if ev.at > until {
-			// Push back so a later Run can resume exactly here.
-			heap.Push(&e.heap, ev)
+	for len(e.queue) > 0 && !e.stop {
+		if e.queue[0].at > until {
+			// Leave it queued so a later Run resumes exactly here.
 			e.now = until
 			return e.now
 		}
+		ev := e.pop()
 		e.now = ev.at
 		e.nEvent++
 		if ev.core < 0 {
@@ -307,7 +307,7 @@ func (e *Engine) Run(until Time) Time {
 			c.busyUntil = c.now
 		}
 	}
-	if len(e.heap) == 0 && e.now < until {
+	if len(e.queue) == 0 && e.now < until {
 		e.now = until
 	}
 	return e.now

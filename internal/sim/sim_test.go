@@ -76,6 +76,10 @@ func TestRunHorizonPausesAndResumes(t *testing.T) {
 	if fired != 1 {
 		t.Fatal("event lost across Run calls")
 	}
+	e.Run(2000)
+	if fired != 1 {
+		t.Fatalf("event dispatched %d times, want once", fired)
+	}
 }
 
 func TestStop(t *testing.T) {

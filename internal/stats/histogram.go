@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Histogram is a log-bucketed streaming histogram of non-negative values.
@@ -252,28 +251,4 @@ func (s *Sample) Max() float64 {
 		s.sorted = true
 	}
 	return s.values[len(s.values)-1]
-}
-
-// FormatSeries renders an (x, y) series as aligned text columns, the form
-// used by the experiment runners to print paper figures.
-func FormatSeries(header string, xs []float64, series map[string][]float64, order []string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s", header)
-	for _, name := range order {
-		fmt.Fprintf(&b, " %16s", name)
-	}
-	b.WriteByte('\n')
-	for i, x := range xs {
-		fmt.Fprintf(&b, "%-14.4g", x)
-		for _, name := range order {
-			ys := series[name]
-			if i < len(ys) {
-				fmt.Fprintf(&b, " %16.1f", ys[i])
-			} else {
-				fmt.Fprintf(&b, " %16s", "-")
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

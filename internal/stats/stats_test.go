@@ -275,29 +275,6 @@ func TestSampleObserveAfterQuantile(t *testing.T) {
 	}
 }
 
-func TestFormatSeries(t *testing.T) {
-	out := FormatSeries("cores",
-		[]float64{1, 4},
-		map[string][]float64{"stock": {100, 90}, "affinity": {100}},
-		[]string{"stock", "affinity"})
-	if out == "" {
-		t.Fatal("empty render")
-	}
-	// The short series must render a dash placeholder, not panic.
-	if want := "-"; !contains(out, want) {
-		t.Fatalf("missing placeholder in:\n%s", out)
-	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
 func TestEWMAObserveNMatchesRepeatedObserve(t *testing.T) {
 	a := NewEWMA(1.0 / 128)
 	b := NewEWMA(1.0 / 128)

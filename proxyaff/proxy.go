@@ -91,11 +91,11 @@ type Config struct {
 	// before the next request to it becomes the re-probe (default 1s).
 	EjectAfter int
 	EjectFor   time.Duration
-
-	// MaxResponseHeaderBytes bounds an upstream response head (default
-	// 8192); larger heads are answered 502.
-	MaxResponseHeaderBytes int
 }
+
+// maxResponseHeaderBytes bounds an upstream response head; larger heads
+// are answered 502.
+const maxResponseHeaderBytes = 8192
 
 func (c *Config) fill() error {
 	if len(c.Backends) == 0 {
@@ -129,9 +129,6 @@ func (c *Config) fill() error {
 	if c.EjectFor <= 0 {
 		c.EjectFor = time.Second
 	}
-	if c.MaxResponseHeaderBytes <= 0 {
-		c.MaxResponseHeaderBytes = 8192
-	}
 	return nil
 }
 
@@ -151,7 +148,7 @@ func (b *backendState) ejected(now int64) bool { return b.ejectedUntil.Load() > 
 // and the scratch buffers the relay path reuses across requests. Both
 // scratch buffers are kept at whatever size the workload grew them to;
 // neither can outgrow what the layers already refuse on input — hbuf
-// stops doubling at MaxResponseHeaderBytes, and rbuf holds one rewritten
+// stops doubling at maxResponseHeaderBytes, and rbuf holds one rewritten
 // request head (httpaff's MaxHeaderBytes) plus at most appendBodyMax of
 // body; bodies stream through the RequestCtx's write buffer.
 type proxyWorker struct {
@@ -496,7 +493,7 @@ func (p *Proxy) exchange(ctx *httpaff.RequestCtx, w *proxyWorker, uc *upstreamCo
 				scan = 0
 			}
 		}
-		if n >= p.cfg.MaxResponseHeaderBytes {
+		if n >= maxResponseHeaderBytes {
 			w.pool.put(uc, false)
 			p.fail(b)
 			respondError(ctx, http.StatusBadGateway, "upstream response head too large")
