@@ -13,13 +13,16 @@
 //
 // The simulator wires these into its TCP stack and charges lock and
 // cache costs around them; the serve package wires the same structures
-// around real SO_REUSEPORT listeners. The structures themselves do no
-// locking: callers either run single-threaded (the simulator) or use
-// Guarded.
+// around real SO_REUSEPORT listeners. Queues and FlowTable each carry
+// one mutex that every exported method over mutable state takes, so
+// the simulator's deterministic runs and the server's concurrent
+// goroutines drive the same code. Balance is the one place that holds
+// both, always queues first.
 package core
 
 import (
 	"fmt"
+	"sync"
 
 	"affinityaccept/internal/stats"
 )
@@ -134,8 +137,10 @@ type perCore struct {
 }
 
 // Queues implements Affinity-Accept's per-core accept queues and
-// balancing policy for connection values of type T.
+// balancing policy for connection values of type T. It is safe for
+// concurrent use; methods call unexported helpers, which expect mu held.
 type Queues[T any] struct {
+	mu       sync.Mutex
 	cfg      Config
 	maxLocal int
 	high     float64
@@ -144,11 +149,12 @@ type Queues[T any] struct {
 	rings []ring[T]
 	cores []perCore
 
-	// busy is the per-listen-socket busy bit vector (§3.3.1): one bit
-	// per core, readable in a single sweep.
-	busy []uint64
+	// busyBits is the per-listen-socket busy bit vector (§3.3.1): one
+	// bit per core, readable in a single sweep.
+	busyBits []uint64
 
-	// Counters for tests and reports.
+	// Counters for single-goroutine owners (the simulator, tests);
+	// concurrent readers use Stats.
 	Drops   uint64 // pushes rejected because the local queue was full
 	Steals  uint64 // remote accepts
 	Locals  uint64 // local accepts
@@ -170,7 +176,7 @@ func NewQueues[T any](cfg Config) *Queues[T] {
 		low:      float64(maxLocal) * cfg.LowPct / 100,
 		rings:    make([]ring[T], cfg.Cores),
 		cores:    make([]perCore, cfg.Cores),
-		busy:     make([]uint64, (cfg.Cores+63)/64),
+		busyBits: make([]uint64, (cfg.Cores+63)/64),
 	}
 	for i := range q.rings {
 		q.rings[i] = newRing[T](maxLocal)
@@ -193,10 +199,16 @@ func (q *Queues[T]) MaxLocalLen() int { return q.maxLocal }
 func (q *Queues[T]) Cores() int { return q.cfg.Cores }
 
 // Len reports the instantaneous local queue length of a core.
-func (q *Queues[T]) Len(core int) int { return q.rings[core].len() }
+func (q *Queues[T]) Len(core int) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.rings[core].len()
+}
 
 // TotalLen reports queued connections across all cores.
 func (q *Queues[T]) TotalLen() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	n := 0
 	for i := range q.rings {
 		n += q.rings[i].len()
@@ -206,11 +218,37 @@ func (q *Queues[T]) TotalLen() int {
 
 // Busy reports whether a core is currently marked busy.
 func (q *Queues[T]) Busy(core int) bool {
-	return q.busy[core>>6]&(1<<(core&63)) != 0
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.busy(core)
+}
+
+// AllBusy reports whether every core's §3.3.1 busy bit is set — the
+// whole-server saturation signal overload backpressure keys on.
+func (q *Queues[T]) AllBusy() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for i := range q.rings {
+		if !q.busy(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// Stats returns the Pushes, Locals, Steals and Drops counters.
+func (q *Queues[T]) Stats() (pushes, locals, steals, drops uint64) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.Pushes, q.Locals, q.Steals, q.Drops
+}
+
+func (q *Queues[T]) busy(core int) bool {
+	return q.busyBits[core>>6]&(1<<(core&63)) != 0
 }
 
 func (q *Queues[T]) setBusy(core int) {
-	w := &q.busy[core>>6]
+	w := &q.busyBits[core>>6]
 	bit := uint64(1) << (core & 63)
 	if *w&bit == 0 {
 		*w |= bit
@@ -218,11 +256,11 @@ func (q *Queues[T]) setBusy(core int) {
 	}
 }
 
-func (q *Queues[T]) clearBusy(core int) { q.busy[core>>6] &^= 1 << (core & 63) }
+func (q *Queues[T]) clearBusy(core int) { q.busyBits[core>>6] &^= 1 << (core & 63) }
 
 // anyBusy reports whether any core is marked busy (one vector read).
 func (q *Queues[T]) anyBusy() bool {
-	for _, w := range q.busy {
+	for _, w := range q.busyBits {
 		if w != 0 {
 			return true
 		}
@@ -232,39 +270,42 @@ func (q *Queues[T]) anyBusy() bool {
 
 // BusyVector returns a copy of the busy bit vector.
 func (q *Queues[T]) BusyVector() []uint64 {
-	out := make([]uint64, len(q.busy))
-	copy(out, q.busy)
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	out := make([]uint64, len(q.busyBits))
+	copy(out, q.busyBits)
 	return out
 }
 
-// Push appends an established connection to core's local accept queue.
-// It returns false when the queue is full, in which case the kernel
-// drops the connection request (§3.3: queue overflow).
-func (q *Queues[T]) Push(core int, v T) bool {
+// Push appends an established connection to core's local accept queue
+// and reports core's busy bit as the push left it. ok is false when the
+// queue is full, in which case the kernel drops the connection request
+// (§3.3: queue overflow).
+func (q *Queues[T]) Push(core int, v T) (ok, busy bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	q.Pushes++
 	r := &q.rings[core]
-	ok := r.push(v)
-	if !ok {
+	if !r.push(v) {
 		q.Drops++
 		// A full queue certainly exceeds the high watermark.
 		q.setBusy(core)
-		return false
+		return false, true
 	}
-	st := &q.cores[core]
 	// The paper updates the EWMA on every push and compares the
 	// instantaneous length against the high watermark.
-	st.ewma.Observe(float64(r.len()))
+	q.cores[core].ewma.Observe(float64(r.len()))
 	if float64(r.len()) > q.high {
 		q.setBusy(core)
 	}
-	return true
+	return true, q.busy(core)
 }
 
 // maybeClearBusy applies the low-watermark rule: busy clears when the
 // EWMA drops below the low watermark. In the paper the work stealer
 // performs this check when scanning for victims.
 func (q *Queues[T]) maybeClearBusy(core int) {
-	if q.Busy(core) && q.cores[core].ewma.Value() < q.low {
+	if q.busy(core) && q.cores[core].ewma.Value() < q.low {
 		q.clearBusy(core)
 	}
 }
@@ -296,11 +337,11 @@ func (q *Queues[T]) stealFrom(core int) (T, int, bool) {
 		cur := st.cursor[t]
 		for j := int32(0); j < size; j++ {
 			victim := int(st.order[start+(cur+j)%size])
-			if !q.Busy(victim) {
+			if !q.busy(victim) {
 				continue
 			}
 			q.maybeClearBusy(victim)
-			if !q.Busy(victim) {
+			if !q.busy(victim) {
 				continue
 			}
 			if v, ok := q.rings[victim].pop(); ok {
@@ -320,6 +361,8 @@ func (q *Queues[T]) stealFrom(core int) (T, int, bool) {
 // PopAt dequeues directly from queue idx without applying the stealing
 // policy. Fine-Accept's round-robin accept and tests use it.
 func (q *Queues[T]) PopAt(idx int) (T, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	v, ok := q.rings[idx].pop()
 	if ok {
 		q.Locals++
@@ -333,6 +376,8 @@ func (q *Queues[T]) PopAt(idx int) (T, bool) {
 // as an accept or updating the EWMA: the connection is being thrown
 // away (forced shutdown), not served.
 func (q *Queues[T]) DiscardAt(idx int) (T, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	return q.rings[idx].pop()
 }
 
@@ -349,8 +394,10 @@ func (q *Queues[T]) DiscardAt(idx int) (T, bool) {
 // connections. It returns the connection and the core whose queue
 // supplied it.
 func (q *Queues[T]) Pop(core int) (v T, from int, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	st := &q.cores[core]
-	busySelf := q.Busy(core)
+	busySelf := q.busy(core)
 	q.maybeClearBusy(core)
 
 	// Proportional share: after StealRatio local accepts, a non-busy
@@ -376,35 +423,44 @@ func (q *Queues[T]) Pop(core int) (v T, from int, ok bool) {
 // other core since the last ResetSteals — the signal driving flow-group
 // migration (§3.3.2).
 func (q *Queues[T]) StolenFrom(core int) []uint64 {
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	out := make([]uint64, q.cfg.Cores)
 	copy(out, q.cores[core].stolenFrom)
 	return out
 }
 
-// ResetSteals clears core's steal counters (called once per balancing
-// interval after a migration decision).
+// ResetSteals clears core's steal counters, as Balance does for every
+// core once per balancing interval.
 func (q *Queues[T]) ResetSteals(core int) {
-	for i := range q.cores[core].stolenFrom {
-		q.cores[core].stolenFrom[i] = 0
-	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	clear(q.cores[core].stolenFrom)
 }
 
 // ObserveIdle folds `samples` observations of the current local queue
-// length into core's EWMA and re-evaluates the busy bit. Real-server
-// workers (the serve package) call it when they come back from waiting
-// for work: the EWMA is otherwise sampled only on pushes, so once arrivals
-// stop it — and therefore the busy bit — would freeze at its burst-time
-// value and non-busy cores would never resume stealing. The kernel gets
-// these samples for free at softirq arrival frequency; a user-space
-// worker supplies the observations its sleep skipped by scaling
-// `samples` with the wall-clock time it was away.
-func (q *Queues[T]) ObserveIdle(core, samples int) {
+// length into core's EWMA, re-evaluates the busy bit and reports it.
+// Real-server workers (the serve package) call it when they come back
+// from waiting for work: the EWMA is otherwise sampled only on pushes,
+// so once arrivals stop it — and therefore the busy bit — would freeze
+// at its burst-time value and non-busy cores would never resume
+// stealing. The kernel gets these samples for free at softirq arrival
+// frequency; a user-space worker supplies the observations its sleep
+// skipped by scaling `samples` with the wall-clock time it was away.
+func (q *Queues[T]) ObserveIdle(core, samples int) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	q.cores[core].ewma.ObserveN(float64(q.rings[core].len()), samples)
 	q.maybeClearBusy(core)
+	return q.busy(core)
 }
 
 // EWMAValue exposes a core's queue-length average for tests and reports.
-func (q *Queues[T]) EWMAValue(core int) float64 { return q.cores[core].ewma.Value() }
+func (q *Queues[T]) EWMAValue(core int) float64 {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.cores[core].ewma.Value()
+}
 
 // Watermarks reports the absolute high and low watermark values.
 func (q *Queues[T]) Watermarks() (high, low float64) { return q.high, q.low }

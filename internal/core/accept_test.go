@@ -37,7 +37,7 @@ func TestConfigValidation(t *testing.T) {
 func TestPushPopFIFO(t *testing.T) {
 	q := NewQueues[int](qcfg(2, 16))
 	for i := 0; i < 5; i++ {
-		if !q.Push(0, i) {
+		if ok, _ := q.Push(0, i); !ok {
 			t.Fatalf("push %d rejected", i)
 		}
 	}
@@ -55,12 +55,16 @@ func TestPushPopFIFO(t *testing.T) {
 func TestOverflowDropsAndMarksBusy(t *testing.T) {
 	q := NewQueues[int](qcfg(2, 8)) // 4 per core
 	for i := 0; i < 4; i++ {
-		if !q.Push(0, i) {
+		if ok, _ := q.Push(0, i); !ok {
 			t.Fatalf("push %d rejected early", i)
 		}
 	}
-	if q.Push(0, 99) {
+	ok, busy := q.Push(0, 99)
+	if ok {
 		t.Fatal("overflow push accepted")
+	}
+	if busy != q.Busy(0) {
+		t.Fatalf("Push reported busy=%v, Busy says %v", busy, q.Busy(0))
 	}
 	if q.Drops != 1 {
 		t.Fatalf("drops = %d", q.Drops)
@@ -78,9 +82,12 @@ func TestHighWatermarkMarksBusy(t *testing.T) {
 	if q.Busy(0) {
 		t.Fatal("busy before crossing high watermark")
 	}
-	q.Push(0, 75) // length 76 > 75
+	_, busy := q.Push(0, 75) // length 76 > 75
 	if !q.Busy(0) {
 		t.Fatal("not busy after crossing high watermark")
+	}
+	if busy != q.Busy(0) {
+		t.Fatalf("Push reported busy=%v, Busy says %v", busy, q.Busy(0))
 	}
 }
 
@@ -276,7 +283,7 @@ func TestConservationProperty(t *testing.T) {
 		for _, o := range ops {
 			c := int(o.Core) % cores
 			if o.Push {
-				if q.Push(c, o.Val) {
+				if ok, _ := q.Push(c, o.Val); ok {
 					pushed[o.Val]++
 				}
 			} else if v, _, ok := q.Pop(c); ok {

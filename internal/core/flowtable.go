@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -15,14 +16,16 @@ const DefaultMigrateInterval = 100 * time.Millisecond
 
 // FlowTable maps flow groups to cores, mirroring the FDir hash table the
 // kernel programs into the NIC. Migrating a group re-points one entry.
+// It is safe for concurrent use: acceptors route while a migration
+// goroutine re-points groups, as the paper's kernel locks the FDir
+// shadow table around driver reprogramming.
 type FlowTable struct {
-	groupOf []int32  // group -> core
-	load    []uint64 // group -> recent routing activity (decayed each tick)
-	nCores  int
-	mask    uint32
-
-	// Migrations counts applied flow-group migrations.
-	Migrations uint64
+	mu         sync.Mutex
+	groupOf    []int32  // group -> core
+	load       []uint64 // group -> recent routing activity (decayed each tick)
+	nCores     int
+	mask       uint32
+	migrations uint64
 }
 
 // InitialOwner is the core a group is steered to before any migration:
@@ -58,7 +61,8 @@ func NewFlowTable(nGroups, cores int) *FlowTable {
 	return t
 }
 
-// Groups reports the number of flow groups.
+// Groups reports the number of flow groups. The size and mask are
+// immutable, so Groups and GroupOf take no lock.
 func (t *FlowTable) Groups() int { return len(t.groupOf) }
 
 // GroupOf maps a source port to its flow group: the low bits of the
@@ -68,26 +72,60 @@ func (t *FlowTable) GroupOf(srcPort uint16) int {
 }
 
 // CoreOf reports which core (RX DMA ring) a group is steered to.
-func (t *FlowTable) CoreOf(group int) int { return int(t.groupOf[group]) }
+func (t *FlowTable) CoreOf(group int) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return int(t.groupOf[group])
+}
 
-// CoreForPort composes GroupOf and CoreOf.
+// CoreForPort composes GroupOf and CoreOf without charging load.
 func (t *FlowTable) CoreForPort(srcPort uint16) int {
-	return t.CoreOf(t.GroupOf(srcPort))
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return int(t.groupOf[t.GroupOf(srcPort)])
+}
+
+// Route maps a source port to its flow group and the group's current
+// owning core, charging weight units of load to the group so the
+// migration policy can move the *hottest* group rather than an
+// arbitrary one. This is the one call an acceptor makes per routed
+// connection.
+func (t *FlowTable) Route(srcPort uint16, weight uint64) (group, core int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	group = t.GroupOf(srcPort)
+	t.load[group] += weight
+	return group, int(t.groupOf[group])
 }
 
 // Migrate re-points one flow group to a new core.
 func (t *FlowTable) Migrate(group, toCore int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.migrate(group, toCore)
+}
+
+func (t *FlowTable) migrate(group, toCore int) {
 	if toCore < 0 || toCore >= t.nCores {
 		panic(fmt.Sprintf("core: migrate to invalid core %d", toCore))
 	}
 	if int(t.groupOf[group]) != toCore {
 		t.groupOf[group] = int32(toCore)
-		t.Migrations++
+		t.migrations++
 	}
+}
+
+// Migrations reports the number of applied flow-group migrations.
+func (t *FlowTable) Migrations() uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.migrations
 }
 
 // GroupCount reports how many groups are currently steered to each core.
 func (t *FlowTable) GroupCount() []int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	counts := make([]int, t.nCores)
 	for _, c := range t.groupOf {
 		counts[c]++
@@ -95,14 +133,12 @@ func (t *FlowTable) GroupCount() []int {
 	return counts
 }
 
-// ObserveLoad charges n units of routing activity to a group. Real
-// servers call it once per connection routed through the group, so the
-// migration policy can move the *hottest* group rather than an
-// arbitrary one.
-func (t *FlowTable) ObserveLoad(group int, n uint64) { t.load[group] += n }
-
 // LoadOf reports a group's accumulated (decayed) routing activity.
-func (t *FlowTable) LoadOf(group int) uint64 { return t.load[group] }
+func (t *FlowTable) LoadOf(group int) uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.load[group]
+}
 
 // hottestGroupOn returns the victim's group with the highest recent
 // load, or -1 when the victim owns none. With no load data (the
@@ -134,7 +170,7 @@ func (t *FlowTable) decayLoads() {
 	}
 }
 
-// PickMigration implements the §3.3.2 policy for one non-busy core at
+// pickMigration implements the §3.3.2 policy for one non-busy core at
 // the end of a balancing interval: choose the victim core from which
 // `core` stole the most connections, and select the victim's hottest
 // flow group to migrate to `core`. It returns ok=false when the core
@@ -143,7 +179,7 @@ func (t *FlowTable) decayLoads() {
 // never selected: the migration controller passes its oscillation-freeze
 // set here, so a ping-ponging group sits out its cooldown while the
 // victim's other groups remain migratable.
-func (t *FlowTable) PickMigration(core int, stolenFrom []uint64, groupOK func(group int) bool) (group, victim int, ok bool) {
+func (t *FlowTable) pickMigration(core int, stolenFrom []uint64, groupOK func(group int) bool) (group, victim int, ok bool) {
 	best, bestCount := -1, uint64(0)
 	for v, n := range stolenFrom {
 		if v == core || n == 0 {
@@ -177,29 +213,38 @@ type Migration struct {
 // goroutine; a kernel deployment would reprogram the NIC's FDir table
 // here.
 //
+// Balance holds both locks — queues first, then table — so routing
+// never observes a half-applied tick. It is the only code path that
+// nests the two, so the order cannot deadlock against acceptors, which
+// take each lock separately.
+//
 // The optional eligible predicate vetoes migration targets beyond the
 // busy check: a core whose CPU is consumed by unrelated work has an
 // empty accept queue (nothing reaches it) yet must not pull flow groups
 // to itself. The optional groupOK predicate vetoes groups: ones for
 // which it returns false are never migrated this tick (the migration
-// controller's frozen set).
+// controller's frozen set). Both are called with the locks held and
+// must not touch q or t.
 func Balance[T any](t *FlowTable, q *Queues[T], eligible func(core int) bool, groupOK func(group int) bool) []Migration {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	var applied []Migration
-	for core := 0; core < q.Cores(); core++ {
+	for core := range q.cores {
 		q.maybeClearBusy(core)
-		if q.Busy(core) {
+		if q.busy(core) {
 			// Busy cores never migrate additional groups to themselves.
 			continue
 		}
-		if eligible != nil && !eligible(core) {
-			q.ResetSteals(core)
-			continue
+		st := &q.cores[core]
+		if eligible == nil || eligible(core) {
+			if group, victim, ok := t.pickMigration(core, st.stolenFrom, groupOK); ok {
+				t.migrate(group, core)
+				applied = append(applied, Migration{Group: group, From: victim, To: core})
+			}
 		}
-		if group, victim, ok := t.PickMigration(core, q.cores[core].stolenFrom, groupOK); ok {
-			t.Migrate(group, core)
-			applied = append(applied, Migration{Group: group, From: victim, To: core})
-		}
-		q.ResetSteals(core)
+		clear(st.stolenFrom)
 	}
 	t.decayLoads()
 	return applied

@@ -46,12 +46,12 @@ func TestMigrateMovesGroup(t *testing.T) {
 	if ft.CoreOf(g) != to {
 		t.Fatal("migration did not apply")
 	}
-	if ft.Migrations != 1 {
-		t.Fatalf("migrations = %d", ft.Migrations)
+	if ft.Migrations() != 1 {
+		t.Fatalf("migrations = %d", ft.Migrations())
 	}
 	// Self-migration is a no-op.
 	ft.Migrate(g, to)
-	if ft.Migrations != 1 {
+	if ft.Migrations() != 1 {
 		t.Fatal("no-op migration counted")
 	}
 }
@@ -68,7 +68,7 @@ func TestMigrateInvalidCorePanics(t *testing.T) {
 func TestPickMigrationChoosesTopVictim(t *testing.T) {
 	ft := NewFlowTable(16, 4)
 	stolen := []uint64{0, 3, 7, 1} // core 2 is the top victim
-	g, victim, ok := ft.PickMigration(0, stolen, nil)
+	g, victim, ok := ft.pickMigration(0, stolen, nil)
 	if !ok || victim != 2 {
 		t.Fatalf("victim = %d ok=%v, want 2", victim, ok)
 	}
@@ -79,10 +79,10 @@ func TestPickMigrationChoosesTopVictim(t *testing.T) {
 
 func TestPickMigrationIgnoresSelfAndZero(t *testing.T) {
 	ft := NewFlowTable(16, 4)
-	if _, _, ok := ft.PickMigration(0, []uint64{100, 0, 0, 0}, nil); ok {
+	if _, _, ok := ft.pickMigration(0, []uint64{100, 0, 0, 0}, nil); ok {
 		t.Fatal("migrated based on self-steals")
 	}
-	if _, _, ok := ft.PickMigration(0, []uint64{0, 0, 0, 0}, nil); ok {
+	if _, _, ok := ft.pickMigration(0, []uint64{0, 0, 0, 0}, nil); ok {
 		t.Fatal("migrated with no steals")
 	}
 }
@@ -95,7 +95,7 @@ func TestPickMigrationVictimOutOfGroups(t *testing.T) {
 			ft.Migrate(g, 0)
 		}
 	}
-	if _, _, ok := ft.PickMigration(1, []uint64{0, 0, 0, 9}, nil); ok {
+	if _, _, ok := ft.pickMigration(1, []uint64{0, 0, 0, 9}, nil); ok {
 		t.Fatal("migration picked from a core with no groups")
 	}
 }
@@ -145,9 +145,9 @@ func TestPickMigrationPrefersHottestGroup(t *testing.T) {
 	if len(groups) < 2 {
 		t.Fatalf("victim owns %d groups, need 2", len(groups))
 	}
-	ft.ObserveLoad(groups[0], 3)
-	ft.ObserveLoad(groups[1], 50)
-	g, v, ok := ft.PickMigration(0, []uint64{0, 0, 7, 0}, nil)
+	ft.Route(uint16(groups[0]), 3)
+	ft.Route(uint16(groups[1]), 50)
+	g, v, ok := ft.pickMigration(0, []uint64{0, 0, 7, 0}, nil)
 	if !ok || v != victim {
 		t.Fatalf("victim=%d ok=%v, want %d", v, ok, victim)
 	}
@@ -160,7 +160,7 @@ func TestPickMigrationPrefersHottestGroup(t *testing.T) {
 func TestBalanceDecaysLoads(t *testing.T) {
 	ft := NewFlowTable(16, 2)
 	q := NewQueues[int](Config{Cores: 2, Backlog: 8})
-	ft.ObserveLoad(3, 8)
+	ft.Route(3, 8)
 	Balance(ft, q, nil, nil)
 	if ft.LoadOf(3) != 4 {
 		t.Fatalf("load after one tick = %d, want 4 (halved)", ft.LoadOf(3))

@@ -6,8 +6,8 @@ import (
 )
 
 func TestGuardedBasics(t *testing.T) {
-	g := NewGuarded[int](Config{Cores: 2, Backlog: 8})
-	if !g.Push(0, 42) {
+	g := NewQueues[int](Config{Cores: 2, Backlog: 8})
+	if ok, _ := g.Push(0, 42); !ok {
 		t.Fatal("push failed")
 	}
 	if g.Len(0) != 1 {
@@ -27,7 +27,7 @@ func TestGuardedConcurrentConservation(t *testing.T) {
 		cores   = 4
 		perCore = 500
 	)
-	g := NewGuarded[int](Config{Cores: cores, Backlog: cores * 64})
+	g := NewQueues[int](Config{Cores: cores, Backlog: cores * 64})
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	got := map[int]bool{}
@@ -70,6 +70,35 @@ func TestGuardedConcurrentConservation(t *testing.T) {
 		}(c)
 	}
 
+	// Observers: the server's other callers of the same queues — the
+	// overload probe, the stats scrape, an idle worker's decay and the
+	// migration tick on a shared flow table — racing both sides.
+	ft := NewFlowTable(64, cores)
+	stop := make(chan struct{})
+	var owg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		owg.Add(1)
+		go func(c int) {
+			defer owg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if p, l, s, d := g.Stats(); l+s+d > p {
+					t.Errorf("locals %d + steals %d + drops %d > pushes %d", l, s, d, p)
+				}
+				g.AllBusy()
+				g.ObserveIdle(c, 1)
+				if n := g.TotalLen(); n > cores*64 {
+					t.Errorf("%d queued, capacity %d", n, cores*64)
+				}
+				Balance(ft, g, nil, nil)
+			}
+		}(c)
+	}
+
 	pushed := 0
 	var pmu sync.Mutex
 	var pwg sync.WaitGroup
@@ -79,7 +108,7 @@ func TestGuardedConcurrentConservation(t *testing.T) {
 			defer pwg.Done()
 			for i := 0; i < perCore; i++ {
 				v := c*perCore + i
-				for !g.Push(c, v) {
+				for ok, _ := g.Push(c, v); !ok; ok, _ = g.Push(c, v) {
 					// Queue full: spin until a consumer drains.
 				}
 				pmu.Lock()
@@ -91,6 +120,8 @@ func TestGuardedConcurrentConservation(t *testing.T) {
 	pwg.Wait()
 	close(done)
 	wg.Wait()
+	close(stop)
+	owg.Wait()
 
 	if accepted != pushed || accepted != cores*perCore {
 		t.Fatalf("accepted %d of %d pushed", accepted, pushed)
@@ -106,8 +137,8 @@ func TestGuardedConcurrentConservation(t *testing.T) {
 }
 
 func TestGuardedBalance(t *testing.T) {
-	g := NewGuarded[int](Config{Cores: 2, Backlog: 4, StealRatio: 1})
-	ft := NewGuardedFlowTable(16, 2)
+	g := NewQueues[int](Config{Cores: 2, Backlog: 4, StealRatio: 1})
+	ft := NewFlowTable(16, 2)
 	// Build up steals from core 1.
 	g.Push(1, 1)
 	g.Push(1, 2)
@@ -115,7 +146,7 @@ func TestGuardedBalance(t *testing.T) {
 	g.Push(0, 7)
 	g.Pop(0)
 	g.Pop(0)
-	if n := len(g.BalanceTable(ft, nil)); n != 1 {
+	if n := len(Balance(ft, g, nil, nil)); n != 1 {
 		t.Fatalf("balance = %d, want 1", n)
 	}
 }

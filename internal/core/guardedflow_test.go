@@ -6,7 +6,7 @@ import (
 )
 
 func TestGuardedFlowTableRoute(t *testing.T) {
-	gt := NewGuardedFlowTable(16, 4)
+	gt := NewFlowTable(16, 4)
 	port := uint16(0x1235)
 	group, core := gt.Route(port, 2)
 	if group != gt.GroupOf(port) {
@@ -28,12 +28,12 @@ func TestGuardedFlowTableRoute(t *testing.T) {
 }
 
 // TestGuardedFlowTableConcurrent hammers routing, migration and balance
-// from many goroutines; run with -race this proves the guard covers
+// from many goroutines; run with -race this proves the lock covers
 // every FlowTable access the serve package performs.
 func TestGuardedFlowTableConcurrent(t *testing.T) {
 	const cores = 4
-	gt := NewGuardedFlowTable(64, cores)
-	g := NewGuarded[int](Config{Cores: cores, Backlog: 4 * cores, StealRatio: 1})
+	gt := NewFlowTable(64, cores)
+	g := NewQueues[int](Config{Cores: cores, Backlog: 4 * cores, StealRatio: 1})
 	var wg sync.WaitGroup
 	for w := 0; w < cores; w++ {
 		wg.Add(1)
@@ -41,7 +41,7 @@ func TestGuardedFlowTableConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				_, core := gt.Route(uint16(i*cores+w), 1)
-				if g.Push(core, i) {
+				if ok, _ := g.Push(core, i); ok {
 					g.Pop(w)
 				}
 				if i%100 == 0 {
@@ -55,7 +55,7 @@ func TestGuardedFlowTableConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			g.BalanceTable(gt, nil)
+			Balance(gt, g, nil, nil)
 		}
 	}()
 	wg.Wait()

@@ -75,15 +75,13 @@ func TestFlowTablePropertyRandomInterleavings(t *testing.T) {
 				switch rng.Intn(10) {
 				case 0, 1, 2, 3: // accept/requeue routing
 					port := uint16(rng.Intn(1 << 16))
-					g := tbl.GroupOf(port)
-					c := tbl.CoreOf(g)
+					g, c := tbl.Route(port, 1)
 					if g < 0 || g >= groups {
 						t.Fatalf("step %d: port %d routed to group %d of %d", step, port, g, groups)
 					}
 					if c < 0 || c >= cores {
 						t.Fatalf("step %d: group %d routed to worker %d of %d", step, g, c, cores)
 					}
-					tbl.ObserveLoad(g, 1)
 					q.Push(c, step)
 				case 4, 5, 6: // live workers pop (and steal)
 					c := rng.Intn(cores)
@@ -128,7 +126,7 @@ func TestFlowTablePropertyRandomInterleavings(t *testing.T) {
 // real concurrency, shaped like the serve package's use: acceptor
 // goroutines route and charge load, worker goroutines push/pop, and a
 // migration goroutine runs balance ticks through the nested-lock
-// BalanceTable path — all while a reader snapshots. Run under -race
+// Balance path — all while a reader snapshots. Run under -race
 // this is the proof the lock protocol covers every table access; the
 // assertions are the same no-lost-groups / in-range-owner invariants.
 func TestGuardedFlowTablePropertyConcurrent(t *testing.T) {
@@ -137,8 +135,8 @@ func TestGuardedFlowTablePropertyConcurrent(t *testing.T) {
 		groups = 32
 		dur    = 200 * time.Millisecond
 	)
-	g := NewGuarded[int](Config{Cores: cores, Backlog: cores * 16, HighPct: 20, LowPct: 5})
-	tbl := NewGuardedFlowTable(groups, cores)
+	g := NewQueues[int](Config{Cores: cores, Backlog: cores * 16, HighPct: 20, LowPct: 5})
+	tbl := NewFlowTable(groups, cores)
 	eligible := func(c int) bool { return c != 3 } // worker 3 is dead
 
 	var stop atomic.Bool
@@ -182,7 +180,7 @@ func TestGuardedFlowTablePropertyConcurrent(t *testing.T) {
 	go func() { // migration loop
 		defer wg.Done()
 		for !stop.Load() {
-			for _, m := range g.BalanceTable(tbl, eligible) {
+			for _, m := range Balance(tbl, g, eligible, nil) {
 				if m.To == 3 || m.To < 0 || m.To >= cores {
 					fail(fmt.Sprintf("migration %+v targets dead/out-of-range worker", m))
 					return

@@ -13,7 +13,7 @@ import (
 
 func BenchmarkStagePushPop(b *testing.B) {
 	testutil.Stage(b, func(n int) func(i, j int) {
-		g := NewGuarded[int](Config{Cores: max(2, n)})
+		g := NewQueues[int](Config{Cores: max(2, n)})
 		return func(i, _ int) {
 			g.Push(i, 1)
 			g.Pop(i)
@@ -23,7 +23,7 @@ func BenchmarkStagePushPop(b *testing.B) {
 
 func BenchmarkStageRoute(b *testing.B) {
 	testutil.Stage(b, func(n int) func(i, j int) {
-		ft := NewGuardedFlowTable(DefaultFlowGroups, 2)
+		ft := NewFlowTable(DefaultFlowGroups, 2)
 		stride := max(2, n)
 		return func(i, j int) { ft.Route(uint16(i+j*stride), 1) }
 	})
@@ -32,7 +32,7 @@ func BenchmarkStageRoute(b *testing.B) {
 // BenchmarkStageSteal holds core 0's queue over its high watermark, so
 // every Pop on the idle core 1 takes from it; the Push refills.
 func BenchmarkStageSteal(b *testing.B) {
-	g := NewGuarded[int](Config{Cores: 2})
+	g := NewQueues[int](Config{Cores: 2})
 	for i := 0; i < 120; i++ {
 		g.Push(0, i)
 	}
@@ -45,9 +45,9 @@ func BenchmarkStageSteal(b *testing.B) {
 }
 
 func BenchmarkStageBalance(b *testing.B) {
-	g := NewGuarded[int](Config{Cores: 2})
-	ft := NewGuardedFlowTable(DefaultFlowGroups, 2)
+	g := NewQueues[int](Config{Cores: 2})
+	ft := NewFlowTable(DefaultFlowGroups, 2)
 	for b.Loop() {
-		g.BalanceTable(ft, nil)
+		Balance(ft, g, nil, nil)
 	}
 }

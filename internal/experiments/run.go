@@ -70,7 +70,6 @@ type RunConfig struct {
 	FlowGroups       int
 	StealRatio       int
 	HighPct, LowPct  float64
-	BacklogPerCore   int
 
 	Seed int64
 
@@ -207,9 +206,6 @@ func runOnce(rc RunConfig) RunResult {
 		HighPct:          rc.HighPct,
 		LowPct:           rc.LowPct,
 		Seed:             rc.Seed,
-	}
-	if rc.BacklogPerCore > 0 {
-		scfg.Backlog = rc.BacklogPerCore * machine.Cores()
 	}
 	s := tcp.NewStack(scfg)
 	if rc.Listen == tcp.AffinityAccept && rc.MigrateEveryMS > 0 {

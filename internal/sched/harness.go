@@ -255,10 +255,8 @@ func (h *Harness) arrive(e *sim.Engine, _ *sim.Core) {
 	}
 	ph := h.phases[h.phaseIx]
 	port := ph.Port(h.rng)
-	group := h.Table.GroupOf(port)
-	h.Table.ObserveLoad(group, 1)
-	dest := h.Table.CoreOf(group)
-	if !h.Q.Push(dest, Conn{Port: port, At: e.Now()}) {
+	_, dest := h.Table.Route(port, 1)
+	if ok, _ := h.Q.Push(dest, Conn{Port: port, At: e.Now()}); !ok {
 		h.res.Drops++
 	}
 	e.After(ph.ArrivalGap, h.arrive)
@@ -340,7 +338,7 @@ func (h *Harness) Run(phases []Phase) Result {
 	h.eng.Run(horizon)
 
 	h.res.Locals, h.res.Steals = h.Q.Locals, h.Q.Steals
-	h.res.Migrations = h.Table.Migrations
+	h.res.Migrations = h.Table.Migrations()
 	if h.res.Locals+h.res.Steals > 0 {
 		h.res.FinalLocality = float64(h.res.Locals) / float64(h.res.Locals+h.res.Steals)
 	}

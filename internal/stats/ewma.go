@@ -1,10 +1,11 @@
-// Package stats provides the small statistical primitives used throughout
-// the Affinity-Accept simulator: the exponentially weighted moving average
-// from §3.3 of the paper, streaming histograms, percentile sets and CDFs.
+// Package stats provides the small statistical primitives shared by the
+// simulator and the server: the exponentially weighted moving average
+// from §3.3 of the paper, the gauge and pool counters the server's
+// snapshots read, and the simulator's streaming histograms and CDFs.
 //
-// Everything in this package is deterministic and allocation-light; the
-// simulator updates these structures on hot paths (every accept-queue push
-// updates an EWMA, every sampled memory access lands in a histogram).
+// Everything in this package is deterministic and allocation-light; hot
+// paths update these structures (every accept-queue push updates an
+// EWMA, every sampled memory access lands in a histogram).
 package stats
 
 import "math"

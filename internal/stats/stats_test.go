@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -217,14 +218,16 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		h := NewLatencyHistogram()
-		var exact Sample
-		for i := 0; i < 500; i++ {
+		exact := make([]float64, 500)
+		for i := range exact {
 			v := 1 + rng.Float64()*10000
 			h.Observe(v)
-			exact.Observe(v)
+			exact[i] = v
 		}
+		sort.Float64s(exact)
 		for _, q := range []float64{0.5, 0.9, 0.99} {
-			est, ref := h.Quantile(q), exact.Quantile(q)
+			// Nearest rank, as an exact reference.
+			est, ref := h.Quantile(q), exact[int(math.Ceil(q*500))-1]
 			if est < ref*0.9 || est > ref*1.11 {
 				return false
 			}
@@ -233,45 +236,6 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSampleQuantiles(t *testing.T) {
-	var s Sample
-	for i := 10; i >= 1; i-- {
-		s.Observe(float64(i))
-	}
-	if s.Quantile(0.5) != 5 {
-		t.Fatalf("median = %v, want 5", s.Quantile(0.5))
-	}
-	if s.Quantile(0.9) != 9 {
-		t.Fatalf("p90 = %v, want 9", s.Quantile(0.9))
-	}
-	if s.Quantile(0) != 1 || s.Quantile(1) != 10 {
-		t.Fatal("extreme quantiles wrong")
-	}
-	if s.Mean() != 5.5 {
-		t.Fatalf("mean = %v", s.Mean())
-	}
-	if s.Max() != 10 {
-		t.Fatalf("max = %v", s.Max())
-	}
-}
-
-func TestSampleEmpty(t *testing.T) {
-	var s Sample
-	if s.Quantile(0.5) != 0 || s.Mean() != 0 || s.Max() != 0 || s.Count() != 0 {
-		t.Fatal("empty sample should report zeros")
-	}
-}
-
-func TestSampleObserveAfterQuantile(t *testing.T) {
-	var s Sample
-	s.Observe(5)
-	_ = s.Quantile(0.5)
-	s.Observe(1) // must re-sort
-	if s.Quantile(0) != 1 {
-		t.Fatal("sample not re-sorted after new observation")
 	}
 }
 

@@ -66,9 +66,6 @@ type Conn struct {
 	// called sendmsg() on this connection (-1 until trained).
 	rfsCore int
 
-	// reqsServed counts completed requests on this connection.
-	reqsServed int
-
 	// peerClosed is set when the client's FIN (or abort) arrives.
 	peerClosed bool
 	aborted    bool
@@ -84,17 +81,11 @@ type Conn struct {
 	acceptedAt sim.Time
 }
 
-// ReqsServed reports completed requests.
-func (c *Conn) ReqsServed() int { return c.reqsServed }
-
 // Readable reports whether read() would return data.
 func (c *Conn) Readable() bool { return len(c.rxPending) > 0 }
 
 // PeerClosed reports whether the client has closed or aborted.
 func (c *Conn) PeerClosed() bool { return c.peerClosed }
-
-// Aborted reports whether the client abandoned the connection.
-func (c *Conn) Aborted() bool { return c.aborted }
 
 // Local reports whether the connection is currently being processed on
 // the same core that receives its packets — the paper's definition of

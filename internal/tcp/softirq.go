@@ -208,7 +208,8 @@ func (s *Stack) rxAck3(k *K, conn *Conn) {
 		default:
 			k.Touch(s.per[c.ID].cloneQueue, 0, true) // head
 			k.Touch(s.per[c.ID].cloneQueue, 1, true) // len
-			return s.queues.Push(c.ID, conn)
+			ok, _ := s.queues.Push(c.ID, conn)
+			return ok
 		}
 	}
 

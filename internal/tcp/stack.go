@@ -465,10 +465,3 @@ func (k *K) Free(o *mem.Object) {
 	cyc := k.s.Mem.Free(k.c.ID, o)
 	k.c.Charge(cyc)
 }
-
-// WakeRemote models waking a thread parked on another core: a write to
-// that core's runqueue plus schedule bookkeeping on the waker.
-func (k *K) WakeRemote(coreID int) {
-	k.Touch(k.s.per[coreID].runqueue, 0, true)
-	k.Work(Op{k.s.Cfg.Costs.Schedule.Cycles / 2, k.s.Cfg.Costs.Schedule.Instr / 2})
-}

@@ -259,7 +259,6 @@ func (s *Stack) Writev(c *sim.Core, conn *Conn, respBytes int) sim.Time {
 	}
 
 	s.rfsNoteSend(k, conn)
-	conn.reqsServed++
 	s.Stats.Requests++
 	// Locality is judged where the response is actually produced: the
 	// core running this writev versus the core receiving the flow's
@@ -373,15 +372,6 @@ func (s *Stack) NewThread(coreID int) *Thread {
 	task, _ := s.Mem.Alloc(coreID, TypeTaskStruct)
 	kst, _ := s.Mem.Alloc(coreID, TypeThreadStack)
 	return &Thread{Task: task, KStack: kst, Core: coreID}
-}
-
-// FreeThread releases a thread's kernel objects.
-func (s *Stack) FreeThread(c *sim.Core, t *Thread) {
-	if t == nil {
-		return
-	}
-	s.Mem.Free(c.ID, t.Task)
-	s.Mem.Free(c.ID, t.KStack)
 }
 
 // ScheduleIn charges a context switch into the given thread on core c.

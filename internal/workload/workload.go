@@ -11,7 +11,6 @@ import (
 
 	"affinityaccept/internal/core"
 	"affinityaccept/internal/sim"
-	"affinityaccept/internal/stats"
 	"affinityaccept/internal/tcp"
 )
 
@@ -112,7 +111,7 @@ type Gen struct {
 	Refused uint64
 	// Latencies records per-connection service time in seconds for
 	// connections finishing after measureFrom.
-	Latencies stats.Sample
+	Latencies Sample
 }
 
 // clientConn is the client half of one connection.

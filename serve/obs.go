@@ -33,7 +33,7 @@ type serverObs struct {
 
 	park    []*obs.Hist // per worker: ns parked between requests
 	steal   []*obs.Hist // per worker: queue-pop ns of stolen connections
-	migrate *obs.Hist   // ns per balance tick (BalanceTable call)
+	migrate *obs.Hist   // ns per balance tick (core.Balance call)
 }
 
 func newServerObs(workers, groups int) *serverObs {

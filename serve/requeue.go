@@ -139,12 +139,13 @@ func (s *Server) enqueue(c *Conn, listener int) {
 			s.RecordGroupEvent(worker, obs.KindReroute, group, c.port, int64(from), cross)
 		}
 	}
-	if !s.bal.Push(worker, c) {
+	ok, busy := s.bal.Push(worker, c)
+	if !ok {
 		s.closeHeld(c)
 		return
 	}
 	s.signal(worker)
-	if s.bal.Busy(worker) {
+	if busy {
 		// The one state in which Pop lets another worker take from this
 		// queue, and only a Push sets it: let the others look.
 		for i := range s.workers {

@@ -9,7 +9,7 @@
 // connection's remote port is hashed into a flow group (the paper's
 // low-source-port-bits FDir groups, §3.1) and the connection is pushed
 // onto the queue of the worker that currently *owns* that group, in a
-// core.Guarded balancer. Workers pop with the paper's policy: local
+// core.Queues balancer. Workers pop with the paper's policy: local
 // connections preferred, one remote steal per StealRatio local accepts
 // when some other worker is over its high watermark. A stalled worker's
 // backlog is therefore drained by idle workers instead of timing out.
@@ -234,8 +234,8 @@ type Server struct {
 	cfg     Config
 	handler WorkerHandler
 
-	bal       *core.Guarded[*Conn]
-	flow      *core.GuardedFlowTable
+	bal       *core.Queues[*Conn]
+	flow      *core.FlowTable
 	listeners []net.Listener
 	sharded   bool // one listener per worker (SO_REUSEPORT)
 
@@ -326,7 +326,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:     cfg,
-		flow:    core.NewGuardedFlowTable(cfg.FlowGroups, cfg.Workers),
+		flow:    core.NewFlowTable(cfg.FlowGroups, cfg.Workers),
 		topo:    core.Regular(cfg.Workers, cfg.Chips),
 		drainCh: make(chan struct{}),
 		workers: make([]workerState, cfg.Workers),
@@ -355,7 +355,7 @@ func New(cfg Config) (*Server, error) {
 		// distance ties and that is the paper's wraparound scan.
 		ChipOf: s.topo.ChipOf,
 	}
-	s.bal = core.NewGuarded[*Conn](bcfg)
+	s.bal = core.NewQueues[*Conn](bcfg)
 	s.migrateIntervalNs.Store(int64(cfg.MigrateInterval))
 	for i := range s.workers {
 		s.workers[i].pinnedCPU.Store(-1)
@@ -580,7 +580,7 @@ func (s *Server) migrateLoop() {
 // next interval is republished for the migrate loop and Stats.
 func (s *Server) balanceOnce() int {
 	t0 := obs.Nanos()
-	moves := s.bal.BalanceTableFiltered(s.flow, nil, s.ctl.GroupOK)
+	moves := core.Balance(s.flow, s.bal, nil, s.ctl.GroupOK)
 	for _, m := range moves {
 		s.workers[m.To].migratedIn.Add(1)
 		if s.crossChip(m.From, m.To) {
