@@ -26,21 +26,27 @@ type arena struct {
 	free     []*RequestCtx
 	counters stats.PoolCounters
 
-	// date is the Date header value for second sec of the worker's
-	// coarse clock, formatted in place when the second changes: every
-	// response reads the worker's own copy and no goroutine refreshes it.
-	sec  int64
-	date [len(http.TimeFormat)]byte
+	// mid is the response head from "Server: " through "Content-Type: ",
+	// its Date the second sec of the worker's coarse clock. It is rebuilt
+	// in place when the second changes: every response reads the worker's
+	// own copy and no goroutine refreshes it. The status line and the
+	// content type, which vary per response, are appended around it.
+	sec int64
+	mid []byte
 }
 
-// appendDate appends the Date header value for now, reformatting the
-// arena's copy only when now is in a different second.
-func (a *arena) appendDate(b []byte, now time.Time) []byte {
-	if sec := now.Unix(); sec != a.sec {
+// appendMid appends the arena's head middle for now (unix ns),
+// rebuilding it first when now is in a different second.
+func (a *arena) appendMid(b []byte, now int64) []byte {
+	if sec := now / 1e9; sec != a.sec {
 		a.sec = sec
-		now.UTC().AppendFormat(a.date[:0], http.TimeFormat)
+		m := append(a.mid[:0], serverColon...)
+		m = append(m, a.s.name...)
+		m = append(m, dateColon...)
+		m = time.Unix(sec, 0).UTC().AppendFormat(m, http.TimeFormat)
+		a.mid = append(m, ctypeColon...)
 	}
-	return append(b, a.date[:]...)
+	return append(b, a.mid...)
 }
 
 // bufSize is the size a context's request and response buffers start

@@ -374,13 +374,8 @@ func (ctx *RequestCtx) appendResponse(closing bool) {
 	if ctx.resp.raw {
 		return
 	}
-	b := ctx.wbuf
-	b = appendStatusLine(b, ctx.resp.status)
-	b = append(b, serverColon...)
-	b = append(b, ctx.srv.name...)
-	b = append(b, dateColon...)
-	b = ctx.srv.arenas[ctx.worker].appendDate(b, ctx.CoarseNow())
-	b = append(b, ctypeColon...)
+	b := appendStatusLine(ctx.wbuf, ctx.resp.status)
+	b = ctx.srv.arenas[ctx.worker].appendMid(b, ctx.srv.srv.CoarseNanos(ctx.worker))
 	b = append(b, ctx.resp.contentType...)
 	b = append(b, clenColon...)
 	b = strconv.AppendInt(b, int64(len(ctx.resp.body)), 10)

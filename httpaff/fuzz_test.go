@@ -37,6 +37,15 @@ var fuzzSeeds = []string{
 	"GET /ws HTTP/1.1\r\nUpgrade: websocket\r\nConnection: Upgrade\r\nSec-WebSocket-Key: x\r\nSec-WebSocket-Version: 13\r\n\r\n",
 	"\r\n\r\n",
 	"A B C\r\nX:\r\n\r\n",
+	// Bare LF and bare CR: only CRLF ends a line, so each stays inside
+	// the line it sits in.
+	"GET / HTTP/1.1\nHost: h\n\n",
+	"GET / HTTP/1.1\r\nX-A: a\nb\r\nHost: h\r\n\r\n",
+	"GET / HTTP/1.1\r\n\n\r\n\r\n",
+	"\nGET / HTTP/1.1\r\n\r\n",
+	"GET / HTTP/1.1\r\nX-A: a\rb\r\nHost: h\r\n\r\n",
+	"GET / HTTP/1.1\r\r\n\r\n",
+	"GET / HTTP/1.1\rHost: h\r\n\r\n",
 }
 
 // blankLine is the CRLF pair that ends a request head.

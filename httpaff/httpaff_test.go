@@ -416,6 +416,29 @@ func TestHTTP10ClosesByDefault(t *testing.T) {
 	}
 }
 
+// TestHalfCloseAfterLastRequest: a keep-alive client that sends its
+// last request and half-closes (shutdown(SHUT_WR)) gets the response and
+// then the close, with no idle timeout set: the EOF that came with the
+// request must not leave the parked connection waiting for an edge
+// that never comes.
+func TestHalfCloseAfterLastRequest(t *testing.T) {
+	s := start(t, Config{Workers: 2})
+	conn, br := dial(t, s)
+	fmt.Fprint(conn, "GET /first HTTP/1.1\r\nHost: t\r\n\r\n")
+	if code, _, body := readResponse(t, br); code != 200 || string(body) != "/first" {
+		t.Fatalf("first request: %d %q", code, body)
+	}
+	fmt.Fprint(conn, "GET /last HTTP/1.1\r\nHost: t\r\n\r\n")
+	conn.(*net.TCPConn).CloseWrite()
+	if code, _, body := readResponse(t, br); code != 200 || string(body) != "/last" {
+		t.Fatalf("last request: %d %q", code, body)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("half-closed connection: read = %v, want EOF", err)
+	}
+}
+
 // TestIdleTimeout: a parked keep-alive connection is closed once idle
 // past the limit.
 func TestIdleTimeout(t *testing.T) {

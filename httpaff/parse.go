@@ -202,24 +202,32 @@ func (ctx *RequestCtx) grow(n int) {
 // walkHead parses the complete lines in rbuf[from:end] into ctx.req
 // (slices alias rbuf; the line at ctx.rpos is the request line) and
 // returns the offset it stopped at: the first incomplete line, or, when
-// done, the end of the blank line closing the head.
+// done, the end of the blank line closing the head. A line ends at
+// CRLF, found by one LF scan; a bare LF stays inside its line.
 func (ctx *RequestCtx) walkHead(from, end int) (next int, done bool, err error) {
 	for {
-		i := bytes.Index(ctx.rbuf[from:end], crlf)
-		if i < 0 {
-			return from, false, nil
+		lf := from
+		for {
+			i := bytes.IndexByte(ctx.rbuf[lf:end], '\n')
+			if i < 0 {
+				return from, false, nil
+			}
+			if lf += i; lf > from && ctx.rbuf[lf-1] == '\r' {
+				break
+			}
+			lf++ // a bare LF: the line goes on
 		}
-		line := ctx.rbuf[from : from+i]
+		line := ctx.rbuf[from : lf-1]
 		switch {
 		case from == ctx.rpos:
 			ctx.req.reset()
 			err = ctx.req.parseRequestLine(line)
-		case i == 0:
-			return from + len(crlf), true, nil
+		case len(line) == 0:
+			return lf + 1, true, nil
 		default:
 			err = ctx.req.parseHeader(line)
 		}
-		if from += i + len(crlf); err != nil {
+		if from = lf + 1; err != nil {
 			return from, false, err
 		}
 	}

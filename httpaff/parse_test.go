@@ -2,7 +2,10 @@ package httpaff
 
 import (
 	"fmt"
+	"net/http"
+	"strings"
 	"testing"
+	"time"
 
 	"affinityaccept/internal/http11"
 	"affinityaccept/serve"
@@ -11,7 +14,8 @@ import (
 // newTestCtx builds a context wired to a minimal server, no transport.
 func newTestCtx() *RequestCtx {
 	// A zero serve.Server has no loops: CoarseNow reads the real clock.
-	s := &Server{name: []byte("httpaff"), srv: &serve.Server{}, arenas: []*arena{{}}}
+	s := &Server{name: []byte("httpaff"), srv: &serve.Server{}}
+	s.arenas = []*arena{{s: s}}
 	s.cfg.MaxHeaderBytes = 8192
 	s.cfg.MaxBodyBytes = 1 << 20
 	return &RequestCtx{srv: s, rbuf: make([]byte, 4096), wbuf: make([]byte, 0, 4096)}
@@ -235,4 +239,112 @@ func TestSerializeZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, render); allocs != 0 {
 		t.Fatalf("serialize allocates %.1f objects per response, want 0", allocs)
 	}
+}
+
+// refResponse is the response serialization written out field by field,
+// independently of appendResponse: what it must produce byte for byte.
+func refResponse(name string, status int, ctype, extra string, body []byte, closing, head bool, sec int64) string {
+	var b strings.Builder
+	if text := http.StatusText(status); status == http.StatusOK {
+		b.WriteString("HTTP/1.1 200 OK\r\n")
+	} else if text != "" {
+		fmt.Fprintf(&b, "HTTP/1.1 %d %s\r\n", status, text)
+	} else {
+		fmt.Fprintf(&b, "HTTP/1.1 %d Status\r\n", status)
+	}
+	fmt.Fprintf(&b, "Server: %s\r\nDate: %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n",
+		name, time.Unix(sec, 0).UTC().Format(http.TimeFormat), ctype, len(body))
+	b.WriteString(extra)
+	if closing {
+		b.WriteString("Connection: close\r\n")
+	}
+	b.WriteString("\r\n")
+	if !head {
+		b.Write(body)
+	}
+	return b.String()
+}
+
+// TestHeadMatchesReference serializes a table of responses through
+// appendResponse and checks each against refResponse. The cases run in
+// sequence on one arena, twice, so each status and content type follows
+// another. A second rollover of the coarse clock, across midnight, is
+// driven through the arena's cached head middle directly.
+func TestHeadMatchesReference(t *testing.T) {
+	cases := []struct {
+		name    string
+		server  string
+		method  string
+		status  int
+		ctype   string
+		extra   [][2]string
+		closing bool
+	}{
+		{name: "200", status: 200},
+		{name: "404", status: 404},
+		{name: "unknown status", status: 599},
+		{name: "200 again", status: 200},
+		{name: "custom content type", status: 200, ctype: "application/json"},
+		{name: "SetHeader extras", status: 201, extra: [][2]string{{"X-Trace", "abc"}, {"Cache-Control", "no-store"}}},
+		{name: "Connection: close", status: 200, closing: true},
+		{name: "HEAD", method: "HEAD", status: 200},
+		{name: "HEAD non-200", method: "HEAD", status: 304, ctype: "text/html"},
+		{name: "custom ServerName", server: "edge-7", status: 200},
+	}
+	body := []byte("hello, core-local world")
+	for pass := 0; pass < 2; pass++ {
+		ctx := newTestCtx()
+		for _, tc := range cases {
+			if tc.server != "" {
+				ctx = newTestCtx()
+				ctx.srv.name = []byte(tc.server)
+			}
+			method := tc.method
+			if method == "" {
+				method = "GET"
+			}
+			if err := parseRaw(ctx, method+" / HTTP/1.1\r\nHost: t\r\n\r\n"); err != nil {
+				t.Fatal(err)
+			}
+			var want string
+			for try := 0; ; try++ {
+				ctx.resp.reset()
+				ctx.SetStatus(tc.status)
+				if tc.ctype != "" {
+					ctx.SetContentType(tc.ctype)
+				}
+				extra := ""
+				for _, h := range tc.extra {
+					ctx.SetHeader(h[0], h[1])
+					extra += h[0] + ": " + h[1] + "\r\n"
+				}
+				ctx.Write(body)
+				ctx.wbuf = ctx.wbuf[:0]
+				before := time.Now().Unix()
+				ctx.appendResponse(tc.closing)
+				if after := time.Now().Unix(); after != before && try < 3 {
+					continue // the second rolled over mid-case: redo it
+				}
+				want = refResponse(string(ctx.srv.name), tc.status, ctx.resp.contentType, extra,
+					body, tc.closing, method == "HEAD", before)
+				break
+			}
+			if got := string(ctx.wbuf); got != want {
+				t.Errorf("pass %d, %s:\n got %q\nwant %q", pass, tc.name, got, want)
+			}
+		}
+	}
+
+	t.Run("second rollover", func(t *testing.T) {
+		a := newTestCtx().srv.arenas[0]
+		t0 := time.Date(2026, 3, 1, 23, 59, 59, 0, time.UTC).UnixNano()
+		for i, now := range []int64{t0, t0 + 999_999_999, t0 + 1e9, t0 + 1e9 + 1, t0 + 2e9} {
+			got := string(a.appendMid(nil, now))
+			want := "Server: httpaff\r\nDate: " + time.Unix(0, now).UTC().Format(http.TimeFormat) +
+				"\r\nContent-Type: "
+			if got != want {
+				t.Errorf("step %d: got %q, want %q", i, got, want)
+			}
+		}
+	})
 }

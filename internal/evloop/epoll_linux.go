@@ -14,13 +14,12 @@ import (
 // (closing an epoll descriptor does not unblock epoll_wait). Interest
 // is edge-triggered EPOLLIN|EPOLLRDHUP|EPOLLET, registered once per
 // connection on its first park and kept until Retire: re-parking a
-// keep-alive connection costs no epoll_ctl (only Arm's one MSG_PEEK
-// recvfrom), and an event for an unarmed (being-served) handle is
-// simply dropped. The classic ET
-// lost-wakeup hazard — input arriving while unarmed fires an edge into
-// a dropped event, and no new edge comes until new bytes do — is
-// closed by Arm: a re-armed registration is probed with one MSG_PEEK,
-// and a fresh EPOLL_CTL_ADD gets the kernel's initial event.
+// keep-alive connection costs no epoll_ctl. The classic ET lost-wakeup
+// hazard — input arriving while unarmed fires an edge no armed handle
+// receives, and none comes until new bytes do — is closed in Arm: a
+// fresh EPOLL_CTL_ADD gets the kernel's initial event, and a re-arm
+// probes with one MSG_PEEK only if deliver recorded such an edge or a
+// hangup, or the owner's last read did not show the receive queue empty.
 //
 // The loop goroutine does not block in epoll_wait. It waits on netf, a
 // dup of the epoll descriptor registered with the Go runtime's
@@ -97,6 +96,9 @@ func (p *poller) netpoll() bool {
 // spells it as a negative int constant, which won't assign to Events.
 const epollET = 1 << 31
 
+// epollHup is the events that report a hangup or error (see deliver).
+const epollHup = syscall.EPOLLRDHUP | syscall.EPOLLHUP | syscall.EPOLLERR
+
 // add registers a descriptor, edge-triggered, for the connection's
 // lifetime. The event stashes the registration's low-order park-
 // sequence bits so a stale event for a recycled descriptor number is
@@ -161,7 +163,7 @@ func (l *Loop) Poll() int {
 		if int(ev.Fd) == p.wakeR {
 			continue // shutdown signal: left unread for the loop goroutine
 		}
-		if l.deliver(ev.Fd, ev.Pad) {
+		if l.deliver(ev.Fd, ev.Pad, ev.Events&epollHup != 0) {
 			delivered++
 		}
 	}
@@ -191,23 +193,19 @@ func (l *Loop) run() {
 	defer close(l.done)
 	p := l.p
 	events := make([]syscall.EpollEvent, 128)
-	// One closure for the life of the loop — allocating it (and the
-	// harvest count it captures) per iteration would cost two heap
-	// objects per delivery batch, which the zero-alloc gates notice.
-	var n int
+	// harvest (one closure for the loop's life: no allocation per wake)
+	// makes one epoll_wait, delivers what it returns and stamps the
+	// clock. A short harvest reports false and RawRead parks at once:
+	// one epoll_wait per wake. No wake is lost, as netf is edge-triggered
+	// in the runtime netpoller: an event after the short harvest leaves
+	// the pollDesc ready. A full harvest reports true (more may be
+	// pending), as does a closing loop, and RawRead returns nil.
 	harvest := func(uintptr) bool {
-		// Harvest without blocking; an empty harvest parks in the
-		// netpoller until the epfd reports readable again.
-		n, _ = syscall.EpollWait(p.epfd, events, 0)
-		return n > 0 || l.closedFlag.Load()
-	}
-	lastSweep := time.Now().UnixNano()
-	p.netf.SetReadDeadline(time.Now().Add(PollInterval))
-	for {
-		n = 0
-		rerr := p.netc.Read(harvest)
-		now := time.Now().UnixNano()
-		l.clock.Store(now)
+		l.harvests.Add(1)
+		n, _ := syscall.EpollWait(p.epfd, events, 0)
+		if n > 0 {
+			l.clock.Store(time.Now().UnixNano())
+		}
 		for i := 0; i < n; i++ {
 			ev := &events[i]
 			if int(ev.Fd) == p.wakeR {
@@ -215,12 +213,28 @@ func (l *Loop) run() {
 				syscall.Read(p.wakeR, buf[:])
 				continue
 			}
-			l.deliver(ev.Fd, ev.Pad)
+			l.deliver(ev.Fd, ev.Pad, ev.Events&epollHup != 0)
 		}
+		return n == len(events) || l.closedFlag.Load()
+	}
+	lastSweep := time.Now().UnixNano()
+	p.netf.SetReadDeadline(time.Now().Add(PollInterval))
+	for {
+		rerr := p.netc.Read(harvest)
 		if l.closedFlag.Load() {
 			return
 		}
-		if rerr != nil && !errors.Is(rerr, os.ErrDeadlineExceeded) {
+		now := l.clock.Load()
+		switch {
+		case rerr == nil:
+			// A full harvest: harvest again, through the sweep check,
+			// so a loop kept busy past its deadline still reaps.
+		case errors.Is(rerr, os.ErrDeadlineExceeded):
+			// The deadline fired: tick the clock, arm the next one.
+			now = time.Now().UnixNano()
+			l.clock.Store(now)
+			p.netf.SetReadDeadline(time.Unix(0, now).Add(PollInterval))
+		default:
 			// The netpoller wait failed on a descriptor it accepted at
 			// construction. No cause is known, so fail closed rather
 			// than hang every parked connection: Close refuses further
@@ -228,9 +242,6 @@ func (l *Loop) run() {
 			// this goroutine to return, hence its own.
 			go l.Close()
 			return
-		}
-		if rerr != nil { // the deadline fired: arm the next one
-			p.netf.SetReadDeadline(time.Now().Add(PollInterval))
 		}
 		if now-lastSweep >= int64(sweepInterval) {
 			lastSweep = now

@@ -114,6 +114,9 @@ type Loop struct {
 	ready   atomic.Uint64
 	dead    atomic.Uint64
 	expired atomic.Uint64
+	// Arm's MSG_PEEK probes and the loop's epoll_waits, for tests.
+	probes   atomic.Uint64
+	harvests atomic.Uint64
 
 	p         *poller       // nil: portable mode
 	done      chan struct{} // closed when the loop goroutine exits
@@ -140,6 +143,8 @@ type Handle struct {
 	regTag     int32 // seq low bits stashed in the registration's events
 	fallback   bool  // sticky: this handle parks via its parker goroutine
 	readable   bool  // poller reported readability at last wake
+	missed     bool  // next Arm must probe: see deliver (set under loop.mu)
+	drained    bool  // the owner's last read came back short: no data left
 	deadline   int64
 	seq        uint64
 	next       *Handle // toward older
@@ -190,6 +195,9 @@ func (l *Loop) Start() {
 // use it for idle/read deadlines so the request hot path performs no
 // clock syscalls.
 func (l *Loop) Now() time.Time { return time.Unix(0, l.clock.Load()) }
+
+// Nanos is Now in unix nanoseconds.
+func (l *Loop) Nanos() int64 { return l.clock.Load() }
 
 // Len reports how many handles are currently parked on this loop.
 func (l *Loop) Len() int { return int(l.count.Load()) }
@@ -246,6 +254,12 @@ func (h *Handle) Clock() time.Time {
 // ClearReadable drops the poller's readability hint; the owner calls it
 // when it is about to read the transport directly.
 func (h *Handle) ClearReadable() { h.readable = false }
+
+// NoteRead records whether the owner's last transport read came back
+// short (fewer bytes than asked, no error): no data was then left, so
+// any later byte fires an edge and the next Arm need not probe (a
+// hangup that came with the wake is deliver's to record).
+func (h *Handle) NoteRead(short bool) { h.drained = short }
 
 // Retire releases the handle's loop-side resources: its persistent
 // poller registration, and its parker goroutine if it ever grew one.
@@ -322,7 +336,7 @@ func (l *Loop) Arm(h *Handle, deadline time.Time) bool {
 	if usePoller && !h.registered {
 		// First park: register once, edge-triggered, and keep the
 		// registration for the connection's lifetime. Every later park
-		// costs no epoll_ctl — only the one MSG_PEEK recvfrom below.
+		// costs no epoll_ctl, and at most the one probe below.
 		var err error = syscall.EMFILE
 		if !testForceCtlError.Load() {
 			err = l.p.add(h.fd, h.seq)
@@ -340,13 +354,18 @@ func (l *Loop) Arm(h *Handle, deadline time.Time) bool {
 			fresh = true
 		}
 	}
-	if usePoller && !fresh {
-		// Edge-triggered close race: input that arrived while the
-		// handle was unarmed fired its edge into a dropped event, and
-		// no new edge comes until new bytes do. One MSG_PEEK after
-		// arming catches it; a fresh registration needs no probe —
-		// EPOLL_CTL_ADD on an already-readable descriptor generates
-		// the initial event itself.
+	// Edge-triggered close race: input that arrived while the handle
+	// was unarmed fired an edge no armed handle received. One MSG_PEEK
+	// after arming catches it, needed only if deliver recorded such an
+	// edge or a hangup, or the owner's last read did not show the queue
+	// empty (it filled its buffer, or there was none since the wake);
+	// any other byte's edge is still pending in epoll and reaches the
+	// armed handle. A fresh registration needs no probe: EPOLL_CTL_ADD
+	// on a readable descriptor generates the initial event itself.
+	probe := usePoller && !fresh && (h.missed || !h.drained)
+	h.missed, h.drained = false, false
+	if probe {
+		l.probes.Add(1)
 		if h.probeReadable() {
 			l.detachLocked(h)
 			h.readable = true
@@ -402,19 +421,25 @@ func (l *Loop) detachLocked(h *Handle) {
 // deliver hands a poller readability event to its handle's owner,
 // reporting whether it did. tag is the registration's stashed low-order
 // seq bits: a stale event for a since-recycled descriptor number fails
-// the comparison; an edge that fired while the handle was between parks,
-// or for a handle that shed, sweep or Close already detached, fails the
-// armed check. Either way the event is dropped (the post-arm probe in
-// Arm recovers any input a dropped edge announced).
-func (l *Loop) deliver(fd int32, tag int32) bool {
+// the comparison and is dropped. An edge that fired while the handle
+// was between parks, or for a handle that shed, sweep or Close already
+// detached, fails the armed check: it is recorded on the handle, so the
+// next Arm probes for the input it announced. So is a delivered wake
+// that carries a hangup or error (hup): a read that returns the last
+// data short leaves the EOF behind it, and no later edge announces it.
+func (l *Loop) deliver(fd int32, tag int32, hup bool) bool {
 	l.mu.Lock()
 	h, ok := l.byFD[fd]
 	if !ok || !h.armed || h.regTag != tag {
+		if ok && h.regTag == tag {
+			h.missed = true
+		}
 		l.mu.Unlock()
 		return false
 	}
 	l.detachLocked(h)
 	h.readable = true
+	h.missed = hup
 	l.mu.Unlock()
 	l.ready.Add(1)
 	l.cb.Ready(h.c)

@@ -2,6 +2,7 @@ package evloop
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -189,8 +190,9 @@ func paritySuite(t *testing.T, portable bool) {
 		// Input that is already in the socket buffer when Arm runs must
 		// still be delivered, exactly once: on the first park by the
 		// kernel's initial EPOLL_CTL_ADD event, on a re-park by the
-		// post-arm probe (its edge fired into a dropped event while the
-		// handle was unarmed). The portable parker just reads it.
+		// post-arm probe (its edge fired while the handle was unarmed,
+		// and the wake byte was read without NoteRead). The portable
+		// parker just reads it.
 		k := &collector{}
 		l := newLoop(t, k)
 		srv, cli := tcpPair(t)
@@ -483,6 +485,219 @@ func paritySuite(t *testing.T, portable bool) {
 		}
 	})
 
+	t.Run("InputAfterShortReadDeliveredAtArm", func(t *testing.T) {
+		// The owner's read came back short, so the queue was empty; the
+		// next byte arrives while the handle is unarmed. Its edge is the
+		// only one it gets, and the re-arm must deliver it: the edge the
+		// loop recorded makes Arm probe.
+		k := &collector{}
+		l := newLoop(t, k)
+		srv, cli := tcpPair(t)
+		defer srv.Close()
+		defer cli.Close()
+		var h Handle
+		h.Init(srv)
+		defer h.Retire()
+		if !l.Arm(&h, time.Time{}) {
+			t.Fatal("Arm refused")
+		}
+		cli.Write([]byte{'a'})
+		waitFor(t, "first wake", func() bool { r, _ := k.counts(); return r == 1 })
+		buf := make([]byte, 64)
+		if n := ownerRead(t, &h, buf); n != 1 || buf[0] != 'a' {
+			t.Fatalf("read %q, want \"a\"", buf[:n])
+		}
+		cli.Write([]byte{'b'})
+		if !l.Portable() {
+			waitFor(t, "the unarmed edge recorded", func() bool { return missedEdge(l, &h) })
+		}
+		if !l.Arm(&h, time.Time{}) {
+			t.Fatal("re-Arm refused")
+		}
+		waitFor(t, "wake for input that came while unarmed", func() bool { r, _ := k.counts(); return r == 2 })
+		if n := ownerRead(t, &h, buf); n != 1 || buf[0] != 'b' {
+			t.Fatalf("read %q, want \"b\"", buf[:n])
+		}
+		if n := l.probes.Load(); !l.Portable() && n != 1 {
+			t.Fatalf("probes = %d, want 1", n)
+		}
+	})
+
+	t.Run("FullReadForcesProbe", func(t *testing.T) {
+		// A read that filled its buffer may have left bytes behind, and
+		// they fired their edge while the handle was armed: nothing new
+		// will come. The re-arm must probe and deliver them.
+		k := &collector{}
+		l := newLoop(t, k)
+		srv, cli := tcpPair(t)
+		defer srv.Close()
+		defer cli.Close()
+		var h Handle
+		h.Init(srv)
+		defer h.Retire()
+		if !l.Arm(&h, time.Time{}) {
+			t.Fatal("Arm refused")
+		}
+		cli.Write([]byte("ab"))
+		waitFor(t, "first wake", func() bool { r, _ := k.counts(); return r == 1 })
+		var one [1]byte
+		if n := ownerRead(t, &h, one[:]); n != 1 || one[0] != 'a' {
+			t.Fatalf("read %q, want \"a\"", one[:n])
+		}
+		if !l.Portable() && missedEdge(l, &h) {
+			t.Fatal("an edge was recorded for input that arrived while armed")
+		}
+		if !l.Arm(&h, time.Time{}) {
+			t.Fatal("re-Arm refused")
+		}
+		waitFor(t, "wake for the bytes a full read left", func() bool { r, _ := k.counts(); return r == 2 })
+		if n := ownerRead(t, &h, one[:]); n != 1 || one[0] != 'b' {
+			t.Fatalf("read %q, want \"b\"", one[:n])
+		}
+		if n := l.probes.Load(); !l.Portable() && n != 1 {
+			t.Fatalf("probes = %d, want 1", n)
+		}
+	})
+
+	t.Run("HangupWithLastRequestDeliveredAtArm", func(t *testing.T) {
+		// The peer sends its last request and half-closes before the
+		// first wake, so the one event carries both. The owner's read
+		// returns the request short and leaves the EOF behind; no later
+		// edge announces it, so the re-arm must probe and hand the
+		// connection back (the platform poller as Ready, to read EOF;
+		// the portable parker as Dead, having read it).
+		k := &collector{}
+		l := newLoop(t, k)
+		srv, cli := tcpPair(t)
+		defer srv.Close()
+		defer cli.Close()
+		var h Handle
+		h.Init(srv)
+		defer h.Retire()
+		cli.Write([]byte{'a'})
+		cli.(*net.TCPConn).CloseWrite()
+		time.Sleep(20 * time.Millisecond) // both in srv's queue before the first park
+		if !l.Arm(&h, time.Time{}) {
+			t.Fatal("Arm refused")
+		}
+		waitFor(t, "first wake", func() bool { return k.delivered(srv) == 1 })
+		buf := make([]byte, 64)
+		if n := ownerRead(t, &h, buf); n != 1 || buf[0] != 'a' {
+			t.Fatalf("read %q, want \"a\"", buf[:n])
+		}
+		if !l.Arm(&h, time.Time{}) {
+			t.Fatal("re-Arm refused")
+		}
+		waitFor(t, "the hangup handed back", func() bool { return k.delivered(srv) == 2 })
+		if l.Portable() {
+			return
+		}
+		if n := l.probes.Load(); n != 1 {
+			t.Fatalf("probes = %d, want 1", n)
+		}
+		h.ClearReadable()
+		if _, err := srv.Read(buf); err != io.EOF {
+			t.Fatalf("read after the hangup wake: %v, want EOF", err)
+		}
+	})
+
+	t.Run("SteadyKeepAliveNoProbe", func(t *testing.T) {
+		// One request in flight, answered, parked again: the keep-alive
+		// cycle. Each short read saw the queue empty and each request
+		// fires its edge while armed, so no re-arm probes, and each wake
+		// costs one epoll_wait (plus one per deadline tick).
+		ready := make(chan net.Conn, 1)
+		l := New(Config{Callbacks: Callbacks{
+			Ready: func(c net.Conn) { ready <- c },
+			Dead:  func(net.Conn) { t.Error("unexpected Dead delivery") },
+		}, ForcePortable: portable})
+		l.Start()
+		t.Cleanup(l.Close)
+		srv, cli := tcpPair(t)
+		defer srv.Close()
+		defer cli.Close()
+		var h Handle
+		h.Init(srv)
+		defer h.Retire()
+		const rounds = 200
+		buf := make([]byte, 64)
+		var resp [1]byte
+		start, base := time.Now(), l.harvests.Load()
+		for i := 0; i < rounds; i++ {
+			if !l.Arm(&h, time.Time{}) {
+				t.Fatalf("round %d: Arm refused", i)
+			}
+			if _, err := cli.Write([]byte{'q'}); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-ready:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("round %d: no wake", i)
+			}
+			if n := ownerRead(t, &h, buf); n != 1 || buf[0] != 'q' {
+				t.Fatalf("round %d: read %q, want \"q\"", i, buf[:n])
+			}
+			if _, err := srv.Write([]byte{'r'}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cli.Read(resp[:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := l.probes.Load(); n != 0 {
+			t.Fatalf("%d probes over %d steady re-arms, want 0", n, rounds)
+		}
+		if l.Portable() {
+			return
+		}
+		ticks := uint64(time.Since(start)/PollInterval) + 2
+		if n := l.harvests.Load() - base; n > rounds+rounds/4+ticks {
+			t.Fatalf("%d epoll_waits for %d wakes and %d ticks, want about one per wake", n, rounds, ticks)
+		}
+	})
+
+	t.Run("BurstBeyondHarvestBuffer", func(t *testing.T) {
+		// More handles turn readable at once than one harvest returns
+		// (128): the loop keeps harvesting while harvests come back
+		// full, and every handle is delivered exactly once.
+		k := &collector{}
+		l := newLoop(t, k)
+		const n = 300
+		srvs, clis := make([]net.Conn, n), make([]net.Conn, n)
+		handles := make([]Handle, n)
+		for i := range handles {
+			srvs[i], clis[i] = tcpPair(t)
+			defer srvs[i].Close()
+			defer clis[i].Close()
+			handles[i].Init(srvs[i])
+			defer handles[i].Retire()
+			if !l.Arm(&handles[i], time.Time{}) {
+				t.Fatalf("Arm %d refused", i)
+			}
+		}
+		// Holding the loop's lock stalls delivery after at most one
+		// harvest, so at least n-128 events pile up for the next one.
+		l.mu.Lock()
+		for _, c := range clis {
+			if _, err := c.Write([]byte{'x'}); err != nil {
+				l.mu.Unlock()
+				t.Fatal(err)
+			}
+		}
+		l.mu.Unlock()
+		waitFor(t, "every handle's wake", func() bool { r, _ := k.counts(); return r == n })
+		time.Sleep(20 * time.Millisecond) // a duplicate would land by now
+		for i, c := range srvs {
+			if got := k.delivered(c); got != 1 {
+				t.Fatalf("handle %d delivered %d times, want 1", i, got)
+			}
+		}
+		if l.Len() != 0 {
+			t.Fatalf("Len = %d after every wake, want 0", l.Len())
+		}
+	})
+
 	t.Run("CoarseClockAdvances", func(t *testing.T) {
 		k := &collector{}
 		l := newLoop(t, k)
@@ -493,6 +708,31 @@ func paritySuite(t *testing.T, portable bool) {
 			t.Fatalf("coarse clock lag %v outside [0, %v]", lag, 2*PollInterval)
 		}
 	})
+}
+
+// ownerRead reads the way serve.Conn.Read does: replay a held wake byte,
+// or read the transport and note whether the read came back short.
+func ownerRead(t *testing.T, h *Handle, b []byte) int {
+	t.Helper()
+	if n, ok := h.Replay(b); ok {
+		return n
+	}
+	h.ClearReadable()
+	h.c.SetReadDeadline(time.Now().Add(2 * time.Second))
+	n, err := h.c.Read(b)
+	if err != nil {
+		t.Fatalf("owner read: %v", err)
+	}
+	h.NoteRead(n < len(b))
+	return n
+}
+
+// missedEdge reports whether the loop has recorded an edge for the
+// unarmed handle.
+func missedEdge(l *Loop, h *Handle) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return h.missed
 }
 
 func TestEvloop(t *testing.T) {

@@ -86,6 +86,7 @@ func (h *Hist) Record(v int64) {
 type Stage struct {
 	Hist *Hist
 	n    int // staged slots in use
+	last int // the slot the previous Record touched
 	sum  int64
 	idx  [stageSlots]int
 	cnt  [stageSlots]uint64
@@ -97,17 +98,19 @@ const stageSlots = 8 // distinct buckets staged; a ninth folds the stage first
 func (s *Stage) Record(v int64) {
 	v = max(v, 0)
 	b := s.Hist.bucketIndex(uint64(v))
-	j := 0
-	for j < s.n && s.idx[j] != b {
-		j++
-	}
-	if j == stageSlots {
-		s.Fold()
-		j = 0
-	}
-	if j == s.n {
-		s.idx[j], s.cnt[j] = b, 0
-		s.n++
+	j := s.last // a run of same-bucket samples skips the scan
+	if j >= s.n || s.idx[j] != b {
+		for j = 0; j < s.n && s.idx[j] != b; j++ {
+		}
+		if j == stageSlots {
+			s.Fold()
+			j = 0
+		}
+		if j == s.n {
+			s.idx[j], s.cnt[j] = b, 0
+			s.n++
+		}
+		s.last = j
 	}
 	s.cnt[j]++
 	s.sum += v

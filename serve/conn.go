@@ -167,12 +167,16 @@ func (c *Conn) CoarseNow() time.Time { return c.h.Clock() }
 // read on a connection that sent nothing.
 func (c *Conn) InputPending() bool { return c.h.Pending() }
 
+// Read replays a held wake byte, or reads the transport and tells the
+// park handle whether the read came back short (see Handle.NoteRead).
 func (c *Conn) Read(b []byte) (int, error) {
 	if n, ok := c.h.Replay(b); ok {
 		return n, nil
 	}
 	c.h.ClearReadable()
-	return c.Conn.Read(b)
+	n, err := c.Conn.Read(b)
+	c.h.NoteRead(err == nil && n < len(b))
+	return n, err
 }
 
 // SyscallConn forwards to the transport, which is how the event loop

@@ -22,10 +22,10 @@ var forcePortableParking = false
 // flow group at its first park; when its next request bytes arrive the
 // loop re-routes it through the flow table onto the (possibly
 // different, post-migration) owner's queue. Every successful Requeue is
-// a real park: input already buffered at requeue time is found by Arm's
-// own probe and delivered on the spot through the same Ready callback.
-// (A separate look-before-parking probe hit on 0.7–1.5 % of requeues in
-// the benchmark and cost a recvfrom on the rest; CHANGES.md, PR 16.)
+// a real park: input already buffered is delivered on the spot, by its
+// still-pending edge or by Arm's probe, which runs only when such input
+// can be unannounced. (A separate look-before-parking probe hit on
+// 0.7–1.5 % of requeues and cost a recvfrom on the rest.)
 // Requeue reports false when the server is shutting down — Arm is the
 // authority — or the connection has been closed, and the caller then
 // still owns the connection and must close it. After a successful

@@ -456,10 +456,15 @@ func (s *Server) Parked() int64 {
 // calling time.Now on every request (à la fasthttp's coarse time).
 // Out-of-range workers get the real clock.
 func (s *Server) CoarseNow(worker int) time.Time {
+	return time.Unix(0, s.CoarseNanos(worker))
+}
+
+// CoarseNanos is CoarseNow in unix nanoseconds, without a time.Time.
+func (s *Server) CoarseNanos(worker int) int64 {
 	if worker < 0 || worker >= len(s.loops) {
-		return time.Now()
+		return time.Now().UnixNano()
 	}
-	return s.loops[worker].Now()
+	return s.loops[worker].Nanos()
 }
 
 // Start launches the acceptor, worker and migration goroutines. It

@@ -412,6 +412,9 @@ func TestBroadcastFanOut(t *testing.T) {
 			t.Fatalf("client %d got op=%d %q", i, h.op, payload)
 		}
 	}
+	// The shard counts a delivery once its write returns, so a client can
+	// read the frame before it is counted: let the count catch up.
+	waitUntil(t, 5*time.Second, func() bool { return ws.Stats().Delivered >= n }, "broadcast deliveries never counted")
 	st := ws.Stats()
 	if st.Broadcasts != 1 || st.Delivered != n {
 		t.Errorf("broadcasts %d delivered %d, want 1 and %d", st.Broadcasts, st.Delivered, n)
