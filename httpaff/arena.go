@@ -90,7 +90,7 @@ func (a *arena) release(ctx *RequestCtx) {
 		return
 	}
 	keep := a.s.cfg.MaxHeaderBytes + a.s.cfg.MaxBodyBytes
-	if cap(ctx.rbuf) > keep {
+	if cap(ctx.rbuf) > keep+1 { // plus the byte of room readRequest keeps past a body
 		ctx.rbuf = make([]byte, bufSize)
 	}
 	if cap(ctx.wbuf) > keep {

@@ -9,31 +9,20 @@ import (
 	"affinityaccept/internal/http11"
 )
 
-// headerField is one parsed request header; key and value alias the
-// context's read buffer (zero-copy) and are valid only for the handler
-// call.
-type headerField struct {
-	key, val []byte
-}
-
 // request is the parsed view of one HTTP/1.1 request. Every byte slice
-// aliases the context's read buffer.
+// aliases the context's read buffer (zero-copy) and is valid only for
+// the handler call.
 type request struct {
 	method, uri, proto []byte
 	path, query        []byte
-	headers            []headerField
+	head               http11.Head // the request line, header fields and framing
 	body               []byte
-	contentLength      int
-	seenCL             bool // a Content-Length field was parsed
 	keepAlive          bool
 }
 
 func (r *request) reset() {
 	r.method, r.uri, r.proto = nil, nil, nil
 	r.path, r.query, r.body = nil, nil, nil
-	r.headers = r.headers[:0]
-	r.contentLength = 0
-	r.seenCL = false
 	r.keepAlive = false
 }
 
@@ -147,9 +136,10 @@ func (ctx *RequestCtx) Body() []byte { return ctx.req.body }
 // Header returns the value of the named request header (ASCII
 // case-insensitive; name must be lowercase), or nil.
 func (ctx *RequestCtx) Header(name string) []byte {
-	for i := range ctx.req.headers {
-		if http11.EqualFold(ctx.req.headers[i].key, name) {
-			return ctx.req.headers[i].val
+	fields := ctx.req.head.Fields
+	for i := range fields {
+		if http11.EqualFold(fields[i].Name, name) {
+			return fields[i].Value
 		}
 	}
 	return nil
@@ -166,14 +156,14 @@ func (ctx *RequestCtx) Worker() int { return ctx.worker }
 // HeaderCount reports how many request headers were parsed; with
 // HeaderAt it lets a handler walk every header without allocating a
 // visitor closure.
-func (ctx *RequestCtx) HeaderCount() int { return len(ctx.req.headers) }
+func (ctx *RequestCtx) HeaderCount() int { return len(ctx.req.head.Fields) }
 
 // HeaderAt returns the i'th request header's key and value in arrival
 // order. Both slices alias the read buffer: valid only during the
 // handler call. i must be in [0, HeaderCount()).
 func (ctx *RequestCtx) HeaderAt(i int) (key, value []byte) {
-	h := &ctx.req.headers[i]
-	return h.key, h.val
+	f := &ctx.req.head.Fields[i]
+	return f.Name, f.Value
 }
 
 // RemoteAddr reports the client address.

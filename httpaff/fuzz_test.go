@@ -38,7 +38,7 @@ var fuzzSeeds = []string{
 	"\r\n\r\n",
 	"A B C\r\nX:\r\n\r\n",
 	// Bare LF and bare CR: only CRLF ends a line, so each stays inside
-	// the line it sits in.
+	// the line it sits in; a line holding a bare LF is refused.
 	"GET / HTTP/1.1\nHost: h\n\n",
 	"GET / HTTP/1.1\r\nX-A: a\nb\r\nHost: h\r\n\r\n",
 	"GET / HTTP/1.1\r\n\n\r\n\r\n",
@@ -46,6 +46,13 @@ var fuzzSeeds = []string{
 	"GET / HTTP/1.1\r\nX-A: a\rb\r\nHost: h\r\n\r\n",
 	"GET / HTTP/1.1\r\r\n\r\n",
 	"GET / HTTP/1.1\rHost: h\r\n\r\n",
+	// Connection is a token list: a close token anywhere closes.
+	"GET / HTTP/1.1\r\nConnection: keep-alive, close\r\n\r\n",
+	"GET / HTTP/1.1\r\nConnection: close, TE\r\n\r\n",
+	// Field names are tokens ending at the colon: whitespace before it,
+	// or a folded line, fails closed.
+	"POST / HTTP/1.1\r\nContent-Length : 5\r\n\r\nhello",
+	"POST / HTTP/1.1\r\nX-A: a\r\n Content-Length: 5\r\n\r\nhello",
 }
 
 // blankLine is the CRLF pair that ends a request head.
@@ -92,24 +99,24 @@ func FuzzParseHead(f *testing.F) {
 			t.Fatalf("accepted request with empty views: method=%q uri=%q proto=%q from %q",
 				ctx.req.method, ctx.req.uri, ctx.req.proto, head)
 		}
-		if ctx.req.contentLength < 0 || ctx.req.contentLength > 1<<30 {
-			t.Fatalf("accepted Content-Length %d outside [0, 2^30] from %q", ctx.req.contentLength, head)
+		if cl := ctx.req.head.ContentLength; cl < -1 || cl > 1<<30 {
+			t.Fatalf("accepted Content-Length %d outside [0, 2^30] (-1: none) from %q", cl, head)
 		}
-		for _, h := range ctx.req.headers {
-			if len(h.key) == 0 {
+		for _, h := range ctx.req.head.Fields {
+			if len(h.Name) == 0 {
 				t.Fatalf("accepted header with empty key from %q", head)
 			}
 		}
-		method1, uri1, nHeaders := string(ctx.req.method), string(ctx.req.uri), len(ctx.req.headers)
+		method1, uri1, nHeaders := string(ctx.req.method), string(ctx.req.uri), len(ctx.req.head.Fields)
 
 		// Determinism: a second walk of the same bytes in the same ctx
 		// (the keep-alive reuse pattern) must agree.
 		if _, _, err := ctx.walkHead(0, ctx.rlen); err != nil {
 			t.Fatalf("reparse failed: %v", err)
 		}
-		if string(ctx.req.method) != method1 || string(ctx.req.uri) != uri1 || len(ctx.req.headers) != nHeaders {
+		if string(ctx.req.method) != method1 || string(ctx.req.uri) != uri1 || len(ctx.req.head.Fields) != nHeaders {
 			t.Fatalf("reparse disagreed: %q/%q/%d vs %q/%q/%d",
-				ctx.req.method, ctx.req.uri, len(ctx.req.headers), method1, uri1, nHeaders)
+				ctx.req.method, ctx.req.uri, len(ctx.req.head.Fields), method1, uri1, nHeaders)
 		}
 	})
 }
@@ -154,8 +161,8 @@ func readAll(stream []byte, chunks []int) (reqs []string, consumed int, class st
 		}
 		consumed += ctx.rpos - ctx.start
 		r := fmt.Sprintf("%q %q %q %d|", ctx.req.method, ctx.req.uri, ctx.req.proto, ctx.rpos-ctx.start)
-		for _, h := range ctx.req.headers {
-			r += fmt.Sprintf("%q=%q|", h.key, h.val)
+		for _, h := range ctx.req.head.Fields {
+			r += fmt.Sprintf("%q=%q|", h.Name, h.Value)
 		}
 		reqs = append(reqs, r+string(ctx.req.body))
 	}

@@ -37,24 +37,9 @@ var (
 	protoHTTP10 = []byte("HTTP/1.0")
 )
 
-// parseUint parses a non-negative decimal without allocating; false on
-// empty input, non-digits, or overflow past 2^30.
-func parseUint(b []byte) (int, bool) {
-	if len(b) == 0 {
-		return 0, false
-	}
-	n := 0
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-		if n > 1<<30 {
-			return 0, false
-		}
-	}
-	return n, true
-}
+// maxContentLength caps a request's Content-Length before MaxBodyBytes
+// is consulted: a larger value is malformed (400), not merely too large.
+const maxContentLength = 1 << 30
 
 // armReadDeadline bounds the in-request reads; it replaces whatever
 // deadline the previous park armed. Without a ReadTimeout the idle
@@ -119,10 +104,11 @@ func (ctx *RequestCtx) readRequest() error {
 			return err
 		}
 		if done {
-			if ctx.req.contentLength > ctx.srv.cfg.MaxBodyBytes {
+			cl := int(ctx.req.head.ContentLength)
+			if cl > ctx.srv.cfg.MaxBodyBytes {
 				return errBodyTooLarge
 			}
-			if ctx.rpos == 0 || next+ctx.req.contentLength <= len(ctx.rbuf) {
+			if ctx.rpos == 0 || next+cl <= len(ctx.rbuf) {
 				break
 			}
 		} else if ctx.rlen-ctx.rpos >= maxHead {
@@ -159,10 +145,14 @@ func (ctx *RequestCtx) readRequest() error {
 		}
 	}
 	// Body: Content-Length bytes immediately following the headers.
-	if cl := ctx.req.contentLength; cl > 0 {
+	// Reads take the buffer's free space, and the buffer keeps room past
+	// the body, so the read that completes a body sent alone comes back
+	// short and the next park need not probe for more input; bytes that
+	// arrive past the body are the next pipelined request.
+	if cl := int(ctx.req.head.ContentLength); cl > 0 {
 		total := next + cl
-		if total > len(ctx.rbuf) {
-			ctx.grow(total)
+		if total >= len(ctx.rbuf) {
+			ctx.grow(total + 1)
 		}
 		for ctx.rlen < total {
 			// The body gets its own budget under ReadTimeout: when a
@@ -173,7 +163,7 @@ func (ctx *RequestCtx) readRequest() error {
 				ctx.armReadDeadline()
 				armed, headDL = true, false
 			}
-			n, err := ctx.conn.Read(ctx.rbuf[ctx.rlen:total])
+			n, err := ctx.conn.Read(ctx.rbuf[ctx.rlen:])
 			ctx.rlen += n
 			if err != nil && n == 0 {
 				return err
@@ -200,40 +190,33 @@ func (ctx *RequestCtx) grow(n int) {
 }
 
 // walkHead parses the complete lines in rbuf[from:end] into ctx.req
-// (slices alias rbuf; the line at ctx.rpos is the request line) and
-// returns the offset it stopped at: the first incomplete line, or, when
-// done, the end of the blank line closing the head. A line ends at
-// CRLF, found by one LF scan; a bare LF stays inside its line.
+// through the shared head grammar (slices alias rbuf; the head starts
+// at ctx.rpos) and returns the offset it stopped at: the first
+// incomplete line, or, when done, the end of the blank line closing the
+// head. The request line is parsed once the head is done.
 func (ctx *RequestCtx) walkHead(from, end int) (next int, done bool, err error) {
-	for {
-		lf := from
-		for {
-			i := bytes.IndexByte(ctx.rbuf[lf:end], '\n')
-			if i < 0 {
-				return from, false, nil
-			}
-			if lf += i; lf > from && ctx.rbuf[lf-1] == '\r' {
-				break
-			}
-			lf++ // a bare LF: the line goes on
-		}
-		line := ctx.rbuf[from : lf-1]
-		switch {
-		case from == ctx.rpos:
-			ctx.req.reset()
-			err = ctx.req.parseRequestLine(line)
-		case len(line) == 0:
-			return lf + 1, true, nil
-		default:
-			err = ctx.req.parseHeader(line)
-		}
-		if from = lf + 1; err != nil {
-			return from, false, err
-		}
+	if from == ctx.rpos {
+		ctx.req.reset()
 	}
+	next, done, err = ctx.req.head.Walk(ctx.rbuf[:end], ctx.rpos, from, maxContentLength)
+	if err != nil {
+		if errors.Is(err, http11.ErrTransferEncoding) {
+			return next, false, errChunked
+		}
+		return next, false, errBadRequest
+	}
+	if !done {
+		return next, false, nil
+	}
+	if err := ctx.req.parseRequestLine(ctx.req.head.Start); err != nil {
+		return next, false, err
+	}
+	ctx.req.keepAlive = ctx.req.head.KeepAlive(ctx.req.keepAlive)
+	return next, true, nil
 }
 
-// parseRequestLine parses "METHOD target VERSION".
+// parseRequestLine parses "METHOD target VERSION" and sets keepAlive to
+// the version's default.
 func (req *request) parseRequestLine(line []byte) error {
 	sp1 := bytes.IndexByte(line, ' ')
 	if sp1 <= 0 {
@@ -259,42 +242,6 @@ func (req *request) parseRequestLine(line []byte) error {
 		req.path, req.query = req.uri[:q], req.uri[q+1:]
 	} else {
 		req.path = req.uri
-	}
-	return nil
-}
-
-// parseHeader parses one "Key: value" field line.
-func (req *request) parseHeader(line []byte) error {
-	col := bytes.IndexByte(line, ':')
-	if col <= 0 {
-		return errBadRequest
-	}
-	key := http11.TrimOWS(line[:col])
-	val := http11.TrimOWS(line[col+1:])
-	req.headers = append(req.headers, headerField{key: key, val: val})
-	switch {
-	case http11.EqualFold(key, "content-length"):
-		// Duplicate Content-Length headers are a request-smuggling
-		// vector (RFC 9112 §6.3): two parsers disagreeing on which copy
-		// wins disagree on where the next request starts. Reject them
-		// outright, matching values included.
-		if req.seenCL {
-			return errBadRequest
-		}
-		req.seenCL = true
-		n, ok := parseUint(val)
-		if !ok {
-			return errBadRequest
-		}
-		req.contentLength = n
-	case http11.EqualFold(key, "connection"):
-		if http11.EqualFold(val, "close") {
-			req.keepAlive = false
-		} else if http11.EqualFold(val, "keep-alive") {
-			req.keepAlive = true
-		}
-	case http11.EqualFold(key, "transfer-encoding"):
-		return errChunked
 	}
 	return nil
 }

@@ -75,8 +75,8 @@ func TestParseHeaders(t *testing.T) {
 	if got := string(ctx.Header("x-custom")); got != "spaced value" {
 		t.Errorf("x-custom %q", got)
 	}
-	if ctx.req.contentLength != 42 {
-		t.Errorf("content-length %d", ctx.req.contentLength)
+	if ctx.req.head.ContentLength != 42 {
+		t.Errorf("content-length %d", ctx.req.head.ContentLength)
 	}
 	if !ctx.req.keepAlive {
 		t.Error("explicit Keep-Alive ignored")
@@ -110,6 +110,11 @@ func TestParseErrors(t *testing.T) {
 			"POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 40\r\n\r\n", errBadRequest},
 		{"duplicate content length, folded case",
 			"POST / HTTP/1.1\r\ncontent-length: 4\r\nCONTENT-LENGTH: 9\r\n\r\n", errBadRequest},
+		{"space before colon", "POST / HTTP/1.1\r\nContent-Length : 5\r\n\r\n", errBadRequest},
+		{"tab before colon", "POST / HTTP/1.1\r\nContent-Length\t: 5\r\n\r\n", errBadRequest},
+		{"folded line", "POST / HTTP/1.1\r\nX-A: a\r\n Content-Length: 5\r\n\r\n", errBadRequest},
+		{"bare LF in a value", "GET / HTTP/1.1\r\nX-A: a\nContent-Length: 5\r\n\r\n", errBadRequest},
+		{"bare LF in the request line", "GET /a\nb HTTP/1.1\r\n\r\n", errBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -137,6 +142,16 @@ func TestHTTP10KeepAliveOptIn(t *testing.T) {
 	}
 }
 
+// contentLength parses v as a request's Content-Length value through
+// the head walk.
+func contentLength(v []byte) (int, bool) {
+	ctx := newTestCtx()
+	if parseRaw(ctx, "GET / HTTP/1.1\r\nContent-Length: "+string(v)+"\r\n\r\n") != nil {
+		return 0, false
+	}
+	return int(ctx.req.head.ContentLength), true
+}
+
 func TestHelpers(t *testing.T) {
 	if !http11.EqualFold([]byte("Content-LENGTH"), "content-length") {
 		t.Error("equalFold should fold ASCII case")
@@ -147,23 +162,23 @@ func TestHelpers(t *testing.T) {
 	if got := string(http11.TrimOWS([]byte("\t  x y \t"))); got != "x y" {
 		t.Errorf("trimOWS = %q", got)
 	}
-	if n, ok := parseUint([]byte("1234")); !ok || n != 1234 {
-		t.Errorf("parseUint(1234) = %d, %v", n, ok)
+	if n, ok := contentLength([]byte("1234")); !ok || n != 1234 {
+		t.Errorf("contentLength(1234) = %d, %v", n, ok)
 	}
 	for _, bad := range []string{"", "12a", "-1", "99999999999999999999"} {
-		if _, ok := parseUint([]byte(bad)); ok {
-			t.Errorf("parseUint(%q) accepted", bad)
+		if _, ok := contentLength([]byte(bad)); ok {
+			t.Errorf("contentLength(%q) accepted", bad)
 		}
 	}
 	// Overflow boundary: the parser caps at 2^30, and — crucially — must
 	// not wrap around into a small accepted value on 64-bit overflow
 	// territory ("18446744073709551617" would wrap to 1 in uint64 math).
-	if n, ok := parseUint([]byte("1073741824")); !ok || n != 1<<30 {
-		t.Errorf("parseUint(2^30) = %d, %v; want accepted", n, ok)
+	if n, ok := contentLength([]byte("1073741824")); !ok || n != 1<<30 {
+		t.Errorf("contentLength(2^30) = %d, %v; want accepted", n, ok)
 	}
 	for _, bad := range []string{"1073741825", "18446744073709551617"} {
-		if n, ok := parseUint([]byte(bad)); ok {
-			t.Errorf("parseUint(%q) accepted as %d, want overflow rejection", bad, n)
+		if n, ok := contentLength([]byte(bad)); ok {
+			t.Errorf("contentLength(%q) accepted as %d, want overflow rejection", bad, n)
 		}
 	}
 }
@@ -199,6 +214,47 @@ func TestLongPipelineKeepsBuffer(t *testing.T) {
 	}
 	if len(ctx.rbuf) != size {
 		t.Fatalf("read buffer grew from %d to %d bytes under a pipeline of small requests", size, len(ctx.rbuf))
+	}
+}
+
+// recordingConn is a scriptedConn that records each read's buffer size
+// and byte count.
+type recordingConn struct {
+	scriptedConn
+	asked, got []int
+}
+
+func (c *recordingConn) Read(b []byte) (int, error) {
+	n, err := c.scriptedConn.Read(b)
+	c.asked, c.got = append(c.asked, len(b)), append(c.got, n)
+	return n, err
+}
+
+// TestBodyReadEndsShort: the read that completes a request body sent
+// alone comes back short, so the park after it need not probe for more
+// input. Reads take the buffer's free space, not just the bytes still
+// owed, and the buffer keeps room past the body, also on the second
+// request, which reuses the buffer the first one grew.
+func TestBodyReadEndsShort(t *testing.T) {
+	body := strings.Repeat("b", 10000)
+	req := "POST /u HTTP/1.1\r\nContent-Length: 10000\r\n\r\n" + body
+	for _, chunk := range []int{3000, 1 << 20} {
+		ctx := newTestCtx()
+		for round := 0; round < 2; round++ {
+			rc := &recordingConn{scriptedConn: scriptedConn{data: []byte(req), chunks: []int{chunk}}}
+			ctx.conn = &conn{Conn: &serve.Conn{Conn: rc}}
+			if err := ctx.readRequest(); err != nil {
+				t.Fatalf("chunk %d, round %d: %v", chunk, round, err)
+			}
+			if string(ctx.Body()) != body || ctx.buffered() != 0 {
+				t.Fatalf("chunk %d, round %d: body of %d bytes, %d buffered", chunk, round, len(ctx.Body()), ctx.buffered())
+			}
+			if last := len(rc.got) - 1; rc.got[last] >= rc.asked[last] {
+				t.Errorf("chunk %d, round %d: the read that completed the body filled its buffer (reads asked %v, got %v)",
+					chunk, round, rc.asked, rc.got)
+			}
+			ctx.end()
+		}
 	}
 }
 

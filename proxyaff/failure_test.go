@@ -333,6 +333,35 @@ func TestProxyChunkedUpstreamRejected(t *testing.T) {
 	}
 }
 
+// TestProxyFieldNameWhitespaceRejected: whitespace between an upstream
+// field name and its colon (RFC 9112 §5.1) answers 502 instead of
+// framing the body by a Content-Length net/http would not see, and so
+// does a folded line.
+func TestProxyFieldNameWhitespaceRejected(t *testing.T) {
+	for _, head := range []string{
+		"HTTP/1.1 200 OK\r\nContent-Length : 2\r\n\r\nok",
+		"HTTP/1.1 200 OK\r\nX-A: a\r\n Content-Length: 2\r\n\r\nok",
+	} {
+		addr := rawBackend(t, func(c net.Conn) {
+			if readHead(c) != nil {
+				return
+			}
+			fmt.Fprint(c, head)
+		})
+		p, err := New(Config{Backends: []string{addr}, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		front := startFront(t, p)
+		conn, br := dialFront(t, front)
+
+		fmt.Fprint(conn, "GET /x HTTP/1.1\r\nHost: edge\r\n\r\n")
+		if code, _, body := readResponse(t, br); code != 502 {
+			t.Fatalf("upstream %q: %d %q, want 502", head, code, body)
+		}
+	}
+}
+
 // TestProxyPoolExhaustionAnswers503: a worker whose backend slots are
 // all occupied answers 503 instead of queueing or dialing past the cap.
 func TestProxyPoolExhaustionAnswers503(t *testing.T) {

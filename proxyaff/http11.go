@@ -6,37 +6,9 @@ import (
 	"affinityaccept/internal/http11"
 )
 
-// Byte-level HTTP/1.1 helpers for the relay path. The primitives
-// shared with the httpaff parser live in internal/http11; what remains
-// here is specific to parsing the *upstream* side of an exchange,
-// where the proxy is the client.
-
-var (
-	crlf     = []byte("\r\n")
-	crlfCRLF = []byte("\r\n\r\n")
-)
-
-// parseContentLength parses an upstream response's Content-Length
-// without allocating. Unlike the request-side parser's 2^30 cap (a
-// request-smuggling bound on what this server will buffer), a relayed
-// response body is streamed in 32 KiB chunks and never buffered whole,
-// so the only cap is what an int64 byte count can express.
-func parseContentLength(b []byte) (int64, bool) {
-	if len(b) == 0 {
-		return 0, false
-	}
-	var n int64
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int64(c-'0')
-		if n > 1<<60 {
-			return 0, false
-		}
-	}
-	return n, true
-}
+// HTTP/1.1 helpers for the relay path. The head grammar is shared with
+// httpaff in internal/http11; what remains here is specific to the
+// *upstream* side of an exchange, where the proxy is the client.
 
 // idempotentMethod reports whether the request method is safe to
 // replay on a fresh connection after a stale pooled connection failed
@@ -98,11 +70,35 @@ func parseStatusLine(line []byte) (code int, keepAlive, ok bool) {
 	return code, keepAlive, true
 }
 
-// nextLine splits buf at the first CRLF, returning the line and the
-// rest (nil when the terminator is absent, consuming everything).
-func nextLine(buf []byte) (line, rest []byte) {
-	if i := bytes.Index(buf, crlf); i >= 0 {
-		return buf[:i], buf[i+2:]
+// responseHead is one upstream response head, walked in place as its
+// bytes arrive through the grammar shared with httpaff.
+type responseHead struct {
+	http11.Head
+	code      int
+	keepAlive bool // whether the upstream connection persists
+	next      int  // where the walk resumes; once done, the head's end
+}
+
+// walk parses the complete lines of buf, the head's bytes read so far,
+// resuming where the last call stopped, and once the head is done, its
+// status line. upgrade reports that the request asked to switch
+// protocols, the one case a 101 is relayed. A non-empty fault is the
+// 502 text for a head the relay refuses.
+func (h *responseHead) walk(buf []byte, upgrade bool) (done bool, fault string) {
+	var err error
+	if h.next, done, err = h.Walk(buf, 0, h.next, maxUpstreamLength); err != nil {
+		return false, "malformed upstream header: " + err.Error()
 	}
-	return buf, nil
+	if !done {
+		return false, ""
+	}
+	var ok bool
+	if h.code, h.keepAlive, ok = parseStatusLine(h.Start); !ok || h.code < 200 && !(h.code == 101 && upgrade) {
+		// 1xx interim responses (and a 101 nobody asked for) are a
+		// feature the proxy neither requests (no Expect forwarding of
+		// its own) nor relays.
+		return false, "unparseable upstream response"
+	}
+	h.keepAlive = h.KeepAlive(h.keepAlive)
+	return true, ""
 }

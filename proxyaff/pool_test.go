@@ -143,9 +143,10 @@ func TestPoolFlushIdle(t *testing.T) {
 	p.closeAll()
 }
 
-// TestParseContentLength pins the response-side framing parser: unlike
+// TestParseContentLength pins the response-side framing cap: unlike
 // the request side's 1 GiB buffering cap, relayed (streamed) bodies may
-// be arbitrarily large short of int64 sanity.
+// be arbitrarily large short of int64 sanity. The value goes through
+// the relay's head walk.
 func TestParseContentLength(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -160,10 +161,14 @@ func TestParseContentLength(t *testing.T) {
 		{"-1", 0, false},
 		{"12a", 0, false},
 		{"99999999999999999999999", 0, false}, // past the 2^60 sanity cap
+		// 2^60 then one more digit: a check made only after each step
+		// wraps this past int64 into a negative, accepted length.
+		{"11529215046068469760", 0, false},
 	} {
-		got, ok := parseContentLength([]byte(tc.in))
-		if ok != tc.ok || (ok && got != tc.want) {
-			t.Errorf("parseContentLength(%q) = %d, %v; want %d, %v", tc.in, got, ok, tc.want, tc.ok)
+		var h responseHead
+		done, fault := h.walk([]byte("HTTP/1.1 200 OK\r\nContent-Length: "+tc.in+"\r\n\r\n"), false)
+		if done != tc.ok || (done && h.ContentLength != tc.want) {
+			t.Errorf("Content-Length %q = %d, %q; want %d, %v", tc.in, h.ContentLength, fault, tc.want, tc.ok)
 		}
 	}
 }

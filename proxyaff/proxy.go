@@ -27,7 +27,6 @@
 package proxyaff
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -94,8 +93,13 @@ type Config struct {
 }
 
 // maxResponseHeaderBytes bounds an upstream response head; larger heads
-// are answered 502.
-const maxResponseHeaderBytes = 8192
+// are answered 502. maxUpstreamLength caps an upstream Content-Length:
+// a relayed body streams in 32 KiB chunks and is never buffered whole,
+// so the cap is only what a byte count can sanely express.
+const (
+	maxResponseHeaderBytes = 8192
+	maxUpstreamLength      = 1 << 60
+)
 
 func (c *Config) fill() error {
 	if len(c.Backends) == 0 {
@@ -153,9 +157,10 @@ func (b *backendState) ejected(now int64) bool { return b.ejectedUntil.Load() > 
 // body; bodies stream through the RequestCtx's write buffer.
 type proxyWorker struct {
 	pool upstreamPool
-	rr   uint32 // RoundRobin cursor, worker-local
-	hbuf []byte // upstream response head buffer
-	rbuf []byte // upstream request head buffer
+	rr   uint32       // RoundRobin cursor, worker-local
+	hbuf []byte       // upstream response head buffer
+	head responseHead // the response head walked in hbuf
+	rbuf []byte       // upstream request head buffer
 
 	// exch is the worker's upstream exchange-latency histogram: backend
 	// pick to response relayed, dial included.
@@ -480,18 +485,16 @@ func (p *Proxy) exchange(ctx *httpaff.RequestCtx, w *proxyWorker, uc *upstreamCo
 		}
 	}
 
-	// ---- response head ----
-	hbuf := w.hbuf
-	n, scan, headerEnd := 0, 0, -1
-	for headerEnd < 0 {
-		if n > scan {
-			if i := bytes.Index(hbuf[scan:n], crlfCRLF); i >= 0 {
-				headerEnd = scan + i + 4
-				break
-			}
-			if scan = n - 3; scan < 0 {
-				scan = 0
-			}
+	// ---- response head: one walk over its lines as they arrive ----
+	hbuf, n, rh := w.hbuf, 0, &w.head
+	rh.next = 0
+	for {
+		done, fault := rh.walk(hbuf[:n], isUpgrade)
+		if fault != "" {
+			return p.badGateway(ctx, w, uc, b, fault)
+		}
+		if done {
+			break
 		}
 		if n >= maxResponseHeaderBytes {
 			w.pool.put(uc, false)
@@ -518,70 +521,13 @@ func (p *Proxy) exchange(ctx *httpaff.RequestCtx, w *proxyWorker, uc *upstreamCo
 			return false, false, err
 		}
 	}
-
-	// ---- parse framing ----
-	statusLine, rest := nextLine(hbuf[:headerEnd-2])
-	code, upKeepAlive, okLine := parseStatusLine(statusLine)
-	if okLine && code == 101 && isUpgrade {
-		return p.tunnel(ctx, w, uc, b, hbuf[:headerEnd], hbuf[headerEnd:n])
-	}
-	if !okLine || code < 200 {
-		// 1xx interim responses (and a 101 nobody asked for) are a
-		// feature the proxy neither requests (no Expect forwarding of
-		// its own) nor relays.
-		return p.badGateway(ctx, w, uc, b, "unparseable upstream response")
-	}
-	var contentLength int64 = -1
-	var upConn []byte // the upstream Connection value: nominates more hop-by-hop headers
-	for hdr := rest; len(hdr) > 0; {
-		var line []byte
-		line, hdr = nextLine(hdr)
-		if len(line) == 0 {
-			continue
-		}
-		col := -1
-		for i, c := range line {
-			if c == ':' {
-				col = i
-				break
-			}
-		}
-		if col <= 0 {
-			return p.badGateway(ctx, w, uc, b, "malformed upstream header")
-		}
-		key := http11.TrimOWS(line[:col])
-		val := http11.TrimOWS(line[col+1:])
-		switch {
-		case http11.EqualFold(key, "content-length"):
-			if contentLength >= 0 {
-				return p.badGateway(ctx, w, uc, b, "duplicate upstream Content-Length")
-			}
-			v, okCL := parseContentLength(val)
-			if !okCL {
-				return p.badGateway(ctx, w, uc, b, "bad upstream Content-Length")
-			}
-			contentLength = v
-		case http11.EqualFold(key, "connection"):
-			if upConn == nil {
-				upConn = val
-			}
-			// The value is a token list ("close, TE"), not one token.
-			if http11.TokenListContains(val, "close") {
-				upKeepAlive = false
-			} else if http11.TokenListContains(val, "keep-alive") {
-				upKeepAlive = true
-			}
-		case http11.EqualFold(key, "transfer-encoding"):
-			// Chunked framing is self-delimiting only to a parser; the
-			// relay would have to decode it to know when the upstream
-			// connection is clean again. httpaff backends never chunk.
-			return p.badGateway(ctx, w, uc, b, "upstream Transfer-Encoding not supported")
-		}
+	if rh.code == 101 {
+		return p.tunnel(ctx, w, uc, b, hbuf[:rh.next], hbuf[rh.next:n])
 	}
 
-	leftover := hbuf[headerEnd:n]
-	noBody := code == 204 || code == 304 || http11.EqualFold(ctx.Method(), "head")
-	closeDelimited := contentLength < 0 && !noBody
+	leftover := hbuf[rh.next:n]
+	noBody := rh.code == 204 || rh.code == 304 || http11.EqualFold(ctx.Method(), "head")
+	closeDelimited := rh.ContentLength < 0 && !noBody
 	willClose := closeDelimited || ctx.WillClose()
 
 	// ---- relay: from here the response is committed downstream ----
@@ -589,37 +535,30 @@ func (p *Proxy) exchange(ctx *httpaff.RequestCtx, w *proxyWorker, uc *upstreamCo
 	if willClose {
 		ctx.SetConnectionClose()
 	}
-	ctx.RawWrite(hbuf[:len(statusLine)+2])
-	for hdr := rest; len(hdr) > 0; {
-		var line []byte
-		line, hdr = nextLine(hdr)
-		if len(line) == 0 {
+	ctx.RawWrite(hbuf[:len(rh.Start)+2])
+	for _, f := range rh.Fields {
+		// The upstream's Connection field nominates more hop-by-hop fields.
+		if hopByHop(f.Name) || (len(rh.Connection) > 0 && http11.TokenListContains(rh.Connection, f.Name)) {
 			continue
 		}
-		col := 0
-		for line[col] != ':' {
-			col++
-		}
-		key := http11.TrimOWS(line[:col])
-		if hopByHop(key) || (len(upConn) > 0 && http11.TokenListContains(upConn, key)) {
-			continue
-		}
-		ctx.RawWrite(line)
-		ctx.RawWrite(crlf)
+		ctx.RawWrite(f.Name)
+		ctx.RawWriteString(": ")
+		ctx.RawWrite(f.Value)
+		ctx.RawWriteString("\r\n")
 	}
 	if willClose {
 		ctx.RawWriteString("Connection: close\r\n")
 	}
-	ctx.RawWrite(crlf)
+	ctx.RawWriteString("\r\n")
 
 	if noBody {
-		w.pool.put(uc, upKeepAlive && len(leftover) == 0)
+		w.pool.put(uc, rh.keepAlive && len(leftover) == 0)
 		p.ok(b)
 		return true, false, nil
 	}
 
-	if contentLength >= 0 {
-		remain := contentLength
+	if rh.ContentLength >= 0 {
+		remain := rh.ContentLength
 		take := int(min(int64(len(leftover)), remain))
 		ctx.RawWrite(leftover[:take])
 		remain -= int64(take)
@@ -650,7 +589,7 @@ func (p *Proxy) exchange(ctx *httpaff.RequestCtx, w *proxyWorker, uc *upstreamCo
 				}
 			}
 		}
-		w.pool.put(uc, upKeepAlive && overread == 0)
+		w.pool.put(uc, rh.keepAlive && overread == 0)
 		p.ok(b)
 		return true, false, nil
 	}

@@ -71,7 +71,7 @@ func (c *Conn) Subscribe() {
 	defer c.regMu.Unlock()
 	if !c.dead && c.subscribed.CompareAndSwap(false, true) {
 		c.ws.shards[c.Worker()].subscribe(c)
-		c.ws.subscribers.Inc()
+		c.ws.subscribers.Add(1)
 	}
 }
 
@@ -81,7 +81,7 @@ func (c *Conn) Unsubscribe() {
 	defer c.regMu.Unlock()
 	if c.subscribed.CompareAndSwap(true, false) {
 		c.ws.shards[c.Worker()].unsubscribe(c)
-		c.ws.subscribers.Dec()
+		c.ws.subscribers.Add(-1)
 	}
 }
 
@@ -179,7 +179,7 @@ func (c *Conn) finish(code uint16) {
 		c.dead = true
 		if c.subscribed.CompareAndSwap(true, false) {
 			c.ws.shards[c.Worker()].unsubscribe(c)
-			c.ws.subscribers.Dec()
+			c.ws.subscribers.Add(-1)
 		}
 		c.ws.shards[c.Worker()].remove(c)
 		opened := c.opened
@@ -188,7 +188,7 @@ func (c *Conn) finish(code uint16) {
 		if !opened {
 			return // never joined (Upgrade flush failed): nothing to report
 		}
-		c.ws.open.Dec()
+		c.ws.open.Add(-1)
 		c.ws.closes.Add(1)
 		if c.ws.cfg.OnClose != nil {
 			c.ws.cfg.OnClose(c, code)
@@ -271,7 +271,7 @@ func (ws *WS) pass(worker int, c *Conn) (park bool) {
 		atomic.StoreInt32(&c.shard, int32(worker))
 		ws.shards[worker].add(c)
 		c.regMu.Unlock()
-		ws.open.Inc()
+		ws.open.Add(1)
 	} else if cur := int(atomic.LoadInt32(&c.shard)); cur != worker {
 		// §3.3.2 migration moved this connection's flow group since the
 		// last pass: move its shard registration too, so broadcasts and

@@ -152,8 +152,8 @@ type WS struct {
 	workers []wsWorker
 	shards  []shard
 
-	open        stats.Gauge // sockets currently open
-	subscribers stats.Gauge // current broadcast subscriptions
+	open        atomic.Int64 // sockets currently open
+	subscribers atomic.Int64 // current broadcast subscriptions
 
 	framesIn   atomic.Uint64
 	framesOut  atomic.Uint64
