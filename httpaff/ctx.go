@@ -145,6 +145,13 @@ func (ctx *RequestCtx) Header(name string) []byte {
 	return nil
 }
 
+// ConnectionNominates reports whether any of the request's Connection
+// fields lists token (ASCII case-insensitive): a connection option, or
+// the name of a further field scoped to this hop.
+func (ctx *RequestCtx) ConnectionNominates(token []byte) bool {
+	return ctx.req.head.Nominates(token)
+}
+
 // Worker reports which worker is serving this pass — with migration
 // enabled, successive requests on one connection may report different
 // workers exactly once per flow-group migration. Layers that keep

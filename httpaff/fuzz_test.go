@@ -53,6 +53,11 @@ var fuzzSeeds = []string{
 	// or a folded line, fails closed.
 	"POST / HTTP/1.1\r\nContent-Length : 5\r\n\r\nhello",
 	"POST / HTTP/1.1\r\nX-A: a\r\n Content-Length: 5\r\n\r\nhello",
+	// The method is a token and the target holds no control byte.
+	"GET /a\rb HTTP/1.1\r\n\r\n",
+	"GET /a\x00b HTTP/1.1\r\n\r\n",
+	"GET /a\x7fb HTTP/1.1\r\n\r\n",
+	"G(T / HTTP/1.1\r\n\r\n",
 }
 
 // blankLine is the CRLF pair that ends a request head.
@@ -65,7 +70,9 @@ var blankLine = []byte("\r\n\r\n")
 //   - given a blank line, it reaches a verdict: a protocol error, or a
 //     head ending exactly where the first CRLF CRLF ends;
 //   - on success, the request-line views are non-empty, alias the
-//     input buffer, and Content-Length is within the buffering cap;
+//     input buffer, the method is a token, the target holds no control
+//     byte, DEL or space, and Content-Length is within the buffering
+//     cap;
 //   - parsing is deterministic: the same bytes parse to the same
 //     result twice (the walk must not leave state behind in the ctx).
 func FuzzParseHead(f *testing.F) {
@@ -98,6 +105,17 @@ func FuzzParseHead(f *testing.F) {
 		if len(ctx.req.method) == 0 || len(ctx.req.uri) == 0 || len(ctx.req.proto) == 0 {
 			t.Fatalf("accepted request with empty views: method=%q uri=%q proto=%q from %q",
 				ctx.req.method, ctx.req.uri, ctx.req.proto, head)
+		}
+		for _, c := range ctx.req.method {
+			if !strings.ContainsRune("!#$%&'*+-.^_`|~", rune(c)) && !('0' <= c && c <= '9') &&
+				!('a' <= c|0x20 && c|0x20 <= 'z') {
+				t.Fatalf("accepted method %q, not a token, from %q", ctx.req.method, head)
+			}
+		}
+		for _, c := range ctx.req.uri {
+			if c <= ' ' || c == 0x7f {
+				t.Fatalf("accepted target %q with a control byte or space, from %q", ctx.req.uri, head)
+			}
 		}
 		if cl := ctx.req.head.ContentLength; cl < -1 || cl > 1<<30 {
 			t.Fatalf("accepted Content-Length %d outside [0, 2^30] (-1: none) from %q", cl, head)

@@ -136,8 +136,6 @@ type Config struct {
 	MaxConns         int
 	PerIPAcceptRate  float64
 	PerIPAcceptBurst int
-	Chips            int
-	PinWorkers       bool
 }
 
 func (c *Config) fill() error {
@@ -246,8 +244,6 @@ func New(cfg Config) (*Server, error) {
 		MaxConns:         cfg.MaxConns,
 		PerIPAcceptRate:  cfg.PerIPAcceptRate,
 		PerIPAcceptBurst: cfg.PerIPAcceptBurst,
-		Chips:            cfg.Chips,
-		PinWorkers:       cfg.PinWorkers,
 		WorkerPool: func(worker int) serve.PoolStats {
 			return s.arenas[worker].counters.Snapshot()
 		},

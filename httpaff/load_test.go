@@ -189,22 +189,17 @@ func TestScrapingUnderLoad(t *testing.T) {
 	got := scrapeSeries(body, "counter")
 	st, ad := s.Stats(), s.Admission()
 	want := map[string]uint64{
-		"affinity_dropped_total":                             st.Dropped,
-		"affinity_requeued_total":                            st.Requeued,
-		"affinity_migrations_total":                          st.Migrations,
-		"affinity_ratelimited_total":                         st.Ratelimited,
-		"affinity_shed_parked_total":                         st.ShedParked,
-		"affinity_budget_rejected_total":                     st.BudgetRejected,
-		"affinity_accept_retries_total":                      st.AcceptRetries,
-		"affinity_group_freezes_total":                       st.GroupFreezes,
-		"affinity_group_unfreezes_total":                     st.GroupUnfreezes,
-		"affinity_pin_failures_total":                        st.PinFailures,
-		"affinity_events_recorded_total":                     s.Transport().EventsRecorded(),
-		"affinity_events_dropped_total":                      s.Transport().EventsDropped(),
-		`affinity_cross_chip_steals_total{dist="same"}`:      st.ServedStolen - st.CrossChipSteals,
-		`affinity_cross_chip_steals_total{dist="cross"}`:     st.CrossChipSteals,
-		`affinity_cross_chip_migrations_total{dist="same"}`:  st.Migrations - st.CrossChipMigrations,
-		`affinity_cross_chip_migrations_total{dist="cross"}`: st.CrossChipMigrations,
+		"affinity_dropped_total":         st.Dropped,
+		"affinity_requeued_total":        st.Requeued,
+		"affinity_migrations_total":      st.Migrations,
+		"affinity_ratelimited_total":     st.Ratelimited,
+		"affinity_shed_parked_total":     st.ShedParked,
+		"affinity_budget_rejected_total": st.BudgetRejected,
+		"affinity_accept_retries_total":  st.AcceptRetries,
+		"affinity_group_freezes_total":   st.GroupFreezes,
+		"affinity_group_unfreezes_total": st.GroupUnfreezes,
+		"affinity_events_recorded_total": s.Transport().EventsRecorded(),
+		"affinity_events_dropped_total":  s.Transport().EventsDropped(),
 	}
 	for i, w := range st.Workers {
 		label := fmt.Sprintf(`{worker="%d"}`, i)
@@ -214,7 +209,6 @@ func TestScrapingUnderLoad(t *testing.T) {
 		want[fmt.Sprintf(`affinity_worker_wakes_total{worker="%d",reason="decay"}`, i)] = w.DecayTicks
 		want["affinity_accepted_total"+label] = w.Accepted
 		want["affinity_accept_remote_total"+label] = w.AcceptRemote
-		want["affinity_worker_cross_chip_steals_total"+label] = w.StolenCross
 		want["affinity_migrated_in_total"+label] = w.MigratedIn
 		want["affinity_pool_reuses_total"+label] = w.Pool.Reuses
 		want["affinity_header_timeouts_total"+label] = ad.Workers[i].HeaderTimeouts

@@ -390,8 +390,8 @@ func TestFlowsHandlerJSON(t *testing.T) {
 // export is a loadable Chrome trace: valid JSON, a traceEvents array
 // with per-worker thread_name metadata, and at least one residency span
 // ("X" event) for the traffic the warm-up generated. With four workers
-// on two simulated chips and keep-alive traffic on every worker, every
-// worker's track carries a residency span.
+// and keep-alive traffic on every worker, every worker's track carries
+// a residency span.
 func TestTraceHandlerChromeFormat(t *testing.T) {
 	t.Run("warm-up", func(t *testing.T) {
 		s := startTraced(t, Config{Workers: 2})
@@ -407,7 +407,7 @@ func TestTraceHandlerChromeFormat(t *testing.T) {
 		}
 	})
 	t.Run("every worker", func(t *testing.T) {
-		s := startTraced(t, Config{Workers: 4, Chips: 2})
+		s := startTraced(t, Config{Workers: 4})
 		var conn net.Conn
 		var br *bufio.Reader
 		for w := 0; w < s.Workers(); w++ {

@@ -216,7 +216,8 @@ func (ctx *RequestCtx) walkHead(from, end int) (next int, done bool, err error) 
 }
 
 // parseRequestLine parses "METHOD target VERSION" and sets keepAlive to
-// the version's default.
+// the version's default. A method that is not a token, or a target with
+// a control byte, is a 400: proxyaff forwards the line as it stands.
 func (req *request) parseRequestLine(line []byte) error {
 	sp1 := bytes.IndexByte(line, ' ')
 	if sp1 <= 0 {
@@ -230,6 +231,9 @@ func (req *request) parseRequestLine(line []byte) error {
 	req.method = line[:sp1]
 	req.uri = line[sp1+1 : sp2]
 	req.proto = line[sp2+1:]
+	if !http11.ValidRequestLine(req.method, req.uri) {
+		return errBadRequest
+	}
 	switch {
 	case bytes.Equal(req.proto, protoHTTP11):
 		req.keepAlive = true

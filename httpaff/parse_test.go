@@ -115,6 +115,12 @@ func TestParseErrors(t *testing.T) {
 		{"folded line", "POST / HTTP/1.1\r\nX-A: a\r\n Content-Length: 5\r\n\r\n", errBadRequest},
 		{"bare LF in a value", "GET / HTTP/1.1\r\nX-A: a\nContent-Length: 5\r\n\r\n", errBadRequest},
 		{"bare LF in the request line", "GET /a\nb HTTP/1.1\r\n\r\n", errBadRequest},
+		{"bare CR in the target", "GET /a\rb HTTP/1.1\r\n\r\n", errBadRequest},
+		{"NUL in the target", "GET /a\x00b HTTP/1.1\r\n\r\n", errBadRequest},
+		{"DEL in the target", "GET /a\x7fb HTTP/1.1\r\n\r\n", errBadRequest},
+		{"tab in the target", "GET /a\tb HTTP/1.1\r\n\r\n", errBadRequest},
+		{"non-token method", "G(T / HTTP/1.1\r\n\r\n", errBadRequest},
+		{"control byte in the method", "G\x01T / HTTP/1.1\r\n\r\n", errBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,8 +1,10 @@
 package httpaff
 
 import (
+	"io/fs"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"sort"
@@ -14,15 +16,17 @@ import (
 
 // TestProductionLinksNoSimulator keeps DESIGN.md's layering rule true:
 // the production packages, and every tool and example that serves
-// traffic, import no simulator package, directly or transitively.
-// internal/core is the only part of the reproduction they share.
+// traffic, import no simulator package, directly or transitively, and
+// no production package imports the root package, the simulator's
+// facade. internal/core is the only part of the reproduction they
+// share.
 func TestProductionLinksNoSimulator(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("no go tool on PATH")
 	}
 	simulator := `affinityaccept/internal/(sim|mem|sched|tcp|nic|app|locks|perfctr|workload|experiments)`
 	// The production packages may not link the load generator either.
-	production := regexp.MustCompile(`^(` + simulator + `|affinityaccept/internal/loadgen)$`)
+	production := regexp.MustCompile(`^(affinityaccept|` + simulator + `|affinityaccept/internal/loadgen)$`)
 	// The serving binaries may drive load with internal/loadgen, which
 	// imports no simulator package, but not reach the server through the
 	// root package: that is the simulator's facade.
@@ -42,6 +46,60 @@ func TestProductionLinksNoSimulator(t *testing.T) {
 				t.Errorf("%s links simulator package %s", pkg, dep)
 			}
 		}
+	}
+}
+
+// TestCINamesOnlyExistingTests keeps the CI workflow's -run patterns
+// honest: every top-level test a pattern names (the part of an
+// alternative before its first "/") must be declared in some _test.go
+// file of the repository, so a deleted or renamed test cannot leave a
+// CI step that quietly runs nothing.
+func TestCINamesOnlyExistingTests(t *testing.T) {
+	ci, err := os.ReadFile("../.github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	testFunc := regexp.MustCompile(`(?m)^func (Test\w*)\(`)
+	err = filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != ".." {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testFunc.FindAllSubmatch(src, -1) {
+			declared[string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := regexp.MustCompile(`-run\s+(?:'([^']*)'|"([^"]*)"|(\S+))`)
+	name := regexp.MustCompile(`^Test\w*$`)
+	checked := 0
+	for _, m := range run.FindAllStringSubmatch(string(ci), -1) {
+		for _, alt := range strings.Split(m[1]+m[2]+m[3], "|") {
+			top, _, _ := strings.Cut(strings.TrimSuffix(strings.TrimPrefix(alt, "^"), "$"), "/")
+			if !name.MatchString(top) {
+				continue
+			}
+			checked++
+			if !declared[top] {
+				t.Errorf("ci.yml runs %s, which no _test.go file declares", top)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no test names in ci.yml's -run patterns")
 	}
 }
 

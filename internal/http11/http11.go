@@ -38,10 +38,8 @@ type Head struct {
 	// ContentLength is the declared body length, -1 when the head has
 	// no Content-Length field.
 	ContentLength int64
-	// Connection is the first Connection field's value: the token list
-	// of this hop's options and of further connection-scoped fields.
-	Connection []byte
 
+	connection       bool // some field is a Connection field
 	close, keepAlive bool // tokens seen across every Connection field
 }
 
@@ -73,8 +71,8 @@ func (h *Head) Walk(buf []byte, start, from int, maxLength int64) (next int, don
 		case bare:
 			return lf + 1, false, ErrMalformed
 		case from == start:
-			h.Start, h.Fields, h.ContentLength, h.Connection = line, h.Fields[:0], -1, nil
-			h.close, h.keepAlive = false, false
+			h.Start, h.Fields, h.ContentLength = line, h.Fields[:0], -1
+			h.connection, h.close, h.keepAlive = false, false, false
 		case len(line) == 0:
 			return lf + 1, true, nil
 		default:
@@ -95,6 +93,58 @@ func (h *Head) KeepAlive(persistent bool) bool {
 	return !h.close && (persistent || h.keepAlive)
 }
 
+// Nominates reports whether any Connection field lists token, a
+// connection option or the name of a further connection-scoped field
+// (RFC 9110 §7.6.1). Every Connection field is part of one list, so a
+// second field nominates as much as the first.
+func (h *Head) Nominates(token []byte) bool {
+	if !h.connection {
+		return false
+	}
+	for _, f := range h.Fields {
+		if EqualFold(f.Name, "connection") && TokenListContains(f.Value, token) {
+			return true
+		}
+	}
+	return false
+}
+
+// ValidRequestLine reports whether a request line's method is a token
+// (RFC 9110 §9.1) and its target holds no control byte, DEL or space,
+// as net/http requires of both. A target that passes cannot end the
+// line early for an upstream that takes a bare CR for a line end.
+func ValidRequestLine(method, target []byte) bool {
+	for _, c := range method {
+		if lineBytes[c]&tokenByte == 0 {
+			return false
+		}
+	}
+	for _, c := range target {
+		if lineBytes[c]&targetByte == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Request-line byte classes, one table lookup per byte.
+const (
+	tokenByte  = 1 << iota // a tchar (RFC 9110 §5.6.2)
+	targetByte             // anything but a CTL, DEL or SP
+)
+
+var lineBytes = func() (t [256]uint8) {
+	for c := '!'; c < 256; c++ {
+		if c != 0x7f {
+			t[c] = targetByte
+		}
+	}
+	for _, c := range "!#$%&'*+-.^_`|~0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz" {
+		t[c] |= tokenByte
+	}
+	return t
+}()
+
 // field parses one "name: value" line. The name ends at the colon and
 // neither starts nor ends with whitespace (RFC 9112 §5.1): whitespace
 // before the colon, or a line that starts with whitespace (obsolete
@@ -112,9 +162,7 @@ func (h *Head) field(line []byte, maxLength int64) error {
 		if !EqualFold(name, "connection") {
 			break
 		}
-		if h.Connection == nil {
-			h.Connection = val
-		}
+		h.connection = true
 		h.close = h.close || TokenListContains(val, "close")
 		h.keepAlive = h.keepAlive || TokenListContains(val, "keep-alive")
 	case len("content-length"):

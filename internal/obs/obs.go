@@ -60,10 +60,7 @@ const (
 	KindMigrate
 	// KindReroute: a parked connection woke on one worker's event loop
 	// but its flow group had migrated, so it was pushed to the new
-	// owner's queue. A = remote port, B = the loop it parked on,
-	// C = 1 when the park loop and the new owner live on different
-	// chips of the configured topology (the reroute crossed the
-	// remote-cache line), else 0.
+	// owner's queue. A = remote port, B = the loop it parked on.
 	KindReroute
 	// KindPark: a keep-alive connection parked on a worker's event
 	// loop to wait for its next request. A = remote port.

@@ -108,7 +108,7 @@ func WriteTrace(w io.Writer, workers int, events []Event) (spans int, err error)
 				out = append(out, traceEvent{
 					Name: "requeue-reroute", Cat: "decision", Ph: "i",
 					TS: us(ev.TS), PID: 0, TID: int(ev.Worker), S: "t",
-					Args: map[string]any{"group": j.Group, "parkLoop": ev.B, "crossChip": ev.C, "hop": ev.Hop},
+					Args: map[string]any{"group": j.Group, "parkLoop": ev.B, "hop": ev.Hop},
 				})
 				if owner < 0 {
 					owner, start = ev.Worker, ev.TS

@@ -310,6 +310,54 @@ func TestProxyUpstreamConnectionTokenList(t *testing.T) {
 	}
 }
 
+// TestProxyEveryConnectionFieldNominates: a head may carry more than
+// one Connection field, and every one of them is part of the list
+// (RFC 9110 §7.6.1). A field nominated only by a second Connection
+// field must stop at the proxy in both directions.
+func TestProxyEveryConnectionFieldNominates(t *testing.T) {
+	heads := make(chan string, 1)
+	addr := rawBackend(t, func(c net.Conn) {
+		buf := make([]byte, 8192)
+		n := 0
+		for !strings.Contains(string(buf[:n]), "\r\n\r\n") {
+			m, err := c.Read(buf[n:])
+			if err != nil {
+				return
+			}
+			n += m
+		}
+		heads <- string(buf[:n])
+		fmt.Fprint(c, "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: keep-alive\r\n"+
+			"Connection: X-Secret\r\nX-Secret: upstream\r\nX-App: 1\r\n\r\nok")
+	})
+	p, err := New(Config{Backends: []string{addr}, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := startFront(t, p)
+	conn, br := dialFront(t, front)
+
+	fmt.Fprint(conn, "GET /x HTTP/1.1\r\nHost: edge\r\nConnection: keep-alive\r\n"+
+		"Connection: X-Secret\r\nX-Secret: client\r\nX-Public: 1\r\n\r\n")
+	code, headers, body := readResponse(t, br)
+	if code != 200 || string(body) != "ok" {
+		t.Fatalf("%d %q", code, body)
+	}
+	head := <-heads
+	if strings.Contains(strings.ToLower(head), "x-secret") {
+		t.Errorf("a field the second Connection field nominates went upstream:\n%s", head)
+	}
+	if !strings.Contains(head, "X-Public: 1") {
+		t.Errorf("end-to-end request field lost:\n%s", head)
+	}
+	if _, leaked := headers["x-secret"]; leaked {
+		t.Error("a field the upstream's second Connection field nominates was relayed downstream")
+	}
+	if headers["x-app"] != "1" {
+		t.Error("end-to-end upstream field lost")
+	}
+}
+
 // TestProxyChunkedUpstreamRejected: Transfer-Encoding from the upstream
 // cannot be re-framed by the relay and answers 502.
 func TestProxyChunkedUpstreamRejected(t *testing.T) {

@@ -41,8 +41,8 @@ func walkResponse(data []byte, chunks []int, upgrade bool) (string, *responseHea
 		case fault != "":
 			return "502 " + fault, h
 		case done:
-			r := fmt.Sprintf("%q %d keep-alive=%v length=%d connection=%q end=%d|",
-				h.Start, h.code, h.keepAlive, h.ContentLength, h.Connection, h.next)
+			r := fmt.Sprintf("%q %d keep-alive=%v length=%d end=%d|",
+				h.Start, h.code, h.keepAlive, h.ContentLength, h.next)
 			for _, f := range h.Fields {
 				r += fmt.Sprintf("%q=%q|", f.Name, f.Value)
 			}

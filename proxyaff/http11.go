@@ -21,6 +21,9 @@ func idempotentMethod(m []byte) bool {
 		http11.EqualFold(m, "options") || http11.EqualFold(m, "trace")
 }
 
+// upgradeToken is the Connection option that asks for a protocol switch.
+var upgradeToken = []byte("upgrade")
+
 // hopByHop reports whether the header named key is connection-scoped
 // (RFC 9110 §7.6.1) and must not be forwarded across the proxy in
 // either direction.

@@ -423,25 +423,23 @@ func (p *Proxy) exchange(ctx *httpaff.RequestCtx, w *proxyWorker, uc *upstreamCo
 	head = append(head, ' ')
 	head = append(head, ctx.URI()...)
 	head = append(head, " HTTP/1.1\r\n"...)
-	reqConn := ctx.Header("connection") // tokens here nominate more hop-by-hop headers
 	// An Upgrade request (Connection: Upgrade + an Upgrade header) asks
 	// this hop to become a dumb pipe: the Upgrade header survives the
 	// hop-by-hop strip and a fresh Connection: Upgrade is emitted, so
 	// the backend sees the same handshake the client sent (RFC 9110
 	// §7.8). A 101 answer then switches the exchange to tunnel relay.
-	isUpgrade := len(ctx.Header("upgrade")) > 0 && http11.TokenListContains(reqConn, "upgrade")
+	isUpgrade := len(ctx.Header("upgrade")) > 0 && ctx.ConnectionNominates(upgradeToken)
 	for i, n := 0, ctx.HeaderCount(); i < n; i++ {
 		k, v := ctx.HeaderAt(i)
 		// Expect is stripped alongside the hop-by-hop set: httpaff has
 		// already buffered the full body before the handler ran, so the
 		// 100-continue handshake is settled — and forwarding it would
 		// make the backend emit an interim response the relay refuses.
-		// Headers the client's Connection header nominates are likewise
-		// consumed by this hop (RFC 9110 §7.6.1).
+		// Headers any of the client's Connection fields nominates are
+		// likewise consumed by this hop (RFC 9110 §7.6.1).
 		if isUpgrade && http11.EqualFold(k, "upgrade") {
 			// Re-emitted below alongside Connection: Upgrade.
-		} else if hopByHop(k) || http11.EqualFold(k, "expect") ||
-			(len(reqConn) > 0 && http11.TokenListContains(reqConn, k)) {
+		} else if hopByHop(k) || http11.EqualFold(k, "expect") || ctx.ConnectionNominates(k) {
 			continue
 		}
 		head = append(head, k...)
@@ -537,8 +535,8 @@ func (p *Proxy) exchange(ctx *httpaff.RequestCtx, w *proxyWorker, uc *upstreamCo
 	}
 	ctx.RawWrite(hbuf[:len(rh.Start)+2])
 	for _, f := range rh.Fields {
-		// The upstream's Connection field nominates more hop-by-hop fields.
-		if hopByHop(f.Name) || (len(rh.Connection) > 0 && http11.TokenListContains(rh.Connection, f.Name)) {
+		// The upstream's Connection fields nominate more hop-by-hop fields.
+		if hopByHop(f.Name) || rh.Nominates(f.Name) {
 			continue
 		}
 		ctx.RawWrite(f.Name)

@@ -105,24 +105,6 @@ func (s *Server) recordControl(w int, k obs.Kind, g int, a, b, c int64) {
 	s.recordGroup(s.obs.control, k, w, g, a, b, c)
 }
 
-// crossChip reports whether workers a and b live on different chips of
-// the configured topology — the distance line the steal scan orders by
-// and the steal and migration paths count hops against. Config.Chips
-// simulates a multi-chip machine, so loopback runs on flat hardware
-// still exercise the distance-aware accounting.
-func (s *Server) crossChip(a, b int) bool {
-	return s.topo.Chip[a] != s.topo.Chip[b]
-}
-
-// WorkerChip reports which chip of the configured topology worker w
-// maps to (always 0 on a flat machine, and for an out-of-range w).
-func (s *Server) WorkerChip(w int) int {
-	if w < 0 || w >= len(s.topo.Chip) {
-		return 0
-	}
-	return s.topo.Chip[w]
-}
-
 // Events drains every event ring into one timeline ordered by sequence
 // number — the server's recent control-plane history. Diagnostic path:
 // allocates.
@@ -174,10 +156,10 @@ func mergeHists(hs []*obs.Hist) obs.HistSnapshot {
 // format, from one Stats snapshot plus the observability plane: the
 // served/accepted/queue counters and per-worker gauges, transport
 // admission, park/steal/migrate histograms, event-ring counters,
-// event-loop delivery counters, coarse-clock lag, the NUMA attribution
-// totals and the migration controller's state. It is the one renderer
-// of the server's state: httpaff.MetricsHandler composes it into the
-// unified exporter, and the affinity tools print their tables from it.
+// event-loop delivery counters, coarse-clock lag and the migration
+// controller's state. It is the one renderer of the server's state:
+// httpaff.MetricsHandler composes it into the unified exporter, and the
+// affinity tools print their tables from it.
 func (s *Server) WriteObsMetrics(w io.Writer) {
 	st := s.Stats()
 	ws := st.Workers
@@ -195,7 +177,6 @@ func (s *Server) WriteObsMetrics(w io.Writer) {
 	}
 	perWorker(w, "affinity_accepted_total", "counter", "Connections routed at accept time, by the flow-group owner they were routed to.", len(ws), func(i int) any { return ws[i].Accepted })
 	perWorker(w, "affinity_accept_remote_total", "counter", "Of affinity_accepted_total, connections another worker's listener accepted (sharded mode).", len(ws), func(i int) any { return ws[i].AcceptRemote })
-	perWorker(w, "affinity_worker_cross_chip_steals_total", "counter", "Passes each worker stole from a victim on another chip.", len(ws), func(i int) any { return ws[i].StolenCross })
 	perWorker(w, "affinity_queue_depth", "gauge", "Instantaneous per-worker queue depth.", len(ws), func(i int) any { return ws[i].QueueDepth })
 	perWorker(w, "affinity_worker_busy", "gauge", "The sec 3.3.1 busy bit, 1 while the worker's queue is over its watermark.", len(ws), func(i int) any {
 		if ws[i].Busy {
@@ -246,28 +227,10 @@ func (s *Server) WriteObsMetrics(w io.Writer) {
 	})
 	perWorker(w, "affinity_clock_lag_seconds", "gauge", "How far each worker's coarse clock trails the wall clock.", len(ws), func(i int) any { return s.ClockLag(i).Seconds() })
 
-	// NUMA attribution: same-chip vs cross-chip totals carry a "dist"
-	// label so one query isolates the remote traffic. The same-chip side
-	// is the remainder of the per-worker totals the hops were counted in.
-	var stolen, migrated uint64
-	for _, x := range ws {
-		stolen += x.ServedStolen
-		migrated += x.MigratedIn
-	}
-	fmt.Fprintf(w, "# HELP affinity_cross_chip_steals_total Stolen connections by thief/victim chip distance.\n# TYPE affinity_cross_chip_steals_total counter\n")
-	fmt.Fprintf(w, "affinity_cross_chip_steals_total{dist=\"same\"} %d\n", stolen-st.CrossChipSteals)
-	fmt.Fprintf(w, "affinity_cross_chip_steals_total{dist=\"cross\"} %d\n", st.CrossChipSteals)
-	fmt.Fprintf(w, "# HELP affinity_cross_chip_migrations_total Flow-group migrations by from/to chip distance.\n# TYPE affinity_cross_chip_migrations_total counter\n")
-	fmt.Fprintf(w, "affinity_cross_chip_migrations_total{dist=\"same\"} %d\n", migrated-st.CrossChipMigrations)
-	fmt.Fprintf(w, "affinity_cross_chip_migrations_total{dist=\"cross\"} %d\n", st.CrossChipMigrations)
-	perWorker(w, "affinity_worker_chip", "gauge", "Which chip of the configured topology each worker maps to.", len(ws), func(i int) any { return ws[i].Chip })
-
 	scalar(w, "affinity_migrate_interval_seconds", "gauge", "Current flow-group balancing interval chosen by the migration controller (0 with migration off).", st.AdaptiveInterval.Seconds())
 	scalar(w, "affinity_frozen_groups", "gauge", "Flow groups currently frozen for ping-ponging between owners.", st.FrozenGroups)
 	scalar(w, "affinity_group_freezes_total", "counter", "Flow groups frozen by the migration controller.", st.GroupFreezes)
 	scalar(w, "affinity_group_unfreezes_total", "counter", "Frozen flow groups thawed after their cooldown.", st.GroupUnfreezes)
-	perWorker(w, "affinity_worker_pinned_cpu", "gauge", "CPU each worker's thread is pinned to (-1 unpinned).", len(ws), func(i int) any { return ws[i].PinnedCPU })
-	scalar(w, "affinity_pin_failures_total", "counter", "Workers that asked to pin their thread but could not.", st.PinFailures)
 	fmt.Fprintf(w, "# HELP affinity_worker_wakes_total Worker returns from the park: a push it was signalled for, or the busy-bit decay tick.\n# TYPE affinity_worker_wakes_total counter\n")
 	for i, x := range ws {
 		fmt.Fprintf(w, "affinity_worker_wakes_total{worker=\"%d\",reason=\"push\"} %d\n", i, x.Wakes)

@@ -137,36 +137,6 @@ func TestObsParkWakeLifecycle(t *testing.T) {
 	}
 }
 
-// TestTopologyIndependentOfObs: Chips > 1 orders the steal scan, so
-// WorkerChip, crossChip and Stats must describe that same layout (they
-// used to answer 0 / false / 0 with the obs plane off, disagreeing with
-// the policy about who is remote).
-func TestTopologyIndependentOfObs(t *testing.T) {
-	s, err := New(Config{Workers: 4, Chips: 2, Handler: echoHandler})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Shutdown(context.Background())
-	st := s.Stats()
-	for w, want := range []int{0, 0, 1, 1} {
-		if got := s.WorkerChip(w); got != want {
-			t.Errorf("WorkerChip(%d) = %d, want %d", w, got, want)
-		}
-		if got := st.Workers[w].Chip; got != want {
-			t.Errorf("Stats.Workers[%d].Chip = %d, want %d", w, got, want)
-		}
-	}
-	if s.crossChip(0, 1) || !s.crossChip(1, 2) {
-		t.Errorf("crossChip(0,1)=%v crossChip(1,2)=%v, want false/true", s.crossChip(0, 1), s.crossChip(1, 2))
-	}
-	if st.Chips != 2 {
-		t.Errorf("Stats.Chips = %d, want 2", st.Chips)
-	}
-	if s.WorkerChip(-1) != 0 || s.WorkerChip(4) != 0 {
-		t.Error("out-of-range WorkerChip must report chip 0")
-	}
-}
-
 // TestWriteObsMetricsSeries checks the serve layer's Prometheus writer
 // emits every series the unified exporter advertises, including the
 // per-worker clock-lag gauges, and that a live server's lag is sane.
@@ -228,7 +198,6 @@ func TestWriteObsMetricsMatchesStats(t *testing.T) {
 	var srv *Server
 	s, err := New(Config{
 		Workers:          2,
-		Chips:            2,
 		FlowGroups:       8,
 		DisableMigration: true,
 		Handler: func(conn net.Conn) {
@@ -272,8 +241,7 @@ func TestWriteObsMetricsMatchesStats(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { st := s.Stats(); return st.Parked == 3 && st.Active == 1 },
 		"three connections never parked beside one running handler")
 	s.workers[1].migratedIn.Add(3)
-	s.workers[1].servedStolen.Add(1) // worker 1 stole from worker 0, across the chip line
-	s.workers[1].stolenCross.Add(1)
+	s.workers[1].servedStolen.Add(1) // worker 1 stole from worker 0
 
 	st := s.Stats()
 	var b strings.Builder
@@ -285,25 +253,20 @@ func TestWriteObsMetricsMatchesStats(t *testing.T) {
 		}
 	}
 	want := map[string]any{
-		"affinity_workers":                               len(st.Workers),
-		"affinity_sharded":                               map[bool]int{false: 0, true: 1}[st.Sharded],
-		"affinity_flow_groups":                           st.FlowGroups,
-		"affinity_dropped_total":                         st.Dropped,
-		"affinity_parked":                                st.Parked,
-		"affinity_requeued_total":                        st.Requeued,
-		"affinity_migrations_total":                      st.Migrations,
-		"affinity_pin_failures_total":                    st.PinFailures,
-		`affinity_cross_chip_steals_total{dist="cross"}`: st.CrossChipSteals,
+		"affinity_workers":          len(st.Workers),
+		"affinity_sharded":          map[bool]int{false: 0, true: 1}[st.Sharded],
+		"affinity_flow_groups":      st.FlowGroups,
+		"affinity_dropped_total":    st.Dropped,
+		"affinity_parked":           st.Parked,
+		"affinity_requeued_total":   st.Requeued,
+		"affinity_migrations_total": st.Migrations,
 	}
 	for i, w := range st.Workers {
 		label := fmt.Sprintf(`{worker="%d"}`, i)
-		want["affinity_worker_chip"+label] = w.Chip
-		want["affinity_worker_pinned_cpu"+label] = w.PinnedCPU
 		want["affinity_accepted_total"+label] = w.Accepted
 		want["affinity_accept_remote_total"+label] = w.AcceptRemote
 		want[fmt.Sprintf(`affinity_served_total{worker="%d",queue="local"}`, i)] = w.ServedLocal
 		want[fmt.Sprintf(`affinity_served_total{worker="%d",queue="stolen"}`, i)] = w.ServedStolen
-		want["affinity_worker_cross_chip_steals_total"+label] = w.StolenCross
 		want["affinity_worker_active"+label] = w.Active
 		want["affinity_queue_depth"+label] = w.QueueDepth
 		want["affinity_worker_parked"+label] = w.Parked
@@ -319,21 +282,19 @@ func TestWriteObsMetricsMatchesStats(t *testing.T) {
 			t.Errorf("%s: scrape reads %q, Stats reads %v", key, g, v)
 		}
 	}
-	if st.Workers[1].MigratedIn != 3 || st.Workers[1].StolenCross != 1 || st.Active != 1 {
+	if st.Workers[1].MigratedIn != 3 || st.Workers[1].ServedStolen == 0 || st.Active != 1 {
 		t.Errorf("fixture did not take: %+v", st.Workers)
 	}
 }
 
 // TestObsJourneyTaggingAndAttribution drives the deterministic
-// steal-then-migrate sequence on a simulated two-chip topology and
-// checks the whole flow-journey layer end to end: the migrate event
-// carries its group tag and a claimed hop, the stitched journey reports
-// the migration and the new owner, and Stats and the scrape price the
-// move as cross-chip.
+// steal-then-migrate sequence and checks the whole flow-journey layer
+// end to end: the migrate event carries its group tag and a claimed
+// hop, the stitched journey reports the migration and the new owner,
+// and Stats and the scrape credit the move to the claimer.
 func TestObsJourneyTaggingAndAttribution(t *testing.T) {
 	s, err := New(Config{
 		Workers:          2,
-		Chips:            2, // worker 0 on chip 0, worker 1 on chip 1
 		FlowGroups:       8,
 		DisableMigration: true, // ticks are manual
 		Backlog:          40,
@@ -397,28 +358,20 @@ func TestObsJourneyTaggingAndAttribution(t *testing.T) {
 		t.Errorf("journey owner = %d, want the claimer 1", j.Owner)
 	}
 
-	// Attribution: the 0 -> 1 move crosses the two-chip boundary. The
-	// Pop above bypassed workerLoop, so its steal is counted by hand the
-	// way workerLoop counts one: worker 1 stole from worker 0, cross-chip.
-	s.workers[1].servedStolen.Add(1)
-	s.workers[1].stolenCross.Add(1)
+	// Attribution: the 0 -> 1 move is credited to its claimer.
 	st := s.Stats()
-	if st.Chips != 2 || st.CrossChipMigrations != 1 || st.CrossChipSteals != 1 {
-		t.Errorf("stats chips=%d xmigr=%d xsteal=%d, want 2/1/1", st.Chips, st.CrossChipMigrations, st.CrossChipSteals)
-	}
-	if st.Workers[1].StolenCross != 1 || st.Workers[1].Chip != 1 {
-		t.Errorf("worker 1 stolenCross=%d chip=%d, want 1/1", st.Workers[1].StolenCross, st.Workers[1].Chip)
+	if st.Migrations != 1 || st.Workers[1].MigratedIn != 1 || st.Workers[0].MigratedIn != 0 {
+		t.Errorf("stats migrations=%d migrated-in=%d/%d, want 1 and 0/1",
+			st.Migrations, st.Workers[0].MigratedIn, st.Workers[1].MigratedIn)
 	}
 
 	var b strings.Builder
 	s.WriteObsMetrics(&b)
 	out := b.String()
 	for _, series := range []string{
-		`affinity_cross_chip_steals_total{dist="same"} 0`,
-		`affinity_cross_chip_steals_total{dist="cross"} 1`,
-		`affinity_cross_chip_migrations_total{dist="same"} 0`,
-		`affinity_cross_chip_migrations_total{dist="cross"} 1`,
-		`affinity_worker_chip{worker="1"} 1`,
+		`affinity_migrations_total 1`,
+		`affinity_migrated_in_total{worker="0"} 0`,
+		`affinity_migrated_in_total{worker="1"} 1`,
 		`affinity_worker_wakes_total{worker="1",reason="push"} `,
 		`affinity_worker_wakes_total{worker="1",reason="decay"} `,
 	} {

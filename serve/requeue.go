@@ -129,14 +129,8 @@ func (s *Server) enqueue(c *Conn, listener int) {
 			// The flow group migrated while the connection was
 			// parked: it woke on its park loop but routes to the
 			// group's new owner — the moment §3.3.2 pays off for a
-			// requeued connection. C carries the distance verdict:
-			// 1 when the park loop and the new owner live on
-			// different chips of the configured topology.
-			var cross int64
-			if s.crossChip(from, worker) {
-				cross = 1
-			}
-			s.RecordGroupEvent(worker, obs.KindReroute, group, c.port, int64(from), cross)
+			// requeued connection.
+			s.RecordGroupEvent(worker, obs.KindReroute, group, c.port, int64(from), 0)
 		}
 	}
 	ok, busy := s.bal.Push(worker, c)

@@ -62,7 +62,7 @@ type Handler func(conn net.Conn)
 
 // WorkerHandler is an optional Handler variant that also receives the
 // index of the worker serving the connection, for per-worker state
-// (caches, buffers, CPU pinning checks) or tests that stall one worker.
+// (caches, buffers) or tests that stall one worker.
 type WorkerHandler func(worker int, conn net.Conn)
 
 // Config parameterizes a Server. Handler or WorkerHandler is required;
@@ -148,25 +148,6 @@ type Config struct {
 	// locality (ServedLocal), request memory (Pool) and upstream
 	// connection reuse (Upstream).
 	WorkerUpstream func(worker int) PoolStats
-
-	// Chips is the chip count of the machine topology: workers split
-	// contiguously into Chips chips (core.Regular: worker w lives on chip
-	// w/ceil(Workers/Chips)). The one topology both orders the steal scan
-	// — victims in non-decreasing chip distance, same-chip first,
-	// round-robin within each distance tier — and counts a steal or
-	// migration whose two workers land on different chips as cross-chip,
-	// so the policy and the accounting always agree on who is remote.
-	// 0 or 1 means a flat single-chip machine: every hop same-chip, and
-	// the scan is the paper's wraparound order.
-	Chips int
-	// PinWorkers pins each worker goroutine's OS thread to CPU
-	// worker%NumCPU via sched_setaffinity (Linux; a no-op that reports
-	// unpinned elsewhere), so the serve worker really is the paper's
-	// "one core" and the Chips topology can describe physical placement.
-	// Pinning failures (cgroup cpuset restrictions, exotic sandboxes)
-	// degrade gracefully: the worker runs unpinned and PinnedCPU
-	// reports -1.
-	PinWorkers bool
 }
 
 func (c *Config) fill() error {
@@ -209,12 +190,6 @@ func (c *Config) fill() error {
 	if c.MaxConns < 0 || c.PerIPAcceptRate < 0 || c.PerIPAcceptBurst < 0 {
 		return errors.New("serve: MaxConns, PerIPAcceptRate and PerIPAcceptBurst must be non-negative")
 	}
-	if c.Chips < 0 {
-		return errors.New("serve: Chips must be non-negative")
-	}
-	if c.Chips > c.Workers {
-		c.Chips = c.Workers
-	}
 	if c.PerIPAcceptRate > 0 && c.PerIPAcceptBurst == 0 {
 		c.PerIPAcceptBurst = 8
 		if r := int(c.PerIPAcceptRate); r > 8 {
@@ -239,11 +214,6 @@ type Server struct {
 	listeners []net.Listener
 	sharded   bool // one listener per worker (SO_REUSEPORT)
 
-	// topo is the worker→chip layout (Config.Chips). The steal scan
-	// order and the cross-chip attribution both read this one value, so
-	// the policy and the accounting cannot disagree on who is remote.
-	topo core.Topology
-
 	drainCh chan struct{} // closed when acceptors have stopped
 
 	started  atomic.Bool
@@ -254,9 +224,6 @@ type Server struct {
 	workerWG sync.WaitGroup
 
 	workers []workerState
-	// migratedCross counts flow-group moves between workers on different
-	// chips; the balance path alone writes it.
-	migratedCross atomic.Uint64
 	// loops are the per-worker park event loops: loops[i] owns
 	// readability (one epoll instance on Linux) for every keep-alive
 	// connection parked between requeue passes whose flow group worker
@@ -290,8 +257,6 @@ type Server struct {
 	groupFreezes      atomic.Uint64
 	groupUnfreezes    atomic.Uint64
 
-	pinFailures atomic.Uint64 // workers that asked to pin but could not
-
 	// obs is the observability plane: event rings and serve-layer
 	// histograms.
 	obs *serverObs
@@ -303,10 +268,8 @@ type workerState struct {
 	acceptRemote atomic.Uint64 // of those, accepted on another worker's listener
 	servedLocal  atomic.Uint64 // served from this worker's own queue
 	servedStolen atomic.Uint64 // served by this worker from another queue
-	stolenCross  atomic.Uint64 // of those, stolen from a worker on another chip
 	active       atomic.Int64  // handlers currently running on this worker
 	migratedIn   atomic.Uint64 // flow groups this worker claimed via §3.3.2
-	pinnedCPU    atomic.Int64  // CPU the worker's thread is pinned to, -1 unpinned
 
 	// slot is where the worker parks when it finds nothing to pop: it
 	// holds at most one token, left by signal, so a push that lands after
@@ -327,7 +290,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		flow:    core.NewFlowTable(cfg.FlowGroups, cfg.Workers),
-		topo:    core.Regular(cfg.Workers, cfg.Chips),
 		drainCh: make(chan struct{}),
 		workers: make([]workerState, cfg.Workers),
 		ctl:     core.NewController(core.ControllerConfig{BaseInterval: cfg.MigrateInterval}),
@@ -351,14 +313,10 @@ func New(cfg Config) (*Server, error) {
 		StealRatio: cfg.StealRatio,
 		HighPct:    cfg.HighPct,
 		LowPct:     cfg.LowPct,
-		// Victims are scanned in chip-distance order; on one chip every
-		// distance ties and that is the paper's wraparound scan.
-		ChipOf: s.topo.ChipOf,
 	}
 	s.bal = core.NewQueues[*Conn](bcfg)
 	s.migrateIntervalNs.Store(int64(cfg.MigrateInterval))
 	for i := range s.workers {
-		s.workers[i].pinnedCPU.Store(-1)
 		s.workers[i].slot = make(chan struct{}, 1)
 	}
 	if err := s.listen(); err != nil {
@@ -424,18 +382,6 @@ func (s *Server) FlowGroups() int { return s.flow.Groups() }
 // port hashes into — the queue a connection from that port would be
 // routed to right now.
 func (s *Server) OwnerOf(remotePort uint16) int { return s.flow.CoreForPort(remotePort) }
-
-// PinnedCPU reports the CPU the given worker's OS thread is pinned to
-// under Config.PinWorkers, or -1 when the worker is unpinned (pinning
-// off, unsupported platform, or a restricted CPU mask). A worker pins
-// itself as its loop starts, so immediately after Start this may
-// briefly read -1.
-func (s *Server) PinnedCPU(worker int) int {
-	if worker < 0 || worker >= len(s.workers) {
-		return -1
-	}
-	return int(s.workers[worker].pinnedCPU.Load())
-}
 
 // Parked reports how many requeued connections are currently waiting
 // for their next request bytes on the workers' event loops. Long-lived-
@@ -588,9 +534,6 @@ func (s *Server) balanceOnce() int {
 	moves := core.Balance(s.flow, s.bal, nil, s.ctl.GroupOK)
 	for _, m := range moves {
 		s.workers[m.To].migratedIn.Add(1)
-		if s.crossChip(m.From, m.To) {
-			s.migratedCross.Add(1)
-		}
 		s.recordControl(m.To, obs.KindMigrate, m.Group, int64(m.Group), int64(m.From), int64(m.To))
 	}
 	s.advanceController(moves)
@@ -639,21 +582,6 @@ const decayTick = 200 * time.Microsecond
 func (s *Server) workerLoop(worker int) {
 	defer s.workerWG.Done()
 	st := &s.workers[worker]
-	if s.cfg.PinWorkers {
-		// Pin this worker's OS thread to its CPU. LockOSThread first so
-		// the affinity call binds the thread this goroutine will keep;
-		// on failure (non-Linux, cgroup cpuset restrictions) release the
-		// thread and run unpinned — the policy layers never depend on
-		// pinning, only the placement fidelity does.
-		runtime.LockOSThread()
-		cpu := worker % runtime.NumCPU()
-		if err := setThreadAffinity(cpu); err != nil {
-			s.pinFailures.Add(1)
-			runtime.UnlockOSThread()
-		} else {
-			st.pinnedCPU.Store(int64(cpu))
-		}
-	}
 	// idleMark is the start of the idle stretch not yet charged to the
 	// EWMA, zero while there is work. latched is the worker's own busy bit
 	// as last read: only a Push onto its queue sets the bit, and that Push
@@ -684,9 +612,6 @@ func (s *Server) workerLoop(worker int) {
 				// walk the paper's policy pays for load balance.
 				d := obs.Nanos() - t0
 				s.obs.steal[worker].Record(d)
-				if s.crossChip(worker, from) {
-					st.stolenCross.Add(1)
-				}
 				s.RecordGroupEvent(worker, obs.KindSteal, conn.group, int64(from), d, conn.port)
 			}
 			st.active.Add(1)
@@ -800,31 +725,24 @@ func (s *Server) Stats() Stats {
 		LivePeak:       s.livePeak.Load(),
 		MaxConns:       s.cfg.MaxConns,
 
-		Chips:               s.topo.Chips,
-		CrossChipMigrations: s.migratedCross.Load(),
-
 		FrozenGroups:   s.frozenGroups.Load(),
 		GroupFreezes:   s.groupFreezes.Load(),
 		GroupUnfreezes: s.groupUnfreezes.Load(),
-		PinFailures:    s.pinFailures.Load(),
 	}
 	if !s.cfg.DisableMigration {
 		st.AdaptiveInterval = time.Duration(s.migrateIntervalNs.Load())
 	}
 	for i := range st.Workers {
 		w := &s.workers[i]
-		// A subset is loaded before its total, which its writer bumps
-		// first (CrossChipMigrations above precedes every MigratedIn), so
-		// a remainder derived from this snapshot never goes negative.
-		acceptRemote, stolenCross := w.acceptRemote.Load(), w.stolenCross.Load()
+		// AcceptRemote is loaded before Accepted, which its writer bumps
+		// first, so Accepted-AcceptRemote never goes negative.
+		acceptRemote := w.acceptRemote.Load()
 		st.Workers[i] = WorkerStats{
 			Worker:       i,
 			Accepted:     w.accepted.Load(),
 			AcceptRemote: acceptRemote,
 			ServedLocal:  w.servedLocal.Load(),
 			ServedStolen: w.servedStolen.Load(),
-			StolenCross:  stolenCross,
-			PinnedCPU:    int(w.pinnedCPU.Load()),
 			Active:       w.active.Load(),
 			QueueDepth:   s.bal.Len(i),
 			Busy:         s.bal.Busy(i),
@@ -834,7 +752,6 @@ func (s *Server) Stats() Stats {
 			DecayTicks:   w.decayTicks.Load(),
 			Parked:       s.loops[i].Len(),
 			ClockLagUs:   s.ClockLag(i).Microseconds(),
-			Chip:         s.topo.Chip[i],
 		}
 		if s.cfg.WorkerPool != nil {
 			st.Workers[i].Pool = s.cfg.WorkerPool(i)
@@ -845,12 +762,8 @@ func (s *Server) Stats() Stats {
 			st.Upstream = st.Upstream.Add(st.Workers[i].Upstream)
 		}
 		st.Accepted += st.Workers[i].Accepted
-		st.CrossChipSteals += stolenCross
 		st.Queued += st.Workers[i].QueueDepth
 		st.Active += st.Workers[i].Active
-		if st.Workers[i].PinnedCPU >= 0 {
-			st.PinnedWorkers++
-		}
 	}
 	return st
 }

@@ -28,16 +28,6 @@ type WorkerStats struct {
 	// queue; ServedStolen counts ones it stole from other workers.
 	ServedLocal  uint64
 	ServedStolen uint64
-	// Chip is which chip of the configured topology (Config.Chips) this
-	// worker maps to — 0 on a flat machine.
-	Chip int
-	// PinnedCPU is the CPU this worker's OS thread is pinned to under
-	// Config.PinWorkers, -1 when unpinned.
-	PinnedCPU int
-	// StolenCross counts the subset of ServedStolen whose victim lived
-	// on a different chip — the steals the distance-ordered scan exists
-	// to avoid.
-	StolenCross uint64
 	// Active is the number of handlers currently running.
 	Active int64
 	// QueueDepth is the instantaneous local queue length; Busy is the
@@ -90,13 +80,6 @@ type Stats struct {
 	// applied §3.3.2 flow-group migrations.
 	Requeued   uint64
 	Migrations uint64
-	// Chips is the configured topology's chip count (1 = flat).
-	// CrossChipSteals and CrossChipMigrations count the hops whose two
-	// workers lived on different chips — the traffic the paper's
-	// policies exist to minimize.
-	Chips               int
-	CrossChipSteals     uint64
-	CrossChipMigrations uint64
 	// AdaptiveInterval is the migration controller's current balancing
 	// interval (zero under Config.DisableMigration): MigrateInterval
 	// while converging, backed off up to 8x once locality converges.
@@ -107,11 +90,6 @@ type Stats struct {
 	FrozenGroups   int64
 	GroupFreezes   uint64
 	GroupUnfreezes uint64
-	// PinnedWorkers counts workers whose threads are pinned to a CPU;
-	// PinFailures counts workers that asked to pin but could not
-	// (restricted cpuset, unsupported platform).
-	PinnedWorkers int
-	PinFailures   uint64
 	// Parked is the instantaneous number of connections waiting between
 	// requeue passes — the held-open population of a long-lived
 	// workload. Parked connections live on the per-worker event loops
