@@ -7,23 +7,25 @@ import (
 	"affinityaccept/internal/stats"
 )
 
-// arena is one worker's private pool of RequestCtx objects. It is
-// deliberately NOT a sync.Pool: a process-wide pool lets any worker
-// drain an object whose buffers live in another core's cache, which is
-// the application-layer version of the cross-core connection handoff
-// the paper is built to avoid. An arena has no lock because it needs
-// none — serve runs WorkerHandler inline on the worker goroutine, so
-// arena i is only ever touched from worker i. The counters are atomic
-// solely so Stats can observe them from outside.
+// arena is one worker's private RequestCtx slot. It is deliberately
+// NOT a sync.Pool: a process-wide pool lets any worker drain an object
+// whose buffers live in another core's cache, which is the
+// application-layer version of the cross-core connection handoff the
+// paper is built to avoid. An arena has no lock because it needs none —
+// serve runs WorkerHandler inline on the worker goroutine, so arena i
+// is only ever touched from worker i. The counters are atomic solely so
+// Stats can observe them from outside.
 //
-// The worker model also bounds the arena's working set: a worker
-// serves one connection at a time, so after the first pass its arena
-// holds exactly one warm context and every later acquire is a reuse.
-// The reuse rate in serve.Stats.Pool is therefore a direct measurement
-// of how core-local request memory stays.
+// The worker model also bounds the arena to one context: a worker
+// serves one connection at a time, and serveConn — acquire's only
+// caller — releases the context before a hijacked connection's
+// takeover runs. So the first pass allocates the worker's context (a
+// Miss) and every later acquire is a Reuse. The reuse rate in
+// Server.Stats().Pool is therefore a direct measurement of how
+// core-local request memory stays.
 type arena struct {
 	s        *Server
-	free     []*RequestCtx
+	ctx      *RequestCtx // the warm context; nil while checked out
 	counters stats.PoolCounters
 
 	// mid is the response head from "Server: " through "Content-Type: ",
@@ -58,18 +60,11 @@ func (a *arena) appendMid(b []byte, now int64) []byte {
 // of a workload that steadily needs it.
 const bufSize = 4096
 
-// maxPooled caps each worker arena's free list; contexts released
-// beyond it are dropped to the GC. One warm context per worker already
-// reaches 100.0% reuse on pipelined keep-alive (docs/TUNING.md); the
-// headroom is for handlers holding contexts across concurrent hijacks.
-const maxPooled = 32
-
-// acquire pops a warm context or allocates a cold one.
+// acquire takes the warm context out of the slot, or allocates the
+// worker's context on its first pass.
 func (a *arena) acquire() *RequestCtx {
-	if n := len(a.free); n > 0 {
-		ctx := a.free[n-1]
-		a.free[n-1] = nil
-		a.free = a.free[:n-1]
+	if ctx := a.ctx; ctx != nil {
+		a.ctx = nil
 		a.counters.Reuse()
 		return ctx
 	}
@@ -81,14 +76,9 @@ func (a *arena) acquire() *RequestCtx {
 	}
 }
 
-// release returns a finished context to the free list, shedding
-// buffers grown past the request bound, or drops it when the list is
-// full.
+// release puts a finished context back in the slot, shedding buffers
+// grown past the request bound.
 func (a *arena) release(ctx *RequestCtx) {
-	if len(a.free) >= maxPooled {
-		a.counters.Drop()
-		return
-	}
 	keep := a.s.cfg.MaxHeaderBytes + a.s.cfg.MaxBodyBytes
 	if cap(ctx.rbuf) > keep+1 { // plus the byte of room readRequest keeps past a body
 		ctx.rbuf = make([]byte, bufSize)
@@ -99,5 +89,5 @@ func (a *arena) release(ctx *RequestCtx) {
 	if cap(ctx.resp.body) > keep {
 		ctx.resp.body = nil
 	}
-	a.free = append(a.free, ctx)
+	a.ctx = ctx
 }

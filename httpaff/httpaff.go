@@ -9,8 +9,8 @@
 // that away if its request objects and I/O buffers bounce between
 // workers — which is exactly what a process-wide sync.Pool does: any
 // worker can drain objects another worker's cache is warm for. httpaff
-// instead gives every worker a private arena of pooled RequestCtx
-// objects (request state plus read/write buffers). A worker acquires a
+// instead gives every worker a private arena holding one RequestCtx
+// (request state plus read/write buffers). A worker acquires the
 // context from its own arena at the start of a handler pass and
 // releases it to the same arena at the end; nothing is ever handed
 // across workers. When a keep-alive connection parks between requests
@@ -18,8 +18,8 @@
 // next pass runs on the new owning worker using that worker's warm
 // arena — the connection moved, the memory never did.
 //
-// The per-worker pool counters (alloc / reuse / drop, surfaced through
-// serve.Stats) prove the claim: after startup the reuse rate sits at
+// The per-worker pool counters (miss / reuse, surfaced through
+// Server.Stats) prove the claim: after startup the reuse rate sits at
 // ~100%, because the one-connection-at-a-time worker model needs
 // exactly one warm context per worker.
 package httpaff
@@ -118,9 +118,8 @@ type Config struct {
 	RetryAfter time.Duration
 
 	// WorkerUpstream, if set, reports each worker's upstream
-	// connection-pool counters and is passed through to
-	// serve.Config.WorkerUpstream, so Stats carries them. The proxyaff
-	// layer wires its per-worker backend pools here.
+	// connection-pool counters, which Stats reads into Stats.Upstream.
+	// The proxyaff layer wires its per-worker backend pools here.
 	WorkerUpstream func(worker int) serve.PoolStats
 
 	// The remaining fields pass straight through to serve.Config:
@@ -128,7 +127,6 @@ type Config struct {
 	// (per-IP accept rate limiting, the connection budget with LIFO
 	// parked shedding) behave exactly as for a raw TCP server.
 	Backlog          int
-	StealRatio       int
 	HighPct, LowPct  float64
 	FlowGroups       int
 	MigrateInterval  time.Duration
@@ -235,7 +233,6 @@ func New(cfg Config) (*Server, error) {
 		Workers:          cfg.Workers,
 		WorkerHandler:    s.serveConn,
 		Backlog:          cfg.Backlog,
-		StealRatio:       cfg.StealRatio,
 		HighPct:          cfg.HighPct,
 		LowPct:           cfg.LowPct,
 		FlowGroups:       cfg.FlowGroups,
@@ -244,10 +241,6 @@ func New(cfg Config) (*Server, error) {
 		MaxConns:         cfg.MaxConns,
 		PerIPAcceptRate:  cfg.PerIPAcceptRate,
 		PerIPAcceptBurst: cfg.PerIPAcceptBurst,
-		WorkerPool: func(worker int) serve.PoolStats {
-			return s.arenas[worker].counters.Snapshot()
-		},
-		WorkerUpstream: cfg.WorkerUpstream,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("httpaff: %w", err)
@@ -286,11 +279,24 @@ func (s *Server) FlowGroups() int { return s.srv.FlowGroups() }
 // port hashes into.
 func (s *Server) OwnerOf(remotePort uint16) int { return s.srv.OwnerOf(remotePort) }
 
-// Stats snapshots the transport counters; with the arena hook wired,
-// Stats.Pool and each WorkerStats.Pool carry the per-worker
-// alloc/reuse/drop pool counters, and with Config.WorkerUpstream set,
-// Stats.Upstream carries the upstream connection-pool counters.
-func (s *Server) Stats() serve.Stats { return s.srv.Stats() }
+// Stats snapshots the transport counters and fills in the two pool
+// columns this layer owns: Stats.Pool and each WorkerStats.Pool carry
+// the worker arenas' miss/reuse counters, and with Config.WorkerUpstream
+// set, Stats.Upstream and each WorkerStats.Upstream carry the upstream
+// connection-pool counters.
+func (s *Server) Stats() serve.Stats {
+	st := s.srv.Stats()
+	for i := range st.Workers {
+		w := &st.Workers[i]
+		w.Pool = s.arenas[i].counters.Snapshot()
+		st.Pool = st.Pool.Add(w.Pool)
+		if s.cfg.WorkerUpstream != nil {
+			w.Upstream = s.cfg.WorkerUpstream(i)
+			st.Upstream = st.Upstream.Add(w.Upstream)
+		}
+	}
+	return st
+}
 
 // Transport exposes the underlying serve.Server — for diagnostics that
 // want the transport object itself rather than a snapshot.

@@ -17,6 +17,7 @@ import (
 
 	"affinityaccept/internal/loadgen"
 	"affinityaccept/internal/testutil"
+	"affinityaccept/serve"
 )
 
 // echoPath writes the request path, or the body for requests that have
@@ -559,10 +560,40 @@ func TestGracefulDrain(t *testing.T) {
 
 // TestWorkerLocalPoolReuse is the tentpole's proof obligation in unit
 // form: after warmup, virtually every handler pass acquires its context
-// from the serving worker's own free list.
+// from the serving worker's own arena. It also pins the model the
+// one-context arena rests on: through sequential keep-alive, a
+// pipelined burst and a hijacked connection's takeover, no worker ever
+// needs a second context, so each worker misses at most once.
 func TestWorkerLocalPoolReuse(t *testing.T) {
-	s := start(t, Config{Workers: 2})
-	const conns, reqs = 4, 25
+	s := start(t, Config{Workers: 2, Handler: func(ctx *RequestCtx) {
+		if string(ctx.Path()) != "/up" {
+			echoPath(ctx)
+			return
+		}
+		ctx.BeginRawResponse()
+		ctx.RawWriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: echo\r\nContent-Length: 0\r\n\r\n")
+		ctx.Hijack(func(_ int, nc net.Conn) bool {
+			var b [1]byte
+			if _, err := io.ReadFull(nc, b[:]); err == nil {
+				nc.Write(b[:])
+			}
+			nc.Close()
+			return false
+		})
+	}})
+
+	// One Hijack pass: its takeover runs after the pass released its
+	// context, so the passes that follow find the slot filled.
+	conn, br := dial(t, s)
+	io.WriteString(conn, "GET /up HTTP/1.1\r\nHost: t\r\nConnection: Upgrade\r\nUpgrade: echo\r\n\r\nr")
+	if code, _, _ := readResponse(t, br); code != 101 {
+		t.Fatalf("upgrade answered %d, want 101", code)
+	}
+	if b, err := br.ReadByte(); err != nil || b != 'r' {
+		t.Fatalf("takeover echo = %q, %v", b, err)
+	}
+
+	const conns, reqs, burst = 4, 25, 16
 	for c := 0; c < conns; c++ {
 		conn, br := dial(t, s)
 		for i := 0; i < reqs; i++ {
@@ -573,20 +604,40 @@ func TestWorkerLocalPoolReuse(t *testing.T) {
 		}
 		conn.Close()
 	}
+
+	// A pipelined burst: one pass serves the requests one read buffered.
+	conn, br = dial(t, s)
+	var batch bytes.Buffer
+	for i := 0; i < burst; i++ {
+		fmt.Fprintf(&batch, "GET /p%d HTTP/1.1\r\nHost: t\r\n\r\n", i)
+	}
+	if _, err := conn.Write(batch.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < burst; i++ {
+		if code, _, _ := readResponse(t, br); code != 200 {
+			t.Fatalf("pipelined req %d failed", i)
+		}
+	}
+
 	st := s.Stats()
-	if st.Pool.Gets() < conns*reqs {
-		t.Fatalf("pool gets = %d, want >= %d (one per handler pass)", st.Pool.Gets(), conns*reqs)
+	if st.Pool.Gets() < conns*reqs+2 {
+		t.Fatalf("pool gets = %d, want >= %d (one per handler pass)", st.Pool.Gets(), conns*reqs+2)
 	}
 	if pct := st.Pool.ReusePct(); pct < 90 {
 		t.Fatalf("pool reuse = %.1f%%, want >= 90%% (misses: %d)", pct, st.Pool.Misses)
 	}
-	// The per-worker split must add up to the aggregate.
-	var sum uint64
-	for _, w := range st.Workers {
-		sum += w.Pool.Gets()
+	// No worker ever holds two contexts, and the per-worker split adds
+	// up to the aggregate.
+	var sum serve.PoolStats
+	for i, w := range st.Workers {
+		if w.Pool.Misses > 1 {
+			t.Errorf("worker %d allocated %d contexts, want at most 1", i, w.Pool.Misses)
+		}
+		sum = sum.Add(w.Pool)
 	}
-	if sum != st.Pool.Gets() {
-		t.Fatalf("per-worker pool gets sum %d != aggregate %d", sum, st.Pool.Gets())
+	if sum != st.Pool {
+		t.Fatalf("per-worker pool sum %+v != aggregate %+v", sum, st.Pool)
 	}
 }
 

@@ -81,7 +81,7 @@ func (s *Server) WriteObsMetrics(w io.Writer) {
 	for i, x := range ad.Workers {
 		fmt.Fprintf(w, "affinity_overload_sheds_total{worker=\"%d\"} %d\n", i, x.OverloadSheds)
 	}
-	fmt.Fprintf(w, "# HELP affinity_pool_reuses_total Worker-arena request contexts served from the local free list.\n# TYPE affinity_pool_reuses_total counter\n")
+	fmt.Fprintf(w, "# HELP affinity_pool_reuses_total Worker-arena request contexts served from the worker's own slot.\n# TYPE affinity_pool_reuses_total counter\n")
 	for i, a := range s.arenas {
 		fmt.Fprintf(w, "affinity_pool_reuses_total{worker=\"%d\"} %d\n", i, a.counters.Snapshot().Reuses)
 	}

@@ -7,12 +7,10 @@ import "sync/atomic"
 // worker-local arenas of the httpaff layer) can still be observed
 // lock-free from a stats snapshot on another goroutine.
 //
-// The three events mirror the life of a pooled object:
+// The two events mirror the two ways a get is served:
 //
-//   - Reuse: a get was served from the free list — the warm, local path.
-//   - Miss: the free list was empty and a new object was allocated.
-//   - Drop: a put found the free list full and the object was discarded
-//     to the garbage collector instead of retained.
+//   - Reuse: from the pool — the warm, local path.
+//   - Miss: the pool was empty and a new object was made.
 //
 // Gets = Reuses + Misses. A pool that stays core-local and warm shows a
 // reuse rate near 100% after startup: the only misses are the first
@@ -20,36 +18,31 @@ import "sync/atomic"
 type PoolCounters struct {
 	reuses atomic.Uint64
 	misses atomic.Uint64
-	drops  atomic.Uint64
 }
 
-// Reuse records a get served from the free list.
+// Reuse records a get served from the pool.
 func (c *PoolCounters) Reuse() { c.reuses.Add(1) }
 
 // Miss records a get that had to allocate a new object.
 func (c *PoolCounters) Miss() { c.misses.Add(1) }
-
-// Drop records a put discarded because the free list was full.
-func (c *PoolCounters) Drop() { c.drops.Add(1) }
 
 // Snapshot returns a consistent-enough copy of the counters.
 func (c *PoolCounters) Snapshot() PoolSnapshot {
 	return PoolSnapshot{
 		Reuses: c.reuses.Load(),
 		Misses: c.misses.Load(),
-		Drops:  c.drops.Load(),
 	}
 }
 
 // PoolSnapshot is a point-in-time copy of a PoolCounters.
 type PoolSnapshot struct {
-	Reuses, Misses, Drops uint64
+	Reuses, Misses uint64
 }
 
 // Gets is the total number of acquisitions (reuses plus misses).
 func (s PoolSnapshot) Gets() uint64 { return s.Reuses + s.Misses }
 
-// ReusePct is the percentage of gets served from the free list, or 100
+// ReusePct is the percentage of gets served from the pool, or 100
 // for an untouched pool (no gets yet means nothing was ever cold).
 func (s PoolSnapshot) ReusePct() float64 {
 	gets := s.Gets()
@@ -65,6 +58,5 @@ func (s PoolSnapshot) Add(o PoolSnapshot) PoolSnapshot {
 	return PoolSnapshot{
 		Reuses: s.Reuses + o.Reuses,
 		Misses: s.Misses + o.Misses,
-		Drops:  s.Drops + o.Drops,
 	}
 }

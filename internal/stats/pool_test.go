@@ -19,10 +19,9 @@ func TestPoolCountersSnapshot(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		c.Reuse()
 	}
-	c.Drop()
 	snap = c.Snapshot()
-	if snap.Gets() != 10 || snap.Misses != 1 || snap.Reuses != 9 || snap.Drops != 1 {
-		t.Fatalf("snapshot = %+v, want 9 reuses, 1 miss, 1 drop", snap)
+	if snap.Gets() != 10 || snap.Misses != 1 || snap.Reuses != 9 {
+		t.Fatalf("snapshot = %+v, want 9 reuses, 1 miss", snap)
 	}
 	if pct := snap.ReusePct(); pct != 90 {
 		t.Fatalf("reuse = %v%%, want 90%%", pct)
@@ -30,10 +29,10 @@ func TestPoolCountersSnapshot(t *testing.T) {
 }
 
 func TestPoolSnapshotAdd(t *testing.T) {
-	a := PoolSnapshot{Reuses: 3, Misses: 1, Drops: 2}
-	b := PoolSnapshot{Reuses: 7, Misses: 9, Drops: 0}
+	a := PoolSnapshot{Reuses: 3, Misses: 1}
+	b := PoolSnapshot{Reuses: 7, Misses: 9}
 	sum := a.Add(b)
-	want := PoolSnapshot{Reuses: 10, Misses: 10, Drops: 2}
+	want := PoolSnapshot{Reuses: 10, Misses: 10}
 	if sum != want {
 		t.Fatalf("Add = %+v, want %+v", sum, want)
 	}

@@ -410,29 +410,6 @@ func TestProxyFieldNameWhitespaceRejected(t *testing.T) {
 	}
 }
 
-// TestProxyPoolExhaustionAnswers503: a worker whose backend slots are
-// all occupied answers 503 instead of queueing or dialing past the cap.
-func TestProxyPoolExhaustionAnswers503(t *testing.T) {
-	backend := startBackend(t, "origin")
-	p, err := New(Config{Backends: []string{backend.Addr().String()}, Workers: 2, MaxConnsPerBackend: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	front := startFront(t, p)
-	// Occupy every worker's single slot from inside the package —
-	// the one-connection-per-worker serve model cannot reach this state
-	// through traffic, which is exactly why it must be a hard error.
-	for i := range p.workers {
-		p.workers[i].pool.host(backend.Addr().String()).open = 1
-	}
-	conn, br := dialFront(t, front)
-	fmt.Fprint(conn, "GET /whoami HTTP/1.1\r\nHost: edge\r\n\r\n")
-	code, _, _ := readResponse(t, br)
-	if code != 503 {
-		t.Fatalf("exhausted pool: %d, want 503", code)
-	}
-}
-
 // TestProxyRecoversFromBackendIdleClose: the backend times out and
 // closes a pooled idle upstream connection; the next proxied request
 // must still succeed — on Linux the checkout peek discards the dead

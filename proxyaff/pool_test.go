@@ -29,118 +29,100 @@ func stubListener(t *testing.T) net.Listener {
 	return l
 }
 
-func newTestPool(maxIdle, maxConns int) *upstreamPool {
+func newTestPool(backends ...string) *upstreamPool {
 	p := &upstreamPool{}
-	p.init(time.Second, maxIdle, maxConns)
+	p.init(time.Second, backends)
 	return p
 }
 
-// TestPoolReuseLIFO: released connections come back newest-first, and
-// the counters record reuse vs. dial.
-func TestPoolReuseLIFO(t *testing.T) {
-	l := stubListener(t)
-	addr := l.Addr().String()
-	p := newTestPool(4, 8)
+// closed reports whether the pool closed uc's socket.
+func closed(uc *upstreamConn) bool {
+	_, err := uc.c.Write([]byte{0})
+	return errors.Is(err, net.ErrClosed)
+}
 
-	a, reused, err := p.get(addr)
-	if err != nil || reused {
-		t.Fatalf("first get: reused=%v err=%v", reused, err)
+// TestPoolSingleSlot: each backend has one idle slot. A reusable put
+// fills it and the next get reuses it; a non-reusable put, or a
+// reusable one that finds the slot taken, closes the connection; and a
+// slot whose backend hung up fails the peek, is closed and is redialed.
+func TestPoolSingleSlot(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	b, reused, err := p.get(addr)
+	t.Cleanup(func() { l.Close() })
+	accepted := make(chan net.Conn, 8)
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- c
+		}
+	}()
+	t.Cleanup(func() {
+		for len(accepted) > 0 {
+			(<-accepted).Close()
+		}
+	})
+	p := newTestPool(l.Addr().String())
+
+	a, reused, err := p.get(0)
 	if err != nil || reused {
-		t.Fatalf("second get: reused=%v err=%v", reused, err)
+		t.Fatalf("cold get: reused=%v err=%v", reused, err)
 	}
 	p.put(a, true)
-	p.put(b, true) // newest
-	got, reused, err := p.get(addr)
-	if err != nil || !reused {
-		t.Fatalf("third get: reused=%v err=%v", reused, err)
+	got, reused, err := p.get(0)
+	if err != nil || !reused || got != a {
+		t.Fatalf("get after a reusable put: reused=%v same=%v err=%v", reused, got == a, err)
 	}
-	if got != b {
-		t.Error("pool is not LIFO: expected the most recently released conn")
+	if snap := p.counters.Snapshot(); snap.Misses != 1 || snap.Reuses != 1 {
+		t.Errorf("counters = %+v, want 1 miss 1 reuse", snap)
 	}
-	snap := p.counters.Snapshot()
-	if snap.Misses != 2 || snap.Reuses != 1 {
-		t.Errorf("counters = %+v, want 2 misses 1 reuse", snap)
+
+	p.put(a, false)
+	if !closed(a) || p.idle[0] != nil {
+		t.Fatal("a non-reusable put was kept")
+	}
+
+	// Two checkouts at once never happen in traffic; the second
+	// reusable put finds the slot taken and closes its connection.
+	b, _, _ := p.get(0)
+	c, _, _ := p.get(0)
+	p.put(b, true)
+	p.put(c, true)
+	if p.idle[0] != b || closed(b) || !closed(c) {
+		t.Fatal("a full slot must keep its connection and close the second")
+	}
+
+	// The backend hangs up on the idle slot.
+	(<-accepted).Close() // a's, already closed on this side
+	server := <-accepted
+	server.Close()
+	if runtime.GOOS != "linux" {
+		p.closeAll()
+		t.Skip("the slot's liveness peek needs Linux's MSG_PEEK; peek_other.go is optimistic")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for b.alive() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	got, reused, err = p.get(0)
+	if err != nil || reused || got == b {
+		t.Fatalf("get on a dead slot: reused=%v same=%v err=%v", reused, got == b, err)
+	}
+	if !closed(b) {
+		t.Error("the dead slot connection was not closed")
+	}
+	if snap := p.counters.Snapshot(); snap.Misses != 4 {
+		t.Errorf("misses = %d, want 4 (a, b, c and the redial)", snap.Misses)
 	}
 	p.put(got, true)
 	p.closeAll()
-	if p.idleCount(addr) != 0 {
-		t.Error("closeAll left idle conns")
+	if !closed(got) || p.idle[0] != nil {
+		t.Error("closeAll left the slot open")
 	}
-}
-
-// TestPoolIdleCap: releases beyond MaxIdle are dropped (and counted).
-func TestPoolIdleCap(t *testing.T) {
-	l := stubListener(t)
-	addr := l.Addr().String()
-	p := newTestPool(1, 8)
-
-	a, _, _ := p.get(addr)
-	b, _, _ := p.get(addr)
-	p.put(a, true)
-	p.put(b, true) // over the cap: dropped
-	if n := p.idleCount(addr); n != 1 {
-		t.Fatalf("idle = %d, want 1", n)
-	}
-	if snap := p.counters.Snapshot(); snap.Drops != 1 {
-		t.Errorf("drops = %d, want 1", snap.Drops)
-	}
-	p.closeAll()
-}
-
-// TestPoolExhaustionUnderBurst: checkouts beyond MaxConns fail with
-// errPoolExhausted and succeed again once a connection is returned —
-// the burst-shedding behavior the proxy maps to 503.
-func TestPoolExhaustionUnderBurst(t *testing.T) {
-	l := stubListener(t)
-	addr := l.Addr().String()
-	p := newTestPool(2, 2)
-
-	a, _, err := p.get(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := p.get(addr); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := p.get(addr); !errors.Is(err, errPoolExhausted) {
-		t.Fatalf("third concurrent checkout: %v, want errPoolExhausted", err)
-	}
-	// Returning one frees a slot; a non-reusable return frees it too.
-	p.put(a, false)
-	c, _, err := p.get(addr)
-	if err != nil {
-		t.Fatalf("checkout after release: %v", err)
-	}
-	p.put(c, true)
-	p.closeAll()
-}
-
-// TestPoolFlushIdle: flushing a backend's idle list closes the conns
-// and frees their open slots, so the next checkout dials fresh.
-func TestPoolFlushIdle(t *testing.T) {
-	l := stubListener(t)
-	addr := l.Addr().String()
-	p := newTestPool(4, 2)
-
-	a, _, _ := p.get(addr)
-	b, _, _ := p.get(addr)
-	p.put(a, true)
-	p.put(b, true)
-	p.flushIdle(addr)
-	if n := p.idleCount(addr); n != 0 {
-		t.Fatalf("idle after flush = %d, want 0", n)
-	}
-	// Both MaxConns slots must be free again.
-	if _, _, err := p.get(addr); err != nil {
-		t.Fatalf("first checkout after flush: %v", err)
-	}
-	if _, _, err := p.get(addr); err != nil {
-		t.Fatalf("second checkout after flush: %v", err)
-	}
-	p.flushIdle("absent:0") // no-op on unknown hosts
-	p.closeAll()
 }
 
 // TestParseContentLength pins the response-side framing cap: unlike
@@ -173,8 +155,8 @@ func TestParseContentLength(t *testing.T) {
 	}
 }
 
-// TestPoolDialFailure: a dead backend fails the checkout without
-// charging open-conn slots.
+// TestPoolDialFailure: a dead backend fails the checkout and leaves
+// its slot empty; the other backend's checkouts are unaffected.
 func TestPoolDialFailure(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -182,14 +164,16 @@ func TestPoolDialFailure(t *testing.T) {
 	}
 	dead := l.Addr().String()
 	l.Close() // nothing listens here now
-	p := newTestPool(2, 1)
+	live := stubListener(t)
+	p := newTestPool(dead, live.Addr().String())
 
-	if _, _, err := p.get(dead); err == nil {
+	if _, _, err := p.get(0); err == nil {
 		t.Fatal("dial to dead backend succeeded")
 	}
-	// The failed dial must not leak the single MaxConns slot.
-	live := stubListener(t)
-	if _, _, err := p.get(live.Addr().String()); err != nil {
+	if p.idle[0] != nil {
+		t.Error("a failed dial filled its slot")
+	}
+	if _, _, err := p.get(1); err != nil {
 		t.Fatalf("checkout after failed dial: %v", err)
 	}
 	if snap := p.counters.Snapshot(); snap.Misses != 1 {
@@ -221,10 +205,9 @@ func TestPoolLivenessPeek(t *testing.T) {
 			accepted <- c
 		}
 	}()
-	addr := l.Addr().String()
-	p := newTestPool(2, 4)
+	p := newTestPool(l.Addr().String())
 
-	a, _, err := p.get(addr)
+	a, _, err := p.get(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +220,7 @@ func TestPoolLivenessPeek(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	got, reused, err := p.get(addr)
+	got, reused, err := p.get(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,10 +257,9 @@ func TestPoolPeekRejectsDirtyConn(t *testing.T) {
 			accepted <- c
 		}
 	}()
-	addr := l.Addr().String()
-	p := newTestPool(2, 4)
+	p := newTestPool(l.Addr().String())
 
-	a, _, err := p.get(addr)
+	a, _, err := p.get(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +273,7 @@ func TestPoolPeekRejectsDirtyConn(t *testing.T) {
 	for a.alive() && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	got, reused, err := p.get(addr)
+	got, reused, err := p.get(0)
 	if err != nil {
 		t.Fatal(err)
 	}

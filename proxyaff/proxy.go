@@ -32,6 +32,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -81,10 +82,6 @@ type Config struct {
 	// head is committed, truncation + close after.
 	ExchangeTimeout time.Duration
 
-	// MaxConnsPerBackend caps each worker's open connections per
-	// backend (default 64); checkouts beyond it are answered 503.
-	MaxConnsPerBackend int
-
 	// EjectAfter is the consecutive-failure count that passively ejects
 	// a backend (default 2); EjectFor is how long it stays ejected
 	// before the next request to it becomes the re-probe (default 1s).
@@ -123,9 +120,6 @@ func (c *Config) fill() error {
 		c.ExchangeTimeout = 30 * time.Second
 	} else if c.ExchangeTimeout < 0 {
 		c.ExchangeTimeout = 0 // explicit opt-out: no deadline
-	}
-	if c.MaxConnsPerBackend <= 0 {
-		c.MaxConnsPerBackend = 64
 	}
 	if c.EjectAfter <= 0 {
 		c.EjectAfter = 2
@@ -178,13 +172,15 @@ type Proxy struct {
 	tunneled atomic.Uint64 // 101 upgrades relayed, lifetime
 }
 
-// New creates a Proxy. Wire p.Serve as the httpaff handler and
-// p.PoolSnapshot as httpaff.Config.WorkerUpstream so serve.Stats
-// carries the upstream pool counters.
+// New creates a Proxy whose every worker keeps at most one idle
+// upstream connection per backend. Wire p.Serve as the httpaff handler
+// and p.PoolSnapshot as httpaff.Config.WorkerUpstream so the serving
+// httpaff.Server's Stats carries the upstream pool counters.
 func New(cfg Config) (*Proxy, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
+	cfg.Backends = slices.Clone(cfg.Backends) // the pools dial by index into it; the caller may reuse theirs
 	p := &Proxy{
 		cfg:      cfg,
 		backends: make([]backendState, len(cfg.Backends)),
@@ -195,7 +191,7 @@ func New(cfg Config) (*Proxy, error) {
 	}
 	for i := range p.workers {
 		w := &p.workers[i]
-		w.pool.init(cfg.DialTimeout, maxIdlePerBackend, cfg.MaxConnsPerBackend)
+		w.pool.init(cfg.DialTimeout, cfg.Backends)
 		w.hbuf = make([]byte, 4096)
 		w.rbuf = make([]byte, 0, 1024)
 		w.exch = obs.NewHist(obs.DefaultSubBits)
@@ -203,8 +199,10 @@ func New(cfg Config) (*Proxy, error) {
 	return p, nil
 }
 
-// PoolSnapshot reports one worker's upstream pool counters; wire it as
-// httpaff.Config.WorkerUpstream. Out-of-range workers (a serve/proxy
+// PoolSnapshot reports one worker's upstream pool counters — Misses
+// dialed, Reuses served from the worker's idle slot for the backend;
+// wire it as httpaff.Config.WorkerUpstream, whose Server.Stats reads it
+// into Stats.Upstream. Out-of-range workers (a serve/proxy
 // worker-count mismatch) report a zero snapshot rather than panicking
 // inside a Stats call — Serve answers the same mismatch with a 500.
 func (p *Proxy) PoolSnapshot(worker int) stats.PoolSnapshot {
@@ -271,11 +269,12 @@ func (p *Proxy) Close() {
 	}
 }
 
-// pick selects the backend for a request on worker wid: the policy's
-// preferred backend, falling through ejected ones in order. When every
-// backend is ejected the preferred one is picked anyway — with nothing
-// healthy the request doubles as the earliest possible re-probe.
-func (p *Proxy) pick(w *proxyWorker, wid int, now int64) *backendState {
+// pick selects the index of the backend for a request on worker wid:
+// the policy's preferred backend, falling through ejected ones in
+// order. When every backend is ejected the preferred one is picked
+// anyway — with nothing healthy the request doubles as the earliest
+// possible re-probe.
+func (p *Proxy) pick(w *proxyWorker, wid int, now int64) int {
 	n := len(p.backends)
 	var start int
 	if p.cfg.Policy == WorkerPinned {
@@ -285,11 +284,11 @@ func (p *Proxy) pick(w *proxyWorker, wid int, now int64) *backendState {
 		w.rr++
 	}
 	for i := 0; i < n; i++ {
-		if b := &p.backends[(start+i)%n]; !b.ejected(now) {
+		if b := (start + i) % n; !p.backends[b].ejected(now) {
 			return b
 		}
 	}
-	return &p.backends[start]
+	return start
 }
 
 // fail records a backend failure; crossing EjectAfter ejects it for
@@ -364,12 +363,9 @@ func (p *Proxy) Serve(ctx *httpaff.RequestCtx) {
 	t0 := obs.Nanos()
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
-		b := p.pick(w, wid, now.UnixNano())
-		uc, reused, err := w.pool.get(b.addr)
-		if err == errPoolExhausted {
-			respondError(ctx, http.StatusServiceUnavailable, "upstream pool exhausted")
-			return
-		}
+		bi := p.pick(w, wid, now.UnixNano())
+		b := &p.backends[bi]
+		uc, reused, err := w.pool.get(bi)
 		if err != nil { // dial failure
 			p.fail(b)
 			lastErr = err
@@ -384,10 +380,6 @@ func (p *Proxy) Serve(ctx *httpaff.RequestCtx) {
 		if !retry {
 			break
 		}
-		// The reused conn was stale; its idle siblings date from the
-		// same era (a backend restart kills them together), so flush
-		// them and let the retry dial fresh.
-		w.pool.flushIdle(b.addr)
 	}
 	if lastErr != nil {
 		respondUpstreamError(ctx, lastErr)

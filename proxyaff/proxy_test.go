@@ -497,7 +497,7 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("minimal config rejected: %v", err)
 	}
-	if p.cfg.MaxConnsPerBackend <= 0 || p.cfg.EjectAfter <= 0 {
+	if p.cfg.EjectAfter <= 0 {
 		t.Error("defaults not applied")
 	}
 }

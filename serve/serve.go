@@ -133,21 +133,6 @@ type Config struct {
 	PerIPAcceptRate float64
 	// PerIPAcceptBurst is the per-IP bucket depth (0 = max(8, rate)).
 	PerIPAcceptBurst int
-
-	// WorkerPool, if set, is called by Stats with each worker index and
-	// reports that worker's application-layer object-pool counters. The
-	// httpaff layer wires its worker-local arenas through this, so the
-	// same snapshot that proves connections stay local (ServedLocal)
-	// also proves the memory behind them does (pool reuse rate).
-	WorkerPool func(worker int) PoolStats
-
-	// WorkerUpstream, if set, reports each worker's upstream
-	// connection-pool counters — the outbound dual of WorkerPool. The
-	// proxyaff layer wires its per-worker backend pools through this, so
-	// one Stats snapshot covers the whole core-local path: inbound
-	// locality (ServedLocal), request memory (Pool) and upstream
-	// connection reuse (Upstream).
-	WorkerUpstream func(worker int) PoolStats
 }
 
 func (c *Config) fill() error {
@@ -752,14 +737,6 @@ func (s *Server) Stats() Stats {
 			DecayTicks:   w.decayTicks.Load(),
 			Parked:       s.loops[i].Len(),
 			ClockLagUs:   s.ClockLag(i).Microseconds(),
-		}
-		if s.cfg.WorkerPool != nil {
-			st.Workers[i].Pool = s.cfg.WorkerPool(i)
-			st.Pool = st.Pool.Add(st.Workers[i].Pool)
-		}
-		if s.cfg.WorkerUpstream != nil {
-			st.Workers[i].Upstream = s.cfg.WorkerUpstream(i)
-			st.Upstream = st.Upstream.Add(st.Workers[i].Upstream)
 		}
 		st.Accepted += st.Workers[i].Accepted
 		st.Queued += st.Workers[i].QueueDepth

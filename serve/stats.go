@@ -6,11 +6,10 @@ import (
 	"affinityaccept/internal/stats"
 )
 
-// PoolStats counts one worker-local object pool's traffic, as reported
-// by the Config.WorkerPool hook: Reuses were served from the worker's
-// free list (the warm, core-local path), Misses had to allocate, Drops
-// were discarded on release because the free list was full. It carries
-// Gets, ReusePct and Add from the stats layer's snapshot type.
+// PoolStats counts one worker-local object pool's traffic: Reuses were
+// served from the worker's own slot (the warm, core-local path), Misses
+// had to allocate or dial. It carries Gets, ReusePct and Add from the
+// stats layer's snapshot type.
 type PoolStats = stats.PoolSnapshot
 
 // WorkerStats is one worker's view of the balancer, mirroring the
@@ -51,13 +50,11 @@ type WorkerStats struct {
 	// loops stay under one poll interval (~50ms); a persistently larger
 	// lag means the loop goroutine is starved of CPU.
 	ClockLagUs int64
-	// Pool is this worker's application object-pool traffic (zero
-	// unless Config.WorkerPool is set).
-	Pool PoolStats
-	// Upstream is this worker's upstream connection-pool traffic —
-	// backend connections dialed (Misses), reused from the worker's own
-	// free list (Reuses) and discarded over the idle cap (Drops). Zero
-	// unless Config.WorkerUpstream is set.
+	// Pool is this worker's request-context traffic and Upstream its
+	// upstream connection-pool traffic — backend connections dialed
+	// (Misses) or reused from the worker's own idle slot (Reuses). This
+	// layer leaves both zero; httpaff.Server.Stats fills them.
+	Pool     PoolStats
 	Upstream PoolStats
 }
 
@@ -96,11 +93,9 @@ type Stats struct {
 	// (one epoll registration each on Linux), costing no goroutine and
 	// no worker capacity.
 	Parked int64
-	// Pool aggregates the per-worker object-pool counters (zero unless
-	// Config.WorkerPool is set).
-	Pool PoolStats
-	// Upstream aggregates the per-worker upstream connection-pool
-	// counters (zero unless Config.WorkerUpstream is set).
+	// Pool and Upstream aggregate the per-worker pool counters; like
+	// those, they are zero here and filled by httpaff.Server.Stats.
+	Pool     PoolStats
 	Upstream PoolStats
 	// Queued and Active are instantaneous totals across workers.
 	Queued  int

@@ -111,6 +111,10 @@ type wsWorker struct {
 	counters stats.PoolCounters
 }
 
+// upgradeToken is the Connection option a handshake must carry, in any
+// of its Connection fields.
+var upgradeToken = []byte("upgrade")
+
 // codecBufSize is each worker codec's initial frame buffer size. The
 // buffers grow to the workload's largest message and stay there.
 const codecBufSize = 4096
@@ -282,7 +286,7 @@ func (ws *WS) Upgrade(ctx *httpaff.RequestCtx) bool {
 	}
 	if !http11.EqualFold(ctx.Method(), "get") ||
 		!http11.EqualFold(ctx.Header("upgrade"), "websocket") ||
-		!http11.TokenListContains(ctx.Header("connection"), "upgrade") {
+		!ctx.ConnectionNominates(upgradeToken) {
 		ctx.SetStatus(http.StatusBadRequest)
 		ctx.WriteString("not a websocket upgrade")
 		return false

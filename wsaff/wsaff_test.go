@@ -195,6 +195,20 @@ func TestUpgradeHandshake(t *testing.T) {
 	if !strings.Contains(status, "200") {
 		t.Fatalf("plain route status %q", status)
 	}
+
+	// The upgrade option may arrive in any of several Connection fields.
+	split, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer split.Close()
+	split.SetDeadline(time.Now().Add(10 * time.Second))
+	fmt.Fprint(split, "GET /ws HTTP/1.1\r\nHost: t\r\nUpgrade: websocket\r\nConnection: keep-alive\r\n"+
+		"Connection: Upgrade\r\nSec-WebSocket-Key: "+testKey+"\r\nSec-WebSocket-Version: 13\r\n\r\n")
+	cl = &wsClient{conn: split, br: bufio.NewReader(split)}
+	if status, _ := cl.readResponseHead(t); !strings.Contains(status, "101") {
+		t.Fatalf("upgrade in the second Connection field: status %q, want 101", status)
+	}
 }
 
 func TestUpgradeRejections(t *testing.T) {
