@@ -11,7 +11,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Series is one scrape: the full series name, label set included, to
@@ -86,11 +85,6 @@ func Write(w io.Writer, s Series) {
 	if limited+shed+rejected+retries+budget > 0 {
 		fmt.Fprintf(w, "admission: ratelimited %.0f  shed-parked %.0f  budget-rejected %.0f  accept-retries %.0f  live %.0f (peak %.0f / budget %.0f)\n",
 			limited, shed, rejected, retries, s["affinity_live_conns"], s["affinity_live_conns_peak"], budget)
-	}
-	if iv := s["affinity_migrate_interval_seconds"]; iv > 0 {
-		fmt.Fprintf(w, "adaptive: interval %s  frozen groups %.0f (freezes %.0f, thaws %.0f)\n",
-			time.Duration(iv*float64(time.Second)).Round(time.Millisecond), s["affinity_frozen_groups"],
-			s["affinity_group_freezes_total"], s["affinity_group_unfreezes_total"])
 	}
 
 	fmt.Fprintf(w, headerFmt, "worker", "accepted", "local", "stolen",

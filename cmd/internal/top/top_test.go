@@ -48,16 +48,11 @@ affinity_live_conns_peak 1000000
 affinity_conn_budget 1048576
 affinity_clock_lag_seconds{worker="0"} 0.049021
 affinity_clock_lag_seconds{worker="1"} 0
-affinity_migrate_interval_seconds 0.4
-affinity_frozen_groups 2
-affinity_group_freezes_total 9
-affinity_group_unfreezes_total 7
 `
 	const want = "" +
 		"mode: SO_REUSEPORT per-worker listeners, 512 flow groups\n" +
 		"accepted 12345678901  served 23456789012 (89.5% local)  stolen 2456789012  dropped 42  requeued 9876543210  parked 1000000  migrations 1234  queued 7  active 64\n" +
 		"admission: ratelimited 5  shed-parked 6  budget-rejected 7  accept-retries 8  live 900000 (peak 1000000 / budget 1048576)\n" +
-		"adaptive: interval 400ms  frozen groups 2 (freezes 9, thaws 7)\n" +
 		"worker    accepted       local      stolen  active  qdepth   parked  groups  migr-in   lag-us  busy\n" +
 		"0      12345678901 21000000000  2456789012      32       3 12345678     256      617    49021     *\n" +
 		"1                0           0           0      32       4        0     256        0        0      \n"

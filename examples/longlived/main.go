@@ -73,7 +73,7 @@ func run(stealOnly bool) (serve.Stats, error) {
 		Backlog:          workers * 64,
 		HighPct:          20, // engage stealing (and thus migration) early
 		LowPct:           5,
-		Handler: func(conn net.Conn) {
+		WorkerHandler: func(_ int, conn net.Conn) {
 			buf := make([]byte, payload)
 			if _, err := io.ReadFull(conn, buf); err != nil {
 				conn.Close()

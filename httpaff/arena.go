@@ -4,7 +4,7 @@ import (
 	"net/http"
 	"time"
 
-	"affinityaccept/internal/stats"
+	"affinityaccept/serve"
 )
 
 // arena is one worker's private RequestCtx slot. It is deliberately
@@ -26,7 +26,7 @@ import (
 type arena struct {
 	s        *Server
 	ctx      *RequestCtx // the warm context; nil while checked out
-	counters stats.PoolCounters
+	counters serve.PoolCounters
 
 	// mid is the response head from "Server: " through "Content-Type: ",
 	// its Date the second sec of the worker's coarse clock. It is rebuilt

@@ -196,8 +196,6 @@ func TestScrapingUnderLoad(t *testing.T) {
 		"affinity_shed_parked_total":     st.ShedParked,
 		"affinity_budget_rejected_total": st.BudgetRejected,
 		"affinity_accept_retries_total":  st.AcceptRetries,
-		"affinity_group_freezes_total":   st.GroupFreezes,
-		"affinity_group_unfreezes_total": st.GroupUnfreezes,
 		"affinity_events_recorded_total": s.Transport().EventsRecorded(),
 		"affinity_events_dropped_total":  s.Transport().EventsDropped(),
 	}

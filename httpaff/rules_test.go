@@ -14,39 +14,47 @@ import (
 	"affinityaccept/serve"
 )
 
-// TestProductionLinksNoSimulator keeps DESIGN.md's layering rule true:
-// the production packages, and every tool and example that serves
-// traffic, import no simulator package, directly or transitively, and
-// no production package imports the root package, the simulator's
-// facade. internal/core is the only part of the reproduction they
-// share.
+// TestProductionLinksNoSimulator keeps DESIGN.md's layering rule true.
+// The production set is a checked definition: serve, httpaff, proxyaff
+// and wsaff may link, directly or transitively, only each other and
+// internal/{core,evloop,obs,admit,http11} of this module. The tools and
+// examples that serve traffic import no simulator package and do not
+// reach the server through the root package, the simulator's facade.
 func TestProductionLinksNoSimulator(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("no go tool on PATH")
 	}
-	simulator := `affinityaccept/internal/(sim|mem|sched|tcp|nic|app|locks|perfctr|workload|experiments)`
-	// The production packages may not link the load generator either.
-	production := regexp.MustCompile(`^(affinityaccept|` + simulator + `|affinityaccept/internal/loadgen)$`)
-	// The serving binaries may drive load with internal/loadgen, which
-	// imports no simulator package, but not reach the server through the
-	// root package: that is the simulator's facade.
-	binary := regexp.MustCompile(`^(affinityaccept|` + simulator + `)$`)
-	for pkg, banned := range map[string]*regexp.Regexp{
-		"serve": production, "httpaff": production, "proxyaff": production, "wsaff": production,
-		"cmd/affinity-top":   binary,
-		"examples/reuseport": binary, "examples/longlived": binary, "examples/webfarm": binary,
-		"examples/edgeproxy": binary, "examples/chat": binary,
-	} {
-		out, err := exec.Command("go", "list", "-deps", "affinityaccept/"+pkg).Output()
-		if err != nil {
-			t.Fatalf("go list -deps %s: %v", pkg, err)
+	production := regexp.MustCompile(`^affinityaccept/(serve|httpaff|proxyaff|wsaff|internal/(core|evloop|obs|admit|http11))$`)
+	for _, pkg := range []string{"serve", "httpaff", "proxyaff", "wsaff"} {
+		for _, dep := range listDeps(t, pkg) {
+			if (dep == "affinityaccept" || strings.HasPrefix(dep, "affinityaccept/")) && !production.MatchString(dep) {
+				t.Errorf("%s links %s, which is outside the production set", pkg, dep)
+			}
 		}
-		for _, dep := range strings.Fields(string(out)) {
-			if banned.MatchString(dep) {
+	}
+	// The serving binaries may drive load with internal/loadgen, which
+	// imports no simulator package.
+	simulator := regexp.MustCompile(`^affinityaccept(/internal/(sim|mem|sched|tcp|nic|app|locks|perfctr|workload|experiments))?$`)
+	for _, pkg := range []string{
+		"cmd/affinity-top", "examples/reuseport", "examples/longlived", "examples/webfarm",
+		"examples/edgeproxy", "examples/chat",
+	} {
+		for _, dep := range listDeps(t, pkg) {
+			if simulator.MatchString(dep) {
 				t.Errorf("%s links simulator package %s", pkg, dep)
 			}
 		}
 	}
+}
+
+// listDeps returns `go list -deps` of one package of this module.
+func listDeps(t *testing.T, pkg string) []string {
+	t.Helper()
+	out, err := exec.Command("go", "list", "-deps", "affinityaccept/"+pkg).Output()
+	if err != nil {
+		t.Fatalf("go list -deps %s: %v", pkg, err)
+	}
+	return strings.Fields(string(out))
 }
 
 // TestCINamesOnlyExistingTests keeps the CI workflow's -run patterns

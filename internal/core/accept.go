@@ -6,7 +6,8 @@
 //     vector readable in one load);
 //   - the connection-stealing policy (non-busy cores steal from busy
 //     cores, 5:1 proportional share between local and remote accepts,
-//     round-robin victim selection);
+//     round-robin victim selection over every other core, all treated
+//     as equidistant);
 //   - the flow-group table and migration policy (4,096 source-port
 //     groups spread over cores; every balancing interval a non-busy core
 //     migrates one group away from the victim it stole from most).
@@ -22,9 +23,8 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
-
-	"affinityaccept/internal/stats"
 )
 
 // Defaults from the paper.
@@ -54,16 +54,6 @@ type Config struct {
 	// StealRatio is the number of local accepts per remote accept on a
 	// non-busy core. Zero selects the paper default (5).
 	StealRatio int
-	// ChipOf maps a core to its chip, making the steal victim scan
-	// NUMA-distance-aware: victims are ordered by non-decreasing chip
-	// distance (same chip first, then chips one interconnect hop away,
-	// and so on — Table 1's remote latencies are between the chips
-	// farthest apart), with round-robin fairness preserved within each
-	// distance tier. The paper's 5:1 proportional share is untouched;
-	// only *which* busy victim a steal prefers changes. nil means a
-	// flat machine: every core equidistant, the original wraparound
-	// scan order.
-	ChipOf func(core int) int
 }
 
 func (c *Config) fill() {
@@ -119,21 +109,62 @@ func (r *ring[T]) pop() (T, bool) {
 
 func (r *ring[T]) len() int { return r.size }
 
+// ewma is the exponentially weighted moving average of one core's
+// queue length (§3.3). The paper sets alpha to one over twice the
+// maximum local queue length, so the average tracks the slowly moving
+// mean while the instantaneous length oscillates around it. The first
+// observation seeds the average.
+type ewma struct {
+	alpha float64
+	value float64
+	seen  bool
+}
+
+// newQueueEWMA returns the paper's EWMA for a queue of the given
+// maximum local length: alpha = 1 / (2 * maxLocalLen), so a max length
+// of 64 yields alpha = 1/128.
+func newQueueEWMA(maxLocalLen int) ewma {
+	if maxLocalLen <= 0 {
+		panic("core: queue EWMA needs a positive max length")
+	}
+	return ewma{alpha: 1 / (2 * float64(maxLocalLen))}
+}
+
+// Observe folds a new sample into the average.
+func (e *ewma) Observe(sample float64) {
+	if !e.seen {
+		e.value, e.seen = sample, true
+		return
+	}
+	e.value += e.alpha * (sample - e.value)
+}
+
+// ObserveN folds n consecutive observations of the same sample into the
+// average in closed form: v' = sample + (v - sample)·(1-alpha)^n. A
+// worker that samples its queue far less often than connections arrive
+// uses it to catch the average up with the time it slept through.
+func (e *ewma) ObserveN(sample float64, n int) {
+	if n <= 0 {
+		return
+	}
+	if !e.seen {
+		e.value, e.seen = sample, true
+		return
+	}
+	e.value = sample + (e.value-sample)*math.Pow(1-e.alpha, float64(n))
+}
+
+// Value reports the current average, or zero before any observation.
+func (e *ewma) Value() float64 { return e.value }
+
 // perCore is the accept state of one core.
 type perCore struct {
-	ewma       *stats.EWMA
+	ewma       ewma
 	sinceSteal int // local accepts since the last remote accept
 	stolenFrom []uint64
-
-	// order is the core's steal-scan order: every other core sorted by
-	// non-decreasing chip distance (see Config.ChipOf), ties broken by
-	// wraparound core number so a flat topology reproduces the original
-	// round-robin scan. tierEnd marks the exclusive end of each distance
-	// tier within order; cursor holds one rotation offset per tier so
-	// victims within a tier are still picked round-robin.
-	order   []int32
-	tierEnd []int32
-	cursor  []int32
+	// cursor is where the next steal scan starts, one past the last
+	// victim: it names victim core+1+cursor (mod Cores), in 0..Cores-2.
+	cursor int
 }
 
 // Queues implements Affinity-Accept's per-core accept queues and
@@ -180,13 +211,9 @@ func NewQueues[T any](cfg Config) *Queues[T] {
 	}
 	for i := range q.rings {
 		q.rings[i] = newRing[T](maxLocal)
-		order, tierEnd := victimOrder(i, cfg.Cores, cfg.ChipOf)
 		q.cores[i] = perCore{
-			ewma:       stats.NewQueueEWMA(maxLocal),
+			ewma:       newQueueEWMA(maxLocal),
 			stolenFrom: make([]uint64, cfg.Cores),
-			order:      order,
-			tierEnd:    tierEnd,
-			cursor:     make([]int32, len(tierEnd)),
 		}
 	}
 	return q
@@ -321,39 +348,38 @@ func (q *Queues[T]) popLocal(core int) (T, bool) {
 	return v, ok
 }
 
-// stealFrom scans busy cores in distance order — nearest tier first,
-// round-robin within a tier starting one past the last victim — and
-// steals the oldest connection from the first busy core with queued
-// work. A cross-chip victim is therefore chosen only when no same-chip
-// (or nearer-chip) core is stealable, keeping the stolen connection's
-// cache lines on the cheap side of Table 1's latency cliff. Returns the
-// victim core.
+// stealFrom scans every other core round-robin, starting one past the
+// last victim, and steals the oldest connection from the first busy
+// core with queued work. Every core is equidistant (§3.3): the scan
+// walks core+1, core+2, ... with wraparound. Returns the victim core.
 func (q *Queues[T]) stealFrom(core int) (T, int, bool) {
 	var zero T
 	st := &q.cores[core]
-	start := int32(0)
-	for t, end := range st.tierEnd {
-		size := end - start
-		cur := st.cursor[t]
-		for j := int32(0); j < size; j++ {
-			victim := int(st.order[start+(cur+j)%size])
-			if !q.busy(victim) {
-				continue
-			}
-			q.maybeClearBusy(victim)
-			if !q.busy(victim) {
-				continue
-			}
-			if v, ok := q.rings[victim].pop(); ok {
-				st.cursor[t] = (cur + j + 1) % size
-				st.stolenFrom[victim]++
-				st.sinceSteal = 0
-				q.Steals++
-				q.cores[victim].ewma.Observe(float64(q.rings[victim].len()))
-				return v, victim, true
-			}
+	n := q.cfg.Cores
+	off := st.cursor
+	for j := 1; j < n; j++ {
+		victim := core + 1 + off
+		if victim >= n {
+			victim -= n
 		}
-		start = end
+		if off++; off == n-1 {
+			off = 0
+		}
+		if !q.busy(victim) {
+			continue
+		}
+		q.maybeClearBusy(victim)
+		if !q.busy(victim) {
+			continue
+		}
+		if v, ok := q.rings[victim].pop(); ok {
+			st.cursor = off
+			st.stolenFrom[victim]++
+			st.sinceSteal = 0
+			q.Steals++
+			q.cores[victim].ewma.Observe(float64(q.rings[victim].len()))
+			return v, victim, true
+		}
 	}
 	return zero, -1, false
 }
@@ -415,7 +441,7 @@ func (q *Queues[T]) Pop(core int) (v T, from int, ok bool) {
 		var zero T
 		return zero, -1, false
 	}
-	// Nothing local: steal from the nearest busy core.
+	// Nothing local: steal from the next busy core.
 	return q.stealFrom(core)
 }
 

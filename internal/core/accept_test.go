@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -372,5 +374,148 @@ func TestCountersConsistent(t *testing.T) {
 	if q.Locals+q.Steals+uint64(q.TotalLen()) != q.Pushes-q.Drops {
 		t.Fatalf("counter identity violated: locals=%d steals=%d drops=%d pushes=%d left=%d",
 			q.Locals, q.Steals, q.Drops, q.Pushes, q.TotalLen())
+	}
+}
+
+// TestEmptyPopLeavesNothingStealable pins the invariant that makes a
+// second scan in Pop dead code: over random core counts and random
+// Push/Pop/ObserveIdle schedules, a Pop by a non-busy core that comes
+// back empty leaves no other core busy with queued connections — the
+// steal scan has already visited every one.
+func TestEmptyPopLeavesNothingStealable(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261015))
+	exercised := 0 // empty pops beside a core that still had connections queued
+	for iter := 0; iter < 200; iter++ {
+		n := 2 + rng.Intn(11) // 2–12 cores
+		q := NewQueues[int](Config{Cores: n, Backlog: 8 * n, HighPct: 20 + 60*rng.Float64(), LowPct: 15})
+		hot := rng.Intn(n) // half the pushes pile onto one core so it turns busy
+		for step := 0; step < 400; step++ {
+			c := rng.Intn(n)
+			switch rng.Intn(4) {
+			case 0:
+				q.Push(hot, step)
+			case 1:
+				q.Push(c, step)
+			case 2:
+				q.ObserveIdle(c, rng.Intn(20))
+			case 3:
+				busy := q.Busy(c)
+				if _, _, ok := q.Pop(c); ok || busy {
+					continue
+				}
+				for v := 0; v < n; v++ {
+					if v == c || q.Len(v) == 0 {
+						continue
+					}
+					exercised++
+					if q.Busy(v) {
+						t.Fatalf("iter %d (%d cores) step %d: core %d popped nothing while core %d is busy with %d queued",
+							iter, n, step, c, v, q.Len(v))
+					}
+				}
+			}
+		}
+	}
+	if exercised == 0 {
+		t.Fatal("no empty Pop ever ran beside queued connections: the schedule tests nothing")
+	}
+}
+
+func TestEWMAFirstObservationSeeds(t *testing.T) {
+	e := ewma{alpha: 0.5}
+	if e.seen {
+		t.Fatal("fresh EWMA claims to have seen samples")
+	}
+	e.Observe(10)
+	if got := e.Value(); got != 10 {
+		t.Fatalf("first observation should seed value: got %v", got)
+	}
+}
+
+func TestEWMAConvergesToConstant(t *testing.T) {
+	e := ewma{alpha: 0.1}
+	for i := 0; i < 500; i++ {
+		e.Observe(42)
+	}
+	if math.Abs(e.Value()-42) > 1e-9 {
+		t.Fatalf("EWMA of constant stream = %v, want 42", e.Value())
+	}
+}
+
+func TestEWMATracksShift(t *testing.T) {
+	e := ewma{alpha: 0.25}
+	for i := 0; i < 100; i++ {
+		e.Observe(0)
+	}
+	for i := 0; i < 100; i++ {
+		e.Observe(100)
+	}
+	if e.Value() < 99 {
+		t.Fatalf("EWMA did not track level shift: %v", e.Value())
+	}
+}
+
+func TestQueueEWMAAlphaRule(t *testing.T) {
+	// Paper §3.3: max local accept queue length 64 -> alpha 1/128.
+	e := newQueueEWMA(64)
+	if got, want := e.alpha, 1.0/128; got != want {
+		t.Fatalf("alpha = %v, want %v", got, want)
+	}
+}
+
+func TestQueueEWMARejectsNonPositive(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for non-positive max length")
+		}
+	}()
+	newQueueEWMA(0)
+}
+
+// Property: EWMA stays within the [min, max] hull of its inputs.
+func TestEWMABoundedByInputHull(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		e := ewma{alpha: 0.2}
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for i := 0; i < 200; i++ {
+			v := rng.Float64() * 1000
+			lo = math.Min(lo, v)
+			hi = math.Max(hi, v)
+			e.Observe(v)
+			if e.Value() < lo-1e-9 || e.Value() > hi+1e-9 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestEWMAObserveNMatchesRepeatedObserve(t *testing.T) {
+	a := ewma{alpha: 1.0 / 128}
+	b := ewma{alpha: 1.0 / 128}
+	a.Observe(40)
+	b.Observe(40)
+	for i := 0; i < 257; i++ {
+		a.Observe(3)
+	}
+	b.ObserveN(3, 257)
+	if math.Abs(a.Value()-b.Value()) > 1e-9 {
+		t.Fatalf("ObserveN(3, 257) = %v, repeated Observe = %v", b.Value(), a.Value())
+	}
+}
+
+func TestEWMAObserveNSeedsAndIgnoresNonPositive(t *testing.T) {
+	e := ewma{alpha: 0.5}
+	e.ObserveN(7, 0)
+	if e.seen {
+		t.Fatal("ObserveN with n=0 should be a no-op")
+	}
+	e.ObserveN(7, 3)
+	if got := e.Value(); got != 7 {
+		t.Fatalf("first ObserveN should seed value: got %v", got)
 	}
 }

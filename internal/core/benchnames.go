@@ -16,7 +16,7 @@ func NewGuarded[T any](cfg Config) *Queues[T] { return NewQueues[T](cfg) }
 // NewGuardedFlowTable is NewFlowTable.
 func NewGuardedFlowTable(nGroups, cores int) *FlowTable { return NewFlowTable(nGroups, cores) }
 
-// BalanceTable is Balance(t, q, eligible, nil).
+// BalanceTable is Balance.
 func (q *Queues[T]) BalanceTable(t *FlowTable, eligible func(core int) bool) []Migration {
-	return Balance(t, q, eligible, nil)
+	return Balance(t, q, eligible)
 }

@@ -144,15 +144,10 @@ func (t *FlowTable) LoadOf(group int) uint64 {
 // load, or -1 when the victim owns none. With no load data (the
 // simulator never observes load) every group ties at zero and the
 // lowest-numbered group wins, matching the original arbitrary pick.
-// The optional groupOK veto excludes groups (the adaptive controller's
-// oscillation freeze); a vetoed group is skipped, not counted.
-func (t *FlowTable) hottestGroupOn(core int, groupOK func(group int) bool) int {
+func (t *FlowTable) hottestGroupOn(core int) int {
 	best, bestLoad := -1, uint64(0)
 	for g, c := range t.groupOf {
 		if int(c) != core {
-			continue
-		}
-		if groupOK != nil && !groupOK(g) {
 			continue
 		}
 		if best < 0 || t.load[g] > bestLoad {
@@ -175,11 +170,8 @@ func (t *FlowTable) decayLoads() {
 // `core` stole the most connections, and select the victim's hottest
 // flow group to migrate to `core`. It returns ok=false when the core
 // stole nothing, is itself the top victim, or the victim has no groups
-// left. Groups for which the optional groupOK veto returns false are
-// never selected: the migration controller passes its oscillation-freeze
-// set here, so a ping-ponging group sits out its cooldown while the
-// victim's other groups remain migratable.
-func (t *FlowTable) pickMigration(core int, stolenFrom []uint64, groupOK func(group int) bool) (group, victim int, ok bool) {
+// left.
+func (t *FlowTable) pickMigration(core int, stolenFrom []uint64) (group, victim int, ok bool) {
 	best, bestCount := -1, uint64(0)
 	for v, n := range stolenFrom {
 		if v == core || n == 0 {
@@ -192,7 +184,7 @@ func (t *FlowTable) pickMigration(core int, stolenFrom []uint64, groupOK func(gr
 	if best < 0 {
 		return 0, -1, false
 	}
-	g := t.hottestGroupOn(best, groupOK)
+	g := t.hottestGroupOn(best)
 	if g < 0 {
 		return 0, -1, false
 	}
@@ -221,11 +213,8 @@ type Migration struct {
 // The optional eligible predicate vetoes migration targets beyond the
 // busy check: a core whose CPU is consumed by unrelated work has an
 // empty accept queue (nothing reaches it) yet must not pull flow groups
-// to itself. The optional groupOK predicate vetoes groups: ones for
-// which it returns false are never migrated this tick (the migration
-// controller's frozen set). Both are called with the locks held and
-// must not touch q or t.
-func Balance[T any](t *FlowTable, q *Queues[T], eligible func(core int) bool, groupOK func(group int) bool) []Migration {
+// to itself. It is called with the locks held and must not touch q or t.
+func Balance[T any](t *FlowTable, q *Queues[T], eligible func(core int) bool) []Migration {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	t.mu.Lock()
@@ -239,7 +228,7 @@ func Balance[T any](t *FlowTable, q *Queues[T], eligible func(core int) bool, gr
 		}
 		st := &q.cores[core]
 		if eligible == nil || eligible(core) {
-			if group, victim, ok := t.pickMigration(core, st.stolenFrom, groupOK); ok {
+			if group, victim, ok := t.pickMigration(core, st.stolenFrom); ok {
 				t.migrate(group, core)
 				applied = append(applied, Migration{Group: group, From: victim, To: core})
 			}

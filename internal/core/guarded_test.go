@@ -94,7 +94,7 @@ func TestGuardedConcurrentConservation(t *testing.T) {
 				if n := g.TotalLen(); n > cores*64 {
 					t.Errorf("%d queued, capacity %d", n, cores*64)
 				}
-				Balance(ft, g, nil, nil)
+				Balance(ft, g, nil)
 			}
 		}(c)
 	}
@@ -146,7 +146,7 @@ func TestGuardedBalance(t *testing.T) {
 	g.Push(0, 7)
 	g.Pop(0)
 	g.Pop(0)
-	if n := len(Balance(ft, g, nil, nil)); n != 1 {
+	if n := len(Balance(ft, g, nil)); n != 1 {
 		t.Fatalf("balance = %d, want 1", n)
 	}
 }

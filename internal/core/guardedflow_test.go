@@ -55,7 +55,7 @@ func TestGuardedFlowTableConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			Balance(gt, g, nil, nil)
+			Balance(gt, g, nil)
 		}
 	}()
 	wg.Wait()

@@ -94,7 +94,7 @@ func TestFlowTablePropertyRandomInterleavings(t *testing.T) {
 						q.ObserveIdle(c, 1+rng.Intn(20))
 					}
 				case 8, 9: // §3.3.2 balance tick
-					moves := Balance(tbl, q, eligible, nil)
+					moves := Balance(tbl, q, eligible)
 					for _, m := range moves {
 						if m.To < 0 || m.To >= cores {
 							t.Fatalf("step %d: migration %+v targets out-of-range worker", step, m)
@@ -180,7 +180,7 @@ func TestGuardedFlowTablePropertyConcurrent(t *testing.T) {
 	go func() { // migration loop
 		defer wg.Done()
 		for !stop.Load() {
-			for _, m := range Balance(tbl, g, eligible, nil) {
+			for _, m := range Balance(tbl, g, eligible) {
 				if m.To == 3 || m.To < 0 || m.To >= cores {
 					fail(fmt.Sprintf("migration %+v targets dead/out-of-range worker", m))
 					return

@@ -48,6 +48,6 @@ func BenchmarkStageBalance(b *testing.B) {
 	g := NewQueues[int](Config{Cores: 2})
 	ft := NewFlowTable(DefaultFlowGroups, 2)
 	for b.Loop() {
-		Balance(ft, g, nil, nil)
+		Balance(ft, g, nil)
 	}
 }

@@ -1,4 +1,4 @@
-package stats
+package mem
 
 import (
 	"fmt"
@@ -6,9 +6,9 @@ import (
 )
 
 // Histogram is a log-bucketed streaming histogram of non-negative values.
-// It is used for memory-access latency distributions (Figure 4) and for
-// client-observed service latency (§6.5), where only quantiles and CDF
-// shapes matter, not exact sample storage.
+// The memory model keeps its access-latency distributions (Figure 4) in
+// it, where only quantiles and CDF shapes matter, not exact sample
+// storage.
 type Histogram struct {
 	// buckets[i] counts samples v with bound(i-1) < v <= bound(i),
 	// where bound(i) = floor(base^(i+1)). Bucket boundaries grow
@@ -26,7 +26,7 @@ type Histogram struct {
 // growth factor. A factor of 1.05 keeps quantile error under 5%.
 func NewHistogram(base float64) *Histogram {
 	if base <= 1 {
-		panic("stats: histogram base must be > 1")
+		panic("mem: histogram base must be > 1")
 	}
 	return &Histogram{
 		base:    base,
@@ -166,7 +166,7 @@ func (h *Histogram) Merge(other *Histogram) {
 		return
 	}
 	if other.base != h.base {
-		panic("stats: merging histograms with different bases")
+		panic("mem: merging histograms with different bases")
 	}
 	for len(h.buckets) < len(other.buckets) {
 		h.buckets = append(h.buckets, 0)

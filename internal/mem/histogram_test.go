@@ -1,4 +1,4 @@
-package stats
+package mem
 
 import (
 	"math"
@@ -7,101 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 )
-
-func TestEWMAFirstObservationSeeds(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.Seen() {
-		t.Fatal("fresh EWMA claims to have seen samples")
-	}
-	e.Observe(10)
-	if got := e.Value(); got != 10 {
-		t.Fatalf("first observation should seed value: got %v", got)
-	}
-}
-
-func TestEWMAConvergesToConstant(t *testing.T) {
-	e := NewEWMA(0.1)
-	for i := 0; i < 500; i++ {
-		e.Observe(42)
-	}
-	if math.Abs(e.Value()-42) > 1e-9 {
-		t.Fatalf("EWMA of constant stream = %v, want 42", e.Value())
-	}
-}
-
-func TestEWMATracksShift(t *testing.T) {
-	e := NewEWMA(0.25)
-	for i := 0; i < 100; i++ {
-		e.Observe(0)
-	}
-	for i := 0; i < 100; i++ {
-		e.Observe(100)
-	}
-	if e.Value() < 99 {
-		t.Fatalf("EWMA did not track level shift: %v", e.Value())
-	}
-}
-
-func TestQueueEWMAAlphaRule(t *testing.T) {
-	// Paper §3.3: max local accept queue length 64 -> alpha 1/128.
-	e := NewQueueEWMA(64)
-	if got, want := e.Alpha(), 1.0/128; got != want {
-		t.Fatalf("alpha = %v, want %v", got, want)
-	}
-}
-
-func TestQueueEWMARejectsNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-positive max length")
-		}
-	}()
-	NewQueueEWMA(0)
-}
-
-func TestEWMARejectsBadAlpha(t *testing.T) {
-	for _, alpha := range []float64{0, -1, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("alpha %v should panic", alpha)
-				}
-			}()
-			NewEWMA(alpha)
-		}()
-	}
-}
-
-func TestEWMAReset(t *testing.T) {
-	e := NewEWMA(0.5)
-	e.Observe(3)
-	e.Reset()
-	if e.Seen() || e.Value() != 0 {
-		t.Fatal("reset did not clear state")
-	}
-}
-
-// Property: EWMA stays within the [min, max] hull of its inputs.
-func TestEWMABoundedByInputHull(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		e := NewEWMA(0.2)
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i := 0; i < 200; i++ {
-			v := rng.Float64() * 1000
-			lo = math.Min(lo, v)
-			hi = math.Max(hi, v)
-			e.Observe(v)
-			if e.Value() < lo-1e-9 || e.Value() > hi+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestHistogramQuantiles(t *testing.T) {
 	h := NewLatencyHistogram()
@@ -236,31 +141,5 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEWMAObserveNMatchesRepeatedObserve(t *testing.T) {
-	a := NewEWMA(1.0 / 128)
-	b := NewEWMA(1.0 / 128)
-	a.Observe(40)
-	b.Observe(40)
-	for i := 0; i < 257; i++ {
-		a.Observe(3)
-	}
-	b.ObserveN(3, 257)
-	if math.Abs(a.Value()-b.Value()) > 1e-9 {
-		t.Fatalf("ObserveN(3, 257) = %v, repeated Observe = %v", b.Value(), a.Value())
-	}
-}
-
-func TestEWMAObserveNSeedsAndIgnoresNonPositive(t *testing.T) {
-	e := NewEWMA(0.5)
-	e.ObserveN(7, 0)
-	if e.Seen() {
-		t.Fatal("ObserveN with n=0 should be a no-op")
-	}
-	e.ObserveN(7, 3)
-	if got := e.Value(); got != 7 {
-		t.Fatalf("first ObserveN should seed value: got %v", got)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"affinityaccept/internal/sim"
-	"affinityaccept/internal/stats"
 )
 
 // AccessResult reports what one memory access cost and where it hit.
@@ -43,7 +42,7 @@ type typeStats struct {
 	bytesSharedRW uint64
 
 	// latency samples on shared lines (Figure 4)
-	latencies *stats.Histogram
+	latencies *Histogram
 
 	// fieldMultiReader marks fields observed with >1 reader in some
 	// object; SharedFields exports it so a later run can watch exactly
@@ -56,7 +55,7 @@ type typeStats struct {
 	// current sharing, with their own cycle counter and latency samples.
 	watch         []bool
 	watchedCycles uint64
-	watchLat      *stats.Histogram
+	watchLat      *Histogram
 }
 
 // Model is the machine-wide memory system: coherence directory, slab
@@ -146,7 +145,7 @@ func (m *Model) statsOf(t *TypeInfo) *typeStats {
 	}
 	ts := m.types[t.id]
 	if ts == nil {
-		ts = &typeStats{info: t, latencies: stats.NewLatencyHistogram(),
+		ts = &typeStats{info: t, latencies: NewLatencyHistogram(),
 			pool: make([]Line, m.Machine.Cores())}
 		for i := range ts.pool {
 			ts.pool[i] = Line{owner: -1, last: -1}
@@ -388,7 +387,7 @@ func (m *Model) WatchFields(t *TypeInfo, fields []FieldID) {
 	for _, f := range fields {
 		ts.watch[f] = true
 	}
-	ts.watchLat = stats.NewLatencyHistogram()
+	ts.watchLat = NewLatencyHistogram()
 }
 
 // SharedFields reports, per type, the fields that were observed with
@@ -415,8 +414,8 @@ func (m *Model) WatchedCycles(t *TypeInfo) uint64 {
 
 // WatchedLatencies merges watched-access latency histograms of the named
 // types (or all types when none are named).
-func (m *Model) WatchedLatencies(names ...string) *stats.Histogram {
-	h := stats.NewLatencyHistogram()
+func (m *Model) WatchedLatencies(names ...string) *Histogram {
+	h := NewLatencyHistogram()
 	for _, ts := range m.types {
 		if ts != nil && ts.watchLat != nil && (len(names) == 0 || slices.Contains(names, ts.info.Name)) {
 			h.Merge(ts.watchLat)
@@ -476,7 +475,7 @@ type TypeReport struct {
 	Accesses     uint64
 	Objects      uint64
 	// Latencies holds shared-access latency samples (Figure 4).
-	Latencies *stats.Histogram
+	Latencies *Histogram
 }
 
 // Report produces DProf rows for all tracked types, sorted by shared
@@ -510,8 +509,8 @@ func (m *Model) Report() []TypeReport {
 
 // SharedLatencies merges the shared-access latency histograms of the
 // given type names (Figure 4 plots the union of the top shared types).
-func (m *Model) SharedLatencies(names ...string) *stats.Histogram {
-	h := stats.NewLatencyHistogram()
+func (m *Model) SharedLatencies(names ...string) *Histogram {
+	h := NewLatencyHistogram()
 	for _, ts := range m.types {
 		if ts != nil && (len(names) == 0 || slices.Contains(names, ts.info.Name)) {
 			h.Merge(ts.latencies)

@@ -81,12 +81,6 @@ const (
 	// peer gone, park deadline expired, or shutdown sweep.
 	// A = remote port, B = park duration in nanoseconds.
 	KindParkDead
-	// KindFreeze: the adaptive migration controller froze a flow group
-	// that was ping-ponging between owners. A = flow group.
-	KindFreeze
-	// KindUnfreeze: a frozen flow group's cooldown expired and it became
-	// migratable again. A = flow group.
-	KindUnfreeze
 
 	kindCount
 )
@@ -102,8 +96,6 @@ var kindNames = [kindCount]string{
 	KindRatelimit:     "ratelimit",
 	KindHeaderTimeout: "header-timeout",
 	KindParkDead:      "park-dead",
-	KindFreeze:        "freeze",
-	KindUnfreeze:      "unfreeze",
 }
 
 // String names the kind as it appears in /debug/events JSON.

@@ -168,11 +168,6 @@ type Engine struct {
 type Config struct {
 	Cores        int
 	CoresPerChip int
-	// ChipOf, when non-nil, assigns each core an explicit chip and
-	// overrides CoresPerChip. Uneven assignments are allowed — the
-	// topology-simulation harness uses this to model machines whose
-	// workers are spread irregularly across chips.
-	ChipOf []int
 	// Freq is cycles per second; the paper's machines run at 2.4 GHz.
 	Freq uint64
 	Seed int64
@@ -189,9 +184,6 @@ func New(cfg Config) *Engine {
 	if cfg.CoresPerChip <= 0 {
 		cfg.CoresPerChip = cfg.Cores
 	}
-	if cfg.ChipOf != nil && len(cfg.ChipOf) != cfg.Cores {
-		panic("sim: ChipOf must assign every core a chip")
-	}
 	if cfg.Freq == 0 {
 		cfg.Freq = DefaultFreq
 	}
@@ -200,11 +192,7 @@ func New(cfg Config) *Engine {
 		Freq: cfg.Freq,
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		chip := i / cfg.CoresPerChip
-		if cfg.ChipOf != nil {
-			chip = cfg.ChipOf[i]
-		}
-		e.Cores = append(e.Cores, &Core{ID: i, Chip: chip, Eng: e})
+		e.Cores = append(e.Cores, &Core{ID: i, Chip: i / cfg.CoresPerChip, Eng: e})
 	}
 	return e
 }

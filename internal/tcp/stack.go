@@ -293,7 +293,7 @@ func (s *Stack) Start() {
 
 func (s *Stack) scheduleMigration() {
 	s.Eng.After(s.Cfg.MigrateEvery, func(e *sim.Engine, _ *sim.Core) {
-		moves := core.Balance(s.flow, s.queues, s.coreHasCapacity, nil)
+		moves := core.Balance(s.flow, s.queues, s.coreHasCapacity)
 		s.Stats.FDirMigrations += uint64(len(moves))
 		s.scheduleMigration()
 	})

@@ -432,16 +432,18 @@ func TestProxyRecoversFromBackendIdleClose(t *testing.T) {
 	conn, br := dialFront(t, front)
 
 	for round := 0; round < 3; round++ {
+		requeued := backend.Stats().Requeued
 		fmt.Fprint(conn, "GET /whoami HTTP/1.1\r\nHost: edge\r\n\r\n")
 		code, _, body := readResponse(t, br)
 		if code != 200 || string(body) != "origin" {
 			t.Fatalf("round %d: %d %q", round, code, body)
 		}
 		// Wait for the upstream conn to park on the backend and for the
-		// backend's idle timeout to close it — observable as its parked
-		// gauge rising then falling — so the next round provably runs
-		// against a dead pooled connection.
-		waitFor(t, 5*time.Second, func() bool { return backend.Stats().Parked >= 1 },
+		// backend's idle timeout to close it, so the next round provably
+		// runs against a dead pooled connection. The park is read from
+		// the requeue counter, which stays risen: the parked gauge is up
+		// only for the idle timeout and a poll can miss it.
+		waitFor(t, 5*time.Second, func() bool { return backend.Stats().Requeued > requeued },
 			"upstream conn never parked on the backend")
 		waitFor(t, 5*time.Second, func() bool { return backend.Stats().Parked == 0 },
 			"backend never reaped its idle upstream conn")

@@ -4,7 +4,7 @@ import (
 	"net"
 	"time"
 
-	"affinityaccept/internal/stats"
+	"affinityaccept/serve"
 )
 
 // upstreamConn is one pooled connection to a backend. The peek state is
@@ -39,7 +39,7 @@ type upstreamPool struct {
 	dialTimeout time.Duration
 	backends    []string        // backend addresses, by index
 	idle        []*upstreamConn // one slot per backend; nil = empty
-	counters    stats.PoolCounters
+	counters    serve.PoolCounters
 
 	// dialFn is the dial used for cold checkouts; tests stub it.
 	dialFn func(addr string, timeout time.Duration) (net.Conn, error)

@@ -39,7 +39,7 @@ import (
 	"affinityaccept/httpaff"
 	"affinityaccept/internal/http11"
 	"affinityaccept/internal/obs"
-	"affinityaccept/internal/stats"
+	"affinityaccept/serve"
 )
 
 // Policy selects how a worker picks the backend for a request.
@@ -205,9 +205,9 @@ func New(cfg Config) (*Proxy, error) {
 // into Stats.Upstream. Out-of-range workers (a serve/proxy
 // worker-count mismatch) report a zero snapshot rather than panicking
 // inside a Stats call — Serve answers the same mismatch with a 500.
-func (p *Proxy) PoolSnapshot(worker int) stats.PoolSnapshot {
+func (p *Proxy) PoolSnapshot(worker int) serve.PoolStats {
 	if worker < 0 || worker >= len(p.workers) {
-		return stats.PoolSnapshot{}
+		return serve.PoolStats{}
 	}
 	return p.workers[worker].pool.counters.Snapshot()
 }
@@ -226,8 +226,8 @@ type BackendStats struct {
 // upstream pool counters, per-backend health, and the upgrade-tunnel
 // counters.
 type Stats struct {
-	Pool     stats.PoolSnapshot
-	Workers  []stats.PoolSnapshot
+	Pool     serve.PoolStats
+	Workers  []serve.PoolStats
 	Backends []BackendStats
 	// ActiveTunnels is the number of 101 upgrade tunnels relaying right
 	// now (each occupies its worker); Tunneled counts them lifetime.
@@ -238,7 +238,7 @@ type Stats struct {
 // Stats snapshots the proxy's counters.
 func (p *Proxy) Stats() Stats {
 	st := Stats{
-		Workers:       make([]stats.PoolSnapshot, len(p.workers)),
+		Workers:       make([]serve.PoolStats, len(p.workers)),
 		Backends:      make([]BackendStats, len(p.backends)),
 		ActiveTunnels: p.tunnels.Load(),
 		Tunneled:      p.tunneled.Load(),

@@ -204,7 +204,7 @@ func TestPerIPRateLimitAtAccept(t *testing.T) {
 		Workers:          2,
 		PerIPAcceptRate:  1, // 1/s: no meaningful refill inside the test
 		PerIPAcceptBurst: 2,
-		Handler: func(conn net.Conn) {
+		WorkerHandler: func(_ int, conn net.Conn) {
 			mu.Lock()
 			served++
 			mu.Unlock()
@@ -291,7 +291,7 @@ func (l *scriptedListener) Addr() net.Addr { return &net.TCPAddr{IP: net.IPv4(12
 // counters must record the policy — PR 5's sleep-and-hope EMFILE
 // survival turned into deliberate reclamation.
 func TestAcceptLoopShedsOnFDExhaustion(t *testing.T) {
-	s, err := New(Config{Workers: 2, Handler: echoHandler})
+	s, err := New(Config{Workers: 2, WorkerHandler: onConn(echoHandler)})
 	if err != nil {
 		t.Fatal(err)
 	}

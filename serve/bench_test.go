@@ -12,7 +12,7 @@ import (
 // round trip, close — the short-lived-connection regime where
 // accept-queue locality (§3.2/§3.3.1) is the whole story.
 func BenchmarkAcceptEcho(b *testing.B) {
-	s, err := New(Config{Workers: 4, Handler: echoHandler})
+	s, err := New(Config{Workers: 4, WorkerHandler: onConn(echoHandler)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func BenchmarkAcceptEcho(b *testing.B) {
 // migration (§3.3.2) optimizes.
 func BenchmarkRequeuePass(b *testing.B) {
 	var srv *Server
-	s, err := New(Config{Workers: 2, Handler: requeueEcho(&srv, 8, 0)})
+	s, err := New(Config{Workers: 2, WorkerHandler: requeueEcho(&srv, 8, 0)})
 	if err != nil {
 		b.Fatal(err)
 	}

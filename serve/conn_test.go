@@ -46,7 +46,7 @@ func (k *connTracker) seen(cli net.Conn) []net.Conn {
 func trackedServer(t *testing.T, cfg Config) (*Server, *connTracker) {
 	t.Helper()
 	k := &connTracker{passes: make(map[int64][]net.Conn)}
-	cfg.Handler = k.handle
+	cfg.WorkerHandler = onConn(k.handle)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

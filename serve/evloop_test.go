@@ -124,7 +124,7 @@ func TestWakeDuringMigration(t *testing.T) { bothParkers(t, testWakeDuringMigrat
 func TestRequeueWithInputBuffered(t *testing.T) {
 	bothParkers(t, func(t *testing.T) {
 		var srv *Server
-		s, err := New(Config{Workers: 1, Handler: requeueEcho(&srv, 4, 0)})
+		s, err := New(Config{Workers: 1, WorkerHandler: requeueEcho(&srv, 4, 0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func TestRequeueWithInputBuffered(t *testing.T) {
 // already buffered, and the caller still owns it, input intact.
 func TestRequeueAfterShutdownLeavesConn(t *testing.T) {
 	bothParkers(t, func(t *testing.T) {
-		s, err := New(Config{Workers: 1, Handler: echoHandler})
+		s, err := New(Config{Workers: 1, WorkerHandler: onConn(echoHandler)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,8 +240,8 @@ func TestPortableParkingShutdownParity(t *testing.T) {
 
 	var srv *Server
 	s, err := New(Config{
-		Workers: 2,
-		Handler: requeueEcho(&srv, 4, 0),
+		Workers:       2,
+		WorkerHandler: requeueEcho(&srv, 4, 0),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -30,8 +30,8 @@ func dialHot(t *testing.T, addr string, group, groups int) net.Conn {
 // connection to the server. Nonzero work is what makes a skewed
 // workload overload its owning worker — a bare 8-byte echo is so cheap
 // one worker keeps up with any number of closed-loop clients.
-func requeueEcho(srv **Server, msgLen int, work time.Duration) Handler {
-	return func(conn net.Conn) {
+func requeueEcho(srv **Server, msgLen int, work time.Duration) WorkerHandler {
+	return func(_ int, conn net.Conn) {
 		buf := make([]byte, msgLen)
 		if _, err := io.ReadFull(conn, buf); err != nil {
 			conn.Close()
@@ -67,7 +67,7 @@ func runSkewedKeepAlive(t *testing.T, cfg Config, conns int) (Stats, []obs.Event
 	cfg.MigrateInterval = 2 * time.Millisecond
 	cfg.Backlog = cfg.Workers * 64
 	cfg.HighPct, cfg.LowPct = 20, 5
-	cfg.Handler = requeueEcho(&srv, msgLen, 200*time.Microsecond)
+	cfg.WorkerHandler = requeueEcho(&srv, msgLen, 200*time.Microsecond)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestMigrationPausesWhileAllWorkersBusy(t *testing.T) {
 		Backlog:          40,   // 20 per worker: high = 4, low = 1
 		HighPct:          20,
 		LowPct:           5,
-		Handler:          echoHandler,
+		WorkerHandler:    onConn(echoHandler),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -331,8 +331,8 @@ func TestRequeueRoutesToOwningWorker(t *testing.T) {
 func TestRequeueDuringShutdown(t *testing.T) {
 	var srv *Server
 	s, err := New(Config{
-		Workers: 1,
-		Handler: requeueEcho(&srv, 4, 0),
+		Workers:       1,
+		WorkerHandler: requeueEcho(&srv, 4, 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -384,9 +384,9 @@ func TestRequeueDuringShutdown(t *testing.T) {
 func TestFlowGroupCountAblationRealServer(t *testing.T) {
 	for _, groups := range []int{1, 8, 256} {
 		s, err := New(Config{
-			Workers:    2,
-			FlowGroups: groups,
-			Handler:    echoHandler,
+			Workers:       2,
+			FlowGroups:    groups,
+			WorkerHandler: onConn(echoHandler),
 		})
 		if err != nil {
 			t.Fatalf("groups=%d: %v", groups, err)
@@ -425,33 +425,5 @@ func TestFlowGroupCountAblationRealServer(t *testing.T) {
 					st.Workers[0].Accepted, st.Workers[1].Accepted)
 			}
 		}
-	}
-}
-
-// TestAdaptiveMigrationBacksOffAndSnapsBack drives the server's balance
-// tick directly (as the migrate loop would) and checks the controller
-// wiring end to end: idle converged ticks stretch the interval past the
-// configured base, and Stats reports the backed-off value.
-func TestAdaptiveMigrationBacksOffAndSnapsBack(t *testing.T) {
-	base := 50 * time.Millisecond
-	s, err := New(Config{
-		Workers:         2,
-		Handler:         echoHandler,
-		MigrateInterval: base,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Shutdown(context.Background())
-
-	if got := s.Stats().AdaptiveInterval; got != base {
-		t.Fatalf("initial adaptive interval %v, want %v", got, base)
-	}
-	// Three quiet ticks earn one doubling (ConvergedTicks = 3).
-	for i := 0; i < 3; i++ {
-		s.balanceOnce()
-	}
-	if got := s.Stats().AdaptiveInterval; got != 2*base {
-		t.Fatalf("interval after 3 idle ticks = %v, want %v", got, 2*base)
 	}
 }

@@ -227,10 +227,6 @@ func (s *Server) WriteObsMetrics(w io.Writer) {
 	})
 	perWorker(w, "affinity_clock_lag_seconds", "gauge", "How far each worker's coarse clock trails the wall clock.", len(ws), func(i int) any { return s.ClockLag(i).Seconds() })
 
-	scalar(w, "affinity_migrate_interval_seconds", "gauge", "Current flow-group balancing interval chosen by the migration controller (0 with migration off).", st.AdaptiveInterval.Seconds())
-	scalar(w, "affinity_frozen_groups", "gauge", "Flow groups currently frozen for ping-ponging between owners.", st.FrozenGroups)
-	scalar(w, "affinity_group_freezes_total", "counter", "Flow groups frozen by the migration controller.", st.GroupFreezes)
-	scalar(w, "affinity_group_unfreezes_total", "counter", "Frozen flow groups thawed after their cooldown.", st.GroupUnfreezes)
 	fmt.Fprintf(w, "# HELP affinity_worker_wakes_total Worker returns from the park: a push it was signalled for, or the busy-bit decay tick.\n# TYPE affinity_worker_wakes_total counter\n")
 	for i, x := range ws {
 		fmt.Fprintf(w, "affinity_worker_wakes_total{worker=\"%d\",reason=\"push\"} %d\n", i, x.Wakes)

@@ -25,7 +25,7 @@ func TestObsMigrationEventsMatchMoves(t *testing.T) {
 		Backlog:          40,
 		HighPct:          20,
 		LowPct:           5,
-		Handler:          echoHandler,
+		WorkerHandler:    onConn(echoHandler),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,8 +79,8 @@ func TestObsMigrationEventsMatchMoves(t *testing.T) {
 func TestObsParkWakeLifecycle(t *testing.T) {
 	var srv *Server
 	s, err := New(Config{
-		Workers: 1,
-		Handler: requeueEcho(&srv, 4, 0),
+		Workers:       1,
+		WorkerHandler: requeueEcho(&srv, 4, 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -142,8 +142,8 @@ func TestObsParkWakeLifecycle(t *testing.T) {
 // per-worker clock-lag gauges, and that a live server's lag is sane.
 func TestWriteObsMetricsSeries(t *testing.T) {
 	s, err := New(Config{
-		Workers: 2,
-		Handler: echoHandler,
+		Workers:       2,
+		WorkerHandler: onConn(echoHandler),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +200,7 @@ func TestWriteObsMetricsMatchesStats(t *testing.T) {
 		Workers:          2,
 		FlowGroups:       8,
 		DisableMigration: true,
-		Handler: func(conn net.Conn) {
+		WorkerHandler: func(_ int, conn net.Conn) {
 			b := make([]byte, 1)
 			if _, err := io.ReadFull(conn, b); err != nil {
 				conn.Close()
@@ -300,7 +300,7 @@ func TestObsJourneyTaggingAndAttribution(t *testing.T) {
 		Backlog:          40,
 		HighPct:          20,
 		LowPct:           5,
-		Handler:          echoHandler,
+		WorkerHandler:    onConn(echoHandler),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -386,7 +386,7 @@ func TestObsJourneyTaggingAndAttribution(t *testing.T) {
 // seen Seq delivers each event exactly once — no duplicates, no skips —
 // across an ongoing stream of recorded events.
 func TestObsEventsSinceCursor(t *testing.T) {
-	s, err := New(Config{Workers: 2, Handler: echoHandler})
+	s, err := New(Config{Workers: 2, WorkerHandler: onConn(echoHandler)})
 	if err != nil {
 		t.Fatal(err)
 	}

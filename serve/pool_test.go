@@ -1,4 +1,4 @@
-package stats
+package serve
 
 import (
 	"sync"
@@ -29,10 +29,10 @@ func TestPoolCountersSnapshot(t *testing.T) {
 }
 
 func TestPoolSnapshotAdd(t *testing.T) {
-	a := PoolSnapshot{Reuses: 3, Misses: 1}
-	b := PoolSnapshot{Reuses: 7, Misses: 9}
+	a := PoolStats{Reuses: 3, Misses: 1}
+	b := PoolStats{Reuses: 7, Misses: 9}
 	sum := a.Add(b)
-	want := PoolSnapshot{Reuses: 10, Misses: 10}
+	want := PoolStats{Reuses: 10, Misses: 10}
 	if sum != want {
 		t.Fatalf("Add = %+v, want %+v", sum, want)
 	}

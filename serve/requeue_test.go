@@ -37,7 +37,7 @@ func TestRequeueConcurrentWithShutdown(t *testing.T) {
 	var srv *Server
 	s, err := New(Config{
 		Workers: workers,
-		Handler: func(conn net.Conn) {
+		WorkerHandler: func(_ int, conn net.Conn) {
 			buf := make([]byte, msgLen)
 			if _, err := io.ReadFull(conn, buf); err != nil {
 				conn.Close()
@@ -119,7 +119,7 @@ func TestParkShedRacesWakeAndShutdown(t *testing.T) {
 	var srv *Server
 	s, err := New(Config{
 		Workers: 4,
-		Handler: func(conn net.Conn) {
+		WorkerHandler: func(_ int, conn net.Conn) {
 			buf := make([]byte, 1)
 			if _, err := io.ReadFull(conn, buf); err != nil {
 				conn.Close()

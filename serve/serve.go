@@ -23,8 +23,7 @@
 // non-busy worker re-points the hottest flow group of the victim it
 // stole from most at itself (§3.3.2), so subsequent connections in that
 // group, and requeued keep-alive connections returned via
-// Server.Requeue, land locally. The tick starts at MigrateInterval and
-// is timed by core.Controller from the measured locality ratio.
+// Server.Requeue, land locally. The tick fires every MigrateInterval.
 //
 // Between requests a keep-alive connection parks on the event loop of
 // the worker owning its flow group (internal/evloop): one epoll
@@ -56,17 +55,13 @@ import (
 	"affinityaccept/internal/obs"
 )
 
-// Handler serves one accepted connection. The handler owns the
-// connection and must close it.
-type Handler func(conn net.Conn)
-
-// WorkerHandler is an optional Handler variant that also receives the
-// index of the worker serving the connection, for per-worker state
-// (caches, buffers) or tests that stall one worker.
+// WorkerHandler serves one accepted connection on the given worker,
+// whose index keys per-worker state (caches, buffers). The handler owns
+// the connection and must close it or hand it back with Server.Requeue.
 type WorkerHandler func(worker int, conn net.Conn)
 
-// Config parameterizes a Server. Handler or WorkerHandler is required;
-// everything else has working defaults.
+// Config parameterizes a Server. WorkerHandler is required; everything
+// else has working defaults.
 type Config struct {
 	// Network and Addr are passed to net.Listen ("tcp", ":0" style).
 	// Network defaults to "tcp", Addr to "127.0.0.1:0".
@@ -77,10 +72,7 @@ type Config struct {
 	// SO_REUSEPORT listeners. 0 means GOMAXPROCS.
 	Workers int
 
-	// Handler serves each connection. Exactly one of Handler and
-	// WorkerHandler must be set.
-	Handler Handler
-	// WorkerHandler, if set, is used instead of Handler.
+	// WorkerHandler serves each connection.
 	WorkerHandler WorkerHandler
 
 	// Backlog bounds queued-but-unserved connections across all
@@ -98,14 +90,9 @@ type Config struct {
 	// into by the low bits of their remote port, rounded up to a power
 	// of two (0 = the paper's 4,096, §3.1).
 	FlowGroups int
-	// MigrateInterval is how often, while the workload is still
-	// converging, each non-busy worker considers claiming one flow group
-	// from the victim it stole from most (0 = the paper's 100ms, §3.3.2).
-	// The core.Controller times the ticks from there: the interval
-	// doubles (up to 8x) while the per-tick locality ratio stays
-	// converged and snaps back the moment migrations fire or locality
-	// degrades; flow groups caught ping-ponging between two owners are
-	// frozen for a cooldown so the rest of the table keeps balancing.
+	// MigrateInterval is how often each non-busy worker considers
+	// claiming one flow group from the victim it stole from most (0 =
+	// the paper's 100ms, §3.3.2).
 	MigrateInterval time.Duration
 	// DisableMigration turns the migration loop off, leaving accept-time
 	// stealing as the only balancing mechanism (the paper's §3.3.1-only
@@ -136,11 +123,8 @@ type Config struct {
 }
 
 func (c *Config) fill() error {
-	if c.Handler == nil && c.WorkerHandler == nil {
-		return errors.New("serve: Config.Handler or Config.WorkerHandler is required")
-	}
-	if c.Handler != nil && c.WorkerHandler != nil {
-		return errors.New("serve: set only one of Handler and WorkerHandler")
+	if c.WorkerHandler == nil {
+		return errors.New("serve: Config.WorkerHandler is required")
 	}
 	if c.Network == "" {
 		c.Network = "tcp"
@@ -191,8 +175,7 @@ func (c *Config) fill() error {
 // queueing, stealing and flow-group-migration policies to real
 // connections.
 type Server struct {
-	cfg     Config
-	handler WorkerHandler
+	cfg Config
 
 	bal       *core.Queues[*Conn]
 	flow      *core.FlowTable
@@ -232,16 +215,6 @@ type Server struct {
 	budgetRejected atomic.Uint64 // conns rejected because the budget was exhausted and nothing was parked
 	acceptRetries  atomic.Uint64 // transient accept errors survived (EMFILE/ENFILE/ECONNABORTED)
 
-	// ctl times the migration ticks. Only the balance path touches it;
-	// the atomics below republish its decisions for Stats and /metrics.
-	ctl               *core.Controller
-	ctlLocals         uint64       // accept deltas fed to ctl (balance path only)
-	ctlSteals         uint64       //
-	migrateIntervalNs atomic.Int64 // current balancing interval
-	frozenGroups      atomic.Int64 // groups currently frozen
-	groupFreezes      atomic.Uint64
-	groupUnfreezes    atomic.Uint64
-
 	// obs is the observability plane: event rings and serve-layer
 	// histograms.
 	obs *serverObs
@@ -277,7 +250,6 @@ func New(cfg Config) (*Server, error) {
 		flow:    core.NewFlowTable(cfg.FlowGroups, cfg.Workers),
 		drainCh: make(chan struct{}),
 		workers: make([]workerState, cfg.Workers),
-		ctl:     core.NewController(core.ControllerConfig{BaseInterval: cfg.MigrateInterval}),
 	}
 	s.obs = newServerObs(cfg.Workers, s.flow.Groups())
 	s.loops = make([]*evloop.Loop, cfg.Workers)
@@ -287,11 +259,6 @@ func New(cfg Config) (*Server, error) {
 			ForcePortable: forcePortableParking,
 		})
 	}
-	if cfg.WorkerHandler != nil {
-		s.handler = cfg.WorkerHandler
-	} else {
-		s.handler = func(_ int, conn net.Conn) { cfg.Handler(conn) }
-	}
 	bcfg := core.Config{
 		Cores:      cfg.Workers,
 		Backlog:    cfg.Backlog,
@@ -300,7 +267,6 @@ func New(cfg Config) (*Server, error) {
 		LowPct:     cfg.LowPct,
 	}
 	s.bal = core.NewQueues[*Conn](bcfg)
-	s.migrateIntervalNs.Store(int64(cfg.MigrateInterval))
 	for i := range s.workers {
 		s.workers[i].slot = make(chan struct{}, 1)
 	}
@@ -489,17 +455,15 @@ func (s *Server) acceptLoop(idx int, l net.Listener) {
 // migrateLoop runs the §3.3.2 balancing tick until shutdown: each
 // non-busy worker claims the hottest flow group of the victim it stole
 // from most, so that group's future connections — and requeued
-// keep-alive passes — become local. The controller chooses the next
-// interval after each tick and the timer is re-armed with it.
+// keep-alive passes — become local.
 func (s *Server) migrateLoop() {
 	defer s.workerWG.Done()
-	timer := time.NewTimer(s.cfg.MigrateInterval)
-	defer timer.Stop()
+	ticker := time.NewTicker(s.cfg.MigrateInterval)
+	defer ticker.Stop()
 	for {
 		select {
-		case <-timer.C:
+		case <-ticker.C:
 			s.balanceOnce()
-			timer.Reset(time.Duration(s.migrateIntervalNs.Load()))
 		case <-s.drainCh:
 			return
 		}
@@ -510,40 +474,16 @@ func (s *Server) migrateLoop() {
 // group to its new owner. Tests drive it directly for determinism.
 // Every applied move lands on the control event ring — migrations are
 // the decisions a "why did this flow move" question needs, and the
-// control ring guarantees park/wake churn can't evict them. The tick
-// also advances the controller: frozen groups sit the tick out via the
-// GroupOK veto, freeze/thaw decisions land on the control ring, and the
-// next interval is republished for the migrate loop and Stats.
+// control ring guarantees park/wake churn can't evict them.
 func (s *Server) balanceOnce() int {
 	t0 := obs.Nanos()
-	moves := core.Balance(s.flow, s.bal, nil, s.ctl.GroupOK)
+	moves := core.Balance(s.flow, s.bal, nil)
 	for _, m := range moves {
 		s.workers[m.To].migratedIn.Add(1)
 		s.recordControl(m.To, obs.KindMigrate, m.Group, int64(m.Group), int64(m.From), int64(m.To))
 	}
-	s.advanceController(moves)
 	s.obs.migrate.Record(obs.Nanos() - t0)
 	return len(moves)
-}
-
-// advanceController feeds one tick's accept deltas and applied moves to
-// the migration controller and republishes its decisions. Only the
-// balance path calls it (the migrate loop, or tests driving balanceOnce
-// directly), matching the controller's single-caller contract.
-func (s *Server) advanceController(moves []core.Migration) {
-	_, locals, steals, _ := s.bal.Stats()
-	rep := s.ctl.Advance(locals-s.ctlLocals, steals-s.ctlSteals, moves)
-	s.ctlLocals, s.ctlSteals = locals, steals
-	for _, g := range rep.NewlyFrozen {
-		s.groupFreezes.Add(1)
-		s.recordControl(0, obs.KindFreeze, g, int64(g), 0, 0)
-	}
-	for _, g := range rep.Unfrozen {
-		s.groupUnfreezes.Add(1)
-		s.recordControl(0, obs.KindUnfreeze, g, int64(g), 0, 0)
-	}
-	s.frozenGroups.Store(int64(s.ctl.FrozenCount()))
-	s.migrateIntervalNs.Store(int64(rep.Interval))
 }
 
 // idleSamplePeriod is the virtual sampling interval an idle worker's
@@ -600,7 +540,7 @@ func (s *Server) workerLoop(worker int) {
 				s.RecordGroupEvent(worker, obs.KindSteal, conn.group, int64(from), d, conn.port)
 			}
 			st.active.Add(1)
-			s.handler(worker, conn)
+			s.cfg.WorkerHandler(worker, conn)
 			st.active.Add(-1)
 			continue
 		}
@@ -709,13 +649,6 @@ func (s *Server) Stats() Stats {
 		Live:           s.live.Load(),
 		LivePeak:       s.livePeak.Load(),
 		MaxConns:       s.cfg.MaxConns,
-
-		FrozenGroups:   s.frozenGroups.Load(),
-		GroupFreezes:   s.groupFreezes.Load(),
-		GroupUnfreezes: s.groupUnfreezes.Load(),
-	}
-	if !s.cfg.DisableMigration {
-		st.AdaptiveInterval = time.Duration(s.migrateIntervalNs.Load())
 	}
 	for i := range st.Workers {
 		w := &s.workers[i]

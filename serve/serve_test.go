@@ -19,6 +19,11 @@ func echoHandler(conn net.Conn) {
 	conn.Close()
 }
 
+// onConn adapts a handler that needs no worker index to WorkerHandler.
+func onConn(h func(net.Conn)) WorkerHandler {
+	return func(_ int, conn net.Conn) { h(conn) }
+}
+
 // waitFor is testutil.WaitFor: poll instead of sleep in
 // timing-sensitive tests.
 func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
@@ -89,7 +94,7 @@ func TestBurstAllServed(t *testing.T) {
 	var served atomic.Int64
 	s, err := New(Config{
 		Workers: workers,
-		Handler: func(conn net.Conn) {
+		WorkerHandler: func(_ int, conn net.Conn) {
 			echoHandler(conn)
 			served.Add(1)
 		},
@@ -188,7 +193,7 @@ func TestShutdownDrainsQueued(t *testing.T) {
 	var served atomic.Int64
 	s, err := New(Config{
 		Workers: workers,
-		Handler: func(conn net.Conn) {
+		WorkerHandler: func(_ int, conn net.Conn) {
 			<-gate // hold both workers until Shutdown is in flight
 			echoHandler(conn)
 			served.Add(1)
@@ -237,9 +242,9 @@ func TestShutdownDeadlineForcesClose(t *testing.T) {
 	const groups = 8
 	block := make(chan struct{})
 	s, err := New(Config{
-		Workers:    2,
-		FlowGroups: groups,
-		Handler:    func(conn net.Conn) { <-block; conn.Close() },
+		Workers:       2,
+		FlowGroups:    groups,
+		WorkerHandler: func(_ int, conn net.Conn) { <-block; conn.Close() },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -287,8 +292,8 @@ func TestShutdownDeadlineForcesClose(t *testing.T) {
 func TestSharedListenerFallback(t *testing.T) {
 	sharedListener(t)
 	s, err := New(Config{
-		Workers: 3,
-		Handler: echoHandler,
+		Workers:       3,
+		WorkerHandler: onConn(echoHandler),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +339,7 @@ func TestSharedListenerFallback(t *testing.T) {
 func TestAcceptRemoteCountsHandOff(t *testing.T) {
 	for _, shared := range []bool{true, false} {
 		forceSharedListener = shared
-		s, err := New(Config{Workers: 2, Handler: echoHandler})
+		s, err := New(Config{Workers: 2, WorkerHandler: onConn(echoHandler)})
 		forceSharedListener = false
 		if err != nil {
 			t.Fatal(err)
@@ -373,21 +378,15 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("want error when no handler is set")
 	}
-	if _, err := New(Config{
-		Handler:       echoHandler,
-		WorkerHandler: func(int, net.Conn) {},
-	}); err == nil {
-		t.Error("want error when both handlers are set")
-	}
-	if _, err := New(Config{Handler: echoHandler, Addr: "256.0.0.1:bad"}); err == nil {
+	if _, err := New(Config{WorkerHandler: onConn(echoHandler), Addr: "256.0.0.1:bad"}); err == nil {
 		t.Error("want error for a bad address")
 	}
 	// HighPct 8 leaves the default low watermark (10) above it; New must
 	// return an error, not let the core queues panic.
-	if _, err := New(Config{Handler: echoHandler, HighPct: 8}); err == nil {
+	if _, err := New(Config{WorkerHandler: onConn(echoHandler), HighPct: 8}); err == nil {
 		t.Error("want error when low watermark >= high")
 	}
-	if _, err := New(Config{Handler: echoHandler, StealRatio: -1}); err == nil {
+	if _, err := New(Config{WorkerHandler: onConn(echoHandler), StealRatio: -1}); err == nil {
 		t.Error("want error for a negative steal ratio")
 	}
 }

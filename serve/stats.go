@@ -1,16 +1,53 @@
 package serve
 
-import (
-	"time"
-
-	"affinityaccept/internal/stats"
-)
+import "sync/atomic"
 
 // PoolStats counts one worker-local object pool's traffic: Reuses were
 // served from the worker's own slot (the warm, core-local path), Misses
-// had to allocate or dial. It carries Gets, ReusePct and Add from the
-// stats layer's snapshot type.
-type PoolStats = stats.PoolSnapshot
+// had to allocate or dial. Gets = Reuses + Misses.
+type PoolStats struct {
+	Reuses, Misses uint64
+}
+
+// Gets is the total number of acquisitions (reuses plus misses).
+func (s PoolStats) Gets() uint64 { return s.Reuses + s.Misses }
+
+// ReusePct is the percentage of gets served from the pool, or 100
+// for an untouched pool (no gets yet means nothing was ever cold).
+func (s PoolStats) ReusePct() float64 {
+	gets := s.Gets()
+	if gets == 0 {
+		return 100
+	}
+	return 100 * float64(s.Reuses) / float64(gets)
+}
+
+// Add returns the element-wise sum of two snapshots, for aggregating
+// per-worker pools into a server-wide figure.
+func (s PoolStats) Add(o PoolStats) PoolStats {
+	return PoolStats{Reuses: s.Reuses + o.Reuses, Misses: s.Misses + o.Misses}
+}
+
+// PoolCounters tracks one worker-local pool's traffic with atomic
+// counters: the owning worker bumps them, and a stats snapshot on
+// another goroutine reads them without a lock. A pool that stays
+// core-local and warm shows a reuse rate near 100% after startup: the
+// only misses are the first acquisition per live object on each worker.
+type PoolCounters struct {
+	reuses atomic.Uint64
+	misses atomic.Uint64
+}
+
+// Reuse records a get served from the pool.
+func (c *PoolCounters) Reuse() { c.reuses.Add(1) }
+
+// Miss records a get that had to allocate a new object.
+func (c *PoolCounters) Miss() { c.misses.Add(1) }
+
+// Snapshot returns a consistent-enough copy of the counters.
+func (c *PoolCounters) Snapshot() PoolStats {
+	return PoolStats{Reuses: c.reuses.Load(), Misses: c.misses.Load()}
+}
 
 // WorkerStats is one worker's view of the balancer, mirroring the
 // per-core counters the paper's kernel implementation exports.
@@ -77,16 +114,6 @@ type Stats struct {
 	// applied §3.3.2 flow-group migrations.
 	Requeued   uint64
 	Migrations uint64
-	// AdaptiveInterval is the migration controller's current balancing
-	// interval (zero under Config.DisableMigration): MigrateInterval
-	// while converging, backed off up to 8x once locality converges.
-	AdaptiveInterval time.Duration
-	// FrozenGroups is how many flow groups the controller currently has
-	// frozen for ping-ponging; GroupFreezes/GroupUnfreezes count the
-	// transitions.
-	FrozenGroups   int64
-	GroupFreezes   uint64
-	GroupUnfreezes uint64
 	// Parked is the instantaneous number of connections waiting between
 	// requeue passes — the held-open population of a long-lived
 	// workload. Parked connections live on the per-worker event loops

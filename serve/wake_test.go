@@ -62,7 +62,7 @@ func TestWakeReachesOwnerOnly(t *testing.T) {
 		Workers:          workers,
 		FlowGroups:       groups,
 		DisableMigration: true,
-		Handler:          requeueEcho(&srv, msgLen, 0),
+		WorkerHandler:    requeueEcho(&srv, msgLen, 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestForcedShutdownFiresParkCloseHook(t *testing.T) {
 	block := make(chan struct{})
 	s, err := New(Config{
 		Workers: 1,
-		Handler: func(conn net.Conn) {
+		WorkerHandler: func(_ int, conn net.Conn) {
 			var b [1]byte
 			if _, err := conn.Read(b[:]); err != nil {
 				conn.Close()

@@ -43,7 +43,7 @@ import (
 
 	"affinityaccept/httpaff"
 	"affinityaccept/internal/http11"
-	"affinityaccept/internal/stats"
+	"affinityaccept/serve"
 )
 
 // Config parameterizes a WS. OnMessage is required; everything else
@@ -108,7 +108,7 @@ type wsWorker struct {
 	rbuf     []byte // frame bytes; payloads are unmasked in place here
 	abuf     []byte // fragmented-message reassembly
 	wbuf     []byte // outbound frames awaiting one flush
-	counters stats.PoolCounters
+	counters serve.PoolCounters
 }
 
 // upgradeToken is the Connection option a handshake must carry, in any
@@ -236,8 +236,8 @@ type Stats struct {
 	// Pool aggregates the per-worker codec-buffer counters; Workers
 	// holds them per worker. Reuse ≈ 100% is the proof frame memory
 	// stayed worker-local.
-	Pool    stats.PoolSnapshot
-	Workers []stats.PoolSnapshot
+	Pool    serve.PoolStats
+	Workers []serve.PoolStats
 }
 
 // Stats snapshots the subsystem's counters.
@@ -254,7 +254,7 @@ func (ws *WS) Stats() Stats {
 		Delivered:     ws.bcastSent.Load(),
 		Dropped:       ws.bcastDrops.Load(),
 		Closes:        ws.closes.Load(),
-		Workers:       make([]stats.PoolSnapshot, len(ws.workers)),
+		Workers:       make([]serve.PoolStats, len(ws.workers)),
 	}
 	for i := range ws.workers {
 		st.Workers[i] = ws.workers[i].counters.Snapshot()
