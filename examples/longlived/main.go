@@ -64,15 +64,18 @@ func main() {
 // run serves the skewed workload once and returns the final stats.
 func run(stealOnly bool) (serve.Stats, error) {
 	var srv *serve.Server
+	interval := 50 * time.Millisecond
+	if stealOnly {
+		interval = time.Hour // no migration tick within the run
+	}
 	srv, err := serve.New(serve.Config{
-		Addr:             "127.0.0.1:0",
-		Workers:          workers,
-		FlowGroups:       groups,
-		DisableMigration: stealOnly,
-		MigrateInterval:  50 * time.Millisecond,
-		Backlog:          workers * 64,
-		HighPct:          20, // engage stealing (and thus migration) early
-		LowPct:           5,
+		Addr:            "127.0.0.1:0",
+		Workers:         workers,
+		FlowGroups:      groups,
+		MigrateInterval: interval,
+		Backlog:         workers * 64,
+		HighPct:         20, // engage stealing (and thus migration) early
+		LowPct:          5,
 		WorkerHandler: func(_ int, conn net.Conn) {
 			buf := make([]byte, payload)
 			if _, err := io.ReadFull(conn, buf); err != nil {

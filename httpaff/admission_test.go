@@ -13,9 +13,9 @@ import (
 )
 
 // TestSlowlorisClosedAtHeaderDeadline: a client dripping header bytes
-// is cut off at HeaderTimeout — absolute from the first blocking head
-// read, not extended per drip — while a concurrent well-behaved
-// keep-alive client on the same server completes normally.
+// is cut off at HeaderTimeout — absolute from the first head read, not
+// extended per drip — by the park sweep, while a concurrent
+// well-behaved keep-alive client on the same server completes normally.
 func TestSlowlorisClosedAtHeaderDeadline(t *testing.T) {
 	const headerTO = 400 * time.Millisecond
 	s := start(t, Config{
@@ -86,11 +86,25 @@ func TestSlowlorisClosedAtHeaderDeadline(t *testing.T) {
 	}
 
 	testutil.WaitFor(t, 5*time.Second, func() bool {
-		return s.Admission().HeaderTimeouts >= 1
-	}, "HeaderTimeouts counter never incremented")
-	if st := s.Admission(); st.HeaderSheds != 0 || st.OverloadSheds != 0 {
+		return expiredTotal(s) >= 1
+	}, "affinity_evloop_expired_total never incremented")
+	if st := s.Admission(); st.OverloadSheds != 0 {
 		t.Errorf("unrelated shed counters moved: %+v", st)
 	}
+}
+
+// expiredTotal reads affinity_evloop_expired_total summed over the
+// workers: parked connections, requests stopped mid-way among them,
+// that the park sweep closed at their deadline.
+func expiredTotal(s *Server) (n uint64) {
+	var b strings.Builder
+	s.Transport().WriteObsMetrics(&b)
+	for k, v := range scrapeSeries([]byte(b.String()), "counter") {
+		if strings.HasPrefix(k, "affinity_evloop_expired_total{") {
+			n += uint64(v)
+		}
+	}
+	return n
 }
 
 // TestSlowBodyKeepsReadTimeout: a tight HeaderTimeout must not strangle
@@ -115,124 +129,8 @@ func TestSlowBodyKeepsReadTimeout(t *testing.T) {
 	if code != 200 || string(body) != "data" {
 		t.Fatalf("slow-body upload: code %d body %q", code, body)
 	}
-	if n := s.Admission().HeaderTimeouts; n != 0 {
-		t.Errorf("HeaderTimeouts = %d for a request whose head arrived in time", n)
-	}
-}
-
-// TestMaxInflightHeadersSheds: with a single header slot occupied by a
-// stalled fresh connection, the next fresh connection is answered 503
-// with Retry-After and closed before any worker blocks for it — and an
-// established keep-alive connection is exempt from the cap.
-func TestMaxInflightHeadersSheds(t *testing.T) {
-	s := start(t, Config{
-		Workers:            2,
-		MaxInflightHeaders: 1,
-		HeaderTimeout:      20 * time.Second, // safety bound; the test frees the stall itself
-	})
-
-	// An established connection first: one full request, then park.
-	// Its later requests must ride through even with the slot taken.
-	veteran, vbr := dial(t, s)
-	if _, err := veteran.Write([]byte("GET /v HTTP/1.1\r\nHost: t\r\n\r\n")); err != nil {
-		t.Fatal(err)
-	}
-	if code, _, _ := readResponse(t, vbr); code != 200 {
-		t.Fatal("veteran conn first request failed")
-	}
-
-	// Occupy the only slot: a fresh conn sending half a request head.
-	stall, err := net.Dial("tcp", s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stall.Close()
-	if _, err := stall.Write([]byte("GET /stall HTTP/1.1\r\n")); err != nil {
-		t.Fatal(err)
-	}
-	testutil.WaitFor(t, 5*time.Second, func() bool {
-		return s.Admission().InflightHeaders == 1
-	}, "stalled conn never took the header slot")
-
-	// Fresh connections now bounce with 503 — when their pass runs on
-	// the free worker. Flow-group routing hashes the source port, so a
-	// probe can instead land in the captive worker's queue and sit
-	// there; such probes are abandoned (closed) and retried until one
-	// draws the free worker. The shed itself is deterministic: any
-	// fresh-conn pass that runs while the slot is held must 503.
-	shed := false
-	for i := 0; i < 20 && !shed; i++ {
-		probe, err := net.Dial("tcp", s.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := probe.Write([]byte("GET /probe HTTP/1.1\r\nHost: t\r\n\r\n")); err != nil {
-			t.Fatal(err)
-		}
-		probe.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
-		pbr := bufio.NewReader(probe)
-		if _, err := pbr.Peek(1); err != nil {
-			probe.Close() // queued behind the captive worker: abandon
-			continue
-		}
-		probe.SetReadDeadline(time.Now().Add(5 * time.Second))
-		code, hdr, _ := readResponse(t, pbr)
-		if code != 503 {
-			t.Fatalf("probe %d: code %d, want 503 while the header slot is held", i, code)
-		}
-		if hdr["retry-after"] == "" {
-			t.Errorf("probe %d: 503 missing Retry-After header: %v", i, hdr)
-		}
-		if hdr["connection"] != "close" {
-			t.Errorf("probe %d: shed 503 must announce Connection: close, got %v", i, hdr)
-		}
-		// The server must actually close it. The shed path never reads
-		// the request bytes, so the close can surface as a reset
-		// rather than a clean EOF — either way, no more data.
-		if n, err := probe.Read(make([]byte, 1)); err == nil || n > 0 {
-			t.Errorf("probe %d: conn not closed after shed 503 (n=%d err=%v)", i, n, err)
-		}
-		probe.Close()
-		shed = true
-	}
-	if !shed {
-		t.Fatal("no probe was ever shed while the header slot was held")
-	}
-	if n := s.Admission().HeaderSheds; n == 0 {
-		t.Error("HeaderSheds = 0 after an observed 503")
-	}
-
-	// The veteran keep-alive conn is exempt: it parked after its first
-	// request, so its next pass skips the fresh-conn gates entirely.
-	// (Its flow group may be owned by the captive worker, in which
-	// case the response arrives only after the stall frees below — but
-	// it must be a 200, never a shed.)
-	if _, err := veteran.Write([]byte("GET /v2 HTTP/1.1\r\nHost: t\r\n\r\n")); err != nil {
-		t.Fatal(err)
-	}
-
-	// Finish the stalled head: its slot frees and fresh conns admit
-	// again. (The slot is released when readRequest returns, success
-	// or failure.)
-	if _, err := stall.Write([]byte("Host: t\r\n\r\n")); err != nil {
-		t.Fatal(err)
-	}
-	if code, _, body := readResponse(t, vbr); code != 200 || string(body) != "/v2" {
-		t.Fatalf("veteran conn shed by the header-slot gate: code %d body %q", code, body)
-	}
-	sbr := bufio.NewReader(stall)
-	if code, _, _ := readResponse(t, sbr); code != 200 {
-		t.Fatal("stalled conn's completed request failed")
-	}
-	testutil.WaitFor(t, 5*time.Second, func() bool {
-		return s.Admission().InflightHeaders == 0
-	}, "header slot never released")
-	late, lbr := dial(t, s)
-	if _, err := late.Write([]byte("GET /late HTTP/1.1\r\nHost: t\r\n\r\n")); err != nil {
-		t.Fatal(err)
-	}
-	if code, _, _ := readResponse(t, lbr); code != 200 {
-		t.Fatal("fresh conn still shed after the slot freed")
+	if n := expiredTotal(s); n != 0 {
+		t.Errorf("%d parked requests expired for a request whose head arrived in time", n)
 	}
 }
 
@@ -370,9 +268,6 @@ func TestMetricsHandlerExposesAdmission(t *testing.T) {
 		"# TYPE affinity_shed_parked_total counter",
 		"# TYPE affinity_budget_rejected_total counter",
 		"affinity_conn_budget 64",
-		"# TYPE affinity_inflight_headers gauge",
-		"affinity_header_timeouts_total{worker=\"0\"} 0",
-		"affinity_header_sheds_total{worker=\"1\"} 0",
 		"# TYPE affinity_overload_sheds_total counter",
 	} {
 		if !strings.Contains(text, want) {

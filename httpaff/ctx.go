@@ -71,15 +71,28 @@ type RequestCtx struct {
 	// hijack, set by Hijack, is the takeover that replaces HTTP serving
 	// on this connection once the current response has flushed.
 	hijack TakeoverFunc
-
-	// headerSlot is true while this pass holds one of the server's
-	// MaxInflightHeaders slots (a fresh connection's first head read);
-	// servePass releases it as soon as that read returns.
-	headerSlot bool
 }
 
+// begin starts a pass. A request the connection parked part-way comes
+// back first, and the walk starts over its bytes.
 func (ctx *RequestCtx) begin(c *conn, worker int) {
 	ctx.conn, ctx.worker = c, worker
+	if len(c.residual) > 0 {
+		if len(c.residual) > len(ctx.rbuf) {
+			ctx.grow(len(c.residual))
+		}
+		ctx.rlen = copy(ctx.rbuf, c.residual)
+		c.residual = c.residual[:0]
+		if cap(c.residual) > ctx.srv.cfg.MaxHeaderBytes+ctx.srv.cfg.MaxBodyBytes {
+			c.residual = nil // the arena's rule for grown buffers
+		}
+	}
+}
+
+// hold moves the unconsumed input into the connection while the context
+// goes back to the arena: at most MaxHeaderBytes + MaxBodyBytes.
+func (ctx *RequestCtx) hold() {
+	ctx.conn.residual = append(ctx.conn.residual[:0], ctx.rbuf[ctx.rpos:ctx.rlen]...)
 }
 
 func (ctx *RequestCtx) end() {
@@ -90,7 +103,6 @@ func (ctx *RequestCtx) end() {
 	ctx.req.reset()
 	ctx.resp.reset()
 	ctx.hijack = nil
-	ctx.headerSlot = false
 }
 
 // buffered reports how many unconsumed request bytes are sitting in the

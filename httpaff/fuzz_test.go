@@ -140,15 +140,21 @@ func FuzzParseHead(f *testing.F) {
 }
 
 // scriptedConn delivers a fixed byte stream in scripted read sizes,
-// cycling through chunks, then reports io.EOF.
+// cycling through chunks, then reports io.EOF. After each chunk the
+// next read would block, as a socket's does until more bytes arrive.
 type scriptedConn struct {
 	net.Conn // nil: only Read and SetReadDeadline are called
 	data     []byte
 	chunks   []int
 	reads    int
+	cut      bool // the last read ended a chunk
 }
 
 func (c *scriptedConn) Read(b []byte) (int, error) {
+	if c.cut {
+		c.cut = false
+		return 0, serve.ErrWouldBlock
+	}
 	if len(c.data) == 0 {
 		return 0, io.EOF
 	}
@@ -156,20 +162,24 @@ func (c *scriptedConn) Read(b []byte) (int, error) {
 	c.reads++
 	n = copy(b, c.data[:n])
 	c.data = c.data[n:]
+	c.cut = true
 	return n, nil
 }
 
 func (c *scriptedConn) SetReadDeadline(time.Time) error { return nil }
 
 // readAll runs readRequest over stream, delivered in the given read
-// sizes, until it fails. It returns every request it parsed, rendered
-// to a string (copied before the next read can move the bytes), the
-// request bytes they were counted as, and the terminal error's class.
+// sizes, until it fails. A read that would block ends the pass as a
+// parked one does: the request's bytes move to the connection, the
+// context is reset, and the next pass resumes. It returns every request
+// it parsed, rendered to a string (copied before the next read can move
+// the bytes), the request bytes they were counted as, and the terminal
+// error's class.
 func readAll(stream []byte, chunks []int) (reqs []string, consumed int, class string) {
 	ctx := newTestCtx()
-	ctx.conn = &conn{Conn: &serve.Conn{Conn: &scriptedConn{data: stream, chunks: chunks}}}
+	ctx.begin(&conn{Conn: &serve.Conn{Conn: &scriptedConn{data: stream, chunks: chunks}}}, 0)
 	for {
-		err := ctx.readRequest()
+		err := readParked(ctx)
 		if err != nil {
 			var pe *protoError
 			if errors.As(err, &pe) {
@@ -183,6 +193,22 @@ func readAll(stream []byte, chunks []int) (reqs []string, consumed int, class st
 			r += fmt.Sprintf("%q=%q|", h.Name, h.Value)
 		}
 		reqs = append(reqs, r+string(ctx.req.body))
+	}
+}
+
+// readParked runs readRequest as the server does: a read that would
+// block ends the pass, the request's bytes move to the connection and
+// the context is reset, and the next pass resumes over them.
+func readParked(ctx *RequestCtx) error {
+	for {
+		err := ctx.readRequest()
+		if err != serve.ErrWouldBlock {
+			return err
+		}
+		c := ctx.conn
+		ctx.hold()
+		ctx.end()
+		ctx.begin(c, 0)
 	}
 }
 
@@ -202,11 +228,12 @@ func withBody(seed string) string {
 }
 
 // FuzzReadRequestSplits pins that parsing depends on the bytes, not on
-// how reads split them: a stream of pipelined requests delivered in
-// fuzzer-chosen read sizes yields the same requests (method, target,
-// version, size, headers, body) and the same terminal error as the
-// stream delivered in reads as large as the buffer takes. A clean end
-// of stream after whole requests must account for every byte.
+// how reads split them or where the connection parks: a stream of
+// pipelined requests delivered in fuzzer-chosen read sizes, parking
+// after each, yields the same requests (method, target, version, size,
+// headers, body) and the same terminal error as the stream delivered in
+// reads as large as the buffer takes. A clean end of stream after whole
+// requests must account for every byte.
 func FuzzReadRequestSplits(f *testing.F) {
 	for i := range fuzzSeeds {
 		var stream string

@@ -76,34 +76,18 @@ type Config struct {
 	MaxRequestsPerConn int
 
 	// IdleTimeout closes a keep-alive connection parked longer than
-	// this between requests (0 = no limit). Enforced twice over: as the
-	// transport read deadline, and as the park deadline the owning
-	// worker's event-loop sweep reaps without waking anything
-	// (serve.Conn records it in SetReadDeadline).
+	// this between requests (0 = no limit), in the owning worker's
+	// event-loop sweep, which wakes nothing.
 	IdleTimeout time.Duration
-	// ReadTimeout bounds reading one request once the connection
-	// blocks for more bytes (0 = fall back to IdleTimeout; a
-	// connection stalled mid-request is idle capacity too, and workers
-	// serve one connection at a time).
+	// ReadTimeout bounds reading one request from its first read (0 =
+	// IdleTimeout). A request that stops mid-way parks with its bytes,
+	// holding no worker, and the park sweep closes it at this deadline.
 	ReadTimeout time.Duration
-	// HeaderTimeout bounds reading one request's head — request line
-	// plus headers — separately from the body reads (which stay under
-	// ReadTimeout). This is the slowloris defense: a client dripping
-	// header bytes holds its worker captive at most this long, however
-	// slowly it feeds the socket, because the deadline is absolute from
-	// the first blocking head read and is not extended per byte.
-	// 0 = fall back to ReadTimeout, then IdleTimeout.
+	// HeaderTimeout bounds reading one request's head separately from
+	// its body (0 = ReadTimeout). It is the slowloris defense: absolute
+	// from the first head read, across parks, so dripping bytes cannot
+	// extend it.
 	HeaderTimeout time.Duration
-
-	// MaxInflightHeaders, when positive, caps how many workers may
-	// simultaneously be blocked reading a *fresh* connection's first
-	// request head. Workers serve one connection at a time, so each
-	// slow first read holds a whole worker; a cap below Workers
-	// reserves the remainder for connections that have already proved
-	// themselves (keep-alive passes are exempt). Fresh connections over
-	// the cap get an immediate 503 with Retry-After and are closed
-	// before any worker blocks for them. 0 = no cap.
-	MaxInflightHeaders int
 
 	// ShedOnOverload answers fresh connections 503-with-Retry-After
 	// while every worker is over its §3.3.1 busy watermark, instead of
@@ -130,7 +114,6 @@ type Config struct {
 	HighPct, LowPct  float64
 	FlowGroups       int
 	MigrateInterval  time.Duration
-	DisableMigration bool
 	MaxConns         int
 	PerIPAcceptRate  float64
 	PerIPAcceptBurst int
@@ -153,7 +136,7 @@ func (c *Config) fill() error {
 		c.MaxBodyBytes = 1 << 20
 	}
 	if c.MaxRequestsPerConn < 0 || c.IdleTimeout < 0 || c.ReadTimeout < 0 ||
-		c.HeaderTimeout < 0 || c.MaxInflightHeaders < 0 || c.RetryAfter < 0 {
+		c.HeaderTimeout < 0 || c.RetryAfter < 0 {
 		return errors.New("httpaff: limits must be non-negative")
 	}
 	if c.RetryAfter == 0 {
@@ -181,11 +164,8 @@ type Server struct {
 	// raw write and no allocation, no arena, no serializer.
 	shed503 []byte
 
-	// inflightHeaders gauges workers currently blocked reading a fresh
-	// connection's first request head (MaxInflightHeaders > 0 only);
 	// admitw holds the per-worker admission counters.
-	inflightHeaders atomic.Int64
-	admitw          []admitCounters
+	admitw []admitCounters
 
 	// obsw holds each worker's request-path histograms (service
 	// latency, request/response sizes).
@@ -196,9 +176,7 @@ type Server struct {
 // from that worker's goroutine (atomics so Admission can read them from
 // anywhere, matching the arena counters' discipline).
 type admitCounters struct {
-	headerTimeouts atomic.Uint64 // request heads that hit their read deadline
-	headerSheds    atomic.Uint64 // fresh conns 503'd over MaxInflightHeaders
-	overloadSheds  atomic.Uint64 // fresh conns 503'd while all workers busy
+	overloadSheds atomic.Uint64 // fresh conns 503'd while all workers busy
 }
 
 // New creates a Server and binds its listeners; call Start to begin
@@ -237,7 +215,6 @@ func New(cfg Config) (*Server, error) {
 		LowPct:           cfg.LowPct,
 		FlowGroups:       cfg.FlowGroups,
 		MigrateInterval:  cfg.MigrateInterval,
-		DisableMigration: cfg.DisableMigration,
 		MaxConns:         cfg.MaxConns,
 		PerIPAcceptRate:  cfg.PerIPAcceptRate,
 		PerIPAcceptBurst: cfg.PerIPAcceptBurst,
@@ -315,25 +292,29 @@ func (s *Server) Transport() *serve.Server { return s.srv }
 type TakeoverFunc func(worker int, nc net.Conn) (park bool)
 
 // conn is the HTTP state that must survive Requeue passes — the
-// per-connection request count, and after a Hijack the takeover
-// function and residual input — kept in the serve.Conn's State slot. It
-// is allocated once per accepted connection and amortizes across every
-// keep-alive request the connection serves. Embedding the serve.Conn
-// makes it the connection as this layer sees it: the transport's
-// methods with residual replay in front of Read.
+// request count, a request parked part-way, a Hijack's takeover — kept
+// in the serve.Conn's State slot. It is allocated once per accepted
+// connection and amortizes across every keep-alive request the
+// connection serves. Embedding the serve.Conn makes it the connection
+// as this layer sees it: the transport's methods with residual replay
+// in front of Read.
 type conn struct {
 	*serve.Conn
 	reqs int // requests served on this connection so far
 
+	// dl is the deadline the request in progress is read under, armed at
+	// its first read and kept across parks: 0 between requests.
+	dl deadline
+
 	// takeover, once set by Hijack, replaces HTTP serving for every
-	// later pass; residual holds input bytes that were read beyond the
-	// upgrade request and must replay before the transport's.
+	// later pass. residual holds input read but not consumed: a request
+	// parked part-way, or bytes read beyond an upgrade request.
 	takeover TakeoverFunc
 	residual []byte
 }
 
 // Read replays residual post-upgrade bytes before touching the
-// transport. On the HTTP path residual is always nil: one predictable
+// transport. On the HTTP path residual is always empty: one predictable
 // branch.
 func (c *conn) Read(b []byte) (int, error) {
 	if len(c.residual) > 0 {
@@ -344,9 +325,13 @@ func (c *conn) Read(b []byte) (int, error) {
 	return c.Conn.Read(b)
 }
 
-// InputPending adds queued post-upgrade residual bytes to the serve
-// layer's answer; see serve.Conn.InputPending for the contract.
-func (c *conn) InputPending() bool { return len(c.residual) > 0 || c.Conn.InputPending() }
+// TryRead replays residual bytes as Read does; see serve.Conn.TryRead.
+func (c *conn) TryRead(b []byte) (int, error) {
+	if len(c.residual) > 0 {
+		return c.Read(b)
+	}
+	return c.Conn.TryRead(b)
+}
 
 // serveConn is the serve.WorkerHandler: one handler pass over a
 // connection. It runs inline on the worker goroutine, which is what
@@ -355,7 +340,6 @@ func (c *conn) InputPending() bool { return len(c.residual) > 0 || c.Conn.InputP
 func (s *Server) serveConn(worker int, nc net.Conn) {
 	sc := nc.(*serve.Conn)
 	c, _ := sc.State.(*conn)
-	headerSlot := false
 	if c == nil {
 		// First pass on a fresh transport connection: the admission
 		// gates run here, before any arena state is touched, and only
@@ -364,16 +348,8 @@ func (s *Server) serveConn(worker int, nc net.Conn) {
 		// flows the server has been curating keep their workers.
 		if s.cfg.ShedOnOverload && s.srv.Overloaded() {
 			s.admitw[worker].overloadSheds.Add(1)
-			s.shed(worker, sc, 0)
+			s.shed(worker, sc)
 			return
-		}
-		if s.cfg.MaxInflightHeaders > 0 {
-			if !s.takeHeaderSlot() {
-				s.admitw[worker].headerSheds.Add(1)
-				s.shed(worker, sc, 1)
-				return
-			}
-			headerSlot = true
 		}
 		c = &conn{Conn: sc}
 		sc.State = c
@@ -388,7 +364,6 @@ func (s *Server) serveConn(worker int, nc net.Conn) {
 	a := s.arenas[worker]
 	ctx := a.acquire()
 	ctx.begin(c, worker)
-	ctx.headerSlot = headerSlot
 	park := s.servePass(ctx)
 	s.obsw[worker].fold()
 	hijacked := c.takeover != nil
@@ -404,44 +379,30 @@ func (s *Server) serveConn(worker int, nc net.Conn) {
 	if !park {
 		return
 	}
-	// Input drained: arm the idle deadline (or clear the request read
-	// deadline) and hand the connection back. The next request bytes
+	// Input drained: hand the connection back. The next request bytes
 	// re-route it through the flow table, so a migrated group's
-	// connection comes back on the new owning worker. The base is the
-	// worker's coarse clock — no time.Now on the park path.
-	var dl time.Time
-	if s.cfg.IdleTimeout > 0 {
-		dl = s.srv.CoarseNow(worker).Add(s.cfg.IdleTimeout)
+	// connection comes back on the new owning worker. A request parked
+	// part-way keeps its deadline; between requests the idle one is
+	// armed from the worker's coarse clock.
+	if c.dl == dlNone {
+		var dl time.Time
+		if s.cfg.IdleTimeout > 0 {
+			dl = s.srv.CoarseNow(worker).Add(s.cfg.IdleTimeout)
+		}
+		sc.SetReadDeadline(dl)
 	}
-	sc.SetReadDeadline(dl)
 	if !s.srv.Requeue(sc) {
 		sc.Close()
 	}
 }
 
 // shed answers a fresh connection 503-with-Retry-After and closes it,
-// tagging the decision (why: 0 overload, 1 header slots) onto the flow
-// group's journey.
-func (s *Server) shed(worker int, sc *serve.Conn, why int64) {
+// tagging the decision onto the flow group's journey.
+func (s *Server) shed(worker int, sc *serve.Conn) {
 	port, group := sc.Flow()
-	s.srv.RecordGroupEvent(worker, obs.KindShed, group, why, port, 0)
+	s.srv.RecordGroupEvent(worker, obs.KindShed, group, port, 0, 0)
 	sc.Write(s.shed503)
 	sc.Close()
-}
-
-// takeHeaderSlot claims one MaxInflightHeaders slot, CAS-bounded so
-// concurrent workers can never overshoot the cap.
-func (s *Server) takeHeaderSlot() bool {
-	limit := int64(s.cfg.MaxInflightHeaders)
-	for {
-		n := s.inflightHeaders.Load()
-		if n >= limit {
-			return false
-		}
-		if s.inflightHeaders.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
 }
 
 // runTakeover runs one takeover pass and parks the connection if asked.
@@ -459,9 +420,9 @@ func (s *Server) runTakeover(worker int, c *conn) {
 const flushEvery = 32 << 10
 
 // servePass serves requests until the connection's buffered input is
-// drained (park: true), the protocol says stop, or an error closes the
-// connection (park: false). Responses to pipelined requests accumulate
-// and flush in one write.
+// drained or a request stops mid-way (park: true), the protocol says
+// stop, or an error closes the connection (park: false). Responses to
+// pipelined requests accumulate and flush in one write.
 func (s *Server) servePass(ctx *RequestCtx) (park bool) {
 	c := ctx.conn
 	ow := &s.obsw[ctx.worker]
@@ -473,12 +434,15 @@ func (s *Server) servePass(ctx *RequestCtx) (park bool) {
 	for {
 		outBefore := int64(ctx.written())
 		err := ctx.readRequest()
-		if ctx.headerSlot {
-			// The fresh connection's first head read is over (parsed or
-			// failed): it no longer holds a worker captive on input it
-			// has never justified, so its in-flight-headers slot frees.
-			ctx.headerSlot = false
-			ctx.srv.inflightHeaders.Add(-1)
+		if err == serve.ErrWouldBlock {
+			// The request stops mid-way: flush what is answered and park
+			// with its bytes rather than wait on the socket.
+			if ctx.flush() != nil {
+				ctx.conn.Close()
+				return false
+			}
+			ctx.hold()
+			return true
 		}
 		if err != nil {
 			var pe *protoError
@@ -503,9 +467,7 @@ func (s *Server) servePass(ctx *RequestCtx) (park bool) {
 				ctx.conn.Close()
 				return false
 			}
-			if ctx.buffered() > 0 {
-				c.residual = append([]byte(nil), ctx.rbuf[ctx.rpos:ctx.rlen]...)
-			}
+			ctx.hold()
 			c.takeover = ctx.hijack
 			return false
 		}

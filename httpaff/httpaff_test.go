@@ -467,8 +467,7 @@ func TestIdleTimeout(t *testing.T) {
 
 // TestIdleTimeoutBoundsStalledRequest: with only IdleTimeout set, a
 // client that sends a partial request and goes silent is disconnected
-// rather than pinning its worker forever — the inline worker model
-// makes an unbounded mid-request read a denial of service.
+// at that deadline rather than held parked forever.
 func TestIdleTimeoutBoundsStalledRequest(t *testing.T) {
 	s := start(t, Config{Workers: 2, IdleTimeout: 100 * time.Millisecond})
 	conn, br := dial(t, s)
@@ -847,5 +846,27 @@ func TestDateFromWorkerClock(t *testing.T) {
 	}
 	if len(seen) < workers {
 		t.Fatalf("only workers %v served a request", seen)
+	}
+}
+
+// TestPanickingRouteLeavesWorkerServing: a route that panics closes its
+// connection unanswered, and the one worker serves the next request.
+func TestPanickingRouteLeavesWorkerServing(t *testing.T) {
+	r := NewRouter()
+	r.Handle("/panic", func(*RequestCtx) { panic(http.ErrAbortHandler) })
+	r.Handle("/ok", echoPath)
+	s := start(t, Config{Workers: 1, Handler: r.Serve})
+	conn, br := dial(t, s)
+	io.WriteString(conn, "GET /panic HTTP/1.1\r\nHost: t\r\n\r\n")
+	if b, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("panicking route: read %q, %v; want EOF", b, err)
+	}
+	conn, br = dial(t, s)
+	io.WriteString(conn, "GET /ok HTTP/1.1\r\nHost: t\r\n\r\n")
+	if code, _, body := readResponse(t, br); code != 200 || string(body) != "/ok" {
+		t.Fatalf("next request answered %d %q", code, body)
+	}
+	if n := s.Stats().Workers[0].Panics; n != 1 {
+		t.Errorf("Panics = %d, want 1", n)
 	}
 }

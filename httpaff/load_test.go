@@ -209,8 +209,7 @@ func TestScrapingUnderLoad(t *testing.T) {
 		want["affinity_accept_remote_total"+label] = w.AcceptRemote
 		want["affinity_migrated_in_total"+label] = w.MigratedIn
 		want["affinity_pool_reuses_total"+label] = w.Pool.Reuses
-		want["affinity_header_timeouts_total"+label] = ad.Workers[i].HeaderTimeouts
-		want["affinity_header_sheds_total"+label] = ad.Workers[i].HeaderSheds
+		want["affinity_handler_panics_total"+label] = w.Panics
 		want["affinity_overload_sheds_total"+label] = ad.Workers[i].OverloadSheds
 	}
 	for key, v := range want {
@@ -232,8 +231,9 @@ func TestScrapingUnderLoad(t *testing.T) {
 // hammer accept from their own loopback addresses. The admission
 // machinery must absorb the abuse: no well-behaved request fails and
 // their p99 stays under a second, the per-IP token buckets and the
-// header deadline both fire, at least one slowloris connection is cut
-// off, and live connections never exceed the budget.
+// header deadline both fire (the park sweep closes slowloris requests
+// at it), at least one slowloris connection is cut off, and live
+// connections never exceed the budget.
 func TestHostileMix(t *testing.T) {
 	const (
 		workers = 4
@@ -241,14 +241,13 @@ func TestHostileMix(t *testing.T) {
 		window  = 1500 * time.Millisecond
 	)
 	s := start(t, Config{
-		Workers:            workers,
-		Handler:            benchHandler,
-		PerIPAcceptRate:    5,
-		PerIPAcceptBurst:   2 * clients,
-		MaxConns:           256,
-		HeaderTimeout:      500 * time.Millisecond,
-		MaxInflightHeaders: workers / 2,
-		ShedOnOverload:     true,
+		Workers:          workers,
+		Handler:          benchHandler,
+		PerIPAcceptRate:  5,
+		PerIPAcceptBurst: 2 * clients,
+		MaxConns:         256,
+		HeaderTimeout:    500 * time.Millisecond,
+		ShedOnOverload:   true,
 	})
 	addr := s.Addr().String()
 	stop := time.Now().Add(window)
@@ -280,16 +279,16 @@ func TestHostileMix(t *testing.T) {
 	}
 	slices.Sort(lat)
 	p99 := lat[len(lat)*99/100]
-	st, ad := s.Stats(), s.Admission()
-	t.Logf("p99 %v over %d requests; %d rate-limited, %d header timeouts, %d slowloris cut off, live peak %d of %d",
-		p99, len(lat), st.Ratelimited, ad.HeaderTimeouts, slowClosed.Load(), st.LivePeak, st.MaxConns)
+	st, expired := s.Stats(), expiredTotal(s)
+	t.Logf("p99 %v over %d requests; %d rate-limited, %d expired in the park sweep, %d slowloris cut off, live peak %d of %d",
+		p99, len(lat), st.Ratelimited, expired, slowClosed.Load(), st.LivePeak, st.MaxConns)
 	if p99 >= time.Second {
 		t.Errorf("well-behaved p99 %v under attack, want under 1s", p99)
 	}
 	if st.Ratelimited == 0 {
 		t.Error("the per-IP floods never tripped the token buckets")
 	}
-	if ad.HeaderTimeouts == 0 {
+	if expired == 0 {
 		t.Error("the slowloris clients never hit the header deadline")
 	}
 	if slowClosed.Load() == 0 {

@@ -9,42 +9,23 @@ import (
 // the transport-level half (per-IP rate limiting, the connection
 // budget) lives in serve.Stats.
 type AdmissionStats struct {
-	// InflightHeaders is the instantaneous number of workers blocked
-	// reading a fresh connection's first request head.
-	InflightHeaders int64
-	// HeaderTimeouts counts request heads cut off at their read
-	// deadline (the slowloris defense firing); HeaderSheds counts
-	// fresh connections 503'd over MaxInflightHeaders; OverloadSheds
-	// counts fresh connections 503'd while every worker was busy.
-	HeaderTimeouts uint64
-	HeaderSheds    uint64
-	OverloadSheds  uint64
-	// Workers is the per-worker breakdown of the three counters above.
+	// OverloadSheds counts fresh connections 503'd while every worker
+	// was busy.
+	OverloadSheds uint64
+	// Workers is the per-worker breakdown.
 	Workers []WorkerAdmission
 }
 
 // WorkerAdmission is one worker's admission counters.
 type WorkerAdmission struct {
-	HeaderTimeouts uint64
-	HeaderSheds    uint64
-	OverloadSheds  uint64
+	OverloadSheds uint64
 }
 
 // Admission snapshots the per-worker admission counters.
 func (s *Server) Admission() AdmissionStats {
-	st := AdmissionStats{
-		InflightHeaders: s.inflightHeaders.Load(),
-		Workers:         make([]WorkerAdmission, len(s.admitw)),
-	}
+	st := AdmissionStats{Workers: make([]WorkerAdmission, len(s.admitw))}
 	for i := range s.admitw {
-		w := &s.admitw[i]
-		st.Workers[i] = WorkerAdmission{
-			HeaderTimeouts: w.headerTimeouts.Load(),
-			HeaderSheds:    w.headerSheds.Load(),
-			OverloadSheds:  w.overloadSheds.Load(),
-		}
-		st.HeaderTimeouts += st.Workers[i].HeaderTimeouts
-		st.HeaderSheds += st.Workers[i].HeaderSheds
+		st.Workers[i].OverloadSheds = s.admitw[i].overloadSheds.Load()
 		st.OverloadSheds += st.Workers[i].OverloadSheds
 	}
 	return st
@@ -57,8 +38,7 @@ func (s *Server) Admission() AdmissionStats {
 // (serve.Server.WriteObsMetrics: locality, queues, accept-time
 // admission, the event plane, the park/steal/migrate histograms), then
 // the HTTP layer renders its own (Server.WriteObsMetrics: request
-// histograms, header-deadline and 503-backpressure counters, arena
-// reuse). Layers stacked above (proxyaff's upstream exchange
+// histograms, the 503-backpressure counter, arena reuse). Layers stacked above (proxyaff's upstream exchange
 // histograms, wsaff's frame counters) compose in through extras — each
 // is invoked in order and appends its own series, so one scrape
 // endpoint covers the whole stack without a registry. Mount it on a

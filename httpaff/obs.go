@@ -62,21 +62,12 @@ func (s *Server) ServiceLatencyQuantiles(qs ...float64) []time.Duration {
 }
 
 // WriteObsMetrics renders the HTTP layer's series in Prometheus text
-// format: the request-path histograms, the header-deadline and
-// 503-backpressure admission counters, and each worker's arena reuse.
+// format: the request-path histograms, the 503-backpressure admission
+// counter, and each worker's arena reuse.
 // The unified MetricsHandler composes it with the transport's
 // WriteObsMetrics.
 func (s *Server) WriteObsMetrics(w io.Writer) {
 	ad := s.Admission()
-	fmt.Fprintf(w, "# HELP affinity_inflight_headers Workers blocked reading a fresh connection's first request head.\n# TYPE affinity_inflight_headers gauge\naffinity_inflight_headers %d\n", ad.InflightHeaders)
-	fmt.Fprintf(w, "# HELP affinity_header_timeouts_total Request heads cut off at the header read deadline (slowloris defense).\n# TYPE affinity_header_timeouts_total counter\n")
-	for i, x := range ad.Workers {
-		fmt.Fprintf(w, "affinity_header_timeouts_total{worker=\"%d\"} %d\n", i, x.HeaderTimeouts)
-	}
-	fmt.Fprintf(w, "# HELP affinity_header_sheds_total Fresh connections 503'd over MaxInflightHeaders.\n# TYPE affinity_header_sheds_total counter\n")
-	for i, x := range ad.Workers {
-		fmt.Fprintf(w, "affinity_header_sheds_total{worker=\"%d\"} %d\n", i, x.HeaderSheds)
-	}
 	fmt.Fprintf(w, "# HELP affinity_overload_sheds_total Fresh connections 503'd while every worker was over its busy watermark.\n# TYPE affinity_overload_sheds_total counter\n")
 	for i, x := range ad.Workers {
 		fmt.Fprintf(w, "affinity_overload_sheds_total{worker=\"%d\"} %d\n", i, x.OverloadSheds)

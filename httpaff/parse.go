@@ -3,12 +3,11 @@ package httpaff
 import (
 	"bytes"
 	"errors"
-	"os"
 	"time"
 
 	"affinityaccept/internal/evloop"
 	"affinityaccept/internal/http11"
-	"affinityaccept/internal/obs"
+	"affinityaccept/serve"
 )
 
 // protoError is a request-level protocol failure the server answers
@@ -41,45 +40,42 @@ var (
 // is consulted: a larger value is malformed (400), not merely too large.
 const maxContentLength = 1 << 30
 
-// armReadDeadline bounds the in-request reads; it replaces whatever
-// deadline the previous park armed. Without a ReadTimeout the idle
-// timeout applies: a connection that never completes its request is
-// occupying a worker — the serve model runs handlers inline, one
-// connection per worker, so an unbounded read here would let a few
-// silent clients wedge the whole server even though the operator asked
-// for idle connections to be dropped.
-func (ctx *RequestCtx) armReadDeadline() {
-	ctx.armDeadline(ctx.srv.cfg.ReadTimeout)
-}
+// deadline names the read deadline a request is read under.
+type deadline uint8
 
-// armHeadDeadline bounds the head (request line + headers) reads. The
-// separate, typically tighter HeaderTimeout is the slowloris defense:
-// the deadline is absolute from the first blocking head read, so a
-// client dripping one header byte per second is cut off on schedule no
-// matter how many drips land.
-func (ctx *RequestCtx) armHeadDeadline() {
-	timeout := ctx.srv.cfg.HeaderTimeout
-	if timeout == 0 {
-		timeout = ctx.srv.cfg.ReadTimeout
+const (
+	dlNone deadline = iota // between requests
+	dlHead                 // the head's: HeaderTimeout
+	dlBody                 // the body's: ReadTimeout
+)
+
+// armDeadline arms the request's read deadline at its first read, and
+// the body's at the body's first read when a separate HeaderTimeout
+// bounds the head. Each is absolute from that read across parks, so
+// trickling bytes cannot extend it; the park sweep enforces it. Without
+// a ReadTimeout the idle timeout applies: a request that never
+// completes is an idle connection.
+func (ctx *RequestCtx) armDeadline(d deadline) {
+	c, cfg := ctx.conn, &ctx.srv.cfg
+	if c.dl >= d || (c.dl != dlNone && cfg.HeaderTimeout == 0) {
+		return
 	}
-	ctx.armDeadline(timeout)
-}
-
-func (ctx *RequestCtx) armDeadline(timeout time.Duration) {
+	c.dl = d
+	timeout := cfg.ReadTimeout
+	if d == dlHead && cfg.HeaderTimeout > 0 {
+		timeout = cfg.HeaderTimeout
+	}
 	if timeout == 0 {
-		timeout = ctx.srv.cfg.IdleTimeout
+		timeout = cfg.IdleTimeout
 	}
 	var dl time.Time
 	if timeout > 0 {
-		// The worker's coarse clock (one stamp per event-loop
-		// iteration) replaces a time.Now call per request. It trails
-		// time.Now by up to one poll interval, which is added so the
-		// deadline fires no earlier than timeout: without it a timeout
-		// near that interval could be past on arming, and a fresh
-		// connection whose request was still in flight was cut off.
+		// The worker's coarse clock replaces a time.Now per request. It
+		// trails time.Now by up to one poll interval, which is added so
+		// the deadline fires no earlier than timeout.
 		dl = ctx.srv.srv.CoarseNow(ctx.worker).Add(timeout + evloop.PollInterval)
 	}
-	ctx.conn.SetReadDeadline(dl)
+	c.SetReadDeadline(dl)
 }
 
 // readRequest reads and parses the next request, which starts at
@@ -88,13 +84,13 @@ func (ctx *RequestCtx) armDeadline(timeout time.Duration) {
 // the first incomplete line. The bytes move only when the request needs
 // room for a read or its body: to the buffer's front, where the walk
 // starts over so no parsed slice aliases moved bytes, or, already at
-// the front, into a larger buffer (grow). Returns a *protoError for
+// the front, into a larger buffer (grow). No read waits: on an empty
+// socket it returns serve.ErrWouldBlock, and the pass parks the bytes
+// with the connection (hold). Otherwise it returns a *protoError for
 // answerable protocol failures, errClientGone for a clean EOF between
 // requests, or the transport error.
 func (ctx *RequestCtx) readRequest() error {
 	maxHead := ctx.srv.cfg.MaxHeaderBytes
-	armed := false  // a read deadline has been armed for this request
-	headDL := false // ...and it is the (typically tighter) head deadline
 	next, done := ctx.rpos, false
 	for {
 		// Only lines ending within MaxHeaderBytes of the request's start
@@ -122,26 +118,14 @@ func (ctx *RequestCtx) readRequest() error {
 		if ctx.rlen == len(ctx.rbuf) {
 			ctx.grow(2 * len(ctx.rbuf))
 		}
-		if !armed {
-			ctx.armHeadDeadline()
-			armed, headDL = true, true
-		}
-		n, err := ctx.conn.Read(ctx.rbuf[ctx.rlen:])
+		ctx.armDeadline(dlHead)
+		n, err := ctx.conn.TryRead(ctx.rbuf[ctx.rlen:])
 		ctx.rlen += n
 		if err != nil && n == 0 {
-			if ctx.rlen == 0 {
+			if ctx.rlen == 0 && err != serve.ErrWouldBlock {
 				return errClientGone
 			}
-			if errors.Is(err, os.ErrDeadlineExceeded) {
-				// A started-but-never-finished head is the slowloris
-				// signature; count it for the worker serving the pass,
-				// tagged onto the victim flow group's journey.
-				ctx.srv.admitw[ctx.worker].headerTimeouts.Add(1)
-				port, group := ctx.conn.Flow()
-				ctx.srv.srv.RecordGroupEvent(ctx.worker, obs.KindHeaderTimeout,
-					group, port, int64(ctx.rlen), 0)
-			}
-			return err // mid-request EOF or timeout
+			return err // would block, mid-request EOF, or transport error
 		}
 	}
 	// Body: Content-Length bytes immediately following the headers.
@@ -155,15 +139,10 @@ func (ctx *RequestCtx) readRequest() error {
 			ctx.grow(total + 1)
 		}
 		for ctx.rlen < total {
-			// The body gets its own budget under ReadTimeout: when a
-			// distinct HeaderTimeout armed the head reads, re-arm here
-			// so a tight header deadline doesn't strangle a legitimate
-			// large upload.
-			if !armed || (headDL && ctx.srv.cfg.HeaderTimeout > 0) {
-				ctx.armReadDeadline()
-				armed, headDL = true, false
-			}
-			n, err := ctx.conn.Read(ctx.rbuf[ctx.rlen:])
+			// The body gets its own budget under ReadTimeout, so a tight
+			// header deadline does not strangle a legitimate upload.
+			ctx.armDeadline(dlBody)
+			n, err := ctx.conn.TryRead(ctx.rbuf[ctx.rlen:])
 			ctx.rlen += n
 			if err != nil && n == 0 {
 				return err
@@ -172,6 +151,7 @@ func (ctx *RequestCtx) readRequest() error {
 		ctx.req.body = ctx.rbuf[next:total]
 		next = total
 	}
+	ctx.conn.dl = dlNone
 	ctx.start, ctx.rpos = ctx.rpos, next
 	return nil
 }

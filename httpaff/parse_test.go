@@ -190,9 +190,9 @@ func TestHelpers(t *testing.T) {
 }
 
 // TestLongPipelineKeepsBuffer: a client that pipelines without pause,
-// its reads ending mid-head, must not grow the read buffer. Each
-// request that needs a read moves to the buffer's front and its head is
-// walked again there, so the buffer stays at its initial size.
+// its reads ending mid-head and parking, must not grow the read buffer.
+// Each request that needs a read moves to the buffer's front and its
+// head is walked again there, so the buffer stays at its initial size.
 func TestLongPipelineKeepsBuffer(t *testing.T) {
 	var stream []byte
 	for i := 0; i < 2000; i++ {
@@ -200,10 +200,10 @@ func TestLongPipelineKeepsBuffer(t *testing.T) {
 	}
 	ctx := newTestCtx()
 	size := len(ctx.rbuf)
-	ctx.conn = &conn{Conn: &serve.Conn{Conn: &scriptedConn{data: stream, chunks: []int{1000, 333, 2900}}}}
+	ctx.begin(&conn{Conn: &serve.Conn{Conn: &scriptedConn{data: stream, chunks: []int{1000, 333, 2900}}}}, 0)
 	consumed := 0
 	for i := 0; ; i++ {
-		err := ctx.readRequest()
+		err := readParked(ctx)
 		if err == errClientGone {
 			break
 		}
@@ -248,8 +248,8 @@ func TestBodyReadEndsShort(t *testing.T) {
 		ctx := newTestCtx()
 		for round := 0; round < 2; round++ {
 			rc := &recordingConn{scriptedConn: scriptedConn{data: []byte(req), chunks: []int{chunk}}}
-			ctx.conn = &conn{Conn: &serve.Conn{Conn: rc}}
-			if err := ctx.readRequest(); err != nil {
+			ctx.begin(&conn{Conn: &serve.Conn{Conn: rc}}, 0)
+			if err := readParked(ctx); err != nil {
 				t.Fatalf("chunk %d, round %d: %v", chunk, round, err)
 			}
 			if string(ctx.Body()) != body || ctx.buffered() != 0 {

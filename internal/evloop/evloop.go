@@ -142,7 +142,6 @@ type Handle struct {
 	registered bool  // in the poller's interest set (persists across parks)
 	regTag     int32 // seq low bits stashed in the registration's events
 	fallback   bool  // sticky: this handle parks via its parker goroutine
-	readable   bool  // poller reported readability at last wake
 	missed     bool  // next Arm must probe: see deliver (set under loop.mu)
 	drained    bool  // the owner's last read came back short: no data left
 	deadline   int64
@@ -222,11 +221,6 @@ func (h *Handle) Init(c net.Conn) {
 	h.fd = rawFD(c)
 }
 
-// Pending reports whether the handle holds replayable input — a
-// consumed fallback wake byte, or poller-reported readability — ahead
-// of the transport.
-func (h *Handle) Pending() bool { return h.has || h.readable }
-
 // Replay copies the consumed fallback wake byte into b, reporting
 // whether one was held. A zero-length b leaves the byte held.
 func (h *Handle) Replay(b []byte) (int, bool) {
@@ -250,10 +244,6 @@ func (h *Handle) Clock() time.Time {
 	}
 	return h.loop.Now()
 }
-
-// ClearReadable drops the poller's readability hint; the owner calls it
-// when it is about to read the transport directly.
-func (h *Handle) ClearReadable() { h.readable = false }
 
 // NoteRead records whether the owner's last transport read came back
 // short (fewer bytes than asked, no error): no data was then left, so
@@ -310,7 +300,6 @@ func (l *Loop) Arm(h *Handle, deadline time.Time) bool {
 	}
 	h.loop = l
 	h.seq = armSeq.Add(1)
-	h.readable = false
 	h.deadline = dl
 	if dl != 0 {
 		l.timed++
@@ -368,7 +357,6 @@ func (l *Loop) Arm(h *Handle, deadline time.Time) bool {
 		l.probes.Add(1)
 		if h.probeReadable() {
 			l.detachLocked(h)
-			h.readable = true
 			l.mu.Unlock()
 			l.ready.Add(1)
 			l.cb.Ready(h.c)
@@ -438,7 +426,6 @@ func (l *Loop) deliver(fd int32, tag int32, hup bool) bool {
 		return false
 	}
 	l.detachLocked(h)
-	h.readable = true
 	h.missed = hup
 	l.mu.Unlock()
 	l.ready.Add(1)

@@ -108,7 +108,6 @@ func readWakeByte(t *testing.T, h *Handle) byte {
 		}
 		return b[0]
 	}
-	h.ClearReadable()
 	h.c.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := h.c.Read(b[:]); err != nil {
 		t.Fatalf("reading wake byte: %v", err)
@@ -595,7 +594,6 @@ func paritySuite(t *testing.T, portable bool) {
 		if n := l.probes.Load(); n != 1 {
 			t.Fatalf("probes = %d, want 1", n)
 		}
-		h.ClearReadable()
 		if _, err := srv.Read(buf); err != io.EOF {
 			t.Fatalf("read after the hangup wake: %v, want EOF", err)
 		}
@@ -717,7 +715,6 @@ func ownerRead(t *testing.T, h *Handle, b []byte) int {
 	if n, ok := h.Replay(b); ok {
 		return n
 	}
-	h.ClearReadable()
 	h.c.SetReadDeadline(time.Now().Add(2 * time.Second))
 	n, err := h.c.Read(b)
 	if err != nil {

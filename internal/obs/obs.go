@@ -69,14 +69,12 @@ const (
 	// A = remote port, B = park duration in nanoseconds.
 	KindWake
 	// KindShed: a parked connection was closed LIFO to reclaim its
-	// descriptor or budget slot. A = remote port.
+	// descriptor or budget slot, or a fresh one answered 503 under
+	// overload. A = remote port.
 	KindShed
 	// KindRatelimit: a connection was closed at accept because its
 	// client IP's token bucket was empty. A = remote port.
 	KindRatelimit
-	// KindHeaderTimeout: a request head hit its read deadline (the
-	// slowloris defense). A = remote port.
-	KindHeaderTimeout
 	// KindParkDead: a parked connection was closed by its event loop —
 	// peer gone, park deadline expired, or shutdown sweep.
 	// A = remote port, B = park duration in nanoseconds.
@@ -86,16 +84,15 @@ const (
 )
 
 var kindNames = [kindCount]string{
-	KindAccept:        "accept",
-	KindSteal:         "steal",
-	KindMigrate:       "migrate",
-	KindReroute:       "requeue-reroute",
-	KindPark:          "park",
-	KindWake:          "wake",
-	KindShed:          "shed",
-	KindRatelimit:     "ratelimit",
-	KindHeaderTimeout: "header-timeout",
-	KindParkDead:      "park-dead",
+	KindAccept:    "accept",
+	KindSteal:     "steal",
+	KindMigrate:   "migrate",
+	KindReroute:   "requeue-reroute",
+	KindPark:      "park",
+	KindWake:      "wake",
+	KindShed:      "shed",
+	KindRatelimit: "ratelimit",
+	KindParkDead:  "park-dead",
 }
 
 // String names the kind as it appears in /debug/events JSON.

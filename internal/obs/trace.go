@@ -123,7 +123,7 @@ func WriteTrace(w io.Writer, workers int, events []Event) (spans int, err error)
 					owner, start = ev.Worker, ev.TS
 				}
 			default:
-				// accept / park / wake / park-dead / header-timeout: the
+				// accept / park / wake / park-dead: the
 				// first of them opens the residency when nothing else has.
 				if owner < 0 {
 					owner, start = ev.Worker, ev.TS

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"io"
 	"net"
 	"sync/atomic"
 	"syscall"
@@ -59,6 +60,11 @@ type Conn struct {
 
 	charged bool // holds one slot of the MaxConns budget
 
+	// rc is the transport's descriptor access, nil when it has none; rd
+	// is the TryRead callback of the worker running the pass.
+	rc syscall.RawConn
+	rd *rawReader
+
 	// state says who may touch the handle. A running connection is held
 	// by exactly one of a pass, a queue or a loop callback, and no Arm is
 	// in progress; a parked one is armed on loops[loop] or about to be;
@@ -78,6 +84,9 @@ const (
 // known.
 func (s *Server) newConn(nc net.Conn, port int64) *Conn {
 	c := &Conn{Conn: nc, srv: s, port: port, group: -1, loop: -1}
+	if sc, ok := nc.(syscall.Conn); ok && haveSysRead {
+		c.rc, _ = sc.SyscallConn() // none: TryRead blocks as Read does
+	}
 	if port >= 0 {
 		c.group = s.flow.GroupOf(uint16(port))
 	}
@@ -160,31 +169,68 @@ func (c *Conn) SetReadDeadline(t time.Time) error {
 // deadlines from it instead of calling time.Now per request.
 func (c *Conn) CoarseNow() time.Time { return c.h.Clock() }
 
-// InputPending reports whether the wake left input to replay — a
-// fallback wake-up byte, or poller-reported readability. Handlers that
-// serve discrete protocol units per pass (the wsaff frame loop) use it
-// to decide between reading and re-parking without risking a blocking
-// read on a connection that sent nothing.
-func (c *Conn) InputPending() bool { return c.h.Pending() }
-
 // Read replays a held wake byte, or reads the transport and tells the
 // park handle whether the read came back short (see Handle.NoteRead).
 func (c *Conn) Read(b []byte) (int, error) {
 	if n, ok := c.h.Replay(b); ok {
 		return n, nil
 	}
-	c.h.ClearReadable()
 	n, err := c.Conn.Read(b)
 	c.h.NoteRead(err == nil && n < len(b))
 	return n, err
 }
 
-// SyscallConn forwards to the transport, which is how the event loop
-// reaches the descriptor. A transport without one (net.Pipe) reports an
-// error and parks on the portable path.
-func (c *Conn) SyscallConn() (syscall.RawConn, error) {
-	if sc, ok := c.Conn.(syscall.Conn); ok {
-		return sc.SyscallConn()
+// ErrWouldBlock is TryRead's report that the socket has no input yet.
+var ErrWouldBlock = errors.New("serve: read would block")
+
+// rawReader is one worker's TryRead callback and its operands, built
+// once so that a read allocates nothing.
+type rawReader struct {
+	b   []byte
+	n   int
+	err error
+	fn  func(fd uintptr)
+}
+
+func (r *rawReader) read(fd uintptr) { r.n, r.err = sysRead(fd, r.b) }
+
+// TryRead, called only from a pass, is Read that never waits: on an
+// empty socket it returns ErrWouldBlock, so the pass can park instead
+// of holding its worker. Its one read(2) ignores the read deadline (a
+// parked connection's is the sweep's). A transport without a
+// descriptor (net.Pipe, a wrapper) blocks as Read does.
+func (c *Conn) TryRead(b []byte) (int, error) {
+	if c.rc == nil {
+		return c.Read(b)
 	}
-	return nil, errors.ErrUnsupported
+	if n, ok := c.h.Replay(b); ok {
+		return n, nil
+	}
+	r := c.rd
+	r.b = b
+	err := c.rc.Control(r.fn)
+	n := r.n
+	if err == nil {
+		err = r.err
+	}
+	switch {
+	case err == syscall.EAGAIN:
+		n, err = 0, ErrWouldBlock
+	case err != nil:
+		n = 0
+	case n == 0 && len(b) > 0:
+		err = io.EOF
+	}
+	c.h.NoteRead(n < len(b) && (err == nil || err == ErrWouldBlock))
+	return n, err
+}
+
+// SyscallConn reports the transport's RawConn, which is how the event
+// loop reaches the descriptor. A transport without one (net.Pipe)
+// reports an error and parks on the portable path.
+func (c *Conn) SyscallConn() (syscall.RawConn, error) {
+	if c.rc == nil {
+		return nil, errors.ErrUnsupported
+	}
+	return c.rc, nil
 }

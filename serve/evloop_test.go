@@ -23,9 +23,9 @@ func testWakeDuringMigration(t *testing.T) {
 	var mu sync.Mutex
 	var passWorkers []int
 	s, err := New(Config{
-		Workers:          2,
-		FlowGroups:       groups,
-		DisableMigration: true, // the test migrates by hand
+		Workers:         2,
+		FlowGroups:      groups,
+		MigrateInterval: time.Hour, // the test migrates by hand
 		WorkerHandler: func(worker int, conn net.Conn) {
 			buf := make([]byte, 4)
 			if _, err := io.ReadFull(conn, buf); err != nil {

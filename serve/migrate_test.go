@@ -51,7 +51,7 @@ func requeueEcho(srv **Server, msgLen int, work time.Duration) WorkerHandler {
 }
 
 // runSkewedKeepAlive drives one four-worker server, configured by cfg's
-// FlowGroups and DisableMigration, with the paper's §3.3.2 problem
+// FlowGroups and MigrateInterval, with the paper's §3.3.2 problem
 // workload: conns long-lived connections, all hashing into flow groups
 // initially owned by worker 0, each looping request/response for the
 // window. Once the clients have stopped and the server has shut down,
@@ -64,7 +64,9 @@ func runSkewedKeepAlive(t *testing.T, cfg Config, conns int) (Stats, []obs.Event
 	)
 	var srv *Server
 	cfg.Workers = 4
-	cfg.MigrateInterval = 2 * time.Millisecond
+	if cfg.MigrateInterval == 0 {
+		cfg.MigrateInterval = 2 * time.Millisecond
+	}
 	cfg.Backlog = cfg.Workers * 64
 	cfg.HighPct, cfg.LowPct = 20, 5
 	cfg.WorkerHandler = requeueEcho(&srv, msgLen, 200*time.Microsecond)
@@ -125,7 +127,7 @@ func runSkewedKeepAlive(t *testing.T, cfg Config, conns int) (Stats, []obs.Event
 // event on the control ring, and the stitched per-group journeys carry
 // them all.
 func TestMigrationRescuesSkewedKeepAlive(t *testing.T) {
-	stealOnly, _ := runSkewedKeepAlive(t, Config{FlowGroups: 16, DisableMigration: true}, 24)
+	stealOnly, _ := runSkewedKeepAlive(t, Config{FlowGroups: 16, MigrateInterval: time.Hour}, 24)
 	migrating, events := runSkewedKeepAlive(t, Config{FlowGroups: 16}, 24)
 
 	t.Logf("steal-only: locality %.1f%% migrations %d\n%+v",
@@ -134,7 +136,7 @@ func TestMigrationRescuesSkewedKeepAlive(t *testing.T) {
 		migrating.LocalityPct(), migrating.Migrations, migrating)
 
 	if stealOnly.Migrations != 0 {
-		t.Errorf("DisableMigration run applied %d migrations", stealOnly.Migrations)
+		t.Errorf("steal-only run applied %d migrations", stealOnly.Migrations)
 	}
 	if migrating.Migrations == 0 {
 		t.Fatal("migration run applied no migrations")
@@ -181,13 +183,13 @@ func TestMigrationRescuesSkewedKeepAlive(t *testing.T) {
 // test-controlled.
 func TestMigrationPausesWhileAllWorkersBusy(t *testing.T) {
 	s, err := New(Config{
-		Workers:          2,
-		FlowGroups:       8,
-		DisableMigration: true, // ticks are manual
-		Backlog:          40,   // 20 per worker: high = 4, low = 1
-		HighPct:          20,
-		LowPct:           5,
-		WorkerHandler:    onConn(echoHandler),
+		Workers:         2,
+		FlowGroups:      8,
+		MigrateInterval: time.Hour, // ticks are manual
+		Backlog:         40,        // 20 per worker: high = 4, low = 1
+		HighPct:         20,
+		LowPct:          5,
+		WorkerHandler:   onConn(echoHandler),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -259,9 +261,9 @@ func TestRequeueRoutesToOwningWorker(t *testing.T) {
 	var mu sync.Mutex
 	var passWorkers []int
 	s, err := New(Config{
-		Workers:          2,
-		FlowGroups:       groups,
-		DisableMigration: true,
+		Workers:         2,
+		FlowGroups:      groups,
+		MigrateInterval: time.Hour,
 		WorkerHandler: func(worker int, conn net.Conn) {
 			buf := make([]byte, 4)
 			if _, err := io.ReadFull(conn, buf); err != nil {

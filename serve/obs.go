@@ -72,7 +72,7 @@ func (s *Server) coarseUnix(w int) int64 {
 
 // RecordGroupEvent publishes one flow-journey event onto worker w's
 // event ring, tagged with flow group g and the group's next hop
-// counter. Layers above serve (httpaff's shed and header-timeout paths)
+// counter. Layers above serve (httpaff's shed path)
 // use it so their decisions stitch into the same per-group journeys as
 // the server's accept/steal/migrate hops. Pass a negative group for an
 // event outside any journey. Zero allocations.
@@ -188,6 +188,7 @@ func (s *Server) WriteObsMetrics(w io.Writer) {
 	perWorker(w, "affinity_worker_parked", "gauge", "Connections parked on each worker's event loop.", len(ws), func(i int) any { return ws[i].Parked })
 	perWorker(w, "affinity_worker_groups", "gauge", "Flow groups each worker owns.", len(ws), func(i int) any { return ws[i].GroupsOwned })
 	perWorker(w, "affinity_migrated_in_total", "counter", "Flow groups each worker claimed by sec 3.3.2 migration.", len(ws), func(i int) any { return ws[i].MigratedIn })
+	perWorker(w, "affinity_handler_panics_total", "counter", "Handler passes that panicked and lost their connection.", len(ws), func(i int) any { return ws[i].Panics })
 	scalar(w, "affinity_dropped_total", "counter", "Connections shed on queue overflow.", st.Dropped)
 	scalar(w, "affinity_parked", "gauge", "Keep-alive connections parked between requests.", st.Parked)
 	scalar(w, "affinity_requeued_total", "counter", "Successful keep-alive requeues.", st.Requeued)

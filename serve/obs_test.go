@@ -19,13 +19,13 @@ import (
 // control ring, operands included.
 func TestObsMigrationEventsMatchMoves(t *testing.T) {
 	s, err := New(Config{
-		Workers:          2,
-		FlowGroups:       8,
-		DisableMigration: true, // ticks are manual
-		Backlog:          40,
-		HighPct:          20,
-		LowPct:           5,
-		WorkerHandler:    onConn(echoHandler),
+		Workers:         2,
+		FlowGroups:      8,
+		MigrateInterval: time.Hour, // ticks are manual
+		Backlog:         40,
+		HighPct:         20,
+		LowPct:          5,
+		WorkerHandler:   onConn(echoHandler),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -197,9 +197,9 @@ func TestWriteObsMetricsMatchesStats(t *testing.T) {
 	release := make(chan struct{})
 	var srv *Server
 	s, err := New(Config{
-		Workers:          2,
-		FlowGroups:       8,
-		DisableMigration: true,
+		Workers:         2,
+		FlowGroups:      8,
+		MigrateInterval: time.Hour,
 		WorkerHandler: func(_ int, conn net.Conn) {
 			b := make([]byte, 1)
 			if _, err := io.ReadFull(conn, b); err != nil {
@@ -272,6 +272,7 @@ func TestWriteObsMetricsMatchesStats(t *testing.T) {
 		want["affinity_worker_parked"+label] = w.Parked
 		want["affinity_worker_groups"+label] = w.GroupsOwned
 		want["affinity_migrated_in_total"+label] = w.MigratedIn
+		want["affinity_handler_panics_total"+label] = w.Panics
 		want["affinity_worker_busy"+label] = map[bool]int{false: 0, true: 1}[w.Busy]
 		if _, ok := got["affinity_clock_lag_seconds"+label]; !ok {
 			t.Errorf("scrape has no clock lag for worker %d", i)
@@ -294,13 +295,13 @@ func TestWriteObsMetricsMatchesStats(t *testing.T) {
 // and Stats and the scrape credit the move to the claimer.
 func TestObsJourneyTaggingAndAttribution(t *testing.T) {
 	s, err := New(Config{
-		Workers:          2,
-		FlowGroups:       8,
-		DisableMigration: true, // ticks are manual
-		Backlog:          40,
-		HighPct:          20,
-		LowPct:           5,
-		WorkerHandler:    onConn(echoHandler),
+		Workers:         2,
+		FlowGroups:      8,
+		MigrateInterval: time.Hour, // ticks are manual
+		Backlog:         40,
+		HighPct:         20,
+		LowPct:          5,
+		WorkerHandler:   onConn(echoHandler),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -43,8 +43,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"net"
+	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,10 +97,6 @@ type Config struct {
 	// claiming one flow group from the victim it stole from most (0 =
 	// the paper's 100ms, §3.3.2).
 	MigrateInterval time.Duration
-	// DisableMigration turns the migration loop off, leaving accept-time
-	// stealing as the only balancing mechanism (the paper's §3.3.1-only
-	// configuration; useful for A/B comparison).
-	DisableMigration bool
 
 	// MaxConns, when positive, is the server's connection budget: the
 	// maximum number of accepted connections (plus descriptors charged
@@ -214,6 +213,7 @@ type Server struct {
 	shedParked     atomic.Uint64 // parked conns closed to make room (budget or fd pressure)
 	budgetRejected atomic.Uint64 // conns rejected because the budget was exhausted and nothing was parked
 	acceptRetries  atomic.Uint64 // transient accept errors survived (EMFILE/ENFILE/ECONNABORTED)
+	panicLogged    atomic.Int64  // unix nanos of the last logged handler panic
 
 	// obs is the observability plane: event rings and serve-layer
 	// histograms.
@@ -235,6 +235,9 @@ type workerState struct {
 	slot       chan struct{}
 	wakes      atomic.Uint64 // returns from the park for a token
 	decayTicks atomic.Uint64 // returns from the park for the busy-bit tick
+	panics     atomic.Uint64 // handler passes that panicked
+
+	rd rawReader // the worker's TryRead callback
 }
 
 // New creates a Server and binds its listeners; the returned server is
@@ -268,7 +271,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.bal = core.NewQueues[*Conn](bcfg)
 	for i := range s.workers {
-		s.workers[i].slot = make(chan struct{}, 1)
+		w := &s.workers[i]
+		w.slot = make(chan struct{}, 1)
+		w.rd.fn = w.rd.read
 	}
 	if err := s.listen(); err != nil {
 		return nil, err
@@ -381,10 +386,8 @@ func (s *Server) Start() {
 		s.workerWG.Add(1)
 		go s.workerLoop(i)
 	}
-	if !s.cfg.DisableMigration {
-		s.workerWG.Add(1)
-		go s.migrateLoop()
-	}
+	s.workerWG.Add(1)
+	go s.migrateLoop()
 }
 
 // signal leaves a token in worker's parking slot. A token already there
@@ -540,7 +543,7 @@ func (s *Server) workerLoop(worker int) {
 				s.RecordGroupEvent(worker, obs.KindSteal, conn.group, int64(from), d, conn.port)
 			}
 			st.active.Add(1)
-			s.cfg.WorkerHandler(worker, conn)
+			s.runHandler(worker, conn)
 			st.active.Add(-1)
 			continue
 		}
@@ -572,6 +575,24 @@ func (s *Server) workerLoop(worker int) {
 			time.Sleep(50 * time.Microsecond)
 		}
 	}
+}
+
+// runHandler runs one handler pass. A handler that panics loses its
+// connection, not its worker: the panic is counted and logged at most
+// once a second, http.ErrAbortHandler not at all.
+func (s *Server) runHandler(worker int, c *Conn) {
+	defer func() {
+		if r := recover(); r != nil {
+			c.Close()
+			s.workers[worker].panics.Add(1)
+			now, last := time.Now().UnixNano(), s.panicLogged.Load()
+			if r != http.ErrAbortHandler && now-last >= int64(time.Second) && s.panicLogged.CompareAndSwap(last, now) {
+				log.Printf("serve: worker %d: handler panic: %v\n%s", worker, r, debug.Stack())
+			}
+		}
+	}()
+	c.rd = &s.workers[worker].rd
+	s.cfg.WorkerHandler(worker, c)
 }
 
 // Shutdown gracefully stops the server: it closes every listener and
@@ -668,6 +689,7 @@ func (s *Server) Stats() Stats {
 			MigratedIn:   w.migratedIn.Load(),
 			Wakes:        w.wakes.Load(),
 			DecayTicks:   w.decayTicks.Load(),
+			Panics:       w.panics.Load(),
 			Parked:       s.loops[i].Len(),
 			ClockLagUs:   s.ClockLag(i).Microseconds(),
 		}

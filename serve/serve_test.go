@@ -4,7 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log"
 	"net"
+	"net/http"
+	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -388,5 +392,69 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{WorkerHandler: onConn(echoHandler), StealRatio: -1}); err == nil {
 		t.Error("want error for a negative steal ratio")
+	}
+}
+
+// syncBuffer is a log destination safe to read while the server writes.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.b.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.b.String()
+}
+
+// TestHandlerPanicClosesOnlyItsConnection: a handler that panics loses
+// its connection, not its worker. The one worker serves the next
+// connection, every panic is counted, and the log hears of them at most
+// once a second and never of an http.ErrAbortHandler abort.
+func TestHandlerPanicClosesOnlyItsConnection(t *testing.T) {
+	var logged syncBuffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	s, err := New(Config{Workers: 1, WorkerHandler: func(_ int, conn net.Conn) {
+		b := make([]byte, 1)
+		io.ReadFull(conn, b)
+		switch b[0] {
+		case 'p':
+			panic("boom")
+		case 'a':
+			panic(http.ErrAbortHandler)
+		}
+		conn.Write(b)
+		conn.Close()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Shutdown(context.Background())
+	for _, msg := range []string{"p", "a", "p", "e"} {
+		conn, err := net.Dial("tcp", s.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		conn.Write([]byte(msg))
+		b, err := io.ReadAll(conn)
+		if want := map[bool]string{true: "e", false: ""}[msg == "e"]; err != nil || string(b) != want {
+			t.Fatalf("%q: read %q, %v; want %q and EOF", msg, b, err, want)
+		}
+	}
+	if n := s.Stats().Workers[0].Panics; n != 3 {
+		t.Errorf("Panics = %d, want 3", n)
+	}
+	if n := strings.Count(logged.String(), "handler panic"); n != 1 {
+		t.Errorf("logged %d panics, want 1:\n%s", n, logged.String())
 	}
 }

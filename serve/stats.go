@@ -82,6 +82,9 @@ type WorkerStats struct {
 	// counts returns for the busy-bit decay tick. An idle server adds none.
 	Wakes      uint64
 	DecayTicks uint64
+	// Panics counts handler passes that panicked; each closed its
+	// connection and left the worker serving.
+	Panics uint64
 	// ClockLagUs is how far this worker's coarse event-loop clock
 	// trailed the wall clock at snapshot time, in microseconds. Healthy
 	// loops stay under one poll interval (~50ms); a persistently larger

@@ -59,10 +59,10 @@ func TestWakeReachesOwnerOnly(t *testing.T) {
 	const workers, groups, msgLen, trips = 4, 16, 8, 300
 	var srv *Server
 	s, err := New(Config{
-		Workers:          workers,
-		FlowGroups:       groups,
-		DisableMigration: true,
-		WorkerHandler:    requeueEcho(&srv, msgLen, 0),
+		Workers:         workers,
+		FlowGroups:      groups,
+		MigrateInterval: time.Hour,
+		WorkerHandler:   requeueEcho(&srv, msgLen, 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,12 +124,12 @@ func TestBusyPushWakesThieves(t *testing.T) {
 	const workers, total, groups = 4, 40, 8
 	gate := make(chan struct{})
 	s, err := New(Config{
-		Workers:          workers,
-		FlowGroups:       groups,
-		DisableMigration: true,
-		Backlog:          workers * 64,
-		HighPct:          20,
-		LowPct:           2,
+		Workers:         workers,
+		FlowGroups:      groups,
+		MigrateInterval: time.Hour,
+		Backlog:         workers * 64,
+		HighPct:         20,
+		LowPct:          2,
 		WorkerHandler: func(worker int, conn net.Conn) {
 			if worker == 0 {
 				<-gate
@@ -171,12 +171,12 @@ func TestLatchedThievesStillSteal(t *testing.T) {
 	const workers, total, groups = 4, 120, 8
 	gate := make(chan struct{})
 	s, err := New(Config{
-		Workers:          workers,
-		FlowGroups:       groups,
-		DisableMigration: true,
-		Backlog:          workers * 64,
-		HighPct:          20,
-		LowPct:           2,
+		Workers:         workers,
+		FlowGroups:      groups,
+		MigrateInterval: time.Hour,
+		Backlog:         workers * 64,
+		HighPct:         20,
+		LowPct:          2,
 		WorkerHandler: func(worker int, conn net.Conn) {
 			<-gate
 			if worker == 0 {

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"affinityaccept/serve"
 )
 
 // Conn is one WebSocket connection. Reads only ever happen inside a
@@ -47,12 +49,13 @@ type Conn struct {
 
 // transport is the connection httpaff hands an upgrade
 // (RequestCtx.NetConn): the same value for the connection's whole life,
-// whose reads replay parked and post-upgrade residual input, whose
-// Close is legal from any goroutine — it unlinks a parked connection
-// from its event loop — and which carries its worker's coarse clock.
+// whose reads replay parked and post-upgrade residual input, which can
+// read without waiting (TryRead, see serve.Conn.TryRead), whose Close
+// is legal from any goroutine — it unlinks a parked connection from its
+// event loop — and which carries its worker's coarse clock.
 type transport interface {
 	net.Conn
-	InputPending() bool
+	TryRead(b []byte) (int, error)
 	CoarseNow() time.Time
 }
 
@@ -320,15 +323,12 @@ func (ws *WS) readFrames(c *Conn, w *wsWorker) (park bool, code uint16, reason s
 	)
 	w.abuf = w.abuf[:0]
 	maxMsg := ws.cfg.MaxMessageBytes
-	// A requeued pass always has the park wake-up byte (and an upgrade
-	// pass may have residual post-upgrade bytes) queued for replay; a
-	// fresh upgrade with a silent client has nothing, and must park
-	// rather than block the worker on a read. The replayed input makes
-	// this first read return without touching the transport.
-	if !nc.InputPending() {
+	// A fresh upgrade with a silent client, or a wake with nothing to
+	// read, parks rather than block the worker.
+	n, err := nc.TryRead(w.rbuf)
+	if err == serve.ErrWouldBlock {
 		return true, 0, ""
 	}
-	n, err := nc.Read(w.rbuf)
 	if err != nil && n == 0 {
 		return false, CloseAbnormal, ""
 	}
